@@ -12,6 +12,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .errors import SchemaError
+
 DEFAULT_PRIME = 32003
 
 
@@ -27,11 +29,12 @@ def _is_prime(p):
 
 
 class GF:
-    """The prime field Z/p, p an odd prime (default 32003)."""
+    """The prime field Z/p, p an odd prime below 2^31 (default 32003), so
+    that a product of two reduced entries fits in an int64."""
 
     def __init__(self, p=DEFAULT_PRIME):
-        if not _is_prime(p) or p == 2:
-            raise ValueError("p must be an odd prime, got %r" % (p,))
+        if p >= 1 << 31 or not _is_prime(p) or p == 2:
+            raise SchemaError("p must be an odd prime below 2^31, got %r" % (p,))
         self.p = p
 
     def __eq__(self, other):

@@ -22,7 +22,7 @@ from .dmres import tate_cone
 from .errors import PreconditionError, StabilizationError
 from .exterior import OmegaTwist, ext_mul, socle_readoff
 from .laurent import CechComplex
-from .linalg import _kernel_arr, invert, rref
+from .linalg import GF, _kernel_arr, invert, rref
 from .toric import deg_add, deg_neg, deg_sub, is_irrelevant_subset
 
 
@@ -67,9 +67,10 @@ class _Retract:
     its homology embedded and projected, and the side homotopy, satisfying
     u h + h u = 1 - i p with p i = 1, h i = 0, p h = 0, h h = 0."""
 
-    def __init__(self, field, dims, offsets, i, p, h, hlabels):
+    def __init__(self, field, dims, maps, offsets, i, p, h, hlabels):
         self.field = field
         self.dims = dims
+        self.maps = maps
         self.offsets = offsets
         self.i = i
         self.p = p
@@ -150,31 +151,7 @@ def _build_retract(field, dims, maps):
     nh_total = len(i_cols)
     i_mat = np.concatenate(i_cols, axis=1) if i_cols else field.zeros(total, 0)
     p_mat = np.concatenate(p_rows, axis=0) if p_rows else field.zeros(0, total)
-    return _Retract(field, dims, offsets, i_mat, p_mat, h, hlabels)
-
-
-def _retract_identities_hold(field, dims, maps, ret):
-    """Debug check of the contraction identities."""
-    total = sum(dims)
-    u = field.zeros(total, total)
-    for l in range(len(dims) - 1):
-        if dims[l] and dims[l + 1]:
-            u[ret.offsets[l + 1]:ret.offsets[l + 2], ret.offsets[l]:ret.offsets[l + 1]] = maps[l]
-    lhs = field.reduce(u @ ret.h + ret.h @ u)
-    eye = field.zeros(total, total)
-    for k in range(total):
-        eye[k, k] = field.one
-    rhs = field.reduce(eye - ret.i @ ret.p)
-    if np.any(field.reduce(lhs - rhs)):
-        return False
-    pi = field.reduce(ret.p @ ret.i)
-    eyeh = field.zeros(pi.shape[0], pi.shape[1])
-    for k in range(pi.shape[0]):
-        eyeh[k, k] = field.one
-    return (not np.any(field.reduce(pi - eyeh))
-            and not np.any(field.reduce(ret.p @ ret.h))
-            and not np.any(field.reduce(ret.h @ ret.i))
-            and not np.any(field.reduce(ret.h @ ret.h)))
+    return _Retract(field, dims, maps, offsets, i_mat, p_mat, h, hlabels)
 
 
 class _FMData:
@@ -234,6 +211,24 @@ class _FMData:
         return mat
 
 
+def _add_block(entries, field, toff, soff, rows, mono, sign):
+    """Add sign * block to the e_mono coefficients of the differential at
+    rows toff.., columns soff.., dropping coefficients that cancel; rows
+    yields (row index, row values)."""
+    for rr, row in rows:
+        for cc, v in enumerate(row):
+            if v == field.zero:
+                continue
+            if sign < 0:
+                v = field.neg(v)
+            elem = entries.setdefault((toff + rr, soff + cc), {})
+            nv = field.add(elem.get(mono, field.zero), v)
+            if nv == field.zero:
+                elem.pop(mono, None)
+            else:
+                elem[mono] = nv
+
+
 def _transfer(data, h_sign):
     """Homotopy transfer of the horizontal perturbation onto the columnwise
     Cech homology: returns generators (with their degrees and levels) and
@@ -248,26 +243,6 @@ def _transfer(data, h_sign):
         for level in ret.hlabels:
             gens.append(OmegaTwist(deg_neg(a), level))
     entries = {}
-
-    def contribute(src_a, tgt_a, mono, sign, mat):
-        """mat: H(src_a) -> H(tgt_a) coefficient matrix for monomial e_mono."""
-        soff = gen_offset[src_a]
-        toff = gen_offset[tgt_a]
-        for rr in range(mat.shape[0]):
-            for cc in range(mat.shape[1]):
-                v = mat[rr, cc]
-                if v == field.zero:
-                    continue
-                if sign < 0:
-                    v = field.neg(v)
-                key = (toff + rr, soff + cc)
-                elem = entries.setdefault(key, {})
-                nv = field.add(elem.get(mono, field.zero), v)
-                if nv == field.zero:
-                    elem.pop(mono, None)
-                else:
-                    elem[mono] = nv
-
     nvars = stack.nvars
     for a in data.window.points():
         ret = data.retract[a]
@@ -291,8 +266,8 @@ def _transfer(data, h_sign):
                 msign, mmono = r
                 if b in gen_offset:
                     out = field.reduce(data.retract[b].p @ step)
-                    if np.any(out):
-                        contribute(a, b, mmono, sign * msign, out)
+                    _add_block(entries, field, gen_offset[b], gen_offset[a],
+                               enumerate(out), mmono, sign * msign)
                 cont = field.reduce(data.retract[b].h @ step)
                 if h_sign < 0:
                     cont = field.reduce(-cont)
@@ -324,14 +299,20 @@ class _StrandTypes:
                 self.cells.append((size - 1, J, union))
         self.nlevels = len(cover)
         self._retracts = {}
+        self._cellsets = {}
+        # cellset(e) reads e[i] only through e[i] < 0 and g[i] <= e[i] for
+        # relation exponents g >= 0: raising e[i] by one changes it only when
+        # e[i] reaches a threshold, and e[i] clamped to [-1, max] keys it
+        self.thresholds = [frozenset({0}.union(g[i] for g in self.rels))
+                           for i in range(stack.nvars)]
+        self._caps = [max(th) for th in self.thresholds]
 
     def cellset(self, e):
-        e = tuple(e)
-        cached = getattr(self, "_cellsets", None)
-        if cached is None:
-            cached = self._cellsets = {}
-        if e in cached:
-            return cached[e]
+        """The cells where the Laurent exponent tuple e survives."""
+        e = tuple(-1 if x < 0 else min(x, c) for x, c in zip(e, self._caps))
+        cached = self._cellsets.get(e)
+        if cached is not None:
+            return cached
         neg = frozenset(i for i, x in enumerate(e) if x < 0)
         alive = []
         for ci, (_, _, union) in enumerate(self.cells):
@@ -345,7 +326,7 @@ class _StrandTypes:
             if not dead:
                 alive.append(ci)
         out = frozenset(alive)
-        cached[e] = out
+        self._cellsets[e] = out
         return out
 
     def retract(self, cellset):
@@ -426,96 +407,81 @@ def _monomial_transfer(pres, stack, window, field, t, h_sign, types=None):
         return out
 
     gens = []
-    sources = []  # (degree, exponent, cellset)
-    offset_of = {}
+    sources = []  # (exponent, cellset, homology embedding)
+    offset_of = {}  # the exponent fixes the degree, so it keys the generators
     for a in window.points():
         for e in source_exponents(deg_sub(a, gshift)):
             cs = types.cellset(e)
             if not cs:
                 continue
-            ret, dims, order = types.retract(cs)
+            ret = types.retract(cs)[0]
             if ret.i.shape[1] == 0:
                 continue
-            offset_of[(a, e)] = len(gens)
+            offset_of[e] = len(gens)
             for lvl in ret.hlabels:
                 gens.append(OmegaTwist(deg_neg(a), lvl))
-            sources.append((a, e, cs))
-    entries = {}
+            sources.append((e, cs, ret.i))
+    # The walk runs on plain ints. Its state maps each nonzero strand row to
+    # that row's values over the source's homology basis; one step applies
+    # p2 T and h_sign h2 T, precomposed per pattern pair, where T is the signed
+    # cell transport. Both vanish on mat where T does, so T mat is never formed.
+    mod = field.p if isinstance(field, GF) else None
+    pair_maps = {}
 
-    def add(tgt_off, src_off, mat, mono, sign):
-        for rr in range(mat.shape[0]):
-            for cc in range(mat.shape[1]):
-                v = mat[rr, cc]
-                if v == field.zero:
-                    continue
-                if sign < 0:
-                    v = field.neg(v)
-                key = (tgt_off + rr, src_off + cc)
-                elem = entries.setdefault(key, {})
-                nv = field.add(elem.get(mono, field.zero), v)
-                if nv == field.zero:
-                    elem.pop(mono, None)
-                else:
-                    elem[mono] = nv
-
-    transport_cache = {}
-
-    def step_matrix(cs_src, order_src, e2):
-        """Cell-transport matrix from a strand with cell order order_src to
-        the strand of e2, with the per-level row sign of the horizontal
-        differential."""
-        cs2 = types.cellset(e2)
-        key = (cs_src, cs2)
-        hit = transport_cache.get(key)
-        if hit is not None:
-            return hit
+    def step_maps(cs_src, cs2):
+        """(p2 T, h_sign h2 T) from the strand pattern cs_src to cs2,
+        column-sparse: per source row, its (target row, coeff) terms."""
         ret2, _, order2 = types.retract(cs2)
         idx2 = {ci: k for k, ci in enumerate(order2)}
-        mat = field.zeros(len(order2), len(order_src))
-        for col, ci in enumerate(order_src):
+        p_rows, h_rows = ret2.p.tolist(), ret2.h.tolist()
+        pt, ht = [], []
+        for ci in types.retract(cs_src)[2]:
             k = idx2.get(ci)
-            if k is None:
-                continue
-            lvl = types.cells[ci][0]
-            v = field.one
-            if lvl % 2 == 1:
-                v = field.neg(v)
-            mat[k, col] = v
-        val = (cs2, ret2, order2, mat)
-        transport_cache[key] = val
-        return val
+            sgn = -1 if types.cells[ci][0] % 2 else 1
+            pt.append(() if k is None else
+                      tuple((r, sgn * row[k]) for r, row in enumerate(p_rows) if row[k]))
+            ht.append(() if k is None else
+                      tuple((r, sgn * h_sign * row[k]) for r, row in enumerate(h_rows) if row[k]))
+        hit = pair_maps[cs_src, cs2] = (pt, ht)
+        return hit
 
-    nvars = stack.nvars
-    for a, e, cs in sources:
-        ret, dims, order = types.retract(cs)
-        src_off = offset_of[(a, e)]
+    def apply(cols, mat):
+        acc = {}
+        for j, vals in mat.items():
+            for r, c in cols[j]:
+                row = acc.get(r)
+                acc[r] = ([c * v for v in vals] if row is None
+                          else [x + c * v for x, v in zip(row, vals)])
+        out = {}
+        for r, row in acc.items():
+            if mod is not None:
+                row = [x % mod for x in row]
+            if any(row):
+                out[r] = row
+        return out
 
-        def walk(c, ecur, cs_cur, order_cur, mat, mono, sign):
-            for i in range(nvars):
-                bit = 1 << i
-                if mono & bit:
-                    continue
-                e2 = tuple(x + (1 if k == i else 0) for k, x in enumerate(ecur))
-                c2 = deg_add(c, stack.var_degrees[i])
-                cs2, ret2, order2, transport = step_matrix(cs_cur, order_cur, e2)
-                step = field.reduce(transport @ mat)
-                if not np.any(step):
-                    continue
-                r = ext_mul(bit, mono)
-                if r is None:
-                    continue
-                msign, mmono = r
-                if (c2, e2) in offset_of:
-                    out = field.reduce(ret2.p @ step)
-                    if np.any(out):
-                        add(offset_of[(c2, e2)], src_off, out, mmono, sign * msign)
-                cont = field.reduce(ret2.h @ step)
-                if h_sign < 0:
-                    cont = field.reduce(-cont)
-                if np.any(cont):
-                    walk(c2, e2, cs2, order2, cont, mmono, sign * msign)
+    entries = {}
+    thresholds = types.thresholds
+    # per exterior monomial: (i, sign, product) for each x_i it can take
+    moves = [[(i,) + ext_mul(1 << i, mono) for i in range(stack.nvars) if not mono >> i & 1]
+             for mono in range(1 << stack.nvars)]
 
-        walk(a, e, cs, order, ret.i, 0, 1)
+    def walk(src_off, ecur, cs_cur, mat, mono, sign):
+        for i, msign, mmono in moves[mono]:
+            e2 = ecur[:i] + (ecur[i] + 1,) + ecur[i + 1:]
+            cs2 = types.cellset(e2) if e2[i] in thresholds[i] else cs_cur
+            pt, ht = pair_maps.get((cs_cur, cs2)) or step_maps(cs_cur, cs2)
+            tgt_off = offset_of.get(e2)
+            if tgt_off is not None:
+                _add_block(entries, field, tgt_off, src_off,
+                           sorted(apply(pt, mat).items()), mmono, sign * msign)
+            cont = apply(ht, mat)
+            if cont:
+                walk(src_off, e2, cs2, cont, mmono, sign * msign)
+
+    for e, cs, i_mat in sources:
+        start = {r: row for r, row in enumerate(i_mat.tolist()) if any(row)}
+        walk(offset_of[e], e, cs, start, 0, 1)
     return gens, entries
 
 
@@ -543,12 +509,14 @@ def fm_transform(pres, stack, window, field, t=None, h_sign=-1):
 
     if t is not None:
         gens, entries = build(t)
+    elif shared_types is not None and not pres.entries:
+        # a free module's strands are enumerated without an exponent bound,
+        # so every t gives the same transfer and one build is exact
+        gens, entries = build(T_START)
     else:
         from .cohomology import exponent_floor
 
-        start = T_START
-        if pres.entries or shared_types is None:
-            start = max(max(exponent_floor(stack, a) for a in window.points()), T_START)
+        start = max(max(exponent_floor(stack, a) for a in window.points()), T_START)
         tt = min(start, T_CAP)
         prev = None
         while tt <= T_CAP:
@@ -585,15 +553,6 @@ def cech_totalization_dm(pres, stack, window, field, t):
                 index[(a, cell[1])] = len(gens)
                 gens.extend([OmegaTwist(deg_neg(a), level)] * n)
     entries = {}
-
-    def add_entry(s, tcol, mono, v):
-        elem = entries.setdefault((s, tcol), {})
-        nv = field.add(elem.get(mono, field.zero), v)
-        if nv == field.zero:
-            elem.pop(mono, None)
-        else:
-            elem[mono] = nv
-
     for a in window.points():
         # vertical Cech differential: constants
         for level in range(len(stack.cover) - 1):
@@ -612,13 +571,8 @@ def cech_totalization_dm(pres, stack, window, field, t):
                     sign = -1 if pos % 2 else 1
                     tgt_cell = next(c for c in cx.cells_at(level + 1) if c[1] == J2)
                     block = cx.restriction_block(a, cell, tgt_cell)
-                    base_t = index[(a, J2)]
-                    for rr in range(block.shape[0]):
-                        for cc in range(block.shape[1]):
-                            v = block[rr, cc]
-                            if v != field.zero:
-                                add_entry(base_t + rr, base_s + cc, 0,
-                                          v if sign > 0 else field.neg(v))
+                    _add_block(entries, field, index[(a, J2)], base_s,
+                               enumerate(block), 0, sign)
         # horizontal maps: x_i (x) e_i with the row sign
         for i in range(stack.nvars):
             b = deg_add(a, stack.var_degrees[i])
@@ -632,13 +586,8 @@ def cech_totalization_dm(pres, stack, window, field, t):
                     block = cx.multiplication_block(a, i, cell)
                     if level % 2 == 1:
                         block = field.reduce(-block)
-                    base_s = index[(a, cell[1])]
-                    base_t = index[(b, cell[1])]
-                    for rr in range(block.shape[0]):
-                        for cc in range(block.shape[1]):
-                            v = block[rr, cc]
-                            if v != field.zero:
-                                add_entry(base_t + rr, base_s + cc, 1 << i, v)
+                    _add_block(entries, field, index[(b, cell[1])],
+                               index[(a, cell[1])], enumerate(block), 1 << i, 1)
     sums = set(stack.subset_sums())
     safe = {a for a in window.points() if all(deg_sub(a, s) in window for s in sums)}
     return FreeDiffModule(stack, field, gens, entries, safe=safe, validate=True)

@@ -131,6 +131,33 @@ def test_exit_code_schema(capsys, tmp_path):
     assert code2 == 2 and "positive" in err2
 
 
+@pytest.mark.parametrize("args", [
+    ["cohomology", fixture("p1p1.tate"), "--prime", "4"],
+    ["cohomology", fixture("p1p1.tate"), "--prime", "4294967291"],
+    ["cohomology", fixture("p12.tate"), "--prime", "4294967291"],
+])
+def test_exit_code_schema_bad_prime(capsys, args):
+    # only odd primes below 2^31 keep products of reduced entries in int64
+    code, _, err = run_cli(args, capsys)
+    assert code == 2 and "below 2^31" in err
+
+
+def test_exit_code_schema_bad_document_prime(capsys, tmp_path):
+    with open(fixture("p1p1.tate")) as fh:
+        doc = json.load(fh)
+    doc["field"]["prime"] = 4
+    bad = tmp_path / "bad.tate"
+    bad.write_text(json.dumps(doc))
+    code, _, err = run_cli(["cohomology", str(bad)], capsys)
+    assert code == 2 and "prime" in err
+
+
+def test_largest_prime_matches_default(capsys):
+    code, out, _ = run_cli(["cohomology", fixture("p1p1.tate"), "--prime", "2147483647"], capsys)
+    code0, out0, _ = run_cli(["cohomology", fixture("p1p1.tate")], capsys)
+    assert code == code0 == 0 and out == out0
+
+
 def test_exit_code_precondition(capsys):
     # diagonal on a general rank-2 stack that is not the Hirzebruch-1 model
     code, _, err = run_cli(["diagonal", fixture("hirz3.tate"), "--window", "-2:2,-2:2"], capsys)

@@ -1,7 +1,9 @@
 from collections import Counter
 
+import numpy as np
 import pytest
 
+from torictate import tate
 from torictate.cohomology import oracle_table
 from torictate.diffmod import (check_minimal, check_square_zero,
                                homology_column, minimize)
@@ -226,3 +228,107 @@ def test_fm_nonmonomial_dense(p112, gf):
     for a in range(-3, 4):
         for i in range(0, 3):
             assert res.entry(i, (a,)) == tw.entry(i, (a,))
+
+
+def hirz3_H(stack):
+    # module H of fixtures/hirz3.tate: S / (x0 x1)
+    return Presentation.quotient(stack, [(1, 1, 0, 0)])
+
+
+def recorded_strand_types(monkeypatch):
+    """Make every _StrandTypes built in tate append itself to the list."""
+    made = []
+
+    class Recording(tate._StrandTypes):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(tate, "_StrandTypes", Recording)
+    return made
+
+
+def assert_retract_identities(field, ret):
+    """u h + h u = 1 - i p, p i = 1, p h = 0, h i = 0 and h h = 0, where u
+    is the strand's Cech differential."""
+    total = sum(ret.dims)
+    u = field.zeros(total, total)
+    for lvl, m in enumerate(ret.maps):
+        if ret.dims[lvl] and ret.dims[lvl + 1]:
+            u[ret.offsets[lvl + 1]:ret.offsets[lvl + 2], ret.offsets[lvl]:ret.offsets[lvl + 1]] = m
+
+    def zero(m):
+        return not np.any(field.reduce(m))
+
+    i, p, h = ret.i, ret.p, ret.h
+    assert zero(u @ h + h @ u - np.eye(total, dtype=np.int64) + i @ p)
+    assert zero(p @ i - np.eye(p.shape[0], dtype=np.int64))
+    assert zero(p @ h) and zero(h @ i) and zero(h @ h)
+
+
+def test_strand_retract_identities(hirz3, p1p1, gf, monkeypatch):
+    # the transfer walk precomposes p and h with the cell transport, which
+    # relies on these identities for every cached pattern retract
+    made = recorded_strand_types(monkeypatch)
+    fm_transform(hirz3_H(hirz3), hirz3, Window((-2, -1), (2, 1)), gf, t=4)
+    fm_transform(Presentation.free([(0, 0)]), p1p1, Window((-3, -3), (3, 3)), gf)
+    assert len(made) == 2
+    for types in made:
+        assert types._retracts
+        for ret, _, _ in types._retracts.values():
+            assert_retract_identities(gf, ret)
+
+
+def test_strand_cellset_clamp_and_thresholds(hirz3, gf):
+    # cellset keys its cache by a clamped exponent, and the transfer walk
+    # keeps the current pattern while no coordinate crosses a threshold;
+    # both are checked against the cell-survival rule on unclamped exponents
+    import itertools
+
+    types = tate._StrandTypes(hirz3, gf, hirz3.cover, [(1, 1, 0, 0), (0, 2, 0, 3)])
+
+    def survivors(e):
+        neg = {i for i, x in enumerate(e) if x < 0}
+        return frozenset(ci for ci, (_, _, union) in enumerate(types.cells)
+                         if neg <= union and not any(
+                             all(g[i] <= e[i] for i in range(4) if i not in union)
+                             for g in types.rels))
+
+    for e in itertools.product(range(-2, 5), repeat=4):
+        assert types.cellset(e) == survivors(e)
+        for i in range(4):
+            e2 = e[:i] + (e[i] + 1,) + e[i + 1:]
+            if e2[i] not in types.thresholds[i]:
+                assert survivors(e2) == survivors(e)
+
+
+def test_free_module_transfer_is_independent_of_t(hirz3, p1p1, gf, monkeypatch):
+    # a free module's strands are enumerated without an exponent bound, so
+    # fm_transform builds its transfer once instead of comparing t = 2, 4
+    for stack, window in ((p1p1, Window((-3, -3), (3, 3))), (hirz3, Window((-4, -3), (4, 3)))):
+        pres = Presentation.free([(0, 0)])
+        assert tate._monomial_transfer(pres, stack, window, gf, 2, -1) == \
+            tate._monomial_transfer(pres, stack, window, gf, 8, -1)
+    calls = []
+    inner = tate._monomial_transfer
+
+    def counted_transfer(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(tate, "_monomial_transfer", counted_transfer)
+    fm_transform(Presentation.free([(0, 0)]), p1p1, Window((-3, -3), (3, 3)), gf)
+    assert len(calls) == 1
+
+
+def test_fm_dense_path_matches_strand_path_with_relation(hirz3, gf):
+    # rank-2 class group with a monomial relation: the strand walk and the
+    # dense Cech pipeline give the same generators and socle table
+    from torictate.tate import _FMData, _monomial_transfer, _transfer
+    pres = hirz3_H(hirz3)
+    window = Window((-1, -1), (1, 1))
+    strand_gens, _ = _monomial_transfer(pres, hirz3, window, gf, 2, -1)
+    dense_gens, _ = _transfer(_FMData(hirz3, gf, pres, window, 2), -1)
+    assert strand_gens
+    assert Counter(strand_gens) == Counter(dense_gens)
+    assert socle_readoff(hirz3, strand_gens) == socle_readoff(hirz3, dense_gens)
