@@ -1,3 +1,4 @@
+import itertools
 from collections import Counter
 
 import numpy as np
@@ -283,8 +284,6 @@ def test_strand_cellset_clamp_and_thresholds(hirz3, gf):
     # cellset keys its cache by a clamped exponent, and the transfer walk
     # keeps the current pattern while no coordinate crosses a threshold;
     # both are checked against the cell-survival rule on unclamped exponents
-    import itertools
-
     types = tate._StrandTypes(hirz3, gf, hirz3.cover, [(1, 1, 0, 0), (0, 2, 0, 3)])
 
     def survivors(e):
@@ -324,11 +323,10 @@ def test_free_module_transfer_is_independent_of_t(hirz3, p1p1, gf, monkeypatch):
 def test_fm_dense_path_matches_strand_path_with_relation(hirz3, gf):
     # rank-2 class group with a monomial relation: the strand walk and the
     # dense Cech pipeline give the same generators and socle table
-    from torictate.tate import _FMData, _monomial_transfer, _transfer
     pres = hirz3_H(hirz3)
     window = Window((-1, -1), (1, 1))
-    strand_gens, _ = _monomial_transfer(pres, hirz3, window, gf, 2, -1)
-    dense_gens, _ = _transfer(_FMData(hirz3, gf, pres, window, 2), -1)
+    strand_gens, _ = tate._monomial_transfer(pres, hirz3, window, gf, 2, -1)
+    dense_gens, _ = tate._transfer(tate._FMData(hirz3, gf, pres, window, 2), -1)
     assert strand_gens
     assert Counter(strand_gens) == Counter(dense_gens)
     assert socle_readoff(hirz3, strand_gens) == socle_readoff(hirz3, dense_gens)
