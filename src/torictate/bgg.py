@@ -17,7 +17,7 @@ from .diffmod import FreeDiffModule, _homology_column_unchecked
 from .exterior import OmegaTwist, ext_mul
 from .linalg import Mat, _rank_arr
 from .smodule import GradedComplex, monomial_basis
-from .toric import deg_add, deg_neg, deg_sub
+from .toric import deg_add, deg_neg, deg_sub, degrees_within
 
 
 def _full_mask(stack):
@@ -149,25 +149,6 @@ def R_complex(cx):
     return FreeDiffModule(stack, field, gens, entries, safe=safe or set())
 
 
-def effective_shift_degrees(stack, budget):
-    """Distinct degrees of monomials with theta-value at most budget."""
-    degs = stack.var_degrees
-    thetas = [stack.theta(d) for d in degs]
-    out = set()
-
-    def rec(i, cur, left):
-        if i == len(degs):
-            out.add(cur)
-            return
-        c = 0
-        while c * thetas[i] <= left:
-            rec(i + 1, deg_add(cur, tuple(c * x for x in degs[i])), left - c * thetas[i])
-            c += 1
-
-    rec(0, tuple([0] * stack.r), budget)
-    return out
-
-
 def L(dm, module_degrees, col_degrees=None, mask=None):
     """The left adjoint on a windowed differential module: term j at module
     degree c is the sum over column degrees a of S_{c-a} tensor D_{(a; j)},
@@ -297,7 +278,7 @@ def roundtrip_check(module, module_degrees):
     module_degrees = [tuple(c) for c in module_degrees]
     floor = module.floor_theta
     for c in module_degrees:
-        for s in effective_shift_degrees(stack, stack.theta(c) - floor):
+        for s in degrees_within(stack.var_degrees, stack.theta, stack.theta(c) - floor):
             a = deg_sub(c, s)
             if stack.theta(a) < floor:
                 continue

@@ -13,49 +13,7 @@ from __future__ import annotations
 from .errors import PreconditionError
 from .linalg import Mat
 from .smodule import monomial_basis
-from .toric import deg_add, deg_sub, deg_zero
-
-
-def _eff_exponents(stack, d):
-    """Exponent vectors over the effective-cone generators summing to d."""
-    gens = stack.eff.generators
-    theta = stack.theta
-    out = []
-
-    def rec(i, rest, rest_theta, prefix):
-        if i == len(gens):
-            if rest_theta == 0 and all(x == 0 for x in rest):
-                out.append(tuple(prefix))
-            return
-        g = gens[i]
-        gt = theta(g)
-        for c in range(rest_theta // gt + 1):
-            rec(i + 1, deg_sub(rest, tuple(c * x for x in g)), rest_theta - c * gt, prefix + [c])
-
-    budget = theta(d)
-    if budget >= 0:
-        rec(0, tuple(d), budget, [])
-    return out
-
-
-def _eff_degrees(stack, theta_cap):
-    """All effective degrees with theta-value at most the cap."""
-    gens = stack.eff.generators
-    theta = stack.theta
-    seen = set()
-
-    def rec(i, cur):
-        if i == len(gens):
-            seen.add(cur)
-            return
-        g = gens[i]
-        c = 0
-        while theta(cur) + c * theta(g) <= theta_cap:
-            rec(i + 1, deg_add(cur, tuple(c * x for x in g)))
-            c += 1
-
-    rec(0, deg_zero(stack.r))
-    return sorted(seen, key=lambda d: (theta(d), d))
+from .toric import cone_contains, deg_add, deg_sub, degrees_within
 
 
 class DiagComplex:
@@ -86,7 +44,7 @@ class DiagComplex:
         masks_by_size = {}
         for mask in range(1 << stack.nvars):
             masks_by_size.setdefault(bin(mask).count("1"), []).append(mask)
-        for a in _eff_degrees(stack, theta(d)):
+        for a in degrees_within(stack.eff.generators, theta, theta(d)):
             for mask in masks_by_size.get(i, []):
                 b = stack.mask_degree(mask)
                 if self.keep is not None and not self.keep(mask, a):
@@ -249,8 +207,6 @@ def check_acyclicity(cx, bidegrees, report=False):
 def check_H0_diagonal(cx, bidegrees):
     """dim H_0 at (d, d') equals dim S_{d+d'}; bidegrees with d' outside
     the effective cone are excluded by convention."""
-    from .toric import cone_contains
-
     stack = cx.stack
     for bid in bidegrees:
         d, dprime = bid

@@ -15,135 +15,25 @@ import itertools
 import numpy as np
 
 from .linalg import RowReducer
-from .toric import deg_add, deg_sub, deg_zero
-
-
-_ENUM_CAP = 2_000_000
-
-
-def _ceil_div(a, b):
-    return -((-a) // b)
+from .toric import deg_add, deg_sub, deg_zero, points
 
 
 def signed_exponents(stack, d, negatives):
     """Exponent vectors of degree d with e_i <= -1 for i in the negatives
     set and e_i >= 0 elsewhere -- the lattice points of a polytope whenever
-    the pattern contributes cohomology. Enumerated exactly by repeatedly
-    branching on a variable whose range is pinned down by the degree
-    equations given interval hulls for the others."""
-    degs = stack.var_degrees
-    r = stack.r
-    n1 = stack.nvars
-    out = []
-    count = [0]
-
-    def interval(i, rest, ranges):
-        """Feasible integer range of variable i (None = unbounded side)."""
-        lo, hi = ranges[i]
-        for k in range(r):
-            dk = degs[i][k]
-            if dk == 0:
-                continue
-            tmin = 0
-            tmax = 0
-            for j, (lj, hj) in ranges.items():
-                if j == i:
-                    continue
-                djk = degs[j][k]
-                if djk == 0:
-                    continue
-                if djk > 0:
-                    lo_c = None if lj is None else lj * djk
-                    hi_c = None if hj is None else hj * djk
-                else:
-                    lo_c = None if hj is None else hj * djk
-                    hi_c = None if lj is None else lj * djk
-                tmin = None if (tmin is None or lo_c is None) else tmin + lo_c
-                tmax = None if (tmax is None or hi_c is None) else tmax + hi_c
-            # dk * c = rest_k - tail with tail in [tmin, tmax]:
-            # dk * c in [rest_k - tmax, rest_k - tmin]
-            lbound = None if tmax is None else rest[k] - tmax
-            ubound = None if tmin is None else rest[k] - tmin
-            if dk > 0:
-                lo_k = None if lbound is None else _ceil_div(lbound, dk)
-                hi_k = None if ubound is None else ubound // dk
-            else:
-                lo_k = None if ubound is None else _ceil_div(ubound, dk)
-                hi_k = None if lbound is None else lbound // dk
-            if lo_k is not None:
-                lo = lo_k if lo is None else max(lo, lo_k)
-            if hi_k is not None:
-                hi = hi_k if hi is None else min(hi, hi_k)
-        return lo, hi
-
-    def rec(rest, ranges, partial):
-        if not ranges:
-            if all(x == 0 for x in rest):
-                out.append(tuple(partial[i] for i in range(n1)))
-            return
-        best = None
-        for i in ranges:
-            lo, hi = interval(i, rest, ranges)
-            if lo is not None and hi is not None:
-                if best is None or hi - lo < best[2] - best[1]:
-                    best = (i, lo, hi)
-        if best is None:
-            raise ArithmeticError("sign-pattern region is unbounded")
-        i, lo, hi = best
-        count[0] += max(0, hi - lo + 1)
-        if count[0] > _ENUM_CAP:
-            raise ArithmeticError("sign-pattern enumeration exceeded the cap")
-        sub = dict(ranges)
-        del sub[i]
-        for c in range(lo, hi + 1):
-            partial[i] = c
-            rec(deg_sub(rest, tuple(c * x for x in degs[i])), sub, partial)
-        partial.pop(i, None)
-
-    ranges = {}
-    for i in range(n1):
-        if i in negatives:
-            ranges[i] = (None, -1)
-        else:
-            ranges[i] = (0, None)
-    rec(tuple(d), ranges, {})
-    out.sort()
-    return out
+    the pattern contributes cohomology -- in lexicographic order."""
+    n = stack.nvars
+    return points(stack.var_degrees, stack.theta, d,
+                  [None if i in negatives else 0 for i in range(n)],
+                  [-1 if i in negatives else None for i in range(n)])
 
 
 def _laurent_exponents(stack, d, inverted, t, floors=None):
     """Exponent vectors of degree d with e_i >= -max(t, floors[i]) on
     inverted variables and e_i >= 0 elsewhere, in lexicographic order."""
-    degs = stack.var_degrees
-    theta = stack.theta
-    thetas = [theta(x) for x in degs]
-    if floors is None:
-        lows = [-t if i in inverted else 0 for i in range(stack.nvars)]
-    else:
-        lows = [-max(t, floors[i]) if i in inverted else 0 for i in range(stack.nvars)]
-    base = deg_zero(stack.r)
-    for i, l in enumerate(lows):
-        if l:
-            base = deg_add(base, tuple(l * x for x in degs[i]))
-    shifted = deg_sub(d, base)
-    budget = theta(shifted)
-    if budget < 0:
-        return []
-    out = []
-
-    def rec(i, rest, rest_theta, prefix):
-        if i == stack.nvars:
-            if rest_theta == 0 and all(x == 0 for x in rest):
-                out.append(tuple(p + l for p, l in zip(prefix, lows)))
-            return
-        cmax = rest_theta // thetas[i]
-        for c in range(cmax + 1):
-            rec(i + 1, deg_sub(rest, tuple(c * x for x in degs[i])),
-                rest_theta - c * thetas[i], prefix + [c])
-
-    rec(0, tuple(shifted), budget, [])
-    out.sort()
-    return out
+    floors = [t] * stack.nvars if floors is None else floors
+    lower = [-max(t, f) if i in inverted else 0 for i, f in enumerate(floors)]
+    return points(stack.var_degrees, stack.theta, d, lower, [None] * stack.nvars)
 
 
 class LocalizedModule:

@@ -12,44 +12,19 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import Mat, RowReducer
-from .toric import Window, deg_add, deg_sub, deg_zero
+from .toric import Window, cone_contains, deg_add, deg_sub, deg_zero, points
 
 
 def monomial_basis(stack, d):
     """All exponent vectors e with sum e_i deg(x_i) = d, in lexicographic
     order (cached on the stack; treat the result as immutable). Finiteness
     comes from positivity of the grading."""
-    cache = getattr(stack, "_monomial_cache", None)
-    if cache is None:
-        cache = stack._monomial_cache = {}
+    cache = stack.__dict__.setdefault("_monomial_cache", {})
     key = tuple(d)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    d = key
-    theta = stack.theta
-    budget = theta(d)
-    if budget < 0:
-        return []
-    degs = stack.var_degrees
-    thetas = [theta(x) for x in degs]
-    n1 = stack.nvars
-    out = []
-
-    def rec(i, rest, rest_theta, prefix):
-        if i == n1:
-            if rest_theta == 0 and all(x == 0 for x in rest):
-                out.append(tuple(prefix))
-            return
-        cmax = rest_theta // thetas[i]
-        for c in range(cmax + 1):
-            rec(i + 1, deg_sub(rest, tuple(c * x for x in degs[i])),
-                rest_theta - c * thetas[i], prefix + [c])
-
-    rec(0, tuple(d), budget, [])
-    out.sort()
-    cache[key] = out
-    return out
+    if key not in cache:
+        cache[key] = points(stack.var_degrees, stack.theta, key,
+                            [0] * stack.nvars, [None] * stack.nvars)
+    return cache[key]
 
 
 class Poly:
@@ -260,8 +235,6 @@ def realize(pres, stack, window, field):
 def truncate(module, threshold):
     """M_{>= d}: keep piece(a) iff a - d lies in the effective cone
     (multigraded), or theta(a) >= d when an integer threshold is given."""
-    from .toric import cone_contains
-
     stack = module.stack
     if isinstance(threshold, int):
         old = module.keep

@@ -21,9 +21,9 @@ from .diffmod import (FreeDiffModule, _homology_column_unchecked, homology_colum
 from .dmres import tate_cone
 from .errors import PreconditionError, StabilizationError
 from .exterior import OmegaTwist, ext_mul, socle_readoff
-from .laurent import CechComplex
+from .laurent import CechComplex, _laurent_exponents, signed_exponents
 from .linalg import GF, _kernel_arr, invert, rref
-from .toric import deg_add, deg_neg, deg_sub, is_irrelevant_subset
+from .toric import cone_contains, deg_add, deg_neg, deg_sub, is_irrelevant_subset
 
 
 class TateResult:
@@ -387,8 +387,6 @@ def _contributing_patterns(types):
 
 def _monomial_transfer(pres, stack, window, field, t, h_sign, types=None):
     """Transfer pipeline decomposed along Laurent exponent strands."""
-    from .laurent import _laurent_exponents, signed_exponents
-
     rels = pres.monomial_exponents() if pres.entries else []
     if types is None:
         types = _StrandTypes(stack, field, stack.cover, rels)
@@ -667,7 +665,6 @@ def beilinson_U(dm, stack, module_degrees, label_floor=None):
     generators; the homology then reproduces the section dimensions on the
     requested module degrees."""
     from .bgg import L
-    from .toric import cone_contains
 
     def eff_neg(a):
         return cone_contains(stack.eff, stack.theta, deg_neg(tuple(a)))

@@ -236,29 +236,130 @@ def is_irrelevant_subset(stack, subset):
 
 
 def cone_contains(cone, theta, d):
-    """Membership of d in the semigroup generated by the cone generators,
-    decided by bounded enumeration (coefficients capped via theta)."""
-    gens = cone.generators
-    tv = theta(d)
-    if tv < 0:
-        return False
-    if all(x == 0 for x in d):
-        return True
+    """Membership of d in the semigroup generated by the cone generators."""
+    n = len(cone.generators)
+    return bool(points(cone.generators, theta, tuple(d), [0] * n, [None] * n))
 
-    def search(idx, rest, rest_theta):
-        if all(x == 0 for x in rest):
-            return True
-        if idx == len(gens) or rest_theta < 0:
-            return False
-        g = gens[idx]
-        gt = theta(g)
-        cmax = rest_theta // gt
-        for c in range(cmax + 1):
-            if search(idx + 1, deg_sub(rest, tuple(c * x for x in g)), rest_theta - c * gt):
-                return True
-        return False
 
-    return search(0, tuple(d), tv)
+def degrees_within(gens, theta, cap):
+    """The distinct degrees sum c_i gens[i] (all c_i >= 0) with theta-value
+    at most cap, sorted by (theta, degree). theta must be positive on gens."""
+    found = {deg_zero(len(gens[0]))}
+    for g in gens:
+        tg = theta(g)
+        found = {deg_add(d, tuple(c * x for x in g))
+                 for d in found for c in range((cap - theta(d)) // tg + 1)}
+    return sorted(found, key=lambda d: (theta(d), d))
+
+
+# -- lattice points of a graded piece ------------------------------------------
+
+_ENUM_CAP = 2_000_000
+# An open side is closed at -_FAR or _FAR, so every bound is an integer. This
+# lies far beyond any coordinate of a region small enough to enumerate, and a
+# branching range that still reaches it is wider than _ENUM_CAP.
+_FAR = 1 << 64
+
+
+def _det(m):
+    """Integer determinant by cofactor expansion (m is at most r x r)."""
+    if not m:
+        return 1
+    return sum((-1) ** j * x * _det([row[:j] + row[j + 1:] for row in m[1:]])
+               for j, x in enumerate(m[0]) if x)
+
+
+def _cuts(rows, f, cols, lo, hi):
+    """(k, a, t_lo, t_hi) per row k with a = rows[k][f] != 0: with the cols in
+    [lo, hi], -((t_lo - b) // a) <= e_f <= (b - t_hi) // a at right side b."""
+    out = []
+    for k, row in enumerate(rows):
+        a = row[f]
+        if a:
+            tmin = sum(row[j] * (lo[j] if row[j] > 0 else hi[j]) for j in cols)
+            tmax = sum(row[j] * (hi[j] if row[j] > 0 else lo[j]) for j in cols)
+            out.append((k, a) + ((tmax, tmin) if a > 0 else (tmin, tmax)))
+    return out
+
+
+def points(degrees, theta, target, lower, upper):
+    """All integer vectors e with sum e_i degrees[i] = target and lower[i] <=
+    e_i <= upper[i] (None: unbounded on that side), in lexicographic order.
+
+    Tightens the bounds over the degree rows and the theta row, branches on
+    the coordinates outside a rank-size set P with independent degrees, and
+    solves for P through the integer adjugate of its degree submatrix, so
+    integrality is a divisibility test. Raises ArithmeticError when a
+    branching coordinate is unbounded or the branching passes _ENUM_CAP."""
+    n, r = len(degrees), len(target)
+    rows = [[d[k] for d in degrees] for k in range(r)] + [[theta(d) for d in degrees]]
+    rhs = list(target) + [theta(target)]
+    lo = [-_FAR if x is None else x for x in lower]
+    hi = [_FAR if x is None else x for x in upper]
+    for _ in range(2 * n + 2):
+        moved = False
+        for i in range(n):
+            for k, a, t_lo, t_hi in _cuts(rows, i, [j for j in range(n) if j != i], lo, hi):
+                l, h = max(lo[i], -((t_lo - rhs[k]) // a)), min(hi[i], (rhs[k] - t_hi) // a)
+                if l > h:
+                    return []
+                moved = moved or (l, h) != (lo[i], hi[i])
+                lo[i], hi[i] = l, h
+        if not moved:
+            break
+
+    # P with the rows prows on which its degree submatrix sub is invertible;
+    # the first such set in widest-first order, tried from rank r down
+    order = sorted(range(n), key=lambda j: (hi[j] - lo[j], j), reverse=True)
+    piv, prows = next((list(P), list(R)) for size in range(r, -1, -1)
+                      for P in itertools.combinations(order, size)
+                      for R in itertools.combinations(range(r), size)
+                      if _det([[rows[k][j] for j in P] for k in R]))
+    free = [j for j in range(n) if j not in piv]
+    if any(hi[j] - lo[j] > _ENUM_CAP for j in free):
+        raise ArithmeticError("lattice-point region is unbounded")
+    sub = [[rows[k][j] for j in piv] for k in prows]
+    det = _det(sub)
+    # adj[i][m] = (-1)^(i+m) det(sub without row m and column i)
+    adj = [[(-1) ** (i + m) * _det([row[:i] + row[i + 1:] for q, row in enumerate(sub) if q != m])
+            for m in range(len(piv))] for i in range(len(piv))]
+    checks = [k for k in range(r) if k not in prows]
+
+    # A node's state is each row's remaining right-hand side followed by the
+    # numerators adj . rest[prows] of the solved coordinates.
+    def extend(col):
+        return col + [sum(c * col[k] for c, k in zip(adj_row, prows)) for adj_row in adj]
+
+    plan = [(f, lo[f], hi[f], extend([row[f] for row in rows]),
+             _cuts(rows, f, free[depth + 1:] + piv, lo, hi)) for depth, f in enumerate(free)]
+    out = []
+    e = [0] * n
+    nodes = 0
+
+    def rec(depth, rest):
+        nonlocal nodes
+        if depth == len(free):
+            for j, v in zip(piv, rest[r + 1:]):
+                if v % det or not lo[j] <= v // det <= hi[j]:
+                    return
+                e[j] = v // det
+            if not checks or all(sum(rows[k][j] * e[j] for j in piv) == rest[k] for k in checks):
+                out.append(tuple(e))
+            return
+        f, l, h, col, cuts = plan[depth]
+        for k, a, t_lo, t_hi in cuts:
+            l = max(l, -((t_lo - rest[k]) // a))
+            h = min(h, (rest[k] - t_hi) // a)
+        nodes += max(0, h - l + 1)
+        if nodes > _ENUM_CAP:
+            raise ArithmeticError("lattice-point enumeration exceeded the cap")
+        for c in range(l, h + 1):
+            e[f] = c
+            rec(depth + 1, [x - c * y for x, y in zip(rest, col)])
+
+    rec(0, extend(rhs))
+    out.sort()
+    return out
 
 
 def weights_zgraded(stack):

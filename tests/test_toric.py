@@ -1,7 +1,11 @@
-import pytest
+import itertools
 
-from torictate.toric import (ToricStack, Window, cone_contains, deg_add,
-                             hirzebruch, is_irrelevant_subset, safe_region,
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from torictate.toric import (PositiveGrading, ToricStack, Window, cone_contains,
+                             deg_add, degrees_within, hirzebruch,
+                             is_irrelevant_subset, points, safe_region,
                              weights_degI, weights_zgraded)
 
 
@@ -181,3 +185,100 @@ def test_window_validation():
         Window((0, 0), (1,))
     with pytest.raises(ValueError):
         Window((2,), (1,))
+
+
+# -- lattice points ------------------------------------------------------------
+
+BOX = 5  # brute-force reach on a side that points() leaves unbounded
+
+_sides = st.one_of(
+    st.tuples(st.integers(-3, 0), st.integers(0, 3)),
+    st.tuples(st.integers(-3, 3), st.none()),
+    st.tuples(st.none(), st.integers(-3, 3)),
+    st.just((0, None)),    # a nonnegative variable of signed_exponents
+    st.just((None, -1)),   # an inverted, negative one
+)
+
+
+@st.composite
+def _problems(draw):
+    r = draw(st.integers(1, 2))
+    n = draw(st.integers(1, 4))
+    entry = st.integers(-2, 2)
+    if r == 2 and draw(st.booleans()):
+        # rank-deficient: every degree a multiple of one vector
+        u = draw(st.tuples(entry, entry))
+        degrees = [tuple(c * x for x in u) for c in draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))]
+    else:
+        degrees = [draw(st.tuples(*[entry] * r)) for _ in range(n)]
+    theta = draw(st.tuples(*[st.integers(-2, 2)] * r))
+    target = draw(st.tuples(*[st.integers(-4, 4)] * r))
+    sides = [draw(_sides) for _ in range(n)]
+    return degrees, theta, target, [l for l, _ in sides], [h for _, h in sides]
+
+
+def _brute(degrees, target, lower, upper):
+    box = [range(-BOX if l is None else l, (BOX if h is None else h) + 1)
+           for l, h in zip(lower, upper)]
+    return [e for e in itertools.product(*box)
+            if all(sum(c * d[k] for c, d in zip(e, degrees)) == t for k, t in enumerate(target))]
+
+
+def _recedes(degrees, lower, upper):
+    """Some nonzero v with sum v_i degrees[i] = 0 keeps every finite side:
+    the region is empty or unbounded."""
+    box = [range(-8 if l is None else 0, (8 if u is None else 0) + 1) for l, u in zip(lower, upper)]
+    return any(any(v) and all(sum(c * d[k] for c, d in zip(v, degrees)) == 0 for k in range(len(degrees[0])))
+               for v in itertools.product(*box))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_problems())
+def test_points_matches_brute_force(problem):
+    degrees, theta, target, lower, upper = problem
+    try:
+        got = points(degrees, PositiveGrading(theta), target, lower, upper)
+    except ArithmeticError:
+        assert _recedes(degrees, lower, upper)
+        return
+    assert got == sorted(set(got))
+    for e in got:
+        assert all(sum(c * d[k] for c, d in zip(e, degrees)) == t for k, t in enumerate(target))
+        assert all((l is None or l <= x) and (h is None or x <= h) for l, x, h in zip(lower, e, upper))
+    assert [e for e in got if all(abs(x) <= BOX for x in e)] == \
+        [e for e in _brute(degrees, target, lower, upper) if all(abs(x) <= BOX for x in e)]
+
+
+def test_points_solves_through_a_non_unimodular_pivot():
+    # degrees (2, 1), (0, 3): only even/consistent targets have points
+    degs = [(2, 1), (0, 3), (1, 1)]
+    theta = PositiveGrading((1, 1))
+    for target in [(4, 5), (3, 3), (5, 4), (0, 0)]:
+        want = _brute(degs, target, [0, 0, 0], [4, 4, 4])
+        assert points(degs, theta, target, [0, 0, 0], [None] * 3) == want
+
+
+def test_points_unbounded_region_raises():
+    with pytest.raises(ArithmeticError):
+        points([(1,), (1,)], PositiveGrading((1,)), (0,), [0, None], [None, -1])
+
+
+def _sums(gens, theta, cap):
+    """Every sum c . gens with c_i <= cap // theta(gens[i]), repeats kept."""
+    return [tuple(sum(c * g[k] for c, g in zip(cs, gens)) for k in range(len(gens[0])))
+            for cs in itertools.product(*[range(cap // theta(g) + 1) for g in gens])]
+
+
+@pytest.mark.parametrize("name", ["p12", "p112", "hirz3"])
+def test_cone_contains_and_degrees_within_match_brute_force(name, request):
+    stack = request.getfixturevalue(name)
+    theta, cap = stack.theta, 6
+    reach = set(_sums(stack.eff.generators, theta, 3 * cap))
+    for d in itertools.product(*[range(-cap, cap + 1)] * stack.r):
+        if theta(d) <= 3 * cap:
+            assert cone_contains(stack.eff, theta, d) == (d in reach), d
+    for gens in (stack.eff.generators, stack.var_degrees):
+        want = sorted({d for d in _sums(gens, theta, cap) if theta(d) <= cap},
+                      key=lambda d: (theta(d), d))
+        assert degrees_within(gens, theta, cap) == want
+        assert degrees_within(gens, theta, -1) == []
