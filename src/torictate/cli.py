@@ -31,8 +31,35 @@ EXIT_CODES = [
 ]
 
 
+def _list(value, where):
+    if not isinstance(value, list):
+        raise SchemaError("%s must be a list" % where)
+    return value
+
+
+def _objects(value, where):
+    if not all(isinstance(v, dict) for v in _list(value, where)):
+        raise SchemaError("%s must be a list of objects" % where)
+    return value
+
+
+def _int(value, where):
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise SchemaError("%s must be an integer, got %r" % (where, value))
+
+
+def _ints(value, where, length=None):
+    out = [_int(x, where) for x in _list(value, where)]
+    if length is not None and len(out) != length:
+        raise SchemaError("%s must be a length-%d list" % (where, length))
+    return out
+
+
 def parse_input(document):
-    """Validate and load a job document: returns (stack, field, modules)."""
+    """Validate and load a job document: returns (stack, field, modules).
+    Every malformed document raises SchemaError."""
     if not isinstance(document, dict):
         raise SchemaError("input document must be a JSON object")
 
@@ -46,69 +73,71 @@ def parse_input(document):
 
     fielddoc = need("field", dict)
     if "prime" in fielddoc:
-        field = GF(int(fielddoc["prime"]))
+        field = GF(_int(fielddoc["prime"], "field.prime"))
     elif fielddoc.get("rationals"):
         field = QQ()
     else:
         raise SchemaError("field must give a prime or rationals")
     r = need("cl_rank", int)
-    variables = need("variables", list)
     degrees = []
-    for k, v in enumerate(variables):
-        if not isinstance(v, dict) or "degree" not in v:
+    for k, v in enumerate(_objects(need("variables", list), "variables")):
+        if "degree" not in v:
             raise SchemaError("variables[%d] must be an object with a degree" % k)
-        d = v["degree"]
-        if not isinstance(d, list) or len(d) != r:
-            raise SchemaError("variables[%d].degree must be a length-%d list" % (k, r))
-        degrees.append(tuple(int(x) for x in d))
-    irr = need("irrelevant", list)
+        degrees.append(tuple(_ints(v["degree"], "variables[%d].degree" % k, r)))
     supports = []
-    for k, s in enumerate(irr):
-        if not isinstance(s, list) or not s:
+    for k, s in enumerate(need("irrelevant", list)):
+        support = set(_ints(s, "irrelevant[%d]" % k))
+        if not support:
             raise SchemaError("irrelevant[%d] must be a nonempty index list" % k)
-        supports.append(set(int(i) for i in s))
-    theta = need("theta", list)
+        supports.append(support)
+    theta = _ints(need("theta", list), "theta")
     cover = document.get("cover")
+    if cover is not None:
+        cover = [set(_ints(c, "cover[%d]" % k)) for k, c in enumerate(_list(cover, "cover"))]
     eff = document.get("effective_cone")
+    if eff is not None:
+        eff = [tuple(_ints(g, "effective_cone[%d]" % k, r)) for k, g in enumerate(_list(eff, "effective_cone"))]
     pcs = []
-    for k, pc in enumerate(document.get("primitive_collections", []) or []):
-        if not isinstance(pc, dict) or "vars" not in pc or "deg_I" not in pc:
+    for k, pc in enumerate(_objects(document.get("primitive_collections") or [], "primitive_collections")):
+        if "vars" not in pc or "deg_I" not in pc:
             raise SchemaError("primitive_collections[%d] needs vars and deg_I" % k)
-        pcs.append((set(int(i) for i in pc["vars"]), [int(x) for x in pc["deg_I"]]))
+        pcs.append((set(_ints(pc["vars"], "primitive_collections[%d].vars" % k)),
+                    _ints(pc["deg_I"], "primitive_collections[%d].deg_I" % k)))
     try:
         stack = ToricStack(r=r, var_degrees=degrees, irrelevant_supports=supports,
-                           theta=[int(x) for x in theta],
-                           cover=[set(int(i) for i in c) for c in cover] if cover else None,
-                           eff_generators=[tuple(int(x) for x in g) for g in eff] if eff else None,
+                           theta=theta, cover=cover or None, eff_generators=eff or None,
                            primitive_collections=pcs)
     except (ValueError, KeyError) as exc:
         raise SchemaError(str(exc))
     modules = {}
-    for name, body in (document.get("modules", {}) or {}).items():
+    bodies = document.get("modules") or {}
+    if not isinstance(bodies, dict):
+        raise SchemaError("modules must be an object")
+    for name, body in bodies.items():
         if not isinstance(body, dict):
             raise SchemaError("modules[%r] must be an object" % name)
-        gens = body.get("generators", [{"degree": [0] * r}])
-        gen_degrees = []
-        for k, g in enumerate(gens):
-            d = g.get("degree")
-            if not isinstance(d, list) or len(d) != r:
-                raise SchemaError("modules[%r].generators[%d].degree malformed" % (name, k))
-            gen_degrees.append(tuple(int(x) for x in d))
+        where = "modules[%r]" % name
+        gens = _objects(body.get("generators", [{"degree": [0] * r}]), where + ".generators")
+        gen_degrees = [tuple(_ints(g.get("degree"), "%s.generators[%d].degree" % (where, k), r))
+                       for k, g in enumerate(gens)]
         rel_degrees = []
         entries = {}
-        for j, rel in enumerate(body.get("relations", [])):
-            d = rel.get("degree")
-            if not isinstance(d, list) or len(d) != r:
-                raise SchemaError("modules[%r].relations[%d].degree malformed" % (name, j))
-            rel_degrees.append(tuple(int(x) for x in d))
+        for j, rel in enumerate(_objects(body.get("relations", []), where + ".relations")):
+            rel_degrees.append(tuple(_ints(rel.get("degree"), "%s.relations[%d].degree" % (where, j), r)))
             ent = rel.get("entries")
             if not isinstance(ent, list) or len(ent) != len(gen_degrees):
-                raise SchemaError("modules[%r].relations[%d].entries needs one entry per generator" % (name, j))
+                raise SchemaError("%s.relations[%d].entries needs one entry per generator" % (where, j))
             for i, terms in enumerate(ent):
                 if not terms:
                     continue
-                poly = Poly([(int(c), tuple(int(x) for x in e)) for c, e in terms])
-                entries[(i, j)] = poly
+                at = "%s.relations[%d].entries[%d]" % (where, j, i)
+                if not all(isinstance(t, list) and len(t) == 2 for t in _list(terms, at)):
+                    raise SchemaError("%s must list [coefficient, exponents] pairs" % at)
+                try:
+                    entries[(i, j)] = Poly([(_int(c, at), tuple(_ints(e, at, stack.nvars)))
+                                            for c, e in terms])
+                except ValueError as exc:
+                    raise SchemaError("%s: %s" % (at, exc))
         pres = Presentation(gen_degrees, rel_degrees, entries)
         try:
             pres.validate(stack)

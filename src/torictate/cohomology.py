@@ -21,12 +21,12 @@ T_START = 2
 T_CAP = 64
 
 
-def _stabilize(compute, t_floor=T_START):
-    """Adaptive doubling of the exponent bound until two consecutive values
-    of t agree, never accepting below the degree-derived floor (plateaus
-    below the reach of a class would otherwise stabilize too early)."""
+def _stabilize(compute):
+    """Adaptive doubling of the exponent bound from T_START until two
+    consecutive values of t agree. The degree-derived reach of a class
+    enters through the oracle's per-variable floors, not through t."""
     prev = None
-    t = max(T_START, min(t_floor, T_CAP))
+    t = T_START
     while t <= T_CAP:
         cur = compute(t)
         if prev is not None and cur == prev:
@@ -86,21 +86,17 @@ class CechOracle:
             return self._strands.strand_homology(a, extended, t, keep=self.module.kept)
         return self._complex(t).strand_homology(a, extended=extended)
 
-    def _t_floor(self, a):
-        # both paths apply theta-weighted per-variable floors per degree
-        return T_START
-
     def local_dims(self, a, t=None):
         """All H^i_B(M)_a at once (i = 0 .. #cover)."""
         if t is not None:
             return self._dims(a, t, True)
-        return _stabilize(lambda tt: self._dims(a, tt, True), t_floor=self._t_floor(a))
+        return _stabilize(lambda tt: self._dims(a, tt, True))
 
     def sheaf_dims(self, a, t=None):
         """All H^i(X, M~(a)) at once (i = 0 .. #cover - 1)."""
         if t is not None:
             return self._dims(a, t, False)
-        return _stabilize(lambda tt: self._dims(a, tt, False), t_floor=self._t_floor(a))
+        return _stabilize(lambda tt: self._dims(a, tt, False))
 
 
 def local_cohomology_oracle(module, stack, a, i, t=None):

@@ -11,7 +11,6 @@ stack the finite subcomplex keeping deg(T) < w - a is again a resolution.
 from __future__ import annotations
 
 from .errors import PreconditionError
-from .linalg import Mat
 from .smodule import monomial_basis
 from .toric import cone_contains, deg_add, deg_sub, degrees_within
 
@@ -28,7 +27,6 @@ class DiagComplex:
         self.wy = window_y
         self.keep = keep
         self._bases = {}
-        self._maps = {}
 
     # basis element: (mask T, a in Eff, x-exponent, y-exponent) with
     # bidegree (deg(x-exp) - a, deg(y-exp) + a + deg(T))
@@ -61,40 +59,6 @@ class DiagComplex:
 
     def dim(self, i, bideg):
         return len(self.basis(i, bideg))
-
-    def map(self, i, bideg):
-        """The differential F_i -> F_{i-1} at the bidegree: contraction
-        against sum e_t (y_t - x_t u_t)."""
-        key = (i, tuple(bideg[0]), tuple(bideg[1]))
-        if key in self._maps:
-            return self._maps[key]
-        field = self.field
-        src = self.basis(i, bideg)
-        tgt = self.basis(i - 1, bideg)
-        index = {lab: k for k, lab in enumerate(tgt)}
-        m = field.zeros(len(tgt), len(src))
-        for col, (mask, a, ex, ey) in enumerate(src):
-            sign = 1
-            for tvar in range(self.stack.nvars):
-                bit = 1 << tvar
-                if not (mask & bit):
-                    continue
-                rest = mask & ~bit
-                # y_t part
-                lab = (rest, a, ex, tuple(x + (1 if k == tvar else 0) for k, x in enumerate(ey)))
-                k = index.get(lab)
-                if k is not None:
-                    m[k, col] = field.add(m[k, col], field.of(sign))
-                # - x_t u_t part: u_t shifts a by deg(x_t)
-                a2 = deg_add(a, self.stack.var_degrees[tvar])
-                lab2 = (rest, a2, tuple(x + (1 if k == tvar else 0) for k, x in enumerate(ex)), ey)
-                k2 = index.get(lab2)
-                if k2 is not None:
-                    m[k2, col] = field.sub(m[k2, col], field.of(sign))
-                sign = -sign
-        out = Mat(field, m)
-        self._maps[key] = out
-        return out
 
     def sparse_columns(self, i, bideg):
         """Columns of the differential F_i -> F_{i-1} as sparse dicts over
@@ -291,15 +255,6 @@ class ExplicitBigradedComplex:
             cols.append(col)
         cache[ckey] = cols
         return cols
-
-    def map(self, i, bid):
-        field = self.field
-        cols = self.sparse_columns(i, bid)
-        m = field.zeros(self.dim(i - 1, bid), len(cols))
-        for c, col in enumerate(cols):
-            for r, v in col.items():
-                m[r, c] = v
-        return Mat(field, m)
 
     def _rank(self, i, bid):
         key = ("rk", i, tuple(bid[0]), tuple(bid[1]))

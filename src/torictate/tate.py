@@ -229,10 +229,11 @@ def _add_block(entries, field, toff, soff, rows, mono, sign):
                 elem[mono] = nv
 
 
-def _transfer(data, h_sign):
+def _transfer(data):
     """Homotopy transfer of the horizontal perturbation onto the columnwise
     Cech homology: returns generators (with their degrees and levels) and
-    the sparse exterior entries of the minimal differential module."""
+    the sparse exterior entries of the minimal differential module. Each
+    step continues with -h, as in the perturbation series sum p d (-h d)^k i."""
     stack = data.stack
     field = data.field
     gens = []
@@ -268,9 +269,7 @@ def _transfer(data, h_sign):
                     out = field.reduce(data.retract[b].p @ step)
                     _add_block(entries, field, gen_offset[b], gen_offset[a],
                                enumerate(out), mmono, sign * msign)
-                cont = field.reduce(data.retract[b].h @ step)
-                if h_sign < 0:
-                    cont = field.reduce(-cont)
+                cont = field.reduce(-(data.retract[b].h @ step))
                 if np.any(cont):
                     walk(b, cont, mmono, sign * msign)
 
@@ -385,7 +384,7 @@ def _contributing_patterns(types):
     return out
 
 
-def _monomial_transfer(pres, stack, window, field, t, h_sign, types=None):
+def _monomial_transfer(pres, stack, window, field, t, types=None):
     """Transfer pipeline decomposed along Laurent exponent strands."""
     rels = pres.monomial_exponents() if pres.entries else []
     if types is None:
@@ -421,13 +420,13 @@ def _monomial_transfer(pres, stack, window, field, t, h_sign, types=None):
             sources.append((e, cs, ret.i))
     # The walk runs on plain ints. Its state maps each nonzero strand row to
     # that row's values over the source's homology basis; one step applies
-    # p2 T and h_sign h2 T, precomposed per pattern pair, where T is the signed
+    # p2 T and -h2 T, precomposed per pattern pair, where T is the signed
     # cell transport. Both vanish on mat where T does, so T mat is never formed.
     mod = field.p if isinstance(field, GF) else None
     pair_maps = {}
 
     def step_maps(cs_src, cs2):
-        """(p2 T, h_sign h2 T) from the strand pattern cs_src to cs2,
+        """(p2 T, -h2 T) from the strand pattern cs_src to cs2,
         column-sparse: per source row, its (target row, coeff) terms."""
         ret2, _, order2 = types.retract(cs2)
         idx2 = {ci: k for k, ci in enumerate(order2)}
@@ -439,7 +438,7 @@ def _monomial_transfer(pres, stack, window, field, t, h_sign, types=None):
             pt.append(() if k is None else
                       tuple((r, sgn * row[k]) for r, row in enumerate(p_rows) if row[k]))
             ht.append(() if k is None else
-                      tuple((r, sgn * h_sign * row[k]) for r, row in enumerate(h_rows) if row[k]))
+                      tuple((r, -sgn * row[k]) for r, row in enumerate(h_rows) if row[k]))
         hit = pair_maps[cs_src, cs2] = (pt, ht)
         return hit
 
@@ -483,7 +482,7 @@ def _monomial_transfer(pres, stack, window, field, t, h_sign, types=None):
     return gens, entries
 
 
-def fm_transform(pres, stack, window, field, t=None, h_sign=-1):
+def fm_transform(pres, stack, window, field, t=None):
     """The Cech Fourier-Mukai construction of the Tate resolution on any
     projective toric stack: build the bicomplex columns, contract each onto
     its homology, and transfer the horizontal differential. The exponent
@@ -497,10 +496,9 @@ def fm_transform(pres, stack, window, field, t=None, h_sign=-1):
 
     def build(tt):
         if shared_types is not None:
-            return _monomial_transfer(pres, stack, window, field, tt, h_sign,
-                                      types=shared_types)
+            return _monomial_transfer(pres, stack, window, field, tt, types=shared_types)
         data = _FMData(stack, field, pres, window, tt)
-        return _transfer(data, h_sign)
+        return _transfer(data)
 
     def table_of(gens):
         return socle_readoff(stack, gens)

@@ -191,31 +191,20 @@ class ToricStack:
     def _ensure_subsets(self):
         if self.nvars > 62:
             raise ValueError("at most 62 variables are supported")
+        # sums[mask] for the masks below 2^(i+1) are those below 2^i, then
+        # the same plus deg x_i
+        sums = [deg_zero(self.r)]
+        for d in self.var_degrees:
+            sums += [deg_add(s, d) for s in sums]
         table = {}
-        sums = []
-        for mask in range(1 << self.nvars):
-            s = deg_zero(self.r)
-            m = mask
-            i = 0
-            while m:
-                if m & 1:
-                    s = deg_add(s, self.var_degrees[i])
-                m >>= 1
-                i += 1
+        for mask, s in enumerate(sums):
             table.setdefault(s, []).append(mask)
-            sums.append(s)
         self._subsets_by_sum = table
         self._subset_sums = sums
 
     def mask_degree(self, mask):
-        s = deg_zero(self.r)
-        i = 0
-        while mask:
-            if mask & 1:
-                s = deg_add(s, self.var_degrees[i])
-            mask >>= 1
-            i += 1
-        return s
+        """The degree of the variable subset with bitmask mask."""
+        return self.subset_sums()[mask]
 
     def collection(self, vars_):
         key = frozenset(vars_)

@@ -152,6 +152,47 @@ def test_exit_code_schema_bad_document_prime(capsys, tmp_path):
     assert code == 2 and "prime" in err
 
 
+def _set_prime(doc):
+    doc["field"]["prime"] = "x"
+
+
+def _set_degree(doc):
+    doc["variables"][1]["degree"] = ["a"]
+
+
+def _set_generators(doc):
+    doc["modules"]["C"]["generators"] = 5
+
+
+def _set_irrelevant(doc):
+    doc["irrelevant"] = [[0, "z"]]
+
+
+def _set_relations(doc):
+    doc["modules"]["C"]["relations"] = [5]
+
+
+def _set_cover(doc):
+    doc["cover"] = 5
+
+
+def _set_exponents(doc):
+    doc["modules"]["C"]["relations"][0]["entries"][0][0][1] = [4, 0]
+
+
+@pytest.mark.parametrize("mutate", [_set_prime, _set_degree, _set_generators, _set_irrelevant,
+                                    _set_relations, _set_cover, _set_exponents])
+def test_exit_code_schema_malformed_document(capsys, tmp_path, mutate):
+    # one bad value in an otherwise valid document: exit 2, no traceback
+    with open(fixture("p112.tate")) as fh:
+        doc = json.load(fh)
+    mutate(doc)
+    bad = tmp_path / "bad.tate"
+    bad.write_text(json.dumps(doc))
+    code, _, err = run_cli(["cohomology", str(bad), "--window", "-2:2"], capsys)
+    assert code == 2 and err.startswith("error: ")
+
+
 def test_largest_prime_matches_default(capsys):
     code, out, _ = run_cli(["cohomology", fixture("p1p1.tate"), "--prime", "2147483647"], capsys)
     code0, out0, _ = run_cli(["cohomology", fixture("p1p1.tate")], capsys)

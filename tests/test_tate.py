@@ -108,7 +108,7 @@ def test_fm_dense_path_matches_strand_path(p112, gf):
     dense = fm_transform(Presentation.free([(0,)]), p112, Window((-4,), (4,)), gf, t=8)
     from torictate.tate import _FMData, _transfer
     data = _FMData(p112, gf, Presentation.free([(0,)]), Window((-4,), (4,)), 8)
-    gens, entries = _transfer(data, -1)
+    gens, entries = _transfer(data)
     assert Counter(gens) == Counter(strand.T.gens)
 
 
@@ -306,8 +306,8 @@ def test_free_module_transfer_is_independent_of_t(hirz3, p1p1, gf, monkeypatch):
     # fm_transform builds its transfer once instead of comparing t = 2, 4
     for stack, window in ((p1p1, Window((-3, -3), (3, 3))), (hirz3, Window((-4, -3), (4, 3)))):
         pres = Presentation.free([(0, 0)])
-        assert tate._monomial_transfer(pres, stack, window, gf, 2, -1) == \
-            tate._monomial_transfer(pres, stack, window, gf, 8, -1)
+        assert tate._monomial_transfer(pres, stack, window, gf, 2) == \
+            tate._monomial_transfer(pres, stack, window, gf, 8)
     calls = []
     inner = tate._monomial_transfer
 
@@ -325,8 +325,8 @@ def test_fm_dense_path_matches_strand_path_with_relation(hirz3, gf):
     # dense Cech pipeline give the same generators and socle table
     pres = hirz3_H(hirz3)
     window = Window((-1, -1), (1, 1))
-    strand_gens, _ = tate._monomial_transfer(pres, hirz3, window, gf, 2, -1)
-    dense_gens, _ = tate._transfer(tate._FMData(hirz3, gf, pres, window, 2), -1)
+    strand_gens, _ = tate._monomial_transfer(pres, hirz3, window, gf, 2)
+    dense_gens, _ = tate._transfer(tate._FMData(hirz3, gf, pres, window, 2))
     assert strand_gens
     assert Counter(strand_gens) == Counter(dense_gens)
     assert socle_readoff(hirz3, strand_gens) == socle_readoff(hirz3, dense_gens)
