@@ -306,7 +306,7 @@ def points(degrees, theta, target, lower, upper):
                       if _det([[rows[k][j] for j in P] for k in R]))
     free = [j for j in range(n) if j not in piv]
     if any(hi[j] - lo[j] > _ENUM_CAP for j in free):
-        raise ArithmeticError("lattice-point region is unbounded")
+        raise ArithmeticError("lattice-point region is unbounded or too wide to enumerate")
     sub = [[rows[k][j] for j in piv] for k in prows]
     det = _det(sub)
     # adj[i][m] = (-1)^(i+m) det(sub without row m and column i)
