@@ -285,6 +285,8 @@ def points(degrees, theta, target, lower, upper):
     rhs = list(target) + [theta(target)]
     lo = [-_FAR if x is None else x for x in lower]
     hi = [_FAR if x is None else x for x in upper]
+    # bounds only ever tighten; a few sweeps settle the callers' regions, and
+    # the limit keeps a slowly shrinking bound from looping long
     for _ in range(2 * n + 2):
         moved = False
         for i in range(n):

@@ -255,12 +255,13 @@ def test_points_matches_brute_force(problem):
 
 
 def test_points_solves_through_a_non_unimodular_pivot():
-    # degrees (2, 1), (0, 3): only even/consistent targets have points
-    degs = [(2, 1), (0, 3), (1, 1)]
+    # every invertible 2 x 2 minor of these degrees is +-2 or 4, so each
+    # solve divides, and targets of mixed parity have no points
+    degs = [(2, 0), (0, 2), (1, 1), (1, 1)]
     theta = PositiveGrading((1, 1))
-    for target in [(4, 5), (3, 3), (5, 4), (0, 0)]:
-        want = _brute(degs, target, [0, 0, 0], [4, 4, 4])
-        assert points(degs, theta, target, [0, 0, 0], [None] * 3) == want
+    for target in itertools.product(range(7), repeat=2):
+        want = _brute(degs, target, [0] * 4, [6] * 4)
+        assert points(degs, theta, target, [0] * 4, [None] * 4) == want
 
 
 def test_points_unbounded_region_raises():
