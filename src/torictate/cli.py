@@ -21,7 +21,7 @@ from .errors import (PreconditionError, SchemaError, VerificationError,
 from .linalg import GF, QQ
 from .smodule import Poly, Presentation, realize
 from .tate import fm_transform, tate_weighted
-from .toric import ToricStack, Window
+from .toric import ToricStack, Window, hirzebruch
 
 EXIT_CODES = [
     (SchemaError, 2),
@@ -218,8 +218,10 @@ def read_table(text):
 
 
 def _looks_like_hirzebruch1(stack):
-    return (stack.r == 2 and sorted(stack.var_degrees) ==
-            sorted([(1, 0), (-1, 1), (1, 0), (0, 1)]))
+    """The hard-coded resolution holds for its variable order and ideal only."""
+    model = hirzebruch(1)
+    return (stack.var_degrees == model.var_degrees and
+            set(stack.irrelevant_supports) == set(model.irrelevant_supports))
 
 
 def run(command, args, stack, field, modules):
@@ -265,7 +267,7 @@ def run(command, args, stack, field, modules):
                          for j, a, v in entries)
     if command == "diagonal":
         if stack.r == 1:
-            cx = build_F_prime_weighted(stack, field, None, None)
+            cx = build_F_prime_weighted(stack, field)
             top = max(2, window.hi[0])
             bids = [((d,), (e,)) for d in range(0, top + 1) for e in range(0, top + 1)]
             lines = ["finite diagonal subcomplex on a weighted projective stack"]

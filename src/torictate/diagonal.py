@@ -2,7 +2,7 @@
 
 Over S' = k[x; y] with the semigroup ring R = S'[Eff] the elements
 y_i - x_i u_i form a regular sequence; the Koszul complex F on them is
-realized degreewise on bidegree windows. Its terms decompose as
+realized degreewise, one bidegree at a time. Its terms decompose as
 F_i = sum over a in Eff, subsets T of size i of S'-summands, a basis
 element being (T, a, x-exponent, y-exponent). For a weighted projective
 stack the finite subcomplex keeping deg(T) < w - a is again a resolution.
@@ -10,139 +10,178 @@ stack the finite subcomplex keeping deg(T) < w - a is again a resolution.
 
 from __future__ import annotations
 
+from operator import add
+
 from .errors import PreconditionError
+from .linalg import sparse_rank
 from .smodule import monomial_basis
-from .toric import cone_contains, deg_add, deg_sub, degrees_within
+from .toric import cone_contains, deg_add, deg_sub, degrees_within, hirzebruch
 
 
-class DiagComplex:
-    """The degreewise realization of F (or a subcomplex) on a bidegree
-    window: bases per (homological index, bidegree) plus the differential
-    matrices, which preserve the bidegree."""
+def _block_columns(field, src, tgt, terms):
+    """Columns of a map between two block-indexed bases, as sparse dicts
+    over target indices.
 
-    def __init__(self, stack, field, window_x, window_y, keep=None):
+    A basis is a list of blocks (key, xs, ys) with xs, ys monomial_basis
+    lists; a block starting at index off holds key * x^ex y^ey for ex in xs,
+    ey in ys, the pair (xs[j], ys[k]) at off + j * len(ys) + k. terms(key)
+    lists the images of a source block's generator as (target key,
+    coefficient, tx, ty): x^ex y^ey maps to coefficient * x^(ex+tx) y^(ey+ty)
+    in the target block, and a product outside that block's xs x ys (wrong
+    bidegree) contributes nothing."""
+    where = {}
+    off = 0
+    for key, xs, ys in tgt:
+        where[key] = (off, {e: j for j, e in enumerate(xs)}, {e: j for j, e in enumerate(ys)}, len(ys))
+        off += len(xs) * len(ys)
+    cols = []
+    for key, xs, ys in src:
+        ny = len(ys)
+        # terms with the same target block and monomial hit the same entry of
+        # every column: sum them first, so entries are written once
+        merged = {}
+        for tkey, coeff, tx, ty in terms(key):
+            if tkey in where:
+                k = (tkey, tx, ty)
+                merged[k] = field.add(merged.get(k, field.zero), field.of(coeff))
+        block = [{} for _ in range(len(xs) * ny)]
+        for (tkey, tx, ty), c in merged.items():
+            if c == field.zero:
+                continue
+            toff, xpos, ypos, tny = where[tkey]
+            ymap = []
+            for jy, ey in enumerate(ys):
+                j = ypos.get(tuple(map(add, ey, ty)))
+                if j is not None:
+                    ymap.append((jy, j))
+            for jx, ex in enumerate(xs):
+                j = xpos.get(tuple(map(add, ex, tx)))
+                if j is not None:
+                    row = block[jx * ny:(jx + 1) * ny]
+                    base = toff + j * tny
+                    for jy, jt in ymap:
+                        row[jy][base + jt] = c
+        cols += block
+    return cols
+
+
+class _BlockComplex:
+    """A complex of free S'-modules realized degreewise: the basis of term i
+    at a bidegree is a list of blocks (see _block_columns), one per summand
+    that a subclass's _summands lists, and _images gives the differential's
+    terms. Columns and ranks are cached per (i, bidegree)."""
+
+    def __init__(self, stack, field):
         self.stack = stack
         self.field = field
-        self.wx = window_x
-        self.wy = window_y
+        self._blocks = {}
+        self._sc_cache = {}
+        self._rk_cache = {}
+
+    def blocks(self, i, bid):
+        key = (i, tuple(bid[0]), tuple(bid[1]))
+        if key not in self._blocks:
+            self._blocks[key] = [(k, monomial_basis(self.stack, dx), monomial_basis(self.stack, dy))
+                                 for k, dx, dy in self._summands(i, bid)]
+        return self._blocks[key]
+
+    def basis(self, i, bid):
+        return [k + (ex, ey) for k, xs, ys in self.blocks(i, bid) for ex in xs for ey in ys]
+
+    def dim(self, i, bid):
+        return sum(len(xs) * len(ys) for _, xs, ys in self.blocks(i, bid))
+
+    # sparse_columns and homology are defined on each subclass itself, where
+    # bench/tracer.py wraps them, and call these
+
+    def _columns(self, i, bid):
+        key = (i, tuple(bid[0]), tuple(bid[1]))
+        if key not in self._sc_cache:
+            self._sc_cache[key] = _block_columns(self.field, self.blocks(i, bid),
+                                                 self.blocks(i - 1, bid), self._images(i))
+        return self._sc_cache[key]
+
+    def _rank(self, i, bid):
+        key = (i, tuple(bid[0]), tuple(bid[1]))
+        if key not in self._rk_cache:
+            self._rk_cache[key] = sparse_rank(self.field, self.sparse_columns(i, bid))
+        return self._rk_cache[key]
+
+    def _homology(self, i, bid):
+        r_out = self._rank(i, bid) if i >= 1 else 0
+        return self.dim(i, bid) - r_out - self._rank(i + 1, bid)
+
+
+class DiagComplex(_BlockComplex):
+    """The degreewise realization of F (or the subcomplex of the summands
+    that keep(T, a) accepts); the differential preserves the bidegree."""
+
+    def __init__(self, stack, field, keep=None):
+        super().__init__(stack, field)
         self.keep = keep
-        self._bases = {}
 
-    # basis element: (mask T, a in Eff, x-exponent, y-exponent) with
-    # bidegree (deg(x-exp) - a, deg(y-exp) + a + deg(T))
-
-    def basis(self, i, bideg):
-        key = (i, tuple(bideg[0]), tuple(bideg[1]))
-        if key in self._bases:
-            return self._bases[key]
-        c, d = bideg
+    def _summands(self, i, bid):
+        # basis element (T, a, x-exponent, y-exponent), of bidegree
+        # (deg(x-exp) - a, deg(y-exp) + a + deg(T))
+        c, d = tuple(bid[0]), tuple(bid[1])
         stack = self.stack
-        out = []
-        theta = stack.theta
-        masks_by_size = {}
-        for mask in range(1 << stack.nvars):
-            masks_by_size.setdefault(bin(mask).count("1"), []).append(mask)
-        for a in degrees_within(stack.eff.generators, theta, theta(d)):
-            for mask in masks_by_size.get(i, []):
-                b = stack.mask_degree(mask)
-                if self.keep is not None and not self.keep(mask, a):
-                    continue
-                dx = deg_add(tuple(c), a)
-                dy = deg_sub(deg_sub(tuple(d), a), b)
-                if theta(dx) < 0 or theta(dy) < 0:
-                    continue
-                for ex in monomial_basis(stack, dx):
-                    for ey in monomial_basis(stack, dy):
-                        out.append((mask, a, ex, ey))
-        self._bases[key] = out
-        return out
+        masks = [m for m in range(1 << stack.nvars) if bin(m).count("1") == i]
+        for a in degrees_within(stack.eff.generators, stack.theta, stack.theta(d)):
+            for mask in masks:
+                if self.keep is None or self.keep(mask, a):
+                    yield (mask, a), deg_add(c, a), deg_sub(deg_sub(d, a), stack.mask_degree(mask))
 
-    def dim(self, i, bideg):
-        return len(self.basis(i, bideg))
+    def _images(self, i):
+        return self._terms
+
+    def _terms(self, key):
+        """d(e_T u^a) = sum over t in T of +-(y_t e_{T-t} u^a - x_t e_{T-t} u^{a+deg x_t}),
+        the sign alternating along the set bits of T."""
+        mask, a = key
+        n = self.stack.nvars
+        out = []
+        sign = 1
+        for t in range(n):
+            if mask >> t & 1:
+                rest = mask & ~(1 << t)
+                unit = tuple(1 if k == t else 0 for k in range(n))
+                out.append(((rest, a), sign, (0,) * n, unit))
+                out.append(((rest, deg_add(a, self.stack.var_degrees[t])), -sign, unit, (0,) * n))
+                sign = -sign
+        return out
 
     def sparse_columns(self, i, bideg):
         """Columns of the differential F_i -> F_{i-1} as sparse dicts over
         target indices."""
-        ckey = ("sc", i, tuple(bideg[0]), tuple(bideg[1]))
-        cache = getattr(self, "_sc_cache", None)
-        if cache is None:
-            cache = self._sc_cache = {}
-        if ckey in cache:
-            return cache[ckey]
-        field = self.field
-        src = self.basis(i, bideg)
-        tgt = self.basis(i - 1, bideg)
-        index = {lab: k for k, lab in enumerate(tgt)}
-        cols = []
-        for (mask, a, ex, ey) in src:
-            col = {}
-            sign = 1
-            for tvar in range(self.stack.nvars):
-                bit = 1 << tvar
-                if not (mask & bit):
-                    continue
-                rest = mask & ~bit
-                lab = (rest, a, ex, tuple(x + (1 if k == tvar else 0) for k, x in enumerate(ey)))
-                k = index.get(lab)
-                if k is not None:
-                    v = field.add(col.get(k, field.zero), field.of(sign))
-                    col[k] = v
-                a2 = deg_add(a, self.stack.var_degrees[tvar])
-                lab2 = (rest, a2, tuple(x + (1 if k == tvar else 0) for k, x in enumerate(ex)), ey)
-                k2 = index.get(lab2)
-                if k2 is not None:
-                    v = field.sub(col.get(k2, field.zero), field.of(sign))
-                    col[k2] = v
-                sign = -sign
-            cols.append({k: v for k, v in col.items() if v != field.zero})
-        cache[ckey] = cols
-        return cols
-
-    def _rank(self, i, bideg):
-        key = ("rk", i, tuple(bideg[0]), tuple(bideg[1]))
-        cache = getattr(self, "_rk_cache", None)
-        if cache is None:
-            cache = self._rk_cache = {}
-        if key not in cache:
-            from .linalg import sparse_rank
-
-            cache[key] = sparse_rank(self.field, self.sparse_columns(i, bideg))
-        return cache[key]
+        return self._columns(i, bideg)
 
     def homology(self, i, bideg):
-        n = self.dim(i, bideg)
-        r_out = self._rank(i, bideg) if i >= 1 else 0
-        r_in = self._rank(i + 1, bideg)
-        return n - r_out - r_in
+        return self._homology(i, bideg)
 
-    def check_square_zero(self, bidegrees, top=None):
-        top = top if top is not None else self.stack.nvars
+    def check_square_zero(self, bidegrees):
+        """d_{i-1} d_i = 0 on the realized columns at every listed bidegree."""
+        field = self.field
         for bid in bidegrees:
-            for i in range(2, top + 1):
+            for i in range(2, self.stack.nvars + 1):
                 inner = self.sparse_columns(i - 1, bid)
-                outer = self.sparse_columns(i, bid)
-                for col in outer:
+                for col in self.sparse_columns(i, bid):
                     acc = {}
                     for mid, c in col.items():
                         for tgt, v in inner[mid].items():
-                            nv = self.field.add(acc.get(tgt, self.field.zero), self.field.mul(c, v))
-                            if nv == self.field.zero:
-                                acc.pop(tgt, None)
-                            else:
-                                acc[tgt] = nv
-                    if acc:
+                            acc[tgt] = field.add(acc.get(tgt, field.zero), field.mul(c, v))
+                    if any(v != field.zero for v in acc.values()):
                         return False
         return True
 
 
-def build_F(stack, field, window_x, window_y):
-    """The full Koszul resolution of the diagonal on the bidegree window
+def build_F(stack, field):
+    """The full Koszul resolution of the diagonal, realized degreewise
     (every summand that can contribute is included; the strand at a fixed
     bidegree is a complete finite complex)."""
-    return DiagComplex(stack, field, window_x, window_y)
+    return DiagComplex(stack, field)
 
 
-def build_F_prime_weighted(stack, field, window_x, window_y):
+def build_F_prime_weighted(stack, field):
     """The finite-rank weighted projective subcomplex: keep the summands
     with deg(T) < w - a."""
     if stack.r != 1:
@@ -152,7 +191,7 @@ def build_F_prime_weighted(stack, field, window_x, window_y):
     def keep(mask, a):
         return stack.theta(stack.mask_degree(mask)) < stack.theta(w) - stack.theta(a)
 
-    return DiagComplex(stack, field, window_x, window_y, keep=keep)
+    return DiagComplex(stack, field, keep=keep)
 
 
 def check_acyclicity(cx, bidegrees, report=False):
@@ -184,112 +223,61 @@ def check_H0_diagonal(cx, bidegrees):
 
 # -- the Hirzebruch-1 finite example ------------------------------------------
 
-def _hirz1_ring():
-    from .toric import hirzebruch
-
-    return hirzebruch(1)
-
-
-class ExplicitBigradedComplex:
+class ExplicitBigradedComplex(_BlockComplex):
     """A finite complex of free bigraded S'-modules given by twist lists and
     polynomial matrices over S' = k[x0..x3, y0..y3], realized degreewise."""
 
     def __init__(self, stack, field, twists, matrices):
         # twists[i]: list of bidegree twists (vx, vy) meaning S'(-(vx, vy))
         # matrices[i]: entries as {(row, col): [(coeff, xexp, yexp), ...]}
-        self.stack = stack
-        self.field = field
+        super().__init__(stack, field)
         self.twists = twists
         self.matrices = matrices
-        self._bases = {}
 
-    def basis(self, i, bid):
-        key = (i, tuple(bid[0]), tuple(bid[1]))
-        if key in self._bases:
-            return self._bases[key]
-        c, d = bid
-        out = []
+    def _summands(self, i, bid):
+        # basis element (twist index k, x-exponent, y-exponent)
         for k, (vx, vy) in enumerate(self.twists.get(i, [])):
-            dx = deg_sub(tuple(c), vx)
-            dy = deg_sub(tuple(d), vy)
-            if self.stack.theta(dx) < 0 or self.stack.theta(dy) < 0:
-                continue
-            for ex in monomial_basis(self.stack, dx):
-                for ey in monomial_basis(self.stack, dy):
-                    out.append((k, ex, ey))
-        self._bases[key] = out
-        return out
+            yield (k,), deg_sub(tuple(bid[0]), vx), deg_sub(tuple(bid[1]), vy)
 
-    def dim(self, i, bid):
-        return len(self.basis(i, bid))
+    def _images(self, i):
+        images = {}
+        for (row, col), terms in self.matrices.get(i, {}).items():
+            images.setdefault((col,), []).extend(((row,), c, tx, ty) for c, tx, ty in terms)
+        return lambda key: images.get(key, ())
 
     def sparse_columns(self, i, bid):
-        ckey = ("sc", i, tuple(bid[0]), tuple(bid[1]))
-        cache = getattr(self, "_sc_cache", None)
-        if cache is None:
-            cache = self._sc_cache = {}
-        if ckey in cache:
-            return cache[ckey]
-        field = self.field
-        src = self.basis(i, bid)
-        tgt = self.basis(i - 1, bid)
-        index = {lab: kk for kk, lab in enumerate(tgt)}
-        by_col = {}
-        for (row, kk), terms in self.matrices.get(i, {}).items():
-            by_col.setdefault(kk, []).append((row, terms))
-        cols = []
-        for (k, ex, ey) in src:
-            col = {}
-            for row, terms in by_col.get(k, ()):
-                for coeff, tx, ty in terms:
-                    lab = (row,
-                           tuple(a + b for a, b in zip(ex, tx)),
-                           tuple(a + b for a, b in zip(ey, ty)))
-                    j = index.get(lab)
-                    if j is not None:
-                        nv = field.add(col.get(j, field.zero), field.of(coeff))
-                        if nv == field.zero:
-                            col.pop(j, None)
-                        else:
-                            col[j] = nv
-            cols.append(col)
-        cache[ckey] = cols
-        return cols
-
-    def _rank(self, i, bid):
-        key = ("rk", i, tuple(bid[0]), tuple(bid[1]))
-        cache = getattr(self, "_rk_cache", None)
-        if cache is None:
-            cache = self._rk_cache = {}
-        if key not in cache:
-            from .linalg import sparse_rank
-
-            cache[key] = sparse_rank(self.field, self.sparse_columns(i, bid))
-        return cache[key]
+        return self._columns(i, bid)
 
     def homology(self, i, bid):
-        n = self.dim(i, bid)
-        r_out = self._rank(i, bid) if i >= 1 else 0
-        r_in = self._rank(i + 1, bid)
-        return n - r_out - r_in
+        return self._homology(i, bid)
 
-    def check_square_zero(self, bidegrees):
-        field = self.field
-        for bid in bidegrees:
-            for i in range(2, max(self.twists) + 1):
-                inner = self.sparse_columns(i - 1, bid)
-                outer = self.sparse_columns(i, bid)
-                for col in outer:
-                    acc = {}
-                    for mid, c in col.items():
-                        for tgt, v in inner[mid].items():
-                            nv = field.add(acc.get(tgt, field.zero), field.mul(c, v))
-                            if nv == field.zero:
-                                acc.pop(tgt, None)
-                            else:
-                                acc[tgt] = nv
-                    if acc:
-                        return False
+    def check_square_zero(self):
+        """Every matrix term has the bidegree twists[i][col] - twists[i-1][row]
+        of its entry, and consecutive matrices multiply to zero over
+        Z[x, y]: a complex of bigraded modules, in every bidegree."""
+        degs = self.stack.var_degrees
+
+        def deg(e):
+            return tuple(sum(k * d[j] for k, d in zip(e, degs)) for j in range(self.stack.r))
+
+        for i, outer in self.matrices.items():
+            src, tgt = self.twists.get(i, []), self.twists.get(i - 1, [])
+            for (row, col), terms in outer.items():
+                if not (0 <= row < len(tgt) and 0 <= col < len(src)):
+                    return False
+                want = (deg_sub(src[col][0], tgt[row][0]), deg_sub(src[col][1], tgt[row][1]))
+                if any((deg(tx), deg(ty)) != want for _, tx, ty in terms):
+                    return False
+            prod = {}
+            for (row, mid), left in self.matrices.get(i - 1, {}).items():
+                for (mid2, col), right in outer.items():
+                    if mid2 == mid:
+                        for c1, x1, y1 in left:
+                            for c2, x2, y2 in right:
+                                k = (row, col, deg_add(x1, x2), deg_add(y1, y2))
+                                prod[k] = prod.get(k, 0) + c1 * c2
+            if any(prod.values()):
+                return False
         return True
 
 
@@ -312,7 +300,7 @@ def hirzebruch1_diagonal(field):
     Row labels of the first matrix: the semigroup elements 1, u0, u1,
     u0 u1, u0^2 u1; column labels: g0..g3 (one per variable) and u1 g0,
     u0 u1 g0, u0 g1, u1 g2, u0 u1 g2, u0 g3."""
-    stack = _hirz1_ring()
+    stack = hirzebruch(1)
     # bidegree twists: u0 has degree (-(1,0); (1,0)), u1 ((1,-1); (-1,1))
     u0 = ((-1, 0), (1, 0))
     u1 = ((1, -1), (-1, 1))
@@ -373,13 +361,13 @@ def hirzebruch1_diagonal(field):
 
 
 def hirzebruch1_report(field, lo=0, hi=4):
-    """d^2 = 0, acyclicity in degrees > 0 on [lo,hi]^4, and the deep
-    Hilbert comparison dim H_0 at (d, d') = dim S_{d+d'}."""
+    """d^2 = 0 (symbolically, over Z[x, y]), acyclicity in degrees > 0 on
+    [lo,hi]^4, and the deep Hilbert comparison dim H_0 at (d, d') = dim S_{d+d'}."""
     cx = hirzebruch1_diagonal(field)
     stack = cx.stack
     box = [(a, b) for a in range(lo, hi + 1) for b in range(lo, hi + 1)]
     bidegrees = [(p, q) for p in box for q in box]
-    sq = cx.check_square_zero(bidegrees)
+    sq = cx.check_square_zero()
     acyclic = True
     for bid in bidegrees:
         for i in (1, 2):

@@ -283,32 +283,40 @@ def invert(field, a):
 
 
 def sparse_rank(field, rows):
-    """Rank of a matrix given as sparse rows (dicts column -> coefficient),
-    by elimination with sparsest-first ordering. Exact over any field; the
-    rational mode runs fraction-free over integers."""
+    """Rank of a matrix given as sparse rows (dicts column -> coefficient,
+    none zero in the field), by elimination with sparsest-first ordering.
+    Exact over any field; the rational mode runs fraction-free."""
     if isinstance(field, QQ):
         return _sparse_rank_fraction_free(rows)
+    p = field.p
+    # lead column -> (row, inverse of its lead entry); rows stay unscaled
     pivots = {}
-    order = sorted(range(len(rows)), key=lambda i: len(rows[i]))
-    rank = 0
-    for idx in order:
-        row = dict(rows[idx])
+    for row in sorted(rows, key=len):
+        owned = False
         while row:
-            lead = min(row)
+            lead = max(row)
             piv = pivots.get(lead)
             if piv is None:
-                inv = field.inv(row[lead])
-                pivots[lead] = {c: field.mul(v, inv) for c, v in row.items()}
-                rank += 1
+                x = row[lead] % p
+                if not x:
+                    raise ZeroDivisionError("division by zero in GF(%d)" % p)
+                # +-1, the usual leads here, are their own inverses
+                pivots[lead] = (row, x if x == 1 or x == p - 1 else pow(x, p - 2, p))
                 break
-            f = row[lead]
+            if not owned:
+                # pivots are only read, so a row is copied once it changes
+                row = dict(row)
+                owned = True
+            piv, inv = piv
+            f = row[lead] * inv % p
+            get = row.get
             for c, v in piv.items():
-                nv = field.sub(row.get(c, field.zero), field.mul(f, v))
-                if nv == field.zero:
-                    row.pop(c, None)
-                else:
+                nv = (get(c, 0) - f * v) % p
+                if nv:
                     row[c] = nv
-    return rank
+                else:
+                    row.pop(c, None)
+    return len(pivots)
 
 
 def _sparse_rank_fraction_free(rows):

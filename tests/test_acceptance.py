@@ -184,7 +184,7 @@ def test_acceptance_08_diagonal_p12():
     from torictate.diagonal import build_F_prime_weighted, check_acyclicity
 
     p12 = weighted_projective(1, 2)
-    cx = build_F_prime_weighted(p12, gf, None, None)
+    cx = build_F_prime_weighted(p12, gf)
     bids = [((d,), (e,)) for d in range(0, 7) for e in range(0, 7)]
     ok = check_acyclicity(cx, bids)
     h0 = all(cx.homology(0, ((d,), (e,))) == len(monomial_basis(p12, (d + e,)))

@@ -205,6 +205,19 @@ def test_exit_code_precondition(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("irrelevant", [[[0, 2], [1, 3]], [[0, 1], [2, 3]]])
+def test_exit_code_precondition_not_hirzebruch1(capsys, tmp_path, irrelevant):
+    # the Hirzebruch-1 degrees with another irrelevant ideal are another
+    # stack: the hard-coded resolution does not apply
+    with open(fixture("hirz1.tate")) as fh:
+        doc = json.load(fh)
+    doc["irrelevant"] = irrelevant
+    other = tmp_path / "other.tate"
+    other.write_text(json.dumps(doc))
+    code, out, _ = run_cli(["diagonal", str(other)], capsys)
+    assert code == 3 and "Hirzebruch" not in out
+
+
 def test_exit_code_window(capsys):
     # a window shorter than the subset-sum reach has no safe degrees
     code, _, err = run_cli(["verify", fixture("p112.tate"), "--window", "0:2"], capsys)

@@ -1,10 +1,11 @@
 import pytest
 
-from torictate.diagonal import (build_F, build_F_prime_weighted,
-                                check_acyclicity, check_H0_diagonal,
-                                hirzebruch1_diagonal, hirzebruch1_report)
+from torictate.diagonal import (ExplicitBigradedComplex, build_F,
+                                build_F_prime_weighted, check_acyclicity,
+                                check_H0_diagonal, hirzebruch1_diagonal,
+                                hirzebruch1_report)
 from torictate.errors import PreconditionError
-from torictate.linalg import QQ
+from torictate.linalg import GF, QQ
 from torictate.smodule import monomial_basis
 from torictate.toric import deg_add
 
@@ -13,8 +14,74 @@ def bids(lo, hi):
     return [((d,), (e,)) for d in range(lo, hi + 1) for e in range(lo, hi + 1)]
 
 
+def hirz1_bids(lo, hi):
+    box = [(a, b) for a in range(lo, hi + 1) for b in range(lo, hi + 1)]
+    return [(p, q) for p in box for q in box]
+
+
+def reference_columns(cx, i, bid):
+    """The columns of d_i at bid by label lookup: each image term's target
+    basis label is built and looked up in the target basis."""
+    field = cx.field
+    index = {lab: k for k, lab in enumerate(cx.basis(i - 1, bid))}
+    cols = []
+    if isinstance(cx, ExplicitBigradedComplex):
+        by_col = {}
+        for (row, kk), terms in cx.matrices.get(i, {}).items():
+            by_col.setdefault(kk, []).append((row, terms))
+        for (k, ex, ey) in cx.basis(i, bid):
+            col = {}
+            for row, terms in by_col.get(k, ()):
+                for coeff, tx, ty in terms:
+                    lab = (row,
+                           tuple(a + b for a, b in zip(ex, tx)),
+                           tuple(a + b for a, b in zip(ey, ty)))
+                    j = index.get(lab)
+                    if j is not None:
+                        nv = field.add(col.get(j, field.zero), field.of(coeff))
+                        if nv == field.zero:
+                            col.pop(j, None)
+                        else:
+                            col[j] = nv
+            cols.append(col)
+        return cols
+    stack = cx.stack
+    for (mask, a, ex, ey) in cx.basis(i, bid):
+        col = {}
+        sign = 1
+        for tvar in range(stack.nvars):
+            bit = 1 << tvar
+            if not (mask & bit):
+                continue
+            rest = mask & ~bit
+            lab = (rest, a, ex, tuple(x + (1 if k == tvar else 0) for k, x in enumerate(ey)))
+            k = index.get(lab)
+            if k is not None:
+                col[k] = field.add(col.get(k, field.zero), field.of(sign))
+            a2 = deg_add(a, stack.var_degrees[tvar])
+            lab2 = (rest, a2, tuple(x + (1 if k == tvar else 0) for k, x in enumerate(ex)), ey)
+            k2 = index.get(lab2)
+            if k2 is not None:
+                col[k2] = field.sub(col.get(k2, field.zero), field.of(sign))
+            sign = -sign
+        cols.append({k: v for k, v in col.items() if v != field.zero})
+    return cols
+
+
+def composes_to_zero(field, inner, outer):
+    """d_{i-1} d_i = 0 on realized sparse columns."""
+    for col in outer:
+        acc = {}
+        for mid, c in col.items():
+            for tgt, v in inner[mid].items():
+                acc[tgt] = field.add(acc.get(tgt, field.zero), field.mul(c, v))
+        if any(v != field.zero for v in acc.values()):
+            return False
+    return True
+
+
 def test_build_f_p1_strands(p1, gf):
-    cx = build_F(p1, gf, None, None)
+    cx = build_F(p1, gf)
     # at bidegree ((1,),(1,)): F_1 summands S'(a, -a-b) with b from one
     # exterior variable; direct count of basis elements
     basis = cx.basis(1, ((1,), (1,)))
@@ -27,7 +94,7 @@ def test_build_f_p1_strands(p1, gf):
 def test_build_f_p12_term_shapes(p12, gf):
     # the F_1 column contains S'(0,-2)+S'(0,-1) and S'(1,-3)+S'(1,-2):
     # у-twists -a-b for (a, b) with a in Eff and b a variable degree
-    cx = build_F(p12, gf, None, None)
+    cx = build_F(p12, gf)
     seen = set()
     for (mask, a, ex, ey) in cx.basis(1, ((1,), (3,))):
         b = p12.mask_degree(mask)
@@ -37,19 +104,19 @@ def test_build_f_p12_term_shapes(p12, gf):
 
 
 def test_build_f_empty_window(p12, gf):
-    cx = build_F(p12, gf, None, None)
+    cx = build_F(p12, gf)
     assert cx.dim(0, ((-1,), (0,))) == 0
 
 
 def test_f_prime_strand_bound(p12, gf):
     # only strands with deg(T) < w - a survive (w = 3)
-    cx = build_F_prime_weighted(p12, gf, None, None)
+    cx = build_F_prime_weighted(p12, gf)
     for (mask, a, ex, ey) in cx.basis(1, ((2,), (4,))):
         assert p12.theta(p12.mask_degree(mask)) < 3 - a[0]
 
 
 def test_f_prime_p1_shape(p1, gf):
-    cx = build_F_prime_weighted(p1, gf, None, None)
+    cx = build_F_prime_weighted(p1, gf)
     # w = 2: strands d < 2; the top term F_2 keeps only deg(T) = 2 < 2 - a:
     # impossible, so F_2 vanishes
     for bid in bids(0, 3):
@@ -59,7 +126,7 @@ def test_f_prime_p1_shape(p1, gf):
 
 
 def test_f_prime_p2_strand_count(p2, gf):
-    cx = build_F_prime_weighted(p2, gf, None, None)
+    cx = build_F_prime_weighted(p2, gf)
     strands = set()
     for (mask, a, ex, ey) in cx.basis(0, ((2,), (2,))):
         strands.add(a[0])
@@ -68,22 +135,22 @@ def test_f_prime_p2_strand_count(p2, gf):
 
 def test_f_prime_requires_r1(hirz3, gf):
     with pytest.raises(PreconditionError):
-        build_F_prime_weighted(hirz3, gf, None, None)
+        build_F_prime_weighted(hirz3, gf)
 
 
 def test_acyclicity_p12(p12, gf):
-    cx = build_F_prime_weighted(p12, gf, None, None)
+    cx = build_F_prime_weighted(p12, gf)
     assert check_acyclicity(cx, bids(0, 6))
 
 
 def test_acyclicity_full_f_p1(p1, gf):
-    cx = build_F(p1, gf, None, None)
+    cx = build_F(p1, gf)
     assert check_acyclicity(cx, bids(0, 6))
     assert check_H0_diagonal(cx, bids(0, 6))
 
 
 def test_acyclicity_detects_mutation(p12, gf):
-    cx = build_F_prime_weighted(p12, gf, None, None)
+    cx = build_F_prime_weighted(p12, gf)
     bid = ((2,), (3,))
     assert cx.homology(1, bid) == 0
     # kill the first differential at this bidegree: the kernel inflates and
@@ -97,29 +164,29 @@ def test_acyclicity_detects_mutation(p12, gf):
 
 
 def test_h0_diagonal_p12(p12, gf):
-    cx = build_F_prime_weighted(p12, gf, None, None)
+    cx = build_F_prime_weighted(p12, gf)
     assert cx.homology(0, ((2,), (3,))) == len(monomial_basis(p12, (5,))) == 3
     assert cx.homology(0, ((0,), (0,))) == 1
     assert check_H0_diagonal(cx, bids(0, 6))
 
 
 def test_h0_excludes_noneffective_second_coordinate(p12, gf):
-    cx = build_F_prime_weighted(p12, gf, None, None)
+    cx = build_F_prime_weighted(p12, gf)
     # d' = -1 is excluded by convention, so the check passes regardless
     assert check_H0_diagonal(cx, [((2,), (-1,))])
 
 
 def test_f_and_f_prime_agree_in_positive_homology(p12, gf):
-    full = build_F(p12, gf, None, None)
-    fin = build_F_prime_weighted(p12, gf, None, None)
+    full = build_F(p12, gf)
+    fin = build_F_prime_weighted(p12, gf)
     for bid in bids(0, 4):
         for i in (1, 2):
             assert full.homology(i, bid) == fin.homology(i, bid) == 0
 
 
 def test_h0_of_f_and_f_prime_agree(p12, gf):
-    full = build_F(p12, gf, None, None)
-    fin = build_F_prime_weighted(p12, gf, None, None)
+    full = build_F(p12, gf)
+    fin = build_F_prime_weighted(p12, gf)
     for bid in bids(0, 5):
         assert full.homology(0, bid) == fin.homology(0, bid)
     assert check_H0_diagonal(full, bids(0, 5))
@@ -127,7 +194,7 @@ def test_h0_of_f_and_f_prime_agree(p12, gf):
 
 def test_koszul_self_duality_term_count(p12, gf):
     # the number of exterior summands at fixed (a, strand) is binomial(n+1, i)
-    cx = build_F(p12, gf, None, None)
+    cx = build_F(p12, gf)
     bid = ((2,), (4,))
     per = {}
     for (mask, a, ex, ey) in cx.basis(1, bid):
@@ -177,3 +244,53 @@ def test_hirzebruch1_h0_deep(gf):
         for dp in [(2, 2), (2, 3)]:
             want = len(monomial_basis(cx.stack, deg_add(d, dp)))
             assert cx.homology(0, (d, dp)) == want
+
+
+@pytest.mark.parametrize("field", [GF(), QQ()], ids=["gf", "qq"])
+def test_hirzebruch1_block_columns_match_label_lookup(field):
+    cx = hirzebruch1_diagonal(field)
+    for bid in hirz1_bids(0, 2):
+        for i in (1, 2, 3):
+            assert cx.sparse_columns(i, bid) == reference_columns(cx, i, bid)
+
+
+@pytest.mark.parametrize("build", [build_F, build_F_prime_weighted])
+def test_koszul_block_columns_match_label_lookup(p12, gf, build):
+    cx = build(p12, gf)
+    for bid in bids(0, 5):
+        for i in range(1, p12.nvars + 2):
+            assert cx.sparse_columns(i, bid) == reference_columns(cx, i, bid)
+
+
+def test_hirzebruch1_square_zero_per_bidegree(gf):
+    cx = hirzebruch1_diagonal(gf)
+    for bid in hirz1_bids(0, 2):
+        assert composes_to_zero(gf, cx.sparse_columns(1, bid), cx.sparse_columns(2, bid))
+
+
+def test_hirzebruch1_square_zero_rejects_inhomogeneous_term(gf):
+    # the realization drops a term of the wrong bidegree, so every realized
+    # composition still vanishes; only the symbolic check sees it
+    cx = hirzebruch1_diagonal(gf)
+    assert cx.check_square_zero()
+    cx.matrices[2][(1, 0)] = cx.matrices[2][(1, 0)] + [(1, (2, 0, 0, 0), (0, 0, 0, 0))]
+    assert not cx.check_square_zero()
+    for bid in hirz1_bids(0, 2):
+        assert composes_to_zero(gf, cx.sparse_columns(1, bid), cx.sparse_columns(2, bid))
+
+
+def test_hirzebruch1_square_zero_rejects_wrong_twist(gf):
+    # x0 times a whole column still composes to zero, but no longer has
+    # the bidegree of the column's twist
+    cx = hirzebruch1_diagonal(gf)
+    m2 = cx.matrices[2]
+    for key in [k for k in m2 if k[1] == 0]:
+        m2[key] = [(c, deg_add(tx, (1, 0, 0, 0)), ty) for c, tx, ty in m2[key]]
+    assert not cx.check_square_zero()
+
+
+def test_hirzebruch1_square_zero_rejects_sign_flip(gf):
+    cx = hirzebruch1_diagonal(gf)
+    (c, tx, ty), = cx.matrices[2][(1, 0)]
+    cx.matrices[2][(1, 0)] = [(-c, tx, ty)]
+    assert not cx.check_square_zero()

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from torictate.linalg import (GF, Mat, RowReducer, homology_dim, invert,
-                              kernel_basis, rank, rref, solve_in_span)
+                              kernel_basis, rank, rref, solve_in_span,
+                              sparse_rank)
 
 
 def test_rank_empty(gf):
@@ -145,3 +146,42 @@ def test_rref_pivots(qq):
     r, piv = rref(qq, qq.array([[2, 4], [1, 2]]))
     assert piv == [0]
     assert r.shape[0] == 1
+
+
+def _dense_rank_mod(p, rows, ncols):
+    """Rank mod p by Gaussian elimination on lists of Python ints."""
+    m = [[row.get(c, 0) % p for c in range(ncols)] for row in rows]
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = pow(m[r][c], p - 2, p)
+        m[r] = [v * inv % p for v in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [(a - f * b) % p for a, b in zip(m[i], m[r])]
+        r += 1
+    return r
+
+
+@pytest.mark.parametrize("p", [32003, 2147483647])
+def test_sparse_rank_matches_dense_reference(p, rng):
+    field = GF(p)
+    for _ in range(60):
+        nrows, ncols = rng.randint(0, 14), rng.randint(1, 14)
+        rows = []
+        for _ in range(nrows):
+            row = {}
+            for c in rng.sample(range(ncols), rng.randint(0, min(4, ncols))):
+                row[c] = rng.choice([1, p - 1, rng.randrange(1, p)])
+            rows.append(row)
+        # dependent rows: sums of earlier ones, so that elimination cancels
+        for _ in range(rng.randint(0, 3)):
+            if rows:
+                a, b = rng.choice(rows), rng.choice(rows)
+                s = {c: (a.get(c, 0) + b.get(c, 0)) % p for c in set(a) | set(b)}
+                rows.append({c: v for c, v in s.items() if v})
+        assert sparse_rank(field, rows) == _dense_rank_mod(p, rows, ncols)
