@@ -14,12 +14,13 @@ import numpy as np
 
 from .diffmod import DMMorphism, FreeDiffModule, cone
 from .exterior import OmegaTwist, popcount
-from .linalg import _kernel_arr
+from .linalg import _kernel_arr, independent_columns
 from .toric import deg_sub
 
 
 class _IncrementalRank:
-    """Row-echelon accumulator for greedy independence tests."""
+    """Row-echelon accumulator for greedy independence tests, one vector at
+    a time (linalg.independent_columns picks a whole batch at once)."""
 
     def __init__(self, field, dim):
         self.field = field
@@ -209,19 +210,9 @@ def _select_representatives(field, d_out, d_in, policy):
     """Kernel vectors of d_out completing the image of d_in to a basis of
     the homology, greedily in the given order."""
     ker = _kernel_arr(field, d_out)
-    if ker.shape[1] == 0:
-        return []
-    acc = _IncrementalRank(field, d_out.shape[1])
-    for c in range(d_in.shape[1]):
-        acc.add(d_in[:, c])
-    order = range(ker.shape[1])
     if policy == "last":
-        order = reversed(list(order))
-    reps = []
-    for c in order:
-        if acc.add(ker[:, c]):
-            reps.append(ker[:, c])
-    return reps
+        ker = ker[:, ::-1]
+    return [ker[:, c] for c in independent_columns(field, d_in, ker)]
 
 
 def min_free_resolution(target, floor, ceiling=None, policy="first", degrees=None):

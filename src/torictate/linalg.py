@@ -81,6 +81,24 @@ class GF:
     def reduce(self, a):
         return a % self.p
 
+    def matmul(self, a, b):
+        """a @ b reduced mod p, for int64 matrices with entries of absolute
+        value below p. Where one int64 product could overflow, a is split
+        into 16-bit halves and the inner dimension into chunks, so that no
+        partial sum reaches 2^63 (delayed reduction, as in FFPACK)."""
+        p = self.p
+        inner = a.shape[1]
+        if inner * (p - 1) ** 2 < 1 << 63:
+            return (a @ b) % p
+        hi, lo = a >> 16, a & 0xFFFF
+        step = ((1 << 63) - 1) // ((1 << 16) * (p - 1))
+        out = np.zeros((a.shape[0],) + b.shape[1:], dtype=np.int64)
+        for k in range(0, inner, step):
+            bk = b[k:k + step]
+            out += ((hi[:, k:k + step] @ bk) % p << 16) + (lo[:, k:k + step] @ bk) % p
+            out %= p
+        return out
+
 
 class QQ:
     """Exact rationals. Used for small cross-checks only."""
@@ -133,6 +151,9 @@ class QQ:
     def reduce(self, a):
         return a
 
+    def matmul(self, a, b):
+        return a @ b
+
 
 class Mat:
     """A dense matrix over a fixed field; equality is entrywise."""
@@ -168,7 +189,7 @@ class Mat:
         return "Mat(%r, %r)" % (self.field, self.a.tolist())
 
     def __matmul__(self, other):
-        return Mat(self.field, self.field.reduce(self.a @ other.a))
+        return Mat(self.field, self.field.matmul(self.a, other.a))
 
     def is_zero(self):
         return not np.any(self.a)
@@ -217,23 +238,31 @@ def _rank_arr(field, a):
 def kernel_basis(m):
     """Columns of the result form a basis of the right kernel: m @ result = 0."""
     field = m.field
-    n = m.cols
-    if n == 0:
-        return Mat.zeros(field, 0, 0)
-    if m.rows == 0:
-        return Mat(field, np.eye(n, dtype=np.int64) if isinstance(field, GF) else QQ().array(np.eye(n, dtype=np.int64)))
     r, pivots = rref(field, m.a)
-    free = [j for j in range(n) if j not in set(pivots)]
-    k = field.zeros(n, len(free))
-    for idx, j in enumerate(free):
-        k[j, idx] = field.one
-        for i, pc in enumerate(pivots):
-            k[pc, idx] = field.neg(r[i, j])
+    piv = set(pivots)
+    free = [j for j in range(m.cols) if j not in piv]
+    cols = range(len(free))
+    k = field.zeros(m.cols, len(free))
+    k[free, cols] = field.one
+    if pivots:
+        k[np.ix_(pivots, cols)] = field.reduce(-r[:, free])
     return Mat(field, k)
 
 
 def _kernel_arr(field, a):
     return kernel_basis(Mat(field, a)).a
+
+
+def independent_columns(field, base, candidates):
+    """Indices of the candidate columns that are independent modulo the span
+    of the base columns, chosen greedily from left to right. The pivot
+    columns of rref([base | candidates]) are exactly the columns independent
+    of all columns to their left, so one elimination picks them all."""
+    if candidates.shape[1] == 0:
+        return []
+    nb = base.shape[1]
+    _, pivots = rref(field, np.concatenate([base, candidates], axis=1))
+    return [c - nb for c in pivots if c >= nb]
 
 
 def homology_dim(d_in, d_out):
@@ -328,7 +357,7 @@ def _sparse_rank_fraction_free(rows):
             denom = denom * v.denominator // math.gcd(denom, v.denominator) if isinstance(v, Fraction) else denom
         out = {}
         for c, v in row.items():
-            out[c] = int(v * denom) if isinstance(v, Fraction) else int(v) * denom
+            out[c] = v.numerator * (denom // v.denominator) if isinstance(v, Fraction) else int(v) * denom
         return out
 
     pivots = {}
@@ -394,7 +423,7 @@ class RowReducer:
         """Reduce row vectors modulo the row space; returns coordinates in
         the non-pivot (quotient) basis, shape (k, corank)."""
         if len(self.pivots) and v.shape[0]:
-            v = self.field.reduce(v - v[:, self._piv_arr] @ self.r)
+            v = self.field.reduce(v - self.field.matmul(v[:, self._piv_arr], self.r))
         if len(self.free) == 0:
             return self.field.zeros(v.shape[0], 0)
         return v[:, self._free_arr]

@@ -292,7 +292,7 @@ class SpanSubmodule:
                 pos = d
                 for i, e in enumerate(mono):
                     for _ in range(e):
-                        m = field.reduce(self.inner.mult_matrix(i, pos).a @ m)
+                        m = field.matmul(self.inner.mult_matrix(i, pos).a, m)
                         pos = deg_add(pos, self.stack.var_degrees[i])
                 cols.append(m)
         if not cols:
@@ -321,7 +321,7 @@ class SpanSubmodule:
         src = self._span(a)
         tgt = self._span(deg_add(a, self.stack.var_degrees[i]))
         inner_m = self.inner.mult_matrix(i, a).a
-        x = solve_in_span(self.field, tgt, self.field.reduce(inner_m @ src))
+        x = solve_in_span(self.field, tgt, self.field.matmul(inner_m, src))
         if x is None:
             raise ValueError("span is not multiplication-closed at %r" % (a,))
         return Mat(self.field, x)
@@ -368,7 +368,7 @@ def presentation_from_span(span, rel_degrees):
             pos = zero
             for i, e in enumerate(mu):
                 for _ in range(e):
-                    mat = field.reduce(span.inner.mult_matrix(i, pos).a @ mat)
+                    mat = field.matmul(span.inner.mult_matrix(i, pos).a, mat)
                     pos = deg_add(pos, stack.var_degrees[i])
             coords = solve_in_span(field, tgt, mat)
             for k in range(ngens):

@@ -22,7 +22,7 @@ from .dmres import tate_cone
 from .errors import PreconditionError, StabilizationError
 from .exterior import OmegaTwist, ext_mul, socle_readoff
 from .laurent import CechComplex, _laurent_exponents, signed_exponents
-from .linalg import GF, _kernel_arr, invert, rref
+from .linalg import GF, _kernel_arr, independent_columns, invert, rref
 from .toric import cone_contains, deg_add, deg_neg, deg_sub, is_irrelevant_subset
 
 
@@ -109,46 +109,30 @@ def _build_retract(field, dims, maps):
         b_basis = u_prev[:, pivots[l - 1]] if l >= 1 and pivots[l - 1] else field.zeros(n, 0)
         ker = kernels[l]
         # homology representatives: kernel columns extending the image
-        from .dmres import _IncrementalRank
-
-        acc = _IncrementalRank(field, n)
-        for c in range(b_basis.shape[1]):
-            acc.add(b_basis[:, c])
-        reps = []
-        for c in range(ker.shape[1]):
-            if acc.add(ker[:, c]):
-                reps.append(ker[:, c])
+        reps = ker[:, independent_columns(field, b_basis, ker)]
         a_cols = pivots[l]
         nb = b_basis.shape[1]
-        nh = len(reps)
+        nh = reps.shape[1]
         na = len(a_cols)
         if nb + nh + na != n:
             raise AssertionError("level decomposition does not span")
         s = field.zeros(n, n)
-        if nb:
-            s[:, :nb] = b_basis
-        for k, v in enumerate(reps):
-            s[:, nb + k] = v
-        for k, c in enumerate(a_cols):
-            s[c, nb + nh + k] = field.one
+        s[:, :nb] = b_basis
+        s[:, nb:nb + nh] = reps
+        s[a_cols, range(nb + nh, n)] = field.one
         sinv = invert(field, s)
         off = offsets[l]
-        for k, v in enumerate(reps):
-            col = field.zeros(total, 1)
-            col[off:off + n, 0] = v
-            i_cols.append(col)
-            hlabels.append(l)
-            row = field.zeros(1, total)
-            row[0, off:off + n] = sinv[nb + k]
-            p_rows.append(row)
+        col = field.zeros(total, nh)
+        col[off:off + n] = reps
+        i_cols.append(col)
+        hlabels.extend([l] * nh)
+        row = field.zeros(nh, total)
+        row[:, off:off + n] = sinv[nb:nb + nh]
+        p_rows.append(row)
         # h on level l: kill the B-part back to A-coordinates of level l-1
         if nb:
             prev_off = offsets[l - 1]
-            e_a = field.zeros(dims[l - 1], nb)
-            for k, c in enumerate(pivots[l - 1]):
-                e_a[c, k] = field.one
-            h[prev_off:prev_off + dims[l - 1], off:off + n] = field.reduce(e_a @ sinv[:nb])
-    nh_total = len(i_cols)
+            h[[prev_off + c for c in pivots[l - 1]], off:off + n] = sinv[:nb]
     i_mat = np.concatenate(i_cols, axis=1) if i_cols else field.zeros(total, 0)
     p_mat = np.concatenate(p_rows, axis=0) if p_rows else field.zeros(0, total)
     return _Retract(field, dims, maps, offsets, i_mat, p_mat, h, hlabels)
@@ -258,7 +242,7 @@ def _transfer(data):
                 b = deg_add(c, stack.var_degrees[i])
                 if b not in data.dims:
                     continue
-                step = field.reduce(data.delta(c, i) @ mat)
+                step = field.matmul(data.delta(c, i), mat)
                 if not np.any(step):
                     continue
                 r = ext_mul(bit, mono)
@@ -266,10 +250,10 @@ def _transfer(data):
                     continue
                 msign, mmono = r
                 if b in gen_offset:
-                    out = field.reduce(data.retract[b].p @ step)
+                    out = field.matmul(data.retract[b].p, step)
                     _add_block(entries, field, gen_offset[b], gen_offset[a],
                                enumerate(out), mmono, sign * msign)
-                cont = field.reduce(-(data.retract[b].h @ step))
+                cont = field.reduce(-field.matmul(data.retract[b].h, step))
                 if np.any(cont):
                     walk(b, cont, mmono, sign * msign)
 

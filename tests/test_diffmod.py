@@ -269,3 +269,25 @@ def test_unfold_koszul_dual_shape(p1, gf):
     for a in [(0,), (1,), (2,)]:
         dm2 = FreeDiffModule(p1, gf, refold.gens, refold.entries, safe=dm.safe)
         assert homology_column(dm2, a) == homology_column(dm, a)
+
+
+@pytest.mark.parametrize("gens, elem", [
+    # e0 e2 has Cl-degree 3, not 1
+    ([OmegaTwist((0,), 0), OmegaTwist((-1,), 0)], {0b101: 1}),
+    # one monomial of the entry is right, the next is not
+    ([OmegaTwist((0,), 0), OmegaTwist((-1,), 0)], {0b001: 1, 0b100: 1}),
+    # the right Cl-degree with the wrong auxiliary degree
+    ([OmegaTwist((0,), 0), OmegaTwist((-1,), 1)], {0b001: 1}),
+    # a bit beyond the three variables
+    ([OmegaTwist((0,), 0), OmegaTwist((-1,), 0)], {0b1000: 1}),
+])
+def test_inhomogeneous_entry_rejected(p112, gf, gens, elem):
+    with pytest.raises(ValueError):
+        FreeDiffModule(p112, gf, gens, {(1, 0): elem})
+    assert FreeDiffModule(p112, gf, gens, {(1, 0): elem}, validate=False).entries
+
+
+def test_homogeneous_entries_accepted(p112, gf):
+    # e0 and e1 both have degree 1; e2 has degree 2 and fits the next twist
+    gens = [OmegaTwist((0,), 0), OmegaTwist((-1,), 0), OmegaTwist((-2,), 0)]
+    FreeDiffModule(p112, gf, gens, {(1, 0): {0b001: 1, 0b010: 2}, (2, 0): {0b100: 1}})

@@ -1,7 +1,12 @@
+import numpy as np
+import pytest
+
 from torictate.bgg import R
 from torictate.diffmod import check_minimal, check_square_zero, homology_column
-from torictate.dmres import min_free_resolution, tate_cone, verify_quasi_iso
+from torictate.dmres import (_select_representatives, min_free_resolution,
+                             tate_cone, verify_quasi_iso)
 from torictate.exterior import OmegaTwist
+from torictate.linalg import GF, QQ, Mat, independent_columns, kernel_basis, rank
 from torictate.smodule import Presentation, realize
 from torictate.toric import Window
 
@@ -117,8 +122,6 @@ def test_uniqueness_of_generator_multisets(p112, p12, rng):
     # degree multisets on random monomial quotients
     from collections import Counter
 
-    from torictate.linalg import GF
-
     gf = GF()
     for trial in range(10):
         stack = p112 if trial % 2 == 0 else p12
@@ -141,3 +144,80 @@ def test_resolution_rejects_nothing_but_flags_top(p1, gf):
     target = PointTarget(p1, gf)
     state = min_free_resolution(target, floor=0, ceiling=0)
     assert state.top_hit
+
+
+class _GreedyRank:
+    """The one-vector-at-a-time echelon accumulator that picked homology
+    representatives before independent_columns, kept as the reference."""
+
+    def __init__(self, field):
+        self.field = field
+        self.rows = []
+
+    def add(self, vec):
+        v = np.array(vec, copy=True)
+        for piv, row in self.rows:
+            c = v[piv]
+            if c != self.field.zero:
+                v = self.field.reduce(v - c * row)
+        nz = np.nonzero(v)[0]
+        if nz.size == 0:
+            return False
+        piv = int(nz[0])
+        self.rows.append((piv, self.field.reduce(v * self.field.inv(v[piv]))))
+        return True
+
+
+def _greedy_select(field, d_out, d_in, policy):
+    ker = kernel_basis(Mat(field, d_out)).a
+    acc = _GreedyRank(field)
+    for c in range(d_in.shape[1]):
+        acc.add(d_in[:, c])
+    order = range(ker.shape[1])
+    if policy == "last":
+        order = reversed(list(order))
+    return [ker[:, c] for c in order if acc.add(ker[:, c])]
+
+
+def _random_matrix(field, rng, rows, cols, rank_cap):
+    """A rows x cols matrix of rank at most rank_cap with small entries,
+    some columns repeated or zero."""
+    k = rng.randrange(0, rank_cap + 1)
+    left = field.array([[rng.randrange(-3, 4) for _ in range(k)] for _ in range(rows)]).reshape(rows, k)
+    right = field.array([[rng.randrange(-3, 4) for _ in range(cols)] for _ in range(k)]).reshape(k, cols)
+    m = field.matmul(left, right) if k else field.zeros(rows, cols)
+    for c in range(cols):
+        if c and rng.random() < 0.2:
+            m[:, c] = m[:, rng.randrange(0, c)]
+        elif rng.random() < 0.1:
+            m[:, c] = field.zero
+    return m
+
+
+@pytest.mark.parametrize("field", [GF(), GF(2147483647), QQ()], ids=repr)
+def test_independent_columns_matches_greedy_accumulator(field, rng):
+    for _ in range(120):
+        n = rng.randrange(0, 7)
+        base = _random_matrix(field, rng, n, rng.randrange(0, 5), 4)
+        cand = _random_matrix(field, rng, n, rng.randrange(0, 6), 5)
+        acc = _GreedyRank(field)
+        for c in range(base.shape[1]):
+            acc.add(base[:, c])
+        want = [c for c in range(cand.shape[1]) if acc.add(cand[:, c])]
+        assert independent_columns(field, base, cand) == want
+
+
+@pytest.mark.parametrize("field", [GF(), GF(2147483647), QQ()], ids=repr)
+@pytest.mark.parametrize("policy", ["first", "last"])
+def test_select_representatives_matches_greedy_loop(field, policy, rng):
+    for _ in range(80):
+        n = rng.randrange(0, 8)
+        d_out = _random_matrix(field, rng, rng.randrange(0, 6), n, 4)
+        ker = kernel_basis(Mat(field, d_out)).a
+        # d_in: combinations of kernel vectors, with dependent columns
+        coeffs = _random_matrix(field, rng, ker.shape[1], rng.randrange(0, 6), ker.shape[1])
+        d_in = field.matmul(ker, coeffs) if ker.shape[1] else field.zeros(n, coeffs.shape[1])
+        got = _select_representatives(field, d_out, d_in, policy)
+        want = _greedy_select(field, d_out, d_in, policy)
+        assert [v.tolist() for v in got] == [v.tolist() for v in want]
+        assert len(got) == ker.shape[1] - rank(Mat(field, d_in))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from torictate.linalg import (GF, Mat, RowReducer, homology_dim, invert,
+from torictate.linalg import (GF, QQ, Mat, RowReducer, homology_dim, invert,
                               kernel_basis, rank, rref, solve_in_span,
                               sparse_rank)
 
@@ -185,3 +185,66 @@ def test_sparse_rank_matches_dense_reference(p, rng):
                 s = {c: (a.get(c, 0) + b.get(c, 0)) % p for c in set(a) | set(b)}
                 rows.append({c: v for c, v in s.items() if v})
         assert sparse_rank(field, rows) == _dense_rank_mod(p, rows, ncols)
+
+
+def _loop_kernel(field, a):
+    """The entry-by-entry kernel construction that kernel_basis replaced."""
+    n = a.shape[1]
+    if n == 0:
+        return field.zeros(0, 0)
+    if a.shape[0] == 0:
+        return Mat(field, np.eye(n, dtype=np.int64) if isinstance(field, GF) else QQ().array(np.eye(n, dtype=np.int64))).a
+    r, pivots = rref(field, a)
+    free = [j for j in range(n) if j not in set(pivots)]
+    k = field.zeros(n, len(free))
+    for idx, j in enumerate(free):
+        k[j, idx] = field.one
+        for i, pc in enumerate(pivots):
+            k[pc, idx] = field.neg(r[i, j])
+    return k
+
+
+@pytest.mark.parametrize("field", [GF(), GF(2147483647), QQ()], ids=repr)
+def test_kernel_basis_matches_entrywise_loop(field, rng):
+    for _ in range(150):
+        rows, cols = rng.randrange(0, 7), rng.randrange(0, 8)
+        a = field.array([[rng.choice([0, 0, 1, -1, rng.randrange(-50, 51)]) for _ in range(cols)]
+                         for _ in range(rows)]).reshape(rows, cols)
+        for c in range(cols):
+            if c and rng.random() < 0.25:
+                a[:, c] = a[:, rng.randrange(0, c)]
+        got = kernel_basis(Mat(field, a)).a
+        want = _loop_kernel(field, a)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tolist() == want.tolist()
+        assert [type(x) for x in got.flat] == [type(x) for x in want.flat]
+
+
+def _int_product(p, a, b):
+    """a @ b mod p on Python ints."""
+    a, b = a.tolist(), b.tolist()
+    return [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*b)] for row in a]
+
+
+@pytest.mark.parametrize("p", [32003, 2147483647])
+def test_matmul_matches_python_ints(p, rng):
+    field = GF(p)
+    for n in (1, 2, 7, 50):
+        a = field.array([[rng.randrange(p) for _ in range(n)] for _ in range(n)])
+        b = field.array([[rng.randrange(p) for _ in range(n)] for _ in range(n)])
+        assert (Mat(field, a) @ Mat(field, b)).a.tolist() == _int_product(p, a, b)
+    # every entry p - 1, so each partial sum is as large as it can be
+    top = np.full((3, 5), p - 1, dtype=np.int64)
+    assert field.matmul(top, top.T).tolist() == _int_product(p, top, top.T)
+    # negative entries above -p, as in a matrix negated before reduction
+    assert field.matmul(-top, top.T).tolist() == _int_product(p, -top, top.T)
+
+
+def test_matmul_splits_long_inner_dimension(rng):
+    # an inner dimension beyond one chunk of 2^16 at p = 2^31 - 1
+    p = 2147483647
+    field = GF(p)
+    inner = 70000
+    a = np.array([[rng.randrange(p) for _ in range(inner)] for _ in range(2)], dtype=np.int64)
+    b = np.array([[rng.randrange(p) for _ in range(2)] for _ in range(inner)], dtype=np.int64)
+    assert field.matmul(a, b).tolist() == _int_product(p, a, b)
