@@ -206,10 +206,9 @@ class ResolutionState:
         return out
 
 
-def _select_representatives(field, d_out, d_in, policy):
-    """Kernel vectors of d_out completing the image of d_in to a basis of
-    the homology, greedily in the given order."""
-    ker = _kernel_arr(field, d_out)
+def _select_representatives(field, ker, d_in, policy):
+    """Columns of ker, a kernel basis of the outgoing map, completing the
+    image of d_in to a basis of the homology, greedily in the given order."""
     if policy == "last":
         ker = ker[:, ::-1]
     return [ker[:, c] for c in independent_columns(field, d_in, ker)]
@@ -238,20 +237,20 @@ def min_free_resolution(target, floor, ceiling=None, policy="first", degrees=Non
     for round_index, lv in enumerate(sorted(levels, reverse=True)):
         for a in sorted(levels[lv]):
             slices, blocks = state.cone_column(a)
-            js = sorted(slices)
+            kers = {j: _kernel_arr(state.field, d_out) for j, d_out in blocks.items()}
             new = []
-            for j in js:
-                d_out = blocks[j]
+            for j in sorted(slices):
                 d_in = blocks.get(j + 1)
                 if d_in is None:
-                    d_in = state.field.zeros(d_out.shape[1], 0)
-                reps = _select_representatives(state.field, d_out, d_in, policy)
-                if not reps:
-                    continue
+                    d_in = state.field.zeros(blocks[j].shape[1], 0)
+                    rank_in = 0
+                else:
+                    rank_in = d_in.shape[1] - kers[j + 1].shape[1]
+                if kers[j].shape[1] == rank_in:
+                    continue  # the image of d_in is the whole kernel
                 dsl, fsl = slices[j]
-                dtgt, ftgt = slices.get(j - 1, ([], []))
                 nd = len(dsl)
-                for vec in reps:
+                for vec in _select_representatives(state.field, kers[j], d_in, policy):
                     # the class lives at cone degree (a; j): its D-part in
                     # D_j(a), its F-part in F_{j-1}(a)
                     z_d_col = vec[:nd]

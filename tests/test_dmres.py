@@ -217,7 +217,7 @@ def test_select_representatives_matches_greedy_loop(field, policy, rng):
         # d_in: combinations of kernel vectors, with dependent columns
         coeffs = _random_matrix(field, rng, ker.shape[1], rng.randrange(0, 6), ker.shape[1])
         d_in = field.matmul(ker, coeffs) if ker.shape[1] else field.zeros(n, coeffs.shape[1])
-        got = _select_representatives(field, d_out, d_in, policy)
+        got = _select_representatives(field, ker, d_in, policy)
         want = _greedy_select(field, d_out, d_in, policy)
         assert [v.tolist() for v in got] == [v.tolist() for v in want]
         assert len(got) == ker.shape[1] - rank(Mat(field, d_in))
