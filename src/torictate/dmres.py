@@ -19,8 +19,7 @@ from .toric import deg_sub
 
 
 class _IncrementalRank:
-    """Row-echelon accumulator for greedy independence tests, one vector at
-    a time (linalg.independent_columns picks a whole batch at once)."""
+    """Row-echelon accumulator for greedy independence tests."""
 
     def __init__(self, field, dim):
         self.field = field
