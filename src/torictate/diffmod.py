@@ -16,7 +16,7 @@ import numpy as np
 
 from .exterior import (OmegaTwist, elem_add, elem_mask_filter, elem_mul,
                        elem_scale, entry_degree, ext_mul, popcount)
-from .linalg import _homology_dim_arr
+from .linalg import homology_dims
 from .toric import deg_neg, deg_sub
 
 
@@ -59,17 +59,17 @@ class FreeDiffModule:
         """Ordered basis [(gen, monomial)] of the degree-a slice."""
         a = tuple(a)
         if a in self._columns:
-            return self._columns[a][0]
+            return self._columns[a]
         table = self.stack.subsets_by_sum()
+        monos = {}  # Cl part of a twist -> the monomials of its column
         out = []
         for t, tw in enumerate(self.gens):
-            need = deg_sub(deg_sub(self.stack.total_degree, tw.cl), a)
-            for m in table.get(need, []):
-                if m & ~self.varmask:
-                    continue
-                out.append((t, m))
-        index = {lab: k for k, lab in enumerate(out)}
-        self._columns[a] = (out, index)
+            ms = monos.get(tw.cl)
+            if ms is None:
+                need = deg_sub(deg_sub(self.stack.total_degree, tw.cl), a)
+                ms = monos[tw.cl] = [m for m in table.get(need, ()) if not m & ~self.varmask]
+            out += [(t, m) for m in ms]
+        self._columns[a] = out
         return out
 
     def column_slices(self, a):
@@ -85,24 +85,7 @@ class FreeDiffModule:
     def column_block(self, a, slice_src, slice_tgt):
         """Differential matrix from the span of slice_src to slice_tgt
         (both lists of (gen, monomial) at the same Cl-degree)."""
-        field = self.field
-        idx = {lab: k for k, lab in enumerate(slice_tgt)}
-        mat = field.zeros(len(slice_tgt), len(slice_src))
-        for col, (t, m) in enumerate(slice_src):
-            for s in self._out.get(t, ()):
-                elem = self.entries[(s, t)]
-                for u, c in elem.items():
-                    r = ext_mul(u, m)
-                    if r is None:
-                        continue
-                    sign, um = r
-                    lab = (s, um)
-                    k = idx.get(lab)
-                    if k is None:
-                        continue
-                    cc = c if sign > 0 else field.neg(c)
-                    mat[k, col] = field.add(mat[k, col], cc)
-        return mat
+        return column_matrix(self.field, self.entries, self._out, slice_src, slice_tgt)
 
     def column_complex(self, a):
         """(slices, blocks): slices maps aux -> basis list, blocks maps
@@ -136,6 +119,27 @@ class FreeDiffModule:
         return out
 
 
+def column_matrix(field, entries, out, src, tgt):
+    """The matrix, from the span of src to the span of tgt, of the sparse
+    E-matrix entries (out[t] lists the s with an entry (s, t)) acting by
+    left multiplication; src and tgt list (gen, monomial) labels."""
+    idx = {lab: k for k, lab in enumerate(tgt)}
+    mat = field.zeros(len(tgt), len(src))
+    for col, (t, m) in enumerate(src):
+        for s in out.get(t, ()):
+            for u, c in entries[(s, t)].items():
+                r = ext_mul(u, m)
+                if r is None:
+                    continue
+                sign, um = r
+                k = idx.get((s, um))
+                if k is None:
+                    continue
+                cc = c if sign > 0 else field.neg(c)
+                mat[k, col] = field.add(mat[k, col], cc)
+    return mat
+
+
 def check_square_zero(module, degrees=None):
     """Exact check that the differential squares to zero on the given
     degrees (default: the safe set), column by column."""
@@ -163,21 +167,16 @@ def homology_column(module, a):
 
 
 def _homology_column_unchecked(module, a):
-    field = module.field
-    slices, blocks = module.column_complex(a)
-    out = {}
-    for j in sorted(slices):
-        d_out = blocks.get(j)
-        d_in = blocks.get(j + 1)
-        n = len(slices[j])
-        if d_out is None:
-            d_out = field.zeros(0, n)
-        if d_in is None:
-            d_in = field.zeros(n, 0)
-        h = _homology_dim_arr(field, d_in, d_out)
-        if h:
-            out[j] = h
-    return out
+    return _slice_homology(module.field, *module.column_complex(a))
+
+
+def _slice_homology(field, slices, blocks):
+    """{aux: homology dim}, zeros omitted, of a column whose blocks[j] maps
+    slice j to slice j - 1. Where j - 1 is no slice, blocks[j] has no rows
+    and ranks 0, so the slices can be taken in order even across gaps."""
+    js = sorted(slices, reverse=True)
+    hs = homology_dims(field, [blocks[j].shape[1] for j in js], [blocks[j] for j in js])
+    return {j: h for j, h in sorted(zip(js, hs)) if h}
 
 
 def tensor_EI(module, subset):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .diffmod import DMMorphism, FreeDiffModule, cone
+from .diffmod import DMMorphism, FreeDiffModule, _slice_homology, column_matrix, cone
 from .exterior import OmegaTwist, popcount
 from .linalg import _kernel_arr, independent_columns
 from .toric import deg_sub
@@ -75,27 +75,6 @@ class ResolutionState:
                 out.setdefault(aux, []).append((t, m))
         return out
 
-    def f_block(self, src, tgt):
-        field = self.field
-        idx = {lab: k for k, lab in enumerate(tgt)}
-        mat = field.zeros(len(tgt), len(src))
-        from .exterior import ext_mul
-
-        for col, (t, m) in enumerate(src):
-            for s in self._out.get(t, ()):
-                elem = self.entries[(s, t)]
-                for u, c in elem.items():
-                    r = ext_mul(u, m)
-                    if r is None:
-                        continue
-                    sign, um = r
-                    k = idx.get((s, um))
-                    if k is None:
-                        continue
-                    cc = c if sign > 0 else field.neg(c)
-                    mat[k, col] = field.add(mat[k, col], cc)
-        return mat
-
     def eps_vector(self, t, mono):
         """eps(basis element (t, e_mono)) as a label -> coeff dict in the
         target's column at gen_degree(t) - deg(mono)."""
@@ -146,25 +125,13 @@ class ResolutionState:
             if nf and md:
                 mat[:md, nd:] = self.eps_block(fsl, dtgt)
             if nf and mf:
-                mat[md:, nd:] = field.reduce(-self.f_block(fsl, ftgt))
+                mat[md:, nd:] = field.reduce(-column_matrix(field, self.entries, self._out, fsl, ftgt))
             blocks[j] = mat
         return slices, blocks
 
     def cone_homology_dims(self, a):
         slices, blocks = self.cone_column(a)
-        out = {}
-        for j in sorted(slices):
-            n = blocks[j].shape[1]
-            d_out = blocks[j]
-            d_in = blocks.get(j + 1)
-            if d_in is None:
-                d_in = self.field.zeros(n, 0)
-            from .linalg import _homology_dim_arr
-
-            h = _homology_dim_arr(self.field, d_in, d_out)
-            if h:
-                out[j] = h
-        return out
+        return _slice_homology(self.field, slices, blocks)
 
     # -- generator insertion --------------------------------------------------
 

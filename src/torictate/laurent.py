@@ -14,7 +14,7 @@ import itertools
 
 import numpy as np
 
-from .linalg import RowReducer
+from .linalg import RowReducer, homology_dims
 from .toric import deg_add, deg_sub, deg_zero, points
 
 
@@ -87,26 +87,9 @@ class LocalizedModule:
             index = {lab: k for k, lab in enumerate(labels)}
             rows = []
             for j, rd in enumerate(self.pres.rel_degrees):
-                for m in _laurent_exponents(self.stack, deg_sub(inner, rd), self.inverted,
-                                            self.t, floors=floors):
-                    row = [self.field.zero] * len(labels)
-                    ok = True
-                    for i in range(len(self.pres.gen_degrees)):
-                        poly = self.pres.entries.get((i, j))
-                        if poly is None:
-                            continue
-                        for c, e in poly.terms:
-                            lab = (i, tuple(x + y for x, y in zip(e, m)))
-                            k = index.get(lab)
-                            if k is None:
-                                ok = False
-                                break
-                            row[k] = self.field.add(row[k], self.field.of(c))
-                        if not ok:
-                            break
-                    if ok and any(v != self.field.zero for v in row):
-                        rows.append(row)
-            red = RowReducer(self.field, self.field.array(rows)) if rows else None
+                rows += self.pres.relation_rows(self.field, j, index, _laurent_exponents(
+                    self.stack, deg_sub(inner, rd), self.inverted, self.t, floors=floors))
+            red = RowReducer(self.field, rows, len(labels)) if rows else None
             val = (labels, red)
         self._cache[a] = val
         return val
@@ -224,13 +207,7 @@ class MonomialStrands:
                     pos = J2.index(extra)
                     mat[k, col] = field.neg(field.one) if pos % 2 else field.one
             mats.append(mat)
-        from .linalg import _homology_dim_arr
-
-        hom = []
-        for pos in range(len(dims)):
-            d_out = mats[pos] if pos < len(mats) else field.zeros(0, dims[pos])
-            d_in = mats[pos - 1] if pos >= 1 else field.zeros(dims[pos], 0)
-            hom.append(_homology_dim_arr(field, d_in, d_out))
+        hom = homology_dims(field, dims, mats)
         self._hom_cache[key] = hom
         return hom
 
@@ -412,15 +389,8 @@ class CechComplex:
 
     def strand_homology(self, a, extended):
         """Homology dimensions by position (0 = H^0_B resp. kernel end)."""
-        from .linalg import _homology_dim_arr
-
         dims, mats = self.strand(a, extended)
-        out = []
-        for pos in range(len(dims)):
-            d_out = mats[pos] if pos < len(mats) else self.field.zeros(0, dims[pos])
-            d_in = mats[pos - 1] if pos >= 1 else self.field.zeros(dims[pos], 0)
-            out.append(_homology_dim_arr(self.field, d_in, d_out))
-        return out
+        return homology_dims(self.field, dims, mats)
 
     def multiplication_block(self, a, i, cell):
         """Multiplication by x_i on one cell, from degree a to a + deg x_i."""

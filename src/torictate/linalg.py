@@ -4,10 +4,16 @@ Everything downstream (module pieces, differential-module homology, Cech
 strands) reduces to rank / kernel / reduced-echelon computations done here.
 No floating point anywhere: GF(p) matrices are int64 numpy arrays reduced
 mod p, rational matrices are object arrays of Fractions.
+
+Dense arrays are the interface; elimination runs on sparse rows (dicts
+column -> nonzero coefficient), because the matrices met here are mostly
+about 1% dense. `rref` and `RowReducer` share one sparse Gauss-Jordan
+routine, and `sparse_rank` ranks sparse rows without back-substitution.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -81,6 +87,17 @@ class GF:
     def reduce(self, a):
         return a % self.p
 
+    def sub_scaled(self, row, f, other):
+        """row -= f * other on sparse rows, in place; zeros are dropped."""
+        p = self.p
+        get = row.get
+        for c, v in other.items():
+            nv = (get(c, 0) - f * v) % p
+            if nv:
+                row[c] = nv
+            else:
+                row.pop(c, None)
+
     def matmul(self, a, b):
         """a @ b reduced mod p, for int64 matrices with entries of absolute
         value below p. Where one int64 product could overflow, a is split
@@ -151,6 +168,16 @@ class QQ:
     def reduce(self, a):
         return a
 
+    def sub_scaled(self, row, f, other):
+        """row -= f * other on sparse rows, in place; zeros are dropped."""
+        get = row.get
+        for c, v in other.items():
+            nv = get(c, 0) - f * v
+            if nv:
+                row[c] = nv
+            else:
+                row.pop(c, None)
+
     def matmul(self, a, b):
         return a @ b
 
@@ -195,38 +222,59 @@ class Mat:
         return not np.any(self.a)
 
 
+def _echelon(field, rows, ncols):
+    """Reduced row echelon form (R dense, one row per pivot; pivot column
+    list) of sparse rows, dicts column -> coefficient none zero in the field.
+
+    Forward elimination takes the rows sparsest first, leads with the
+    smallest column and scales pivot rows to lead with one. Back-substitution
+    takes the pivots in decreasing order and clears a row only at the pivot
+    columns it holds, by rows already reduced, which hold no other."""
+    pivots = {}
+    for row in sorted(rows, key=len):
+        row = dict(row)
+        while row:
+            lead = min(row)
+            piv = pivots.get(lead)
+            if piv is None:
+                x = row[lead]
+                if x != field.one:
+                    inv = field.inv(x)
+                    row = {c: field.mul(v, inv) for c, v in row.items()}
+                pivots[lead] = row
+                break
+            field.sub_scaled(row, row[lead], piv)
+    order = sorted(pivots)
+    for c in reversed(order):
+        row = pivots[c]
+        for k in [k for k in row if k != c and k in pivots]:
+            field.sub_scaled(row, row[k], pivots[k])
+    r = field.zeros(len(order), ncols)
+    ri, ci, vals = [], [], []
+    for i, c in enumerate(order):
+        row = pivots[c]
+        ri += [i] * len(row)
+        ci += row
+        vals += row.values()
+    r[ri, ci] = vals
+    return r, order
+
+
 def rref(field, a):
-    """Reduced row echelon form. Returns (R, pivot column list); R has one
-    row per pivot."""
-    a = field.reduce(np.array(a, copy=True))
-    m, n = a.shape
-    pivots = []
-    r = 0
-    for c in range(n):
-        if r == m:
-            break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-        a[r] = field.reduce(a[r] * field.inv(a[r, c]))
-        rows = np.nonzero(a[:, c])[0]
-        rows = rows[rows != r]
-        if rows.size:
-            a[rows] = field.reduce(a[rows] - np.outer(a[rows, c], a[r]))
-        pivots.append(c)
-        r += 1
-    return a[:r], pivots
+    """Reduced row echelon form of a dense matrix. Returns (R, pivot column
+    list); R has one row per pivot. It is computed on the sparse rows of a
+    (see _echelon)."""
+    a = field.reduce(np.asarray(a))
+    rows = [{} for _ in range(a.shape[0])]
+    ri, ci = np.nonzero(a)
+    for i, c, v in zip(ri.tolist(), ci.tolist(), a[ri, ci].tolist()):
+        rows[i][c] = v
+    return _echelon(field, rows, a.shape[1])
 
 
 def rank(m):
     """Rank over the field, by exact Gaussian elimination."""
-    if m.rows == 0 or m.cols == 0:
-        return 0
-    _, pivots = rref(m.field, m.a)
-    return len(pivots)
+    return _rank_arr(m.field, m.a)
 
 
 def _rank_arr(field, a):
@@ -277,9 +325,13 @@ def homology_dim(d_in, d_out):
     return d_out.cols - rank(d_out) - rank(d_in)
 
 
-def _homology_dim_arr(field, d_in, d_out):
-    n = d_out.shape[1]
-    return n - _rank_arr(field, d_out) - _rank_arr(field, d_in)
+def homology_dims(field, dims, maps):
+    """Homology dimensions of a complex of vector spaces with the given
+    dimensions, maps[k] going from position k to position k + 1 (a last map
+    out of the final position may be given or left out). Each map is ranked
+    once."""
+    ranks = [_rank_arr(field, m) for m in maps] + [0]
+    return [n - ranks[k] - (ranks[k - 1] if k else 0) for k, n in enumerate(dims)]
 
 
 def solve_in_span(field, basis, targets):
@@ -294,8 +346,7 @@ def solve_in_span(field, basis, targets):
     if any(pc >= nb for pc in pivots):
         return None
     x = field.zeros(nb, targets.shape[1])
-    for i, pc in enumerate(pivots):
-        x[pc] = r[i, nb:]
+    x[pivots] = r[:, nb:]
     return x
 
 
@@ -303,8 +354,7 @@ def invert(field, a):
     """Inverse of a square matrix; raises if singular."""
     n = a.shape[0]
     eye = field.zeros(n, n)
-    for i in range(n):
-        eye[i, i] = field.one
+    eye[range(n), range(n)] = field.one
     r, pivots = rref(field, np.concatenate([a, eye], axis=1))
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
@@ -313,8 +363,9 @@ def invert(field, a):
 
 def sparse_rank(field, rows):
     """Rank of a matrix given as sparse rows (dicts column -> coefficient,
-    none zero in the field), by elimination with sparsest-first ordering.
-    Exact over any field; the rational mode runs fraction-free."""
+    none zero in the field; over Q, Fractions or Python ints), by
+    elimination with sparsest-first ordering. Exact over any field; the
+    rational mode runs fraction-free."""
     if isinstance(field, QQ):
         return _sparse_rank_fraction_free(rows)
     p = field.p
@@ -349,16 +400,14 @@ def sparse_rank(field, rows):
 
 
 def _sparse_rank_fraction_free(rows):
-    import math
-
     def to_int_row(row):
-        denom = 1
-        for v in row.values():
-            denom = denom * v.denominator // math.gcd(denom, v.denominator) if isinstance(v, Fraction) else denom
-        out = {}
-        for c, v in row.items():
-            out[c] = v.numerator * (denom // v.denominator) if isinstance(v, Fraction) else int(v) * denom
-        return out
+        # ints and Fractions both carry numerator and denominator
+        nums = [v.numerator for v in row.values()]
+        dens = [v.denominator for v in row.values()]
+        denom = math.lcm(*dens)
+        if denom == 1:
+            return dict(zip(row, nums))
+        return {c: n * (denom // d) for c, n, d in zip(row, nums, dens)}
 
     pivots = {}
     order = sorted(range(len(rows)), key=lambda i: len(rows[i]))
@@ -403,15 +452,15 @@ def _sparse_rank_fraction_free(rows):
 class RowReducer:
     """Echelonized row space with fast membership reduction.
 
-    Used to present cokernels: rows span the relation space, labels outside
-    the pivot set index the quotient basis."""
+    Used to present cokernels: rows (sparse, over ncols columns) span the
+    relation space, labels outside the pivot set index the quotient basis."""
 
-    def __init__(self, field, rows_matrix):
+    def __init__(self, field, rows, ncols):
         self.field = field
-        self.ncols = rows_matrix.shape[1]
-        self.r, self.pivots = rref(field, rows_matrix)
+        self.ncols = ncols
+        self.r, self.pivots = _echelon(field, rows, ncols)
         piv = set(self.pivots)
-        self.free = [j for j in range(self.ncols) if j not in piv]
+        self.free = [j for j in range(ncols) if j not in piv]
         self._free_arr = np.array(self.free, dtype=np.int64)
         self._piv_arr = np.array(self.pivots, dtype=np.int64)
 
@@ -421,9 +470,13 @@ class RowReducer:
 
     def reduce_rows(self, v):
         """Reduce row vectors modulo the row space; returns coordinates in
-        the non-pivot (quotient) basis, shape (k, corank)."""
+        the non-pivot (quotient) basis, shape (k, corank). Only the pivot
+        rows at pivot columns that v touches enter the product."""
         if len(self.pivots) and v.shape[0]:
-            v = self.field.reduce(v - self.field.matmul(v[:, self._piv_arr], self.r))
+            vp = v[:, self._piv_arr]
+            touched = np.flatnonzero(vp.any(axis=0))
+            if touched.size:
+                v = self.field.reduce(v - self.field.matmul(vp[:, touched], self.r[touched]))
         if len(self.free) == 0:
             return self.field.zeros(v.shape[0], 0)
         return v[:, self._free_arr]

@@ -95,6 +95,27 @@ class Presentation:
         entries = {(0, j): p for j, p in enumerate(polys)}
         return cls([deg_zero(stack.r)], rel_degrees, entries)
 
+    def relation_rows(self, field, j, index, multipliers):
+        """Relation j times each multiplier monomial, as sparse rows over the
+        labels (generator, exponent) numbered by index. A product with a
+        label outside index is dropped, and so is one that is zero."""
+        terms = [(i, field.of(c), e) for i in range(len(self.gen_degrees))
+                 for c, e in self.entries.get((i, j), Poly([])).terms]
+        rows = []
+        for m in multipliers:
+            # the labels of one product are distinct: a Poly repeats no exponent
+            row = {}
+            for i, c, e in terms:
+                k = index.get((i, tuple(x + y for x, y in zip(e, m))))
+                if k is None:
+                    row = None
+                    break
+                if c:
+                    row[k] = c
+            if row:
+                rows.append(row)
+        return rows
+
     def is_monomial(self):
         """True when every relation is a single monomial on a single generator
         and there is one generator (monomial-quotient fast paths apply)."""
@@ -158,23 +179,9 @@ class DegreewiseModule:
                 index = {lab: k for k, lab in enumerate(labels)}
                 rows = []
                 for j, rd in enumerate(self.pres.rel_degrees):
-                    for m in monomial_basis(self.stack, deg_sub(inner, rd)):
-                        row = [self.field.zero] * len(labels)
-                        nonzero = False
-                        for i in range(len(self.pres.gen_degrees)):
-                            poly = self.pres.entries.get((i, j))
-                            if poly is None:
-                                continue
-                            for c, e in poly.terms:
-                                lab = (i, tuple(x + y for x, y in zip(e, m)))
-                                row[index[lab]] = self.field.add(row[index[lab]], self.field.of(c))
-                                nonzero = True
-                        if nonzero:
-                            rows.append(row)
-                if rows:
-                    red = RowReducer(self.field, self.field.array(rows))
-                else:
-                    red = None
+                    rows += self.pres.relation_rows(self.field, j, index,
+                                                    monomial_basis(self.stack, deg_sub(inner, rd)))
+                red = RowReducer(self.field, rows, len(labels)) if rows else None
                 val = (labels, red)
         self._pieces[a] = val
         return val

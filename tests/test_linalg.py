@@ -1,8 +1,11 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from torictate.linalg import (GF, QQ, Mat, RowReducer, homology_dim, invert,
-                              kernel_basis, rank, rref, solve_in_span,
+from torictate.linalg import (GF, QQ, Mat, RowReducer, homology_dim, homology_dims,
+                              invert, kernel_basis, rank, rref, solve_in_span,
                               sparse_rank)
 
 
@@ -130,7 +133,7 @@ def test_gf_rejects_non_prime():
 
 def test_row_reducer_quotient(gf):
     # k^3 modulo the span of (1, 1, 0): quotient has dimension 2
-    red = RowReducer(gf, gf.array([[1, 1, 0]]))
+    red = RowReducer(gf, [{0: 1, 1: 1}], 3)
     assert red.corank == 2
     v = gf.array([[0, 1, 0]])
     coords = red.reduce_rows(v)
@@ -248,3 +251,114 @@ def test_matmul_splits_long_inner_dimension(rng):
     a = np.array([[rng.randrange(p) for _ in range(inner)] for _ in range(2)], dtype=np.int64)
     b = np.array([[rng.randrange(p) for _ in range(2)] for _ in range(inner)], dtype=np.int64)
     assert field.matmul(a, b).tolist() == _int_product(p, a, b)
+
+
+def reference_rref(field, a):
+    """The dense column-by-column Gauss-Jordan routine that rref replaced."""
+    a = field.reduce(np.array(a, copy=True))
+    m, n = a.shape
+    pivots = []
+    r = 0
+    for c in range(n):
+        if r == m:
+            break
+        nz = np.nonzero(a[r:, c])[0]
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            a[[r, i]] = a[[i, r]]
+        a[r] = field.reduce(a[r] * field.inv(a[r, c]))
+        rows = np.nonzero(a[:, c])[0]
+        rows = rows[rows != r]
+        if rows.size:
+            a[rows] = field.reduce(a[rows] - np.outer(a[rows, c], a[r]))
+        pivots.append(c)
+        r += 1
+    return a[:r], pivots
+
+
+FIELDS = [GF(), GF(2147483647), QQ()]
+
+
+@st.composite
+def _matrices(draw):
+    """A field and a matrix over it: any shape up to 9 x 12 (0 rows or 0
+    columns included), density 1% to 100%, with zero rows and rows that are
+    multiples or sums of other rows."""
+    field = draw(st.sampled_from(FIELDS))
+    m, n = draw(st.integers(0, 9)), draw(st.integers(0, 12))
+    density = draw(st.floats(0.01, 1.0))
+    rnd = draw(st.randoms(use_true_random=False))
+    if isinstance(field, QQ):
+        entry = lambda: Fraction(rnd.randrange(-9, 10) or 1, rnd.choice([1, 1, 2, 3, 7]))
+    else:
+        entry = lambda: rnd.choice([1, field.p - 1, rnd.randrange(1, field.p)])
+    rows = [[entry() if rnd.random() < density else 0 for _ in range(n)] for _ in range(m)]
+    for i in range(m):
+        kind = rnd.choice(["keep", "keep", "zero", "copy", "combine"])
+        if kind == "zero":
+            rows[i] = [0] * n
+        elif kind == "copy":
+            rows[i] = list(rows[rnd.randrange(m)])
+        elif kind == "combine":
+            f, g = entry(), entry()
+            rows[i] = [field.reduce(f * x + g * y)
+                       for x, y in zip(rows[rnd.randrange(m)], rows[rnd.randrange(m)])]
+    return field, field.array(rows).reshape(m, n)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_matrices())
+def test_rref_matches_dense_reference(case):
+    field, a = case
+    r, pivots = rref(field, a)
+    want_r, want_pivots = reference_rref(field, a)
+    assert pivots == want_pivots
+    assert r.shape == want_r.shape and r.dtype == want_r.dtype
+    assert r.tolist() == want_r.tolist()
+    assert [type(x) for x in r.flat] == [type(x) for x in want_r.flat]
+
+
+def _sparse(a):
+    return [{c: v for c, v in enumerate(row) if v} for row in a.tolist()]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_reduce_rows_matches_unrestricted_product(field, rng):
+    for _ in range(60):
+        m, n, k = rng.randrange(0, 6), rng.randrange(1, 9), rng.randrange(0, 5)
+        a = field.array([[rng.choice([0, 0, 1, -1, rng.randrange(-20, 21)]) for _ in range(n)]
+                         for _ in range(m)]).reshape(m, n)
+        red = RowReducer(field, _sparse(a), n)
+        v = field.array([[rng.choice([0, 1, rng.randrange(-20, 21)]) for _ in range(n)]
+                         for _ in range(k)]).reshape(k, n)
+        if k and rng.random() < 0.5:
+            v[rng.randrange(k), red.pivots] = field.zero  # this row touches no pivot column
+        if rng.random() < 0.2:
+            v[:, red.pivots] = field.zero  # no row does
+        want = v
+        if red.pivots and k:
+            want = field.reduce(v - field.matmul(v[:, red.pivots], red.r))
+        assert red.reduce_rows(v).tolist() == want[:, red.free].tolist()
+
+
+def test_sparse_rank_rational_denominators(qq):
+    # the 6 x 6 Hilbert matrix is invertible over Q
+    hilbert = [{c: Fraction(1, r + c + 1) for c in range(6)} for r in range(6)]
+    assert sparse_rank(qq, hilbert) == 6
+    # rows that combine others with non-unit coefficients add no rank
+    mix = {c: Fraction(2, 3) * hilbert[0][c] - Fraction(5, 7) * hilbert[4][c] for c in range(6)}
+    assert sparse_rank(qq, hilbert[:5] + [mix]) == 5
+    # ints and Fractions mixed in one row; the third row is the first halved
+    rows = [{0: 2, 1: Fraction(1, 3)}, {1: 4, 2: Fraction(-1, 5)}, {0: Fraction(1), 1: Fraction(1, 6)}]
+    assert sparse_rank(qq, rows) == 2
+
+
+def test_homology_dims_ranks_each_map_once(gf):
+    # 0 -> k --(1,0)^t--> k^2 --(0,1)--> k -> 0 is exact; the ends are kept
+    d0, d1 = gf.array([[1], [0]]), gf.array([[0, 1]])
+    assert homology_dims(gf, [1, 2, 1], [d0, d1]) == [0, 0, 0]
+    assert homology_dims(gf, [1, 2, 1], [d0, d1, gf.zeros(0, 1)]) == [0, 0, 0]
+    assert homology_dims(gf, [1, 2, 1], [gf.zeros(2, 1), d1]) == [1, 1, 0]
+    assert homology_dims(gf, [3], []) == [3]
