@@ -245,7 +245,7 @@ def run(command, args, stack, field, modules):
         else:
             res = fm_transform(pres, stack, window, field)
         counts = {}
-        for tw in res.T.gens:
+        for tw in res.gens:
             counts[(tw.aux, tw.cl)] = counts.get((tw.aux, tw.cl), 0) + 1
         entries = sorted(counts.items(), key=lambda kv: (kv[0][0], stack.theta(kv[0][1]), kv[0][1]))
         if fmt == "json":

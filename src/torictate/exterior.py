@@ -95,10 +95,6 @@ class OmegaTwist(NamedTuple):
     aux: int
 
 
-def twist_shift(tw, cl=None, aux=0):
-    return OmegaTwist(tw.cl if cl is None else tuple(x + y for x, y in zip(tw.cl, cl)), tw.aux + aux)
-
-
 def generator_degree(stack, tw):
     """Degree of the module generator of omega_E(cl; aux)."""
     return deg_sub(stack.total_degree, tw.cl), stack.nvars - tw.aux

@@ -311,9 +311,6 @@ class CechComplex:
         the module cell, handled separately."""
         return [c for c in self.cells if c[0] == level + 1]
 
-    def cell_dims(self, a):
-        return {(J): self.localized[inv].dim(a) for (_, J, inv) in self.cells}
-
     def restriction_block(self, a, src_cell, tgt_cell):
         """Matrix of the localization map from cell J to cell J' (J subset
         of J', one more open)."""

@@ -11,6 +11,8 @@ generators tabulate all twisted sheaf cohomology.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from .bgg import R
@@ -27,14 +29,26 @@ from .toric import cone_contains, deg_add, deg_neg, deg_sub, is_irrelevant_subse
 
 
 class TateResult:
-    """A minimal Tate differential module with its cohomology table."""
+    """A minimal Tate differential module. The generators and the cohomology
+    table read off their twists are computed up front; on the Fourier-Mukai
+    path the generators are the column homology of the Cech strands.
+    build() makes the module T, which on that path runs the transfer walk
+    and validates the result; it runs when T is first read, and T is cached
+    from then on."""
 
-    def __init__(self, dm, table, provenance, safe_window, truncation=None):
-        self.T = dm
+    def __init__(self, gens, table, provenance, safe_window, build, truncation=None):
+        self.gens = gens
         self.table = table
         self.provenance = provenance
         self.safe_window = safe_window
         self.truncation = truncation
+        self._build = build
+
+    @cached_property
+    def T(self):
+        dm = self._build()
+        self._build = None
+        return dm
 
     def entry(self, i, a):
         return self.table.get((i, tuple(a)), 0)
@@ -57,7 +71,7 @@ def tate_weighted(pres, stack, window, field, d=None):
         got = table.get((0, (a,)), 0)
         if got != v:
             raise AssertionError("section row mismatch at %d: %d vs %d" % (a, got, v))
-    return TateResult(minimal, table, "weighted", window, truncation=d)
+    return TateResult(minimal.gens, table, "weighted", window, lambda: minimal, truncation=d)
 
 
 # -- deformation retracts of Cech strands -------------------------------------
@@ -215,9 +229,10 @@ def _add_block(entries, field, toff, soff, rows, mono, sign):
 
 def _transfer(data):
     """Homotopy transfer of the horizontal perturbation onto the columnwise
-    Cech homology: returns generators (with their degrees and levels) and
-    the sparse exterior entries of the minimal differential module. Each
-    step continues with -h, as in the perturbation series sum p d (-h d)^k i."""
+    Cech homology: returns the generators (with their degrees and levels)
+    and walk(), which returns the sparse exterior entries of the minimal
+    differential module. Each step continues with -h, as in the
+    perturbation series sum p d (-h d)^k i."""
     stack = data.stack
     field = data.field
     gens = []
@@ -227,14 +242,12 @@ def _transfer(data):
         gen_offset[a] = len(gens)
         for level in ret.hlabels:
             gens.append(OmegaTwist(deg_neg(a), level))
-    entries = {}
     nvars = stack.nvars
-    for a in data.window.points():
-        ret = data.retract[a]
-        if ret.i.shape[1] == 0:
-            continue
 
-        def walk(c, mat, mono, sign):
+    def walk():
+        entries = {}
+
+        def step(a, c, mat, mono, sign):
             for i in range(nvars):
                 bit = 1 << i
                 if mono & bit:
@@ -242,23 +255,28 @@ def _transfer(data):
                 b = deg_add(c, stack.var_degrees[i])
                 if b not in data.dims:
                     continue
-                step = field.matmul(data.delta(c, i), mat)
-                if not np.any(step):
+                moved = field.matmul(data.delta(c, i), mat)
+                if not np.any(moved):
                     continue
                 r = ext_mul(bit, mono)
                 if r is None:
                     continue
                 msign, mmono = r
                 if b in gen_offset:
-                    out = field.matmul(data.retract[b].p, step)
+                    out = field.matmul(data.retract[b].p, moved)
                     _add_block(entries, field, gen_offset[b], gen_offset[a],
                                enumerate(out), mmono, sign * msign)
-                cont = field.reduce(-field.matmul(data.retract[b].h, step))
+                cont = field.reduce(-field.matmul(data.retract[b].h, moved))
                 if np.any(cont):
-                    walk(b, cont, mmono, sign * msign)
+                    step(a, b, cont, mmono, sign * msign)
 
-        walk(a, ret.i, 0, 1)
-    return gens, entries
+        for a in data.window.points():
+            ret = data.retract[a]
+            if ret.i.shape[1]:
+                step(a, a, ret.i, 0, 1)
+        return entries
+
+    return gens, walk
 
 
 # -- monomial strand pipeline -------------------------------------------------
@@ -369,7 +387,9 @@ def _contributing_patterns(types):
 
 
 def _monomial_transfer(pres, stack, window, field, t, types=None):
-    """Transfer pipeline decomposed along Laurent exponent strands."""
+    """Transfer pipeline decomposed along Laurent exponent strands: returns
+    the generators, one per homology vector of a source strand, and walk(),
+    which returns the sparse exterior entries of the transferred differential."""
     rels = pres.monomial_exponents() if pres.entries else []
     if types is None:
         types = _StrandTypes(stack, field, stack.cover, rels)
@@ -441,37 +461,44 @@ def _monomial_transfer(pres, stack, window, field, t, types=None):
                 out[r] = row
         return out
 
-    entries = {}
     thresholds = types.thresholds
     # per exterior monomial: (i, sign, product) for each x_i it can take
     moves = [[(i,) + ext_mul(1 << i, mono) for i in range(stack.nvars) if not mono >> i & 1]
              for mono in range(1 << stack.nvars)]
 
-    def walk(src_off, ecur, cs_cur, mat, mono, sign):
-        for i, msign, mmono in moves[mono]:
-            e2 = ecur[:i] + (ecur[i] + 1,) + ecur[i + 1:]
-            cs2 = types.cellset(e2) if e2[i] in thresholds[i] else cs_cur
-            pt, ht = pair_maps.get((cs_cur, cs2)) or step_maps(cs_cur, cs2)
-            tgt_off = offset_of.get(e2)
-            if tgt_off is not None:
-                _add_block(entries, field, tgt_off, src_off,
-                           sorted(apply(pt, mat).items()), mmono, sign * msign)
-            cont = apply(ht, mat)
-            if cont:
-                walk(src_off, e2, cs2, cont, mmono, sign * msign)
+    def walk():
+        entries = {}
 
-    for e, cs, i_mat in sources:
-        start = {r: row for r, row in enumerate(i_mat.tolist()) if any(row)}
-        walk(offset_of[e], e, cs, start, 0, 1)
-    return gens, entries
+        def step(src_off, ecur, cs_cur, mat, mono, sign):
+            for i, msign, mmono in moves[mono]:
+                e2 = ecur[:i] + (ecur[i] + 1,) + ecur[i + 1:]
+                cs2 = types.cellset(e2) if e2[i] in thresholds[i] else cs_cur
+                pt, ht = pair_maps.get((cs_cur, cs2)) or step_maps(cs_cur, cs2)
+                tgt_off = offset_of.get(e2)
+                if tgt_off is not None:
+                    _add_block(entries, field, tgt_off, src_off,
+                               sorted(apply(pt, mat).items()), mmono, sign * msign)
+                cont = apply(ht, mat)
+                if cont:
+                    step(src_off, e2, cs2, cont, mmono, sign * msign)
+
+        for e, cs, i_mat in sources:
+            start = {r: row for r, row in enumerate(i_mat.tolist()) if any(row)}
+            step(offset_of[e], e, cs, start, 0, 1)
+        return entries
+
+    return gens, walk
 
 
 def fm_transform(pres, stack, window, field, t=None):
     """The Cech Fourier-Mukai construction of the Tate resolution on any
-    projective toric stack: build the bicomplex columns, contract each onto
-    its homology, and transfer the horizontal differential. The exponent
-    bound is doubled adaptively until the table stabilizes. Monomial
-    presentations run on the per-exponent strand decomposition."""
+    projective toric stack: build the bicomplex columns and contract each
+    onto its homology. The generators are that column homology, and the
+    table is read off their twists. The exponent bound is doubled
+    adaptively until the table stabilizes. The transferred horizontal
+    differential is built, and the module validated, only when the result's
+    T is first read. Monomial presentations run on the per-exponent strand
+    decomposition."""
 
     shared_types = None
     if pres.is_monomial():
@@ -484,15 +511,12 @@ def fm_transform(pres, stack, window, field, t=None):
         data = _FMData(stack, field, pres, window, tt)
         return _transfer(data)
 
-    def table_of(gens):
-        return socle_readoff(stack, gens)
-
     if t is not None:
-        gens, entries = build(t)
+        gens, walk = build(t)
     elif shared_types is not None and not pres.entries:
         # a free module's strands are enumerated without an exponent bound,
         # so every t gives the same transfer and one build is exact
-        gens, entries = build(T_START)
+        gens, walk = build(T_START)
     else:
         from .cohomology import exponent_floor
 
@@ -500,22 +524,24 @@ def fm_transform(pres, stack, window, field, t=None):
         tt = min(start, T_CAP)
         prev = None
         while tt <= T_CAP:
-            gens, entries = build(tt)
-            cur = table_of(gens)
+            gens, walk = build(tt)
+            cur = socle_readoff(stack, gens)
             if prev is not None and cur == prev:
                 break
             prev = cur
             tt *= 2
         else:
-            if prev is None or table_of(build(T_CAP)[0]) != prev:
+            if prev is None or socle_readoff(stack, build(T_CAP)[0]) != prev:
                 raise StabilizationError("Fourier-Mukai table did not stabilize up to t = %d" % T_CAP)
     # labels contribute to columns below them, so completeness needs the
     # downward subset-sum reach inside the recorded window
     sums = set(stack.subset_sums())
     safe = {a for a in window.points() if all(deg_sub(a, s) in window for s in sums)}
-    dm = FreeDiffModule(stack, field, gens, entries, safe=safe, validate=True)
-    table = socle_readoff(stack, dm.gens)
-    return TateResult(dm, table, "fm", window)
+
+    def build_T():
+        return FreeDiffModule(stack, field, gens, walk(), safe=safe, validate=True)
+
+    return TateResult(gens, socle_readoff(stack, gens), "fm", window, build_T)
 
 
 def cech_totalization_dm(pres, stack, window, field, t):

@@ -1,15 +1,18 @@
 import itertools
+import os
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from torictate import tate
+from torictate.cli import main
 from torictate.cohomology import oracle_table
-from torictate.diffmod import (check_minimal, check_square_zero,
+from torictate.diffmod import (FreeDiffModule, check_minimal, check_square_zero,
                                homology_column, minimize)
 from torictate.errors import PreconditionError
 from torictate.exterior import OmegaTwist, socle_readoff
+from torictate.linalg import GF, QQ
 from torictate.smodule import (Poly, Presentation, monomial_basis, realize)
 from torictate.tate import (beilinson_U, cech_totalization_dm,
                             check_exactness_property, check_R_embedding,
@@ -220,10 +223,14 @@ def test_fm_monomial_quotient_matches_weighted(p112, gf):
             assert fm.entry(i, (a,)) == tw.entry(i, (a,))
 
 
+def genus_one(stack):
+    # the genus-one hypersurface module on P(1,1,2), a non-monomial relation
+    return Presentation.quotient(stack, [Poly([(1, (4, 0, 0)), (1, (0, 4, 0)), (1, (0, 0, 2))])])
+
+
 def test_fm_nonmonomial_dense(p112, gf):
     # the genus-one hypersurface module through the dense Cech pipeline
-    f = Poly([(1, (4, 0, 0)), (1, (0, 4, 0)), (1, (0, 0, 2))])
-    pres = Presentation.quotient(p112, [f])
+    pres = genus_one(p112)
     res = fm_transform(pres, p112, Window((-3,), (3,)), gf, t=8)
     tw = tate_weighted(pres, p112, Window((-6,), (6,)), gf)
     for a in range(-3, 4):
@@ -261,23 +268,47 @@ def assert_retract_identities(field, ret):
     def zero(m):
         return not np.any(field.reduce(m))
 
+    def mul(a, b):
+        if a.dtype != object:
+            return field.matmul(a, b)
+        # QQ: the retract matrices are sparse, and a dense product of
+        # Fractions spends nearly all its time on zeros
+        out = field.zeros(a.shape[0], b.shape[1])
+        for r, k in zip(*np.nonzero(a)):
+            for j in np.flatnonzero(b[k]):
+                out[r, j] += a[r, k] * b[k, j]
+        return out
+
     i, p, h = ret.i, ret.p, ret.h
-    assert zero(u @ h + h @ u - np.eye(total, dtype=np.int64) + i @ p)
-    assert zero(p @ i - np.eye(p.shape[0], dtype=np.int64))
-    assert zero(p @ h) and zero(h @ i) and zero(h @ h)
+    assert zero(mul(u, h) + mul(h, u) - np.eye(total, dtype=np.int64) + mul(i, p))
+    assert zero(mul(p, i) - np.eye(p.shape[0], dtype=np.int64))
+    assert zero(mul(p, h)) and zero(mul(h, i)) and zero(mul(h, h))
 
 
 def test_strand_retract_identities(hirz3, p1p1, gf, monkeypatch):
     # the transfer walk precomposes p and h with the cell transport, which
-    # relies on these identities for every cached pattern retract
+    # relies on these identities for every cached pattern retract; reading T
+    # runs the walk, which builds the retracts of the patterns it reaches
     made = recorded_strand_types(monkeypatch)
-    fm_transform(hirz3_H(hirz3), hirz3, Window((-2, -1), (2, 1)), gf, t=4)
-    fm_transform(Presentation.free([(0, 0)]), p1p1, Window((-3, -3), (3, 3)), gf)
-    assert len(made) == 2
+    fm_transform(hirz3_H(hirz3), hirz3, Window((-2, -1), (2, 1)), gf, t=4).T
+    fm_transform(Presentation.free([(0, 0)]), p1p1, Window((-3, -3), (3, 3)), gf).T
+    assert [len(types._retracts) for types in made] == [12, 16]
     for types in made:
-        assert types._retracts
         for ret, _, _ in types._retracts.values():
             assert_retract_identities(gf, ret)
+
+
+@pytest.mark.parametrize("field", [GF(), GF(2**31 - 1), QQ()], ids=["gf32003", "gf2^31-1", "qq"])
+def test_dense_retract_identities(field, p112, hirz3):
+    # the dense transfer walk relies on the same identities for the retract
+    # of every degree it reaches
+    for pres, stack, window, t in ((genus_one(p112), p112, Window((-2,), (2,)), 2),
+                                   (hirz3_H(hirz3), hirz3, Window((-1, -1), (1, 1)), 2)):
+        data = tate._FMData(stack, field, pres, window, t)
+        rets = list(data.retract.values())
+        assert any(ret.i.shape[1] for ret in rets) and any(np.any(ret.h) for ret in rets)
+        for ret in rets:
+            assert_retract_identities(field, ret)
 
 
 def test_strand_cellset_clamp_and_thresholds(hirz3, gf):
@@ -306,8 +337,9 @@ def test_free_module_transfer_is_independent_of_t(hirz3, p1p1, gf, monkeypatch):
     # fm_transform builds its transfer once instead of comparing t = 2, 4
     for stack, window in ((p1p1, Window((-3, -3), (3, 3))), (hirz3, Window((-4, -3), (4, 3)))):
         pres = Presentation.free([(0, 0)])
-        assert tate._monomial_transfer(pres, stack, window, gf, 2) == \
-            tate._monomial_transfer(pres, stack, window, gf, 8)
+        gens2, walk2 = tate._monomial_transfer(pres, stack, window, gf, 2)
+        gens8, walk8 = tate._monomial_transfer(pres, stack, window, gf, 8)
+        assert gens2 == gens8 and walk2() == walk8()
     calls = []
     inner = tate._monomial_transfer
 
@@ -330,3 +362,42 @@ def test_fm_dense_path_matches_strand_path_with_relation(hirz3, gf):
     assert strand_gens
     assert Counter(strand_gens) == Counter(dense_gens)
     assert socle_readoff(hirz3, strand_gens) == socle_readoff(hirz3, dense_gens)
+
+
+def test_cohomology_command_skips_the_transfer_walk(monkeypatch, capsys):
+    # the table is read off the generators: the command builds them once and
+    # never walks the transfer or builds the differential module
+    calls = []
+    transfer = tate._monomial_transfer
+    init = FreeDiffModule.__init__
+
+    def counted_transfer(*args, **kwargs):
+        calls.append("transfer")
+        return transfer(*args, **kwargs)
+
+    def counted_init(self, *args, **kwargs):
+        calls.append("module")
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(tate, "_monomial_transfer", counted_transfer)
+    monkeypatch.setattr(FreeDiffModule, "__init__", counted_init)
+    monkeypatch.setattr(tate, "_add_block", lambda *args: calls.append("block"))
+    path = os.path.join(os.path.dirname(__file__), "..", "fixtures", "p1p1.tate")
+    assert main(["cohomology", path]) == 0
+    assert capsys.readouterr().out.startswith("0 0,0 1\n")
+    assert calls == ["transfer"]
+
+
+@pytest.mark.parametrize("field", [GF(), QQ()], ids=["gf", "qq"])
+def test_fm_result_builds_T_once_from_its_gens(field, hirz3, p1p1, p112):
+    # T is built on first read and cached; its generators are the ones the
+    # table was read off
+    cases = [(Presentation.free([(0, 0)]), hirz3, Window((-5, -4), (5, 4)), None),
+             (Presentation.free([(0, 0)]), p1p1, Window((-3, -3), (3, 3)), None),
+             (hirz3_H(hirz3), hirz3, Window((-2, -1), (2, 1)), 4),
+             (genus_one(p112), p112, Window((-2,), (2,)), 1)]
+    for pres, stack, window, t in cases:
+        res = fm_transform(pres, stack, window, field, t=t)
+        assert res.T is res.T
+        assert res.gens == res.T.gens
+        assert res.table == socle_readoff(stack, res.T.gens)
