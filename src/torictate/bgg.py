@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .diffmod import FreeDiffModule, _homology_column_unchecked
+from .diffmod import FreeDiffModule, _add_block, _homology_column_unchecked
 from .exterior import OmegaTwist, ext_mul
 from .linalg import Mat, _rank_arr
 from .smodule import GradedComplex, monomial_basis
@@ -66,15 +66,8 @@ def R(module, mask=None):
             b = deg_add(a, stack.var_degrees[i])
             if b not in index:
                 continue
-            m = module.mult_matrix(i, a).a
-            for r in range(m.shape[0]):
-                for c in range(m.shape[1]):
-                    v = m[r, c]
-                    if v == field.zero:
-                        continue
-                    key = (index[b] + r, index[a] + c)
-                    elem = entries.setdefault(key, {})
-                    elem[1 << i] = field.add(elem.get(1 << i, field.zero), v)
+            _add_block(entries, field, index[b], index[a],
+                       enumerate(module.mult_matrix(i, a).a), 1 << i, 1)
     return FreeDiffModule(stack, field, gens, entries, safe=_r_safe_set(module))
 
 
@@ -110,7 +103,7 @@ def R_complex(cx):
     entries = {}
     for j in sorted(cx.terms):
         mod = cx.terms[j]
-        sign_neg = (j % 2) == 1
+        sign = -1 if j % 2 else 1
         for a in mod.window.points():
             if mod.dim(a) == 0:
                 continue
@@ -119,29 +112,12 @@ def R_complex(cx):
                 b = deg_add(a, stack.var_degrees[i])
                 if (j, b) not in index:
                     continue
-                m = mod.mult_matrix(i, a).a
-                for r in range(m.shape[0]):
-                    for c in range(m.shape[1]):
-                        v = m[r, c]
-                        if v == field.zero:
-                            continue
-                        if sign_neg:
-                            v = field.neg(v)
-                        key = (index[(j, b)] + r, base + c)
-                        elem = entries.setdefault(key, {})
-                        elem[1 << i] = field.add(elem.get(1 << i, field.zero), v)
-            if (j - 1, a) in index and j in cx.maps:
-                m = cx.maps[j].get(a)
-                if m is not None:
-                    mm = m.a if isinstance(m, Mat) else m
-                    for r in range(mm.shape[0]):
-                        for c in range(mm.shape[1]):
-                            v = mm[r, c]
-                            if v == field.zero:
-                                continue
-                            key = (index[(j - 1, a)] + r, base + c)
-                            elem = entries.setdefault(key, {})
-                            elem[0] = field.add(elem.get(0, field.zero), v)
+                _add_block(entries, field, index[(j, b)], base,
+                           enumerate(mod.mult_matrix(i, a).a), 1 << i, sign)
+            m = cx.maps.get(j, {}).get(a)
+            if m is not None and (j - 1, a) in index:
+                _add_block(entries, field, index[(j - 1, a)], base,
+                           enumerate(m.a if isinstance(m, Mat) else m), 0, 1)
     safe = None
     for j, mod in cx.terms.items():
         s = _r_safe_set(mod)

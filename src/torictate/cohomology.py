@@ -2,10 +2,14 @@
 the fast exterior-resolution cohomology table, 0-regularity, and the
 Betti-degree bound verifiers.
 
-The oracle works from localization strands of the presentation; the fast
-path works from minimal free resolutions of differential modules; they
-share nothing past basic linear algebra, so their agreement is meaningful
-evidence of correctness.
+The oracle works from localization strands of the presentation. Its
+monomial path runs on the Cech cell-pattern engine (laurent.MonomialStrands)
+that the Fourier-Mukai monomial path runs on too. Its dense path builds its
+own localized pieces, restriction maps and ranks, and shares only the Cech
+signs (laurent.cech_cells) with that engine; the fast path works from
+minimal free resolutions of differential modules. Neither shares anything
+else with the engine past basic linear algebra, so their agreement with it
+is meaningful evidence of correctness.
 """
 
 from __future__ import annotations

@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .exterior import (OmegaTwist, elem_add, elem_mask_filter, elem_mul,
-                       elem_scale, entry_degree, ext_mul, popcount)
+from .exterior import (OmegaTwist, column_basis, column_slices, elem_add, elem_mask_filter,
+                       elem_mul, elem_scale, entry_degree, ext_mul, popcount)
 from .linalg import homology_dims
-from .toric import deg_neg, deg_sub
+from .toric import deg_neg
 
 
 class FreeDiffModule:
@@ -58,29 +58,13 @@ class FreeDiffModule:
     def column_basis(self, a):
         """Ordered basis [(gen, monomial)] of the degree-a slice."""
         a = tuple(a)
-        if a in self._columns:
-            return self._columns[a]
-        table = self.stack.subsets_by_sum()
-        monos = {}  # Cl part of a twist -> the monomials of its column
-        out = []
-        for t, tw in enumerate(self.gens):
-            ms = monos.get(tw.cl)
-            if ms is None:
-                need = deg_sub(deg_sub(self.stack.total_degree, tw.cl), a)
-                ms = monos[tw.cl] = [m for m in table.get(need, ()) if not m & ~self.varmask]
-            out += [(t, m) for m in ms]
-        self._columns[a] = out
-        return out
+        if a not in self._columns:
+            self._columns[a] = column_basis(self.stack, self.gens, a, self.varmask)
+        return self._columns[a]
 
     def column_slices(self, a):
         """The column split by auxiliary degree: dict aux -> element list."""
-        basis = self.column_basis(a)
-        n1 = self.stack.nvars
-        out = {}
-        for t, m in basis:
-            aux = n1 - self.gens[t].aux - popcount(m)
-            out.setdefault(aux, []).append((t, m))
-        return out
+        return column_slices(self.stack, self.gens, self.column_basis(a))
 
     def column_block(self, a, slice_src, slice_tgt):
         """Differential matrix from the span of slice_src to slice_tgt
@@ -138,6 +122,24 @@ def column_matrix(field, entries, out, src, tgt):
                 cc = c if sign > 0 else field.neg(c)
                 mat[k, col] = field.add(mat[k, col], cc)
     return mat
+
+
+def _add_block(entries, field, toff, soff, rows, mono, sign):
+    """Add sign * block to the e_mono coefficients of the differential at
+    rows toff.., columns soff.., dropping coefficients that cancel; rows
+    yields (row index, row values)."""
+    for rr, row in rows:
+        for cc, v in enumerate(row):
+            if v == field.zero:
+                continue
+            if sign < 0:
+                v = field.neg(v)
+            elem = entries.setdefault((toff + rr, soff + cc), {})
+            nv = field.add(elem.get(mono, field.zero), v)
+            if nv == field.zero:
+                elem.pop(mono, None)
+            else:
+                elem[mono] = nv
 
 
 def check_square_zero(module, degrees=None):

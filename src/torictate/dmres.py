@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .diffmod import DMMorphism, FreeDiffModule, _slice_homology, column_matrix, cone
-from .exterior import OmegaTwist, popcount
+from .exterior import OmegaTwist, column_basis, column_slices
 from .linalg import _kernel_arr, independent_columns
 from .toric import deg_sub
 
@@ -65,15 +65,8 @@ class ResolutionState:
     # -- column machinery for F ----------------------------------------------
 
     def f_column_slices(self, a):
-        a = tuple(a)
-        table = self.stack.subsets_by_sum()
-        out = {}
-        for t, tw in enumerate(self.gens):
-            need = deg_sub(deg_sub(self.stack.total_degree, tw.cl), a)
-            for m in table.get(need, []):
-                aux = self.stack.nvars - tw.aux - popcount(m)
-                out.setdefault(aux, []).append((t, m))
-        return out
+        # uncached: F's generators grow while the resolution runs
+        return column_slices(self.stack, self.gens, column_basis(self.stack, self.gens, tuple(a)))
 
     def eps_vector(self, t, mono):
         """eps(basis element (t, e_mono)) as a label -> coeff dict in the

@@ -130,17 +130,33 @@ class FreeEModule:
     def column_basis(self, a, varmask=None):
         """The finite k-basis of the Cl-degree-a slice, as (generator index,
         monomial bitmask) pairs in deterministic order."""
-        a = tuple(a)
-        mask_all = (1 << self.stack.nvars) - 1 if varmask is None else varmask
-        table = self.stack.subsets_by_sum()
-        out = []
-        for t, tw in enumerate(self.gens):
-            need = deg_sub(deg_sub(self.stack.total_degree, tw.cl), a)
-            for m in table.get(need, []):
-                if m & ~mask_all:
-                    continue
-                out.append((t, m))
-        return out
+        return column_basis(self.stack, self.gens, tuple(a), varmask)
+
+
+def column_basis(stack, gens, a, varmask=None):
+    """The k-basis of the Cl-degree-a slice of the free module on the twists
+    gens, as (generator index, monomial bitmask) pairs: generators in order,
+    each with the monomials (inside varmask) of its column, looked up once
+    per distinct twist."""
+    table = stack.subsets_by_sum()
+    monos = {}  # Cl part of a twist -> the monomials of its column
+    out = []
+    for t, tw in enumerate(gens):
+        ms = monos.get(tw.cl)
+        if ms is None:
+            need = deg_sub(deg_sub(stack.total_degree, tw.cl), a)
+            ms = monos[tw.cl] = [m for m in table.get(need, ())
+                                 if varmask is None or not m & ~varmask]
+        out += [(t, m) for m in ms]
+    return out
+
+
+def column_slices(stack, gens, basis):
+    """A column basis split by auxiliary degree: dict aux -> basis list."""
+    out = {}
+    for t, m in basis:
+        out.setdefault(stack.nvars - gens[t].aux - popcount(m), []).append((t, m))
+    return out
 
 
 def socle_readoff(stack, generators):

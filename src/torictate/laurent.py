@@ -14,7 +14,8 @@ import itertools
 
 import numpy as np
 
-from .linalg import RowReducer, homology_dims
+from .linalg import (RowReducer, _kernel_arr, homology_dims, independent_columns, invert,
+                     rref)
 from .toric import deg_add, deg_sub, deg_zero, points
 
 
@@ -54,7 +55,7 @@ class LocalizedModule:
         self.shift = tuple(shift) if shift is not None else deg_zero(stack.r)
         self.monomial = pres.is_monomial()
         if self.monomial:
-            self._rel_exponents = [p.terms[0][1] for (_, _), p in sorted(pres.entries.items())]
+            self._rel_exponents = pres.monomial_exponents()
         self._cache = {}
 
     def _kills(self, e):
@@ -100,9 +101,7 @@ class LocalizedModule:
 
     def basis_labels(self, a):
         labels, red = self.piece(a)
-        if red is None:
-            return list(labels)
-        return [labels[j] for j in red.free]
+        return list(labels) if red is None else [labels[j] for j in red.free]
 
     def express(self, a, vectors):
         """Coordinates of label->coeff dicts in the basis at degree a; None
@@ -121,22 +120,116 @@ class LocalizedModule:
                     ok[r] = False
                     break
                 amb[r, k] = self.field.add(amb[r, k], c)
-        if self.monomial or red is None:
-            if self.monomial:
-                keep = [index[lab] for lab in self.basis_labels(a)] if labels else []
-                coords = amb[:, keep] if labels else self.field.zeros(n, 0)
-            else:
-                coords = amb
-        else:
-            coords = red.reduce_rows(amb)
-        return coords, ok
+        return (amb if red is None else red.reduce_rows(amb)), ok
+
+
+def cech_cells(cover):
+    """The Cech cells of a cover and their signed cofaces. A cell is
+    (level, J, union): J is a nonempty subset of the cover of size
+    level + 1, inverting the union of its supports; cells run level by
+    level, lexicographically within a level. cofaces[ci] lists, for each
+    j not in J in increasing order, the index of the cell J + {j} and the
+    sign (-1)^(position of j in J + {j}) of the Cech differential."""
+    cover = [frozenset(c) for c in cover]
+    cells = []
+    for size in range(1, len(cover) + 1):
+        for J in itertools.combinations(range(len(cover)), size):
+            cells.append((size - 1, J, frozenset().union(*[cover[j] for j in J])))
+    index = {J: ci for ci, (_, J, _) in enumerate(cells)}
+    cofaces = []
+    for _, J, _ in cells:
+        out = []
+        for extra in range(len(cover)):
+            if extra in J:
+                continue
+            J2 = tuple(sorted(J + (extra,)))
+            out.append((index[J2], -1 if J2.index(extra) % 2 else 1))
+        cofaces.append(out)
+    return cells, cofaces
+
+
+class _Retract:
+    """Per-degree contraction data: a complex (levels 0..L with maps up),
+    its homology embedded and projected, and the side homotopy, satisfying
+    u h + h u = 1 - i p with p i = 1, h i = 0, p h = 0, h h = 0."""
+
+    def __init__(self, field, dims, maps, offsets, i, p, h, hlabels):
+        self.field = field
+        self.dims = dims
+        self.maps = maps
+        self.offsets = offsets
+        self.i = i
+        self.p = p
+        self.h = h
+        self.hlabels = hlabels  # per homology basis vector: its Cech level
+
+
+def _build_retract(field, dims, maps):
+    """dims: per-level dimensions; maps[l]: matrix level l -> level l+1."""
+    levels = len(dims)
+    total = sum(dims)
+    offsets = [0]
+    for dblock in dims:
+        offsets.append(offsets[-1] + dblock)
+    # per level: pivot (input) columns of u_l, kernel basis, image basis
+    pivots = []
+    kernels = []
+    for l in range(levels):
+        u = maps[l] if l < levels - 1 else field.zeros(0, dims[l])
+        if dims[l] == 0:
+            pivots.append([])
+            kernels.append(field.zeros(0, 0))
+            continue
+        _, piv = rref(field, u)
+        pivots.append(piv)
+        kernels.append(_kernel_arr(field, u))
+    i_cols = []
+    hlabels = []
+    p_rows = []
+    h = field.zeros(total, total)
+    for l in range(levels):
+        n = dims[l]
+        if n == 0:
+            continue
+        u_prev = maps[l - 1] if l >= 1 else field.zeros(n, 0)
+        b_basis = u_prev[:, pivots[l - 1]] if l >= 1 and pivots[l - 1] else field.zeros(n, 0)
+        ker = kernels[l]
+        # homology representatives: kernel columns extending the image
+        reps = ker[:, independent_columns(field, b_basis, ker)]
+        a_cols = pivots[l]
+        nb = b_basis.shape[1]
+        nh = reps.shape[1]
+        na = len(a_cols)
+        if nb + nh + na != n:
+            raise AssertionError("level decomposition does not span")
+        s = field.zeros(n, n)
+        s[:, :nb] = b_basis
+        s[:, nb:nb + nh] = reps
+        s[a_cols, range(nb + nh, n)] = field.one
+        sinv = invert(field, s)
+        off = offsets[l]
+        col = field.zeros(total, nh)
+        col[off:off + n] = reps
+        i_cols.append(col)
+        hlabels.extend([l] * nh)
+        row = field.zeros(nh, total)
+        row[:, off:off + n] = sinv[nb:nb + nh]
+        p_rows.append(row)
+        # h on level l: kill the B-part back to A-coordinates of level l-1
+        if nb:
+            prev_off = offsets[l - 1]
+            h[[prev_off + c for c in pivots[l - 1]], off:off + n] = sinv[:nb]
+    i_mat = np.concatenate(i_cols, axis=1) if i_cols else field.zeros(total, 0)
+    p_mat = np.concatenate(p_rows, axis=0) if p_rows else field.zeros(0, total)
+    return _Retract(field, dims, maps, offsets, i_mat, p_mat, h, hlabels)
 
 
 class MonomialStrands:
-    """Per-exponent decomposition of the Cech strands of a monomial
-    presentation: each Laurent exponent spans a tiny subcomplex determined
-    by the set of cells where it survives, so homology is a sum of cached
-    pattern homologies. Exact and fast; the dense CechComplex is the
+    """The Cech cell-pattern engine of a monomial presentation. The strand
+    of a Laurent exponent e is the tiny complex spanned by the cells where e
+    survives (its cellset), so it depends only on that pattern: the oracle
+    sums cached pattern homologies, and the Fourier-Mukai transfer walks
+    cached pattern retracts. Exact and fast; the dense CechComplex is the
     independent general path."""
 
     def __init__(self, stack, field, pres, cover, shift=None):
@@ -148,91 +241,95 @@ class MonomialStrands:
         self.shift = tuple(shift) if shift is not None else deg_zero(stack.r)
         self.cover = [frozenset(c) for c in cover]
         self.gshift = pres.gen_degrees[0]
-        self.rels = [p.terms[0][1] for (_, _), p in sorted(pres.entries.items())]
-        self.cells = []
-        for size in range(1, len(self.cover) + 1):
-            for J in itertools.combinations(range(len(self.cover)), size):
-                union = frozenset().union(*[self.cover[j] for j in J])
-                self.cells.append((size - 1, J, union))
+        self.rels = pres.monomial_exponents()
+        self.cells, self.cofaces = cech_cells(self.cover)
         self.nlevels = len(self.cover)
-        self._hom_cache = {}
+        # cellset(e) reads e[i] only through e[i] < 0 and g[i] <= e[i] for
+        # relation exponents g >= 0: raising e[i] by one changes it only when
+        # e[i] reaches a threshold, and e[i] clamped to [-1, max] keys it
+        self.thresholds = [frozenset({0}.union(g[i] for g in self.rels))
+                           for i in range(stack.nvars)]
+        self._caps = [max(th) for th in self.thresholds]
+        self._cellsets = {}
+        self._homology = {}
+        self._retracts = {}
+        self._contributing = {}
 
     def cellset(self, e):
+        """The cells where the Laurent exponent tuple e survives."""
+        e = tuple(-1 if x < 0 else min(x, c) for x, c in zip(e, self._caps))
+        cached = self._cellsets.get(e)
+        if cached is not None:
+            return cached
         neg = frozenset(i for i, x in enumerate(e) if x < 0)
-        alive = []
-        for ci, (_, _, union) in enumerate(self.cells):
-            if not neg <= union:
-                continue
-            if any(all(g[i] <= e[i] for i in range(len(e)) if i not in union) for g in self.rels):
-                continue
-            alive.append(ci)
-        return frozenset(alive)
+        out = self._cellsets[e] = frozenset(
+            ci for ci, (_, _, union) in enumerate(self.cells)
+            if neg <= union and not any(all(g[i] <= e[i] for i in range(len(e)) if i not in union)
+                                        for g in self.rels))
+        return out
 
     def module_alive(self, e):
         if any(x < 0 for x in e):
             return False
         return not any(all(g[i] <= e[i] for i in range(len(e))) for g in self.rels)
 
-    def _pattern_homology(self, key):
-        if key in self._hom_cache:
-            return self._hom_cache[key]
-        module_alive, cellset = key
+    def _pattern_complex(self, alive, cellset):
+        """The strand of a pattern: per-position dims and maps, where
+        position 0 is the module cell (of dim 1 when alive), mapping to
+        every level-0 cell, and position l + 1 is Cech level l; plus the
+        pattern's cells in strand order, which is the order of self.cells."""
         field = self.field
-        per_level = {}
-        for ci in sorted(cellset):
-            lvl, J, _ = self.cells[ci]
-            per_level.setdefault(lvl, []).append(J)
-        dims = [1 if module_alive else 0]
-        index = []
-        for lvl in range(self.nlevels):
-            js = sorted(per_level.get(lvl, []))
-            index.append({J: k for k, J in enumerate(js)})
-            dims.append(len(js))
-        mats = []
-        m0 = field.zeros(dims[1], dims[0])
-        if module_alive:
-            for J, k in index[0].items():
-                m0[k, 0] = field.one
-        mats.append(m0)
-        for lvl in range(self.nlevels - 1):
-            mat = field.zeros(dims[lvl + 2], dims[lvl + 1])
-            for J, col in index[lvl].items():
-                for extra in range(self.nlevels):
-                    if extra in J:
-                        continue
-                    J2 = tuple(sorted(J + (extra,)))
-                    k = index[lvl + 1].get(J2)
-                    if k is None:
-                        continue
-                    pos = J2.index(extra)
-                    mat[k, col] = field.neg(field.one) if pos % 2 else field.one
-            mats.append(mat)
-        hom = homology_dims(field, dims, mats)
-        self._hom_cache[key] = hom
+        order = sorted(cellset)
+        pos = {}
+        dims = [1 if alive else 0] + [0] * self.nlevels
+        for ci in order:
+            lvl = self.cells[ci][0]
+            pos[ci] = dims[lvl + 1]
+            dims[lvl + 1] += 1
+        mats = [field.zeros(dims[k + 1], dims[k]) for k in range(self.nlevels)]
+        for ci in order:
+            lvl = self.cells[ci][0]
+            if lvl == 0 and alive:
+                mats[0][pos[ci], 0] = field.one
+            for cj, sign in self.cofaces[ci]:
+                k = pos.get(cj)
+                if k is not None:
+                    mats[lvl + 1][k, pos[ci]] = field.neg(field.one) if sign < 0 else field.one
+        return dims, mats, order
+
+    def homology(self, alive, cellset):
+        """Homology dims of a pattern's strand by position (0 = the module
+        cell, alive or not)."""
+        key = (alive, cellset)
+        hom = self._homology.get(key)
+        if hom is None:
+            dims, mats, _ = self._pattern_complex(alive, cellset)
+            hom = self._homology[key] = homology_dims(self.field, dims, mats)
         return hom
 
-    def _free_contributing(self, extended, kept):
-        """For a free module, the sign patterns whose strand has homology
-        (with the module cell alive exactly when the pattern is nonnegative
-        and the piece is kept)."""
-        key = (extended, kept)
-        cache = getattr(self, "_contrib_cache", None)
-        if cache is None:
-            cache = self._contrib_cache = {}
-        if key in cache:
-            return cache[key]
-        out = []
-        for mask in range(1 << self.stack.nvars):
-            nu = frozenset(i for i in range(self.stack.nvars) if mask & (1 << i))
-            probe = tuple(-1 if i in nu else 0 for i in range(self.stack.nvars))
-            cs = self.cellset(probe)
-            alive = extended and kept and not nu
-            if not cs and not alive:
-                continue
-            hom = self._pattern_homology((alive if extended else False, cs))
-            if any(hom):
-                out.append(nu)
-        cache[key] = out
+    def retract(self, cellset):
+        """(retract, cells in strand order) of a pattern's Cech strand
+        without the module cell."""
+        val = self._retracts.get(cellset)
+        if val is None:
+            dims, mats, order = self._pattern_complex(False, cellset)
+            val = self._retracts[cellset] = (_build_retract(self.field, dims[1:], mats[1:]), order)
+        return val
+
+    def contributing(self, live):
+        """For a free module the pattern of an exponent depends only on its
+        negative support nu, and the module cell is alive when live and nu
+        is empty: (nu, alive, cellset) of each support whose strand has
+        homology."""
+        out = self._contributing.get(live)
+        if out is None:
+            out = self._contributing[live] = []
+            for mask in range(1 << self.stack.nvars):
+                nu = frozenset(i for i in range(self.stack.nvars) if mask & (1 << i))
+                cs = self.cellset(tuple(-1 if i in nu else 0 for i in range(self.stack.nvars)))
+                alive = live and not nu
+                if (cs or alive) and any(self.homology(alive, cs)):
+                    out.append((nu, alive, cs))
         return out
 
     def strand_homology(self, a, extended, t, keep=None):
@@ -240,24 +337,20 @@ class MonomialStrands:
         (position 0 = H^0_B), otherwise position 0 is the sheaf H^0 slot."""
         inner = deg_add(tuple(a), self.shift)
         kept = keep is None or keep(tuple(a))
+        live = extended and kept
         out = [0] * (self.nlevels + (1 if extended else 0))
+
+        def add(alive, cs, n):
+            hom = self.homology(alive, cs)
+            for i, h in enumerate(hom if extended else hom[1:]):
+                out[i] += h * n
+
         if not self.rels:
             # free module: exact per-pattern polytope enumeration
-            for nu in self._free_contributing(extended, kept):
+            for nu, alive, cs in self.contributing(live):
                 n = len(signed_exponents(self.stack, deg_sub(inner, self.gshift), nu))
-                if not n:
-                    continue
-                alive = extended and kept and not nu
-                probe = tuple(-1 if i in nu else 0 for i in range(self.stack.nvars))
-                hom = self._pattern_homology((alive if extended else False, self.cellset(probe)))
-                if extended:
-                    for i, h in enumerate(hom):
-                        if h:
-                            out[i] += h * n
-                else:
-                    for i, h in enumerate(hom[1:]):
-                        if h:
-                            out[i] += h * n
+                if n:
+                    add(alive, cs, n)
             return out
         all_vars = frozenset(range(self.stack.nvars))
         theta = self.stack.theta
@@ -266,18 +359,9 @@ class MonomialStrands:
         for e in _laurent_exponents(self.stack, deg_sub(inner, self.gshift), all_vars, t,
                                     floors=floors):
             cs = self.cellset(e)
-            alive = extended and kept and self.module_alive(e)
-            if not cs and not alive:
-                continue
-            hom = self._pattern_homology((alive if extended else False, cs))
-            if extended:
-                for i, h in enumerate(hom):
-                    if h:
-                        out[i] += h
-            else:
-                for i, h in enumerate(hom[1:]):
-                    if h:
-                        out[i] += h
+            alive = live and self.module_alive(e)
+            if cs or alive:
+                add(alive, cs, 1)
         return out
 
 
@@ -293,23 +377,18 @@ class CechComplex:
         self.cover = [frozenset(c) for c in cover]
         self.t = t
         self.module_piece = module_piece
+        self.cells, self.cofaces = cech_cells(self.cover)
         self.localized = {}
-        self.cells = []
-        for size in range(1, len(self.cover) + 1):
-            for J in itertools.combinations(range(len(self.cover)), size):
-                inv = frozenset().union(*[self.cover[j] for j in J])
-                if inv not in self.localized:
-                    self.localized[inv] = LocalizedModule(stack, field, pres, inv, t,
-                                                          shift=shift, floors_fn=floors_fn)
-                self.cells.append((size, J, inv))
-
-    def levels(self):
-        return range(0, len(self.cover) + 1)
+        for _, _, inv in self.cells:
+            if inv not in self.localized:
+                self.localized[inv] = LocalizedModule(stack, field, pres, inv, t,
+                                                      shift=shift, floors_fn=floors_fn)
 
     def cells_at(self, level):
-        """Cells at Cech level l (l+1 opens intersected); level -1 would be
-        the module cell, handled separately."""
-        return [c for c in self.cells if c[0] == level + 1]
+        """(index, cell) of the cells at Cech level l (l+1 opens
+        intersected); level -1 would be the module cell, handled
+        separately."""
+        return [(ci, c) for ci, c in enumerate(self.cells) if c[0] == level]
 
     def restriction_block(self, a, src_cell, tgt_cell):
         """Matrix of the localization map from cell J to cell J' (J subset
@@ -329,7 +408,7 @@ class CechComplex:
         src = self.module_piece
         vectors = [{lab: self.field.one} for lab in src.basis_labels(a)]
         blocks = []
-        for cell in self.cells_at(0):
+        for _, cell in self.cells_at(0):
             tgtm = self.localized[cell[2]]
             coords, ok = tgtm.express(a, vectors)
             if not all(ok):
@@ -343,27 +422,21 @@ class CechComplex:
         """The Cech differential from level to level + 1 at degree a."""
         src_cells = self.cells_at(level)
         tgt_cells = self.cells_at(level + 1)
-        src_dims = [self.localized[c[2]].dim(a) for c in src_cells]
-        tgt_dims = [self.localized[c[2]].dim(a) for c in tgt_cells]
+        src_dims = [self.localized[c[2]].dim(a) for _, c in src_cells]
+        tgt_dims = [self.localized[c[2]].dim(a) for _, c in tgt_cells]
         mat = self.field.zeros(sum(tgt_dims), sum(src_dims))
         tgt_off = {}
         off = 0
-        for c, d in zip(tgt_cells, tgt_dims):
-            tgt_off[c[1]] = off
+        for (cj, _), d in zip(tgt_cells, tgt_dims):
+            tgt_off[cj] = off
             off += d
         src_off = 0
-        for c, d in zip(src_cells, src_dims):
-            J = c[1]
-            for extra in range(len(self.cover)):
-                if extra in J:
-                    continue
-                J2 = tuple(sorted(J + (extra,)))
-                pos = J2.index(extra)
-                sign = -1 if pos % 2 else 1
-                block = self.restriction_block(a, c, next(cc for cc in tgt_cells if cc[1] == J2))
+        for (ci, c), d in zip(src_cells, src_dims):
+            for cj, sign in self.cofaces[ci]:
+                block = self.restriction_block(a, c, self.cells[cj])
                 if sign < 0:
                     block = self.field.reduce(-block)
-                o = tgt_off[J2]
+                o = tgt_off[cj]
                 mat[o:o + block.shape[0], src_off:src_off + d] = \
                     self.field.reduce(mat[o:o + block.shape[0], src_off:src_off + d] + block)
             src_off += d
@@ -379,7 +452,7 @@ class CechComplex:
             mats.append(self.module_block(a))
         for level in range(len(self.cover)):
             cells = self.cells_at(level)
-            dims.append(sum(self.localized[c[2]].dim(a) for c in cells))
+            dims.append(sum(self.localized[c[2]].dim(a) for _, c in cells))
             if level < len(self.cover) - 1:
                 mats.append(self.cech_block(a, level))
         return dims, mats

@@ -18,13 +18,14 @@ import numpy as np
 from .bgg import R
 from .cohomology import (CechOracle, T_CAP, T_START, fast_table_state,
                          h0b_vanishes)
-from .diffmod import (FreeDiffModule, _homology_column_unchecked, homology_column,
-                      minimize, tensor_EI)
+from .diffmod import (FreeDiffModule, _add_block, _homology_column_unchecked, minimize,
+                      tensor_EI)
 from .dmres import tate_cone
 from .errors import PreconditionError, StabilizationError
 from .exterior import OmegaTwist, ext_mul, socle_readoff
-from .laurent import CechComplex, _laurent_exponents, signed_exponents
-from .linalg import GF, _kernel_arr, independent_columns, invert, rref
+from .laurent import (CechComplex, MonomialStrands, _build_retract, _laurent_exponents,
+                      signed_exponents)
+from .linalg import GF
 from .toric import cone_contains, deg_add, deg_neg, deg_sub, is_irrelevant_subset
 
 
@@ -74,83 +75,7 @@ def tate_weighted(pres, stack, window, field, d=None):
     return TateResult(minimal.gens, table, "weighted", window, lambda: minimal, truncation=d)
 
 
-# -- deformation retracts of Cech strands -------------------------------------
-
-class _Retract:
-    """Per-degree contraction data: a complex (levels 0..L with maps up),
-    its homology embedded and projected, and the side homotopy, satisfying
-    u h + h u = 1 - i p with p i = 1, h i = 0, p h = 0, h h = 0."""
-
-    def __init__(self, field, dims, maps, offsets, i, p, h, hlabels):
-        self.field = field
-        self.dims = dims
-        self.maps = maps
-        self.offsets = offsets
-        self.i = i
-        self.p = p
-        self.h = h
-        self.hlabels = hlabels  # per homology basis vector: its Cech level
-
-
-def _build_retract(field, dims, maps):
-    """dims: per-level dimensions; maps[l]: matrix level l -> level l+1."""
-    levels = len(dims)
-    total = sum(dims)
-    offsets = [0]
-    for dblock in dims:
-        offsets.append(offsets[-1] + dblock)
-    # per level: pivot (input) columns of u_l, kernel basis, image basis
-    pivots = []
-    kernels = []
-    for l in range(levels):
-        u = maps[l] if l < levels - 1 else field.zeros(0, dims[l])
-        if dims[l] == 0:
-            pivots.append([])
-            kernels.append(field.zeros(0, 0))
-            continue
-        _, piv = rref(field, u)
-        pivots.append(piv)
-        kernels.append(_kernel_arr(field, u))
-    i_cols = []
-    hlabels = []
-    p_rows = []
-    h = field.zeros(total, total)
-    for l in range(levels):
-        n = dims[l]
-        if n == 0:
-            continue
-        u_prev = maps[l - 1] if l >= 1 else field.zeros(n, 0)
-        b_basis = u_prev[:, pivots[l - 1]] if l >= 1 and pivots[l - 1] else field.zeros(n, 0)
-        ker = kernels[l]
-        # homology representatives: kernel columns extending the image
-        reps = ker[:, independent_columns(field, b_basis, ker)]
-        a_cols = pivots[l]
-        nb = b_basis.shape[1]
-        nh = reps.shape[1]
-        na = len(a_cols)
-        if nb + nh + na != n:
-            raise AssertionError("level decomposition does not span")
-        s = field.zeros(n, n)
-        s[:, :nb] = b_basis
-        s[:, nb:nb + nh] = reps
-        s[a_cols, range(nb + nh, n)] = field.one
-        sinv = invert(field, s)
-        off = offsets[l]
-        col = field.zeros(total, nh)
-        col[off:off + n] = reps
-        i_cols.append(col)
-        hlabels.extend([l] * nh)
-        row = field.zeros(nh, total)
-        row[:, off:off + n] = sinv[nb:nb + nh]
-        p_rows.append(row)
-        # h on level l: kill the B-part back to A-coordinates of level l-1
-        if nb:
-            prev_off = offsets[l - 1]
-            h[[prev_off + c for c in pivots[l - 1]], off:off + n] = sinv[:nb]
-    i_mat = np.concatenate(i_cols, axis=1) if i_cols else field.zeros(total, 0)
-    p_mat = np.concatenate(p_rows, axis=0) if p_rows else field.zeros(0, total)
-    return _Retract(field, dims, maps, offsets, i_mat, p_mat, h, hlabels)
-
+# -- dense Cech strands -------------------------------------------------------
 
 class _FMData:
     """Materialized Cech data of one transform attempt at a fixed exponent
@@ -195,7 +120,7 @@ class _FMData:
             lo_tgt = to[level]
             cs = lo_src
             ct = lo_tgt
-            for cell in cells:
+            for _, cell in cells:
                 loc = self.cx.localized[cell[2]]
                 ns = loc.dim(a)
                 nt = loc.dim(b)
@@ -207,24 +132,6 @@ class _FMData:
                 cs += ns
                 ct += nt
         return mat
-
-
-def _add_block(entries, field, toff, soff, rows, mono, sign):
-    """Add sign * block to the e_mono coefficients of the differential at
-    rows toff.., columns soff.., dropping coefficients that cancel; rows
-    yields (row index, row values)."""
-    for rr, row in rows:
-        for cc, v in enumerate(row):
-            if v == field.zero:
-                continue
-            if sign < 0:
-                v = field.neg(v)
-            elem = entries.setdefault((toff + rr, soff + cc), {})
-            nv = field.add(elem.get(mono, field.zero), v)
-            if nv == field.zero:
-                elem.pop(mono, None)
-            else:
-                elem[mono] = nv
 
 
 def _transfer(data):
@@ -281,137 +188,27 @@ def _transfer(data):
 
 # -- monomial strand pipeline -------------------------------------------------
 
-class _StrandTypes:
-    """For a monomial presentation: Cech cell-pattern machinery. The strand
-    of a Laurent exponent e is the tiny complex spanned by the cells where e
-    survives; it depends only on that cell set, so retracts are cached per
-    pattern."""
-
-    def __init__(self, stack, field, cover, rel_exponents):
-        self.stack = stack
-        self.field = field
-        self.rels = rel_exponents
-        self.cells = []
-        import itertools as _it
-
-        for size in range(1, len(cover) + 1):
-            for J in _it.combinations(range(len(cover)), size):
-                union = frozenset().union(*[cover[j] for j in J])
-                self.cells.append((size - 1, J, union))
-        self.nlevels = len(cover)
-        self._retracts = {}
-        self._cellsets = {}
-        # cellset(e) reads e[i] only through e[i] < 0 and g[i] <= e[i] for
-        # relation exponents g >= 0: raising e[i] by one changes it only when
-        # e[i] reaches a threshold, and e[i] clamped to [-1, max] keys it
-        self.thresholds = [frozenset({0}.union(g[i] for g in self.rels))
-                           for i in range(stack.nvars)]
-        self._caps = [max(th) for th in self.thresholds]
-
-    def cellset(self, e):
-        """The cells where the Laurent exponent tuple e survives."""
-        e = tuple(-1 if x < 0 else min(x, c) for x, c in zip(e, self._caps))
-        cached = self._cellsets.get(e)
-        if cached is not None:
-            return cached
-        neg = frozenset(i for i, x in enumerate(e) if x < 0)
-        alive = []
-        for ci, (_, _, union) in enumerate(self.cells):
-            if not neg <= union:
-                continue
-            dead = False
-            for g in self.rels:
-                if all(g[i] <= e[i] for i in range(len(e)) if i not in union):
-                    dead = True
-                    break
-            if not dead:
-                alive.append(ci)
-        out = frozenset(alive)
-        self._cellsets[e] = out
-        return out
-
-    def retract(self, cellset):
-        if cellset in self._retracts:
-            return self._retracts[cellset]
-        field = self.field
-        per_level = {}
-        for ci in sorted(cellset):
-            lvl, J, _ = self.cells[ci]
-            per_level.setdefault(lvl, []).append((J, ci))
-        dims = []
-        level_index = []
-        for lvl in range(self.nlevels):
-            cells = sorted(per_level.get(lvl, []))
-            level_index.append({J: k for k, (J, _) in enumerate(cells)})
-            dims.append(len(cells))
-        maps = []
-        for lvl in range(self.nlevels - 1):
-            src = sorted(per_level.get(lvl, []))
-            mat = field.zeros(dims[lvl + 1], dims[lvl])
-            for col, (J, _) in enumerate(src):
-                for extra in range(self.nlevels):
-                    if extra in J:
-                        continue
-                    J2 = tuple(sorted(J + (extra,)))
-                    k = level_index[lvl + 1].get(J2)
-                    if k is None:
-                        continue
-                    pos = J2.index(extra)
-                    mat[k, col] = field.neg(field.one) if pos % 2 else field.one
-            maps.append(mat)
-        ret = _build_retract(field, dims, maps)
-        cell_order = [ci for lvl in range(self.nlevels) for (_, ci) in sorted(per_level.get(lvl, []))]
-        val = (ret, dims, cell_order)
-        self._retracts[cellset] = val
-        return val
-
-
-def _contributing_patterns(types):
-    """For a free module the strand pattern depends only on the negative
-    support of the exponent; return the sign patterns with homology."""
-    if getattr(types, "_contributing", None) is not None:
-        return types._contributing
-    n1 = types.stack.nvars
-    out = []
-    for mask in range(1 << n1):
-        nu = frozenset(i for i in range(n1) if mask & (1 << i))
-        probe = tuple(-1 if i in nu else 0 for i in range(n1))
-        cs = types.cellset(probe)
-        if not cs:
-            continue
-        ret, _, _ = types.retract(cs)
-        if ret.i.shape[1]:
-            out.append(nu)
-    types._contributing = out
-    return out
-
-
 def _monomial_transfer(pres, stack, window, field, t, types=None):
     """Transfer pipeline decomposed along Laurent exponent strands: returns
     the generators, one per homology vector of a source strand, and walk(),
     which returns the sparse exterior entries of the transferred differential."""
-    rels = pres.monomial_exponents() if pres.entries else []
     if types is None:
-        types = _StrandTypes(stack, field, stack.cover, rels)
-    gshift = pres.gen_degrees[0]
+        types = MonomialStrands(stack, field, pres, stack.cover)
     all_vars = frozenset(range(stack.nvars))
 
     def source_exponents(inner):
-        if rels:
+        if types.rels:
             return _laurent_exponents(stack, inner, all_vars, t)
         # free module: only sign patterns whose strand carries homology,
         # each a bounded polytope enumerated exactly (no exponent cap)
-        out = []
-        for nu in _contributing_patterns(types):
-            out.extend(signed_exponents(stack, inner, nu))
-        out.sort()
-        return out
+        return sorted(e for nu, _, _ in types.contributing(False)
+                      for e in signed_exponents(stack, inner, nu))
 
     gens = []
     sources = []  # (exponent, cellset, homology embedding)
     offset_of = {}  # the exponent fixes the degree, so it keys the generators
     for a in window.points():
-        for e in source_exponents(deg_sub(a, gshift)):
+        for e in source_exponents(deg_sub(a, types.gshift)):
             cs = types.cellset(e)
             if not cs:
                 continue
@@ -432,19 +229,19 @@ def _monomial_transfer(pres, stack, window, field, t, types=None):
     def step_maps(cs_src, cs2):
         """(p2 T, -h2 T) from the strand pattern cs_src to cs2,
         column-sparse: per source row, its (target row, coeff) terms."""
-        ret2, _, order2 = types.retract(cs2)
+        ret2, order2 = types.retract(cs2)
         idx2 = {ci: k for k, ci in enumerate(order2)}
         p_rows, h_rows = ret2.p.tolist(), ret2.h.tolist()
         pt, ht = [], []
-        for ci in types.retract(cs_src)[2]:
+        for ci in types.retract(cs_src)[1]:
             k = idx2.get(ci)
             sgn = -1 if types.cells[ci][0] % 2 else 1
             pt.append(() if k is None else
                       tuple((r, sgn * row[k]) for r, row in enumerate(p_rows) if row[k]))
             ht.append(() if k is None else
                       tuple((r, -sgn * row[k]) for r, row in enumerate(h_rows) if row[k]))
-        hit = pair_maps[cs_src, cs2] = (pt, ht)
-        return hit
+        pair_maps[cs_src, cs2] = (pt, ht)
+        return pt, ht
 
     def apply(cols, mat):
         acc = {}
@@ -500,10 +297,7 @@ def fm_transform(pres, stack, window, field, t=None):
     T is first read. Monomial presentations run on the per-exponent strand
     decomposition."""
 
-    shared_types = None
-    if pres.is_monomial():
-        rels = pres.monomial_exponents() if pres.entries else []
-        shared_types = _StrandTypes(stack, field, stack.cover, rels)
+    shared_types = MonomialStrands(stack, field, pres, stack.cover) if pres.is_monomial() else None
 
     def build(tt):
         if shared_types is not None:
@@ -553,31 +347,22 @@ def cech_totalization_dm(pres, stack, window, field, t):
     index = {}
     for a in window.points():
         for level in range(len(stack.cover)):
-            for cell in cx.cells_at(level):
+            for ci, cell in cx.cells_at(level):
                 loc = cx.localized[cell[2]]
                 n = loc.dim(a)
-                index[(a, cell[1])] = len(gens)
+                index[(a, ci)] = len(gens)
                 gens.extend([OmegaTwist(deg_neg(a), level)] * n)
     entries = {}
     for a in window.points():
         # vertical Cech differential: constants
         for level in range(len(stack.cover) - 1):
-            for cell in cx.cells_at(level):
+            for ci, cell in cx.cells_at(level):
                 loc = cx.localized[cell[2]]
-                n = loc.dim(a)
-                if n == 0:
+                if loc.dim(a) == 0:
                     continue
-                base_s = index[(a, cell[1])]
-                J = cell[1]
-                for extra in range(len(stack.cover)):
-                    if extra in J:
-                        continue
-                    J2 = tuple(sorted(J + (extra,)))
-                    pos = J2.index(extra)
-                    sign = -1 if pos % 2 else 1
-                    tgt_cell = next(c for c in cx.cells_at(level + 1) if c[1] == J2)
-                    block = cx.restriction_block(a, cell, tgt_cell)
-                    _add_block(entries, field, index[(a, J2)], base_s,
+                for cj, sign in cx.cofaces[ci]:
+                    block = cx.restriction_block(a, cell, cx.cells[cj])
+                    _add_block(entries, field, index[(a, cj)], index[(a, ci)],
                                enumerate(block), 0, sign)
         # horizontal maps: x_i (x) e_i with the row sign
         for i in range(stack.nvars):
@@ -585,15 +370,15 @@ def cech_totalization_dm(pres, stack, window, field, t):
             if b not in window:
                 continue
             for level in range(len(stack.cover)):
-                for cell in cx.cells_at(level):
+                for ci, cell in cx.cells_at(level):
                     loc = cx.localized[cell[2]]
                     if loc.dim(a) == 0 or loc.dim(b) == 0:
                         continue
                     block = cx.multiplication_block(a, i, cell)
                     if level % 2 == 1:
                         block = field.reduce(-block)
-                    _add_block(entries, field, index[(b, cell[1])],
-                               index[(a, cell[1])], enumerate(block), 1 << i, 1)
+                    _add_block(entries, field, index[(b, ci)],
+                               index[(a, ci)], enumerate(block), 1 << i, 1)
     sums = set(stack.subset_sums())
     safe = {a for a in window.points() if all(deg_sub(a, s) in window for s in sums)}
     return FreeDiffModule(stack, field, gens, entries, safe=safe, validate=True)

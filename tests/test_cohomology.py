@@ -68,15 +68,22 @@ def test_serre_duality_against_oracle(p112, p12, p156, gf):
             assert dims[n] == hn
 
 
-def test_monomial_and_dense_oracles_agree(p112, gf):
+def test_monomial_and_dense_oracles_agree(p112, hirz3, gf):
+    # the monomial path shares its cell-pattern engine with the
+    # Fourier-Mukai transfer, so the dense path is its independent check;
+    # Hirzebruch-3 adds a rank-2 class group and a four-set cover
     pres = Presentation.quotient(p112, [(2, 0, 0), (0, 1, 1)])
-    m = realize(pres, p112, Window((-6,), (6,)), gf)
-    fast = CechOracle(m)
-    slow = CechOracle(m, force_dense=True)
-    assert fast._strands is not None and slow._strands is None
-    for a in range(-5, 6):
-        assert fast.local_dims((a,)) == slow.local_dims((a,))
-        assert fast.sheaf_dims((a,)) == slow.sheaf_dims((a,))
+    cases = [(realize(pres, p112, Window((-6,), (6,)), gf), Window((-5,), (5,)))]
+    for pres in (Presentation.free([(0, 0)]), Presentation.quotient(hirz3, [(1, 1, 0, 0)])):
+        cases.append((realize(pres, hirz3, Window((-4, -3), (4, 3)), gf),
+                      Window((-2, -1), (2, 1))))
+    for m, degrees in cases:
+        fast = CechOracle(m)
+        slow = CechOracle(m, force_dense=True)
+        assert fast._strands is not None and slow._strands is None
+        for a in degrees.points():
+            assert fast.local_dims(a) == slow.local_dims(a)
+            assert fast.sheaf_dims(a) == slow.sheaf_dims(a)
 
 
 def test_fast_table_p112(p112, gf):

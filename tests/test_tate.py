@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from torictate import tate
+from torictate import laurent, tate
 from torictate.cli import main
 from torictate.cohomology import oracle_table
 from torictate.diffmod import (FreeDiffModule, check_minimal, check_square_zero,
@@ -244,15 +244,15 @@ def hirz3_H(stack):
 
 
 def recorded_strand_types(monkeypatch):
-    """Make every _StrandTypes built in tate append itself to the list."""
+    """Make every MonomialStrands built in tate append itself to the list."""
     made = []
 
-    class Recording(tate._StrandTypes):
+    class Recording(laurent.MonomialStrands):
         def __init__(self, *args):
             super().__init__(*args)
             made.append(self)
 
-    monkeypatch.setattr(tate, "_StrandTypes", Recording)
+    monkeypatch.setattr(tate, "MonomialStrands", Recording)
     return made
 
 
@@ -288,14 +288,18 @@ def assert_retract_identities(field, ret):
 def test_strand_retract_identities(hirz3, p1p1, gf, monkeypatch):
     # the transfer walk precomposes p and h with the cell transport, which
     # relies on these identities for every cached pattern retract; reading T
-    # runs the walk, which builds the retracts of the patterns it reaches
+    # runs the walk, which builds the retracts of the patterns it reaches.
+    # The oracle ranks the same pattern complex instead of contracting it,
+    # so both routes must find the same homology per Cech level.
     made = recorded_strand_types(monkeypatch)
     fm_transform(hirz3_H(hirz3), hirz3, Window((-2, -1), (2, 1)), gf, t=4).T
     fm_transform(Presentation.free([(0, 0)]), p1p1, Window((-3, -3), (3, 3)), gf).T
     assert [len(types._retracts) for types in made] == [12, 16]
     for types in made:
-        for ret, _, _ in types._retracts.values():
+        for cs, (ret, _) in types._retracts.items():
             assert_retract_identities(gf, ret)
+            assert types.homology(False, cs)[1:] == \
+                [ret.hlabels.count(lvl) for lvl in range(types.nlevels)]
 
 
 @pytest.mark.parametrize("field", [GF(), GF(2**31 - 1), QQ()], ids=["gf32003", "gf2^31-1", "qq"])
@@ -315,7 +319,8 @@ def test_strand_cellset_clamp_and_thresholds(hirz3, gf):
     # cellset keys its cache by a clamped exponent, and the transfer walk
     # keeps the current pattern while no coordinate crosses a threshold;
     # both are checked against the cell-survival rule on unclamped exponents
-    types = tate._StrandTypes(hirz3, gf, hirz3.cover, [(1, 1, 0, 0), (0, 2, 0, 3)])
+    types = laurent.MonomialStrands(
+        hirz3, gf, Presentation.quotient(hirz3, [(1, 1, 0, 0), (0, 2, 0, 3)]), hirz3.cover)
 
     def survivors(e):
         neg = {i for i, x in enumerate(e) if x < 0}
