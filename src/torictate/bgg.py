@@ -47,28 +47,7 @@ def _r_safe_set(module):
 
 def R(module, mask=None):
     """The BGG functor on a realized module (homological degree 0)."""
-    stack = module.stack
-    field = module.field
-    use = set(range(stack.nvars)) if mask is None else set(mask)
-    degrees = sorted(module.window.points(), key=lambda a: (stack.theta(a), a))
-    gens = []
-    index = {}
-    for a in degrees:
-        d = module.dim(a)
-        index[a] = len(gens)
-        for _ in range(d):
-            gens.append(OmegaTwist(deg_neg(a), 0))
-    entries = {}
-    for a in degrees:
-        if module.dim(a) == 0:
-            continue
-        for i in use:
-            b = deg_add(a, stack.var_degrees[i])
-            if b not in index:
-                continue
-            _add_block(entries, field, index[b], index[a],
-                       enumerate(module.mult_matrix(i, a).a), 1 << i, 1)
-    return FreeDiffModule(stack, field, gens, entries, safe=_r_safe_set(module))
+    return R_complex(ModuleComplex({0: module}, {}), mask)
 
 
 def R_I(module, subset):
@@ -86,34 +65,35 @@ class ModuleComplex:
         self.maps = {j: dict(m) for j, m in maps.items()}
 
 
-def R_complex(cx):
-    """R of a bounded complex: generators omega_E(-a; -j) with the
-    horizontal differential signed by (-1)^j and the vertical differential
-    given by the (constant) matrices of the complex maps."""
+def R_complex(cx, mask=None):
+    """R of a bounded complex: generators omega_E(-a; -j), degrees in
+    (theta, a) order, with the horizontal differential x_i (x) e_i over the
+    variables of the mask (default all) signed by (-1)^j, and the vertical
+    differential given by the (constant) matrices of the complex maps."""
     some = next(iter(cx.terms.values()))
     stack, field = some.stack, some.field
+    use = range(stack.nvars) if mask is None else sorted(set(mask))
+    degrees = {j: sorted(mod.window.points(), key=lambda x: (stack.theta(x), x))
+               for j, mod in cx.terms.items()}
     gens = []
     index = {}
     for j in sorted(cx.terms):
-        mod = cx.terms[j]
-        for a in sorted(mod.window.points(), key=lambda x: (stack.theta(x), x)):
+        for a in degrees[j]:
             index[(j, a)] = len(gens)
-            for _ in range(mod.dim(a)):
-                gens.append(OmegaTwist(deg_neg(a), -j))
+            gens.extend([OmegaTwist(deg_neg(a), -j)] * cx.terms[j].dim(a))
     entries = {}
     for j in sorted(cx.terms):
         mod = cx.terms[j]
         sign = -1 if j % 2 else 1
-        for a in mod.window.points():
+        for a in degrees[j]:
             if mod.dim(a) == 0:
                 continue
             base = index[(j, a)]
-            for i in range(stack.nvars):
+            for i in use:
                 b = deg_add(a, stack.var_degrees[i])
-                if (j, b) not in index:
-                    continue
-                _add_block(entries, field, index[(j, b)], base,
-                           enumerate(mod.mult_matrix(i, a).a), 1 << i, sign)
+                if (j, b) in index:
+                    _add_block(entries, field, index[(j, b)], base,
+                               enumerate(mod.mult_matrix(i, a).a), 1 << i, sign)
             m = cx.maps.get(j, {}).get(a)
             if m is not None and (j - 1, a) in index:
                 _add_block(entries, field, index[(j - 1, a)], base,

@@ -20,7 +20,7 @@ from .errors import (PreconditionError, SchemaError, VerificationError,
                      WindowTooSmall)
 from .linalg import GF, QQ
 from .smodule import Poly, Presentation, realize
-from .tate import fm_transform, tate_weighted
+from .tate import fm_transform, safe_degrees, tate_weighted
 from .toric import ToricStack, Window, hirzebruch
 
 EXIT_CODES = [
@@ -315,10 +315,7 @@ def run(command, args, stack, field, modules):
             fast = cohomology_table_fast(pres, stack, window, field, d=args.truncate)
         else:
             fast = fm_transform(pres, stack, window, field).table
-        from .toric import deg_sub
-
-        sums = set(stack.subset_sums())
-        safe = [a for a in window.points() if all(deg_sub(a, s) in window for s in sums)]
+        safe = safe_degrees(stack, window)
         if not safe:
             raise WindowTooSmall("the window has no safe degrees; enlarge it beyond the subset-sum reach")
         otab = oracle_table(module, stack, safe)

@@ -9,7 +9,9 @@ own localized pieces, restriction maps and ranks, and shares only the Cech
 signs (laurent.cech_cells) with that engine; the fast path works from
 minimal free resolutions of differential modules. Neither shares anything
 else with the engine past basic linear algebra, so their agreement with it
-is meaningful evidence of correctness.
+is meaningful evidence of correctness. The dense path and the realized
+module do share their piece builder, Presentation.piece (and through it
+relation_rows and RowReducer), which the engine never calls.
 """
 
 from __future__ import annotations
@@ -25,21 +27,22 @@ T_START = 2
 T_CAP = 64
 
 
-def _stabilize(compute):
-    """Adaptive doubling of the exponent bound from T_START until two
-    consecutive values of t agree. The degree-derived reach of a class
-    enters through the oracle's per-variable floors, not through t."""
+def _stabilize(compute, start=T_START):
+    """Adaptive doubling of the exponent bound: compute at t = start,
+    2 start, ..., with T_CAP as the last value, and return the first value
+    equal to the one before it; StabilizationError when none is. The
+    degree-derived reach of a class enters through the oracle's
+    per-variable floors, not through t."""
     prev = None
-    t = T_START
-    while t <= T_CAP:
+    t = min(start, T_CAP)
+    while True:
         cur = compute(t)
         if prev is not None and cur == prev:
             return cur
+        if t == T_CAP:
+            raise StabilizationError("Cech exponent bound did not stabilize up to t = %d" % T_CAP)
         prev = cur
-        t *= 2
-    if prev is not None and compute(T_CAP) == prev:
-        return prev
-    raise StabilizationError("Cech exponent bound did not stabilize up to t = %d" % T_CAP)
+        t = min(2 * t, T_CAP)
 
 
 def exponent_floor(stack, a):

@@ -4,8 +4,10 @@ cells built from them.
 A localized piece in a fixed degree is usually infinite dimensional; we
 truncate by bounding the inverted exponents below by -t and rely on the
 caller's adaptive stabilization (double t until the reported dimensions
-stop changing). Monomial presentations take a combinatorial fast path: the
-surviving Laurent monomials themselves form a basis.
+stop changing; a bound that has not settled by t = T_CAP raises
+StabilizationError, exit 4). Pieces are built by Presentation.piece, as
+the realized module's are. Monomial presentations take a combinatorial
+fast path: the surviving Laurent monomials themselves form a basis.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ import itertools
 
 import numpy as np
 
-from .linalg import (RowReducer, _kernel_arr, homology_dims, independent_columns, invert,
-                     rref)
+from .linalg import _kernel_arr, homology_dims, independent_columns, invert, rref
+from .smodule import GradedPieces
 from .toric import deg_add, deg_sub, deg_zero, points
 
 
@@ -37,7 +39,7 @@ def _laurent_exponents(stack, d, inverted, t, floors=None):
     return points(stack.var_degrees, stack.theta, d, lower, [None] * stack.nvars)
 
 
-class LocalizedModule:
+class LocalizedModule(GradedPieces):
     """M[x_C^{-1}] realized degreewise with inverted exponents >= -t (or a
     per-degree, per-variable bound supplied by floors_fn).
 
@@ -54,8 +56,7 @@ class LocalizedModule:
         self.floors_fn = floors_fn
         self.shift = tuple(shift) if shift is not None else deg_zero(stack.r)
         self.monomial = pres.is_monomial()
-        if self.monomial:
-            self._rel_exponents = pres.monomial_exponents()
+        self._rel_exponents = pres.monomial_exponents() if self.monomial else ()
         self._cache = {}
 
     def _kills(self, e):
@@ -74,53 +75,18 @@ class LocalizedModule:
             return self._cache[a]
         inner = deg_add(a, self.shift)
         floors = self.floors_fn(inner) if self.floors_fn is not None else None
+
+        def exponents(d):
+            return _laurent_exponents(self.stack, deg_sub(inner, d), self.inverted, self.t,
+                                      floors=floors)
+
         if self.monomial:
-            exps = _laurent_exponents(self.stack, deg_sub(inner, self.pres.gen_degrees[0]),
-                                      self.inverted, self.t, floors=floors)
-            labels = [(0, e) for e in exps if not self._kills(e)]
-            val = (labels, None)
+            val = ([(0, e) for e in exponents(self.pres.gen_degrees[0]) if not self._kills(e)],
+                   None)
         else:
-            labels = []
-            for g, gd in enumerate(self.pres.gen_degrees):
-                for e in _laurent_exponents(self.stack, deg_sub(inner, gd), self.inverted,
-                                            self.t, floors=floors):
-                    labels.append((g, e))
-            index = {lab: k for k, lab in enumerate(labels)}
-            rows = []
-            for j, rd in enumerate(self.pres.rel_degrees):
-                rows += self.pres.relation_rows(self.field, j, index, _laurent_exponents(
-                    self.stack, deg_sub(inner, rd), self.inverted, self.t, floors=floors))
-            red = RowReducer(self.field, rows, len(labels)) if rows else None
-            val = (labels, red)
+            val = self.pres.piece(self.field, exponents)
         self._cache[a] = val
         return val
-
-    def dim(self, a):
-        labels, red = self.piece(a)
-        return red.corank if red is not None else len(labels)
-
-    def basis_labels(self, a):
-        labels, red = self.piece(a)
-        return list(labels) if red is None else [labels[j] for j in red.free]
-
-    def express(self, a, vectors):
-        """Coordinates of label->coeff dicts in the basis at degree a; None
-        entries where a label falls outside the truncation box."""
-        labels, red = self.piece(a)
-        index = {lab: k for k, lab in enumerate(labels)}
-        n = len(vectors)
-        amb = self.field.zeros(n, len(labels))
-        ok = [True] * n
-        for r, vec in enumerate(vectors):
-            for lab, c in vec.items():
-                k = index.get(lab)
-                if k is None:
-                    if self.monomial and self._kills(lab[1]):
-                        continue
-                    ok[r] = False
-                    break
-                amb[r, k] = self.field.add(amb[r, k], c)
-        return (amb if red is None else red.reduce_rows(amb)), ok
 
 
 def cech_cells(cover):
@@ -375,7 +341,6 @@ class CechComplex:
         self.stack = stack
         self.field = field
         self.cover = [frozenset(c) for c in cover]
-        self.t = t
         self.module_piece = module_piece
         self.cells, self.cofaces = cech_cells(self.cover)
         self.localized = {}
@@ -462,14 +427,25 @@ class CechComplex:
         dims, mats = self.strand(a, extended)
         return homology_dims(self.field, dims, mats)
 
-    def multiplication_block(self, a, i, cell):
-        """Multiplication by x_i on one cell, from degree a to a + deg x_i."""
-        loc = self.localized[cell[2]]
-        vectors = []
-        for (g, e) in loc.basis_labels(a):
-            vectors.append({(g, tuple(x + (1 if k == i else 0) for k, x in enumerate(e))): self.field.one})
+    def horizontal_block(self, a, i):
+        """The horizontal map x_i (x) e_i of the bicomplex, from the strand at
+        a to the strand at a + deg x_i (cells only, no module cell), with the
+        row sign (-1)^level."""
+        field = self.field
         b = deg_add(a, self.stack.var_degrees[i])
-        coords, ok = loc.express(b, vectors)
-        if not all(ok):
-            raise ArithmeticError("truncation box too small for a multiplication map")
-        return coords.T.copy()
+        locs = [self.localized[inv] for _, _, inv in self.cells]
+        src = [loc.dim(a) for loc in locs]
+        tgt = [loc.dim(b) for loc in locs]
+        mat = field.zeros(sum(tgt), sum(src))
+        so = to = 0
+        for (level, _, _), loc, ns, nt in zip(self.cells, locs, src, tgt):
+            if ns and nt:
+                vectors = [{(g, e[:i] + (e[i] + 1,) + e[i + 1:]): field.one}
+                           for g, e in loc.basis_labels(a)]
+                coords, ok = loc.express(b, vectors)
+                if not all(ok):
+                    raise ArithmeticError("truncation box too small for a multiplication map")
+                mat[to:to + nt, so:so + ns] = field.reduce(-coords.T) if level % 2 else coords.T
+            so += ns
+            to += nt
+        return mat

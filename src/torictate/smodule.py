@@ -116,6 +116,19 @@ class Presentation:
                 rows.append(row)
         return rows
 
+    def piece(self, field, exponents):
+        """(labels, reducer) of a graded piece whose monomials of degree d
+        are exponents(d), called with d = piece degree minus a generator or
+        relation degree: labels are (generator, exponent) pairs, and the
+        reducer (None when no relation lands) works modulo the relations."""
+        labels = [(g, e) for g, gd in enumerate(self.gen_degrees) for e in exponents(gd)]
+        if not labels:
+            return labels, None
+        index = {lab: k for k, lab in enumerate(labels)}
+        rows = [row for j, rd in enumerate(self.rel_degrees)
+                for row in self.relation_rows(field, j, index, exponents(rd))]
+        return labels, (RowReducer(field, rows, len(labels)) if rows else None)
+
     def is_monomial(self):
         """True when every relation is a single monomial on a single generator
         and there is one generator (monomial-quotient fast paths apply)."""
@@ -131,7 +144,43 @@ class Presentation:
         return [p.terms[0][1] for (_, _), p in sorted(self.entries.items())]
 
 
-class DegreewiseModule:
+class GradedPieces:
+    """Basis reading for modules whose piece(a) returns (labels, reducer):
+    the basis is the labels, or the reducer's free columns of them."""
+
+    def dim(self, a):
+        labels, red = self.piece(a)
+        return len(labels) if red is None else red.corank
+
+    def basis_labels(self, a):
+        labels, red = self.piece(a)
+        return list(labels) if red is None else [labels[j] for j in red.free]
+
+    def _kills(self, e):
+        """Whether a relation kills the exponent e outright, so that a
+        piece may leave it out of its labels."""
+        return False
+
+    def express(self, a, vectors):
+        """Coordinates of label->coeff dicts in the basis at degree a; ok is
+        False for a vector with a nonzero label outside the piece."""
+        labels, red = self.piece(a)
+        index = {lab: k for k, lab in enumerate(labels)}
+        amb = self.field.zeros(len(vectors), len(labels))
+        ok = [True] * len(vectors)
+        for r, vec in enumerate(vectors):
+            for lab, c in vec.items():
+                k = index.get(lab)
+                if k is None:
+                    if self._kills(lab[1]):
+                        continue
+                    ok[r] = False
+                    break
+                amb[r, k] = self.field.add(amb[r, k], c)
+        return (amb if red is None else red.reduce_rows(amb)), ok
+
+
+class DegreewiseModule(GradedPieces):
     """A graded module realized on a window: an ordered basis per degree and
     multiplication matrices between adjacent pieces.
 
@@ -163,40 +212,12 @@ class DegreewiseModule:
     def piece(self, a):
         """(labels, reducer) at degree a; labels are (gen, exponent) pairs."""
         a = tuple(a)
-        if a in self._pieces:
-            return self._pieces[a]
-        if not self._kept(a):
-            val = ([], None)
-        else:
+        if a not in self._pieces:
             inner = deg_add(a, self.shift)
-            labels = []
-            for g, gd in enumerate(self.pres.gen_degrees):
-                for e in monomial_basis(self.stack, deg_sub(inner, gd)):
-                    labels.append((g, e))
-            if not labels:
-                val = ([], None)
-            else:
-                index = {lab: k for k, lab in enumerate(labels)}
-                rows = []
-                for j, rd in enumerate(self.pres.rel_degrees):
-                    rows += self.pres.relation_rows(self.field, j, index,
-                                                    monomial_basis(self.stack, deg_sub(inner, rd)))
-                red = RowReducer(self.field, rows, len(labels)) if rows else None
-                val = (labels, red)
-        self._pieces[a] = val
-        return val
-
-    def dim(self, a):
-        labels, red = self.piece(a)
-        if red is None:
-            return len(labels)
-        return red.corank
-
-    def basis_labels(self, a):
-        labels, red = self.piece(a)
-        if red is None:
-            return list(labels)
-        return [labels[j] for j in red.free]
+            self._pieces[a] = self.pres.piece(
+                self.field, lambda d: monomial_basis(self.stack, deg_sub(inner, d))) \
+                if self._kept(a) else ([], None)
+        return self._pieces[a]
 
     def in_window(self, a):
         return tuple(a) in self.window

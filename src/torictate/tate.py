@@ -16,12 +16,12 @@ from functools import cached_property
 import numpy as np
 
 from .bgg import R
-from .cohomology import (CechOracle, T_CAP, T_START, fast_table_state,
+from .cohomology import (CechOracle, T_START, _stabilize, exponent_floor, fast_table_state,
                          h0b_vanishes)
 from .diffmod import (FreeDiffModule, _add_block, _homology_column_unchecked, minimize,
                       tensor_EI)
 from .dmres import tate_cone
-from .errors import PreconditionError, StabilizationError
+from .errors import PreconditionError
 from .exterior import OmegaTwist, ext_mul, socle_readoff
 from .laurent import (CechComplex, MonomialStrands, _build_retract, _laurent_exponents,
                       signed_exponents)
@@ -79,59 +79,19 @@ def tate_weighted(pres, stack, window, field, d=None):
 
 class _FMData:
     """Materialized Cech data of one transform attempt at a fixed exponent
-    bound: stacked cell bases, Cech maps, retracts, and variable maps."""
+    bound: the Cech complex and the retract of each strand the walk reaches."""
 
     def __init__(self, stack, field, pres, window, t):
         self.stack = stack
         self.field = field
-        self.t = t
         self.window = window
         sums = set(stack.subset_sums())
         r = stack.r
         smin = tuple(min(s[k] for s in sums) for k in range(r))
         smax = tuple(max(s[k] for s in sums) for k in range(r))
-        self.wplus = window.expand(smin, smax)
         self.cx = CechComplex(stack, field, pres, stack.cover, t)
-        self.levels = len(stack.cover)
-        self.dims = {}
-        self.maps = {}
-        self.retract = {}
-        for a in self.wplus.points():
-            dims, mats = self.cx.strand(a, extended=False)
-            self.dims[a] = dims
-            self.maps[a] = mats
-            self.retract[a] = _build_retract(field, dims, mats)
-
-    def delta(self, a, i):
-        """The horizontal map x_i (x) e_i from the stacked strand at a to the
-        strand at a + deg x_i, with the row sign (-1)^level."""
-        b = deg_add(a, self.stack.var_degrees[i])
-        field = self.field
-        src_dims = self.dims[a]
-        tgt_dims = self.dims[b]
-        mat = field.zeros(sum(tgt_dims), sum(src_dims))
-        so = 0
-        to = [0]
-        for dblock in tgt_dims:
-            to.append(to[-1] + dblock)
-        for level in range(self.levels):
-            cells = self.cx.cells_at(level)
-            lo_src = sum(src_dims[:level])
-            lo_tgt = to[level]
-            cs = lo_src
-            ct = lo_tgt
-            for _, cell in cells:
-                loc = self.cx.localized[cell[2]]
-                ns = loc.dim(a)
-                nt = loc.dim(b)
-                if ns and nt:
-                    block = self.cx.multiplication_block(a, i, cell)
-                    if level % 2 == 1:
-                        block = field.reduce(-block)
-                    mat[ct:ct + nt, cs:cs + ns] = block
-                cs += ns
-                ct += nt
-        return mat
+        self.retract = {a: _build_retract(field, *self.cx.strand(a, extended=False))
+                        for a in window.expand(smin, smax).points()}
 
 
 def _transfer(data):
@@ -160,9 +120,9 @@ def _transfer(data):
                 if mono & bit:
                     continue
                 b = deg_add(c, stack.var_degrees[i])
-                if b not in data.dims:
+                if b not in data.retract:
                     continue
-                moved = field.matmul(data.delta(c, i), mat)
+                moved = field.matmul(data.cx.horizontal_block(c, i), mat)
                 if not np.any(moved):
                     continue
                 r = ext_mul(bit, mono)
@@ -292,10 +252,10 @@ def fm_transform(pres, stack, window, field, t=None):
     projective toric stack: build the bicomplex columns and contract each
     onto its homology. The generators are that column homology, and the
     table is read off their twists. The exponent bound is doubled
-    adaptively until the table stabilizes. The transferred horizontal
-    differential is built, and the module validated, only when the result's
-    T is first read. Monomial presentations run on the per-exponent strand
-    decomposition."""
+    adaptively until the table stabilizes (StabilizationError if it has not
+    by t = T_CAP). The transferred horizontal differential is built, and the
+    module validated, only when the result's T is first read. Monomial
+    presentations run on the per-exponent strand decomposition."""
 
     shared_types = MonomialStrands(stack, field, pres, stack.cover) if pres.is_monomial() else None
 
@@ -312,25 +272,16 @@ def fm_transform(pres, stack, window, field, t=None):
         # so every t gives the same transfer and one build is exact
         gens, walk = build(T_START)
     else:
-        from .cohomology import exponent_floor
+        latest = []
 
-        start = max(max(exponent_floor(stack, a) for a in window.points()), T_START)
-        tt = min(start, T_CAP)
-        prev = None
-        while tt <= T_CAP:
-            gens, walk = build(tt)
-            cur = socle_readoff(stack, gens)
-            if prev is not None and cur == prev:
-                break
-            prev = cur
-            tt *= 2
-        else:
-            if prev is None or socle_readoff(stack, build(T_CAP)[0]) != prev:
-                raise StabilizationError("Fourier-Mukai table did not stabilize up to t = %d" % T_CAP)
-    # labels contribute to columns below them, so completeness needs the
-    # downward subset-sum reach inside the recorded window
-    sums = set(stack.subset_sums())
-    safe = {a for a in window.points() if all(deg_sub(a, s) in window for s in sums)}
+        def table(tt):
+            latest.clear()  # only the latest build stays alive
+            latest.append(build(tt))
+            return socle_readoff(stack, latest[0][0])
+
+        _stabilize(table, start=max([T_START] + [exponent_floor(stack, a) for a in window.points()]))
+        gens, walk = latest[0]
+    safe = safe_degrees(stack, window)
 
     def build_T():
         return FreeDiffModule(stack, field, gens, walk(), safe=safe, validate=True)
@@ -338,50 +289,40 @@ def fm_transform(pres, stack, window, field, t=None):
     return TateResult(gens, socle_readoff(stack, gens), "fm", window, build_T)
 
 
+def safe_degrees(stack, window):
+    """The window degrees whose columns are complete: labels contribute to
+    columns below them, so the downward subset-sum reach must stay inside
+    the window."""
+    sums = set(stack.subset_sums())
+    return [a for a in window.points() if all(deg_sub(a, s) in window for s in sums)]
+
+
 def cech_totalization_dm(pres, stack, window, field, t):
     """The uncontracted totalization of the Cech bicomplex as an explicit
     free differential module (small windows only; used for cross-checks
-    against the transferred minimal model)."""
+    against the transferred minimal model): the strands' Cech maps are
+    vertical, and the horizontal blocks carry x_i (x) e_i."""
     cx = CechComplex(stack, field, pres, stack.cover, t)
     gens = []
-    index = {}
-    for a in window.points():
-        for level in range(len(stack.cover)):
-            for ci, cell in cx.cells_at(level):
-                loc = cx.localized[cell[2]]
-                n = loc.dim(a)
-                index[(a, ci)] = len(gens)
-                gens.extend([OmegaTwist(deg_neg(a), level)] * n)
     entries = {}
+    offsets = {}  # per degree: the offset of each level of its strand
     for a in window.points():
-        # vertical Cech differential: constants
-        for level in range(len(stack.cover) - 1):
-            for ci, cell in cx.cells_at(level):
-                loc = cx.localized[cell[2]]
-                if loc.dim(a) == 0:
-                    continue
-                for cj, sign in cx.cofaces[ci]:
-                    block = cx.restriction_block(a, cell, cx.cells[cj])
-                    _add_block(entries, field, index[(a, cj)], index[(a, ci)],
-                               enumerate(block), 0, sign)
-        # horizontal maps: x_i (x) e_i with the row sign
+        dims, mats = cx.strand(a, extended=False)
+        offsets[a] = [len(gens)]
+        for level, n in enumerate(dims):
+            gens.extend([OmegaTwist(deg_neg(a), level)] * n)
+            offsets[a].append(len(gens))
+        for level, m in enumerate(mats):
+            _add_block(entries, field, offsets[a][level + 1], offsets[a][level],
+                       enumerate(m), 0, 1)
+    for a in window.points():
         for i in range(stack.nvars):
             b = deg_add(a, stack.var_degrees[i])
-            if b not in window:
-                continue
-            for level in range(len(stack.cover)):
-                for ci, cell in cx.cells_at(level):
-                    loc = cx.localized[cell[2]]
-                    if loc.dim(a) == 0 or loc.dim(b) == 0:
-                        continue
-                    block = cx.multiplication_block(a, i, cell)
-                    if level % 2 == 1:
-                        block = field.reduce(-block)
-                    _add_block(entries, field, index[(b, ci)],
-                               index[(a, ci)], enumerate(block), 1 << i, 1)
-    sums = set(stack.subset_sums())
-    safe = {a for a in window.points() if all(deg_sub(a, s) in window for s in sums)}
-    return FreeDiffModule(stack, field, gens, entries, safe=safe, validate=True)
+            if b in window:
+                _add_block(entries, field, offsets[b][0], offsets[a][0],
+                           enumerate(cx.horizontal_block(a, i)), 1 << i, 1)
+    return FreeDiffModule(stack, field, gens, entries, safe=safe_degrees(stack, window),
+                          validate=True)
 
 
 def check_exactness_property(dm, stack, subset):

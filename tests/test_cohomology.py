@@ -1,12 +1,17 @@
+import itertools
+
+import numpy as np
 import pytest
 
+from torictate import cohomology
 from torictate.cohomology import (CechOracle, check_betti_bounds_multigraded,
                                   check_betti_bounds_weighted,
                                   cohomology_table_fast, is_0_regular,
                                   is_deg_I_0_regular, local_cohomology_oracle,
                                   oracle_table, sheaf_cohomology_oracle,
                                   weighted_closed_forms)
-from torictate.errors import PreconditionError
+from torictate.errors import PreconditionError, StabilizationError
+from torictate.laurent import CechComplex, MonomialStrands
 from torictate.smodule import (Poly, Presentation, generated_truncation,
                                monomial_basis, presentation_from_span, realize,
                                truncate, twist)
@@ -84,6 +89,49 @@ def test_monomial_and_dense_oracles_agree(p112, hirz3, gf):
         for a in degrees.points():
             assert fast.local_dims(a) == slow.local_dims(a)
             assert fast.sheaf_dims(a) == slow.sheaf_dims(a)
+
+
+def test_stabilize_raises_when_no_two_bounds_agree():
+    visited = []
+
+    def compute(t):
+        visited.append(t)
+        return t
+
+    with pytest.raises(StabilizationError):
+        cohomology._stabilize(compute)
+    assert visited == [2, 4, 8, 16, 32, 64]
+    visited.clear()
+    with pytest.raises(StabilizationError):
+        cohomology._stabilize(compute, start=3)
+    assert visited == [3, 6, 12, 24, 48, 64]
+    # the first value equal to its predecessor is returned
+    assert cohomology._stabilize(lambda t: min(t, 8)) == 8
+    assert cohomology._stabilize(lambda t: min(t, 32), start=24) == 32  # 24, 48, 64
+
+
+def assert_maps_compose_to_zero(field, mats):
+    for m0, m1 in zip(mats, mats[1:]):
+        if m0.size and m1.size:
+            assert not np.any(field.reduce(field.matmul(m1, m0)))
+
+
+def test_oracle_strands_square_to_zero(p112, hirz3, gf):
+    # ranks alone cannot see a wrong sign in a Cech map of rank <= 1, so
+    # both oracle paths are checked for d o d = 0 directly
+    for pres in (Presentation.free([(0, 0)]), Presentation.quotient(hirz3, [(1, 1, 0, 0)])):
+        types = MonomialStrands(hirz3, gf, pres, hirz3.cover)
+        for e in itertools.product(*[range(-1, cap + 1) for cap in types._caps]):
+            cs = types.cellset(e)
+            for alive in {types.module_alive(e), False}:
+                assert_maps_compose_to_zero(gf, types._pattern_complex(alive, cs)[1])
+    pres = Presentation.quotient(p112, [Poly([(1, (4, 0, 0)), (1, (0, 4, 0)), (1, (0, 0, 2))])])
+    module = realize(pres, p112, Window((-4,), (4,)), gf)
+    cx = CechComplex(p112, gf, pres, p112.cover, 4, module_piece=module)
+    for a in range(-4, 5):
+        dims, mats = cx.strand((a,), extended=True)
+        assert sum(dims) and len(mats) == 3
+        assert_maps_compose_to_zero(gf, mats)
 
 
 def test_fast_table_p112(p112, gf):

@@ -1,5 +1,7 @@
+import numpy as np
 import pytest
 
+from torictate.laurent import LocalizedModule
 from torictate.smodule import (DegreewiseModule, Poly, Presentation,
                                koszul_complex, monomial_basis, realize,
                                truncate, twist, verify_multiplication_commutes)
@@ -151,3 +153,22 @@ def test_koszul_exactness_p112(p112, gf):
         for j in (1, 2, 3):
             assert kx.homology(j, (a,)) == 0
         assert kx.homology(0, (a,)) == (1 if a == 0 else 0)
+
+
+def test_localized_piece_without_inversion_matches_degreewise(p112, hirz3, gf):
+    # genus-one runs both classes through Presentation.piece; module H
+    # compares the localized monomial fast path with the relation reducer
+    genus_one = Presentation.quotient(p112, [Poly([(1, (4, 0, 0)), (1, (0, 4, 0)), (1, (0, 0, 2))])])
+    for pres, stack, window in ((genus_one, p112, Window((-2,), (9,))),
+                                (Presentation.quotient(hirz3, [(1, 1, 0, 0)]), hirz3,
+                                 Window((-1, -1), (4, 3)))):
+        deg = realize(pres, stack, window, gf)
+        loc = LocalizedModule(stack, gf, pres, (), 2)
+        assert loc.monomial == (pres is not genus_one)
+        for a in window.points():
+            basis = deg.basis_labels(a)
+            assert loc.basis_labels(a) == basis and loc.dim(a) == deg.dim(a) == len(basis)
+            assert loc.piece(a)[0] == (basis if loc.monomial else deg.piece(a)[0])
+            for m in (loc, deg):
+                coords, ok = m.express(a, [{lab: gf.one} for lab in basis])
+                assert all(ok) and (coords == np.eye(len(basis), dtype=coords.dtype)).all()
