@@ -4,7 +4,8 @@ Betti-degree bound verifiers.
 
 The oracle works from localization strands of the presentation. Its
 monomial path runs on the Cech cell-pattern engine (laurent.MonomialStrands)
-that the Fourier-Mukai monomial path runs on too. Its dense path builds its
+that the Fourier-Mukai monomial path runs on too; it is exact, with no
+exponent bound and no stabilization. Its dense path builds its
 own localized pieces, restriction maps and ranks, and shares only the Cech
 signs (laurent.cech_cells) with that engine; the fast path works from
 minimal free resolutions of differential modules. Neither shares anything
@@ -28,7 +29,7 @@ T_CAP = 64
 
 
 def _stabilize(compute, start=T_START):
-    """Adaptive doubling of the exponent bound: compute at t = start,
+    """Adaptive doubling of the dense path's exponent bound: compute at t = start,
     2 start, ..., with T_CAP as the last value, and return the first value
     equal to the one before it; StabilizationError when none is. The
     degree-derived reach of a class enters through the oracle's
@@ -57,8 +58,9 @@ def exponent_floor(stack, a):
 class CechOracle:
     """Cech strands of a realized module over the irrelevant cover (or a
     custom cover, e.g. the variables of a primitive collection). Monomial
-    presentations run on the exact per-exponent strand decomposition; the
-    dense path handles everything else."""
+    presentations run on the exact per-pattern strand decomposition, one
+    pass per degree. The dense path handles the rest at exponent bound t,
+    or, when t is None, doubles t until the dimensions stabilize."""
 
     def __init__(self, module, cover=None, force_dense=False, floors_fn=None):
         self.module = module
@@ -88,22 +90,20 @@ class CechOracle:
                 floors_fn=self.floors_fn)
         return self._complexes[t]
 
-    def _dims(self, a, t, extended):
+    def _dims(self, a, extended, t):
         if self._strands is not None:
-            return self._strands.strand_homology(a, extended, t, keep=self.module.kept)
-        return self._complex(t).strand_homology(a, extended=extended)
+            return self._strands.strand_homology(a, extended, keep=self.module.kept)
+        if t is not None:
+            return self._complex(t).strand_homology(a, extended=extended)
+        return _stabilize(lambda tt: self._complex(tt).strand_homology(a, extended=extended))
 
     def local_dims(self, a, t=None):
         """All H^i_B(M)_a at once (i = 0 .. #cover)."""
-        if t is not None:
-            return self._dims(a, t, True)
-        return _stabilize(lambda tt: self._dims(a, tt, True))
+        return self._dims(a, True, t)
 
     def sheaf_dims(self, a, t=None):
         """All H^i(X, M~(a)) at once (i = 0 .. #cover - 1)."""
-        if t is not None:
-            return self._dims(a, t, False)
-        return _stabilize(lambda tt: self._dims(a, tt, False))
+        return self._dims(a, False, t)
 
 
 def local_cohomology_oracle(module, stack, a, i, t=None):

@@ -18,4 +18,5 @@ class VerificationError(ValueError):
 
 
 class StabilizationError(WindowTooSmall):
-    """A Cech exponent bound failed to stabilize below the cap (exit 4)."""
+    """A dense Cech exponent bound failed to stabilize below the cap, or a
+    monomial Cech strand pattern has no finite enumeration (exit 4)."""

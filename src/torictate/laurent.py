@@ -1,13 +1,15 @@
-"""Bounded-exponent graded pieces of localizations M[x_C^{-1}] and the Cech
-cells built from them.
+"""Graded pieces of localizations M[x_C^{-1}], the Cech cells built from
+them, and the exact cell-pattern engine of monomial presentations.
 
-A localized piece in a fixed degree is usually infinite dimensional; we
-truncate by bounding the inverted exponents below by -t and rely on the
-caller's adaptive stabilization (double t until the reported dimensions
-stop changing; a bound that has not settled by t = T_CAP raises
-StabilizationError, exit 4). Pieces are built by Presentation.piece, as
-the realized module's are. Monomial presentations take a combinatorial
-fast path: the surviving Laurent monomials themselves form a basis.
+MonomialStrands needs no exponent bound: a strand depends only on which
+relation thresholds its Laurent exponent crosses, so a degree's homology is
+a finite sum over patterns, each weighted by the lattice points of its
+region. The dense path (LocalizedModule, CechComplex) takes any
+presentation. A localized piece in a fixed degree is usually infinite
+dimensional, so it bounds the inverted exponents below by -t and relies on
+the caller's adaptive stabilization (double t until the dimensions stop
+changing; a bound unsettled by t = T_CAP raises StabilizationError, exit 4).
+Its pieces are built by Presentation.piece, as the realized module's are.
 """
 
 from __future__ import annotations
@@ -16,19 +18,24 @@ import itertools
 
 import numpy as np
 
+from .errors import StabilizationError
 from .linalg import _kernel_arr, homology_dims, independent_columns, invert, rref
 from .smodule import GradedPieces
 from .toric import deg_add, deg_sub, deg_zero, points
 
 
-def signed_exponents(stack, d, negatives):
-    """Exponent vectors of degree d with e_i <= -1 for i in the negatives
-    set and e_i >= 0 elsewhere -- the lattice points of a polytope whenever
-    the pattern contributes cohomology -- in lexicographic order."""
-    n = stack.nvars
-    return points(stack.var_degrees, stack.theta, d,
-                  [None if i in negatives else 0 for i in range(n)],
-                  [-1 if i in negatives else None for i in range(n)])
+def signed_exponents(stack, d, pattern):
+    """Exponent vectors of degree d with lower <= e_i <= upper for the
+    per-variable (lower, upper) bounds of pattern (None: open on that side),
+    in lexicographic order. StabilizationError (exit 4) when toric.points
+    cannot bound the region, as for a strand pattern whose cohomology is
+    infinite."""
+    try:
+        return points(stack.var_degrees, stack.theta, d,
+                      [lo for lo, _ in pattern], [hi for _, hi in pattern])
+    except ArithmeticError as exc:
+        raise StabilizationError("the Cech strand pattern %r has no finite enumeration in "
+                                 "degree %r: %s" % (pattern, tuple(d), exc))
 
 
 def _laurent_exponents(stack, d, inverted, t, floors=None):
@@ -194,9 +201,10 @@ class MonomialStrands:
     """The Cech cell-pattern engine of a monomial presentation. The strand
     of a Laurent exponent e is the tiny complex spanned by the cells where e
     survives (its cellset), so it depends only on that pattern: the oracle
-    sums cached pattern homologies, and the Fourier-Mukai transfer walks
-    cached pattern retracts. Exact and fast; the dense CechComplex is the
-    independent general path."""
+    sums cached pattern homologies, each times the lattice points of its
+    region, and the Fourier-Mukai transfer walks cached pattern retracts.
+    Exact, with no exponent bound; the dense CechComplex is the independent
+    general path."""
 
     def __init__(self, stack, field, pres, cover, shift=None):
         if not pres.is_monomial():
@@ -283,51 +291,39 @@ class MonomialStrands:
         return val
 
     def contributing(self, live):
-        """For a free module the pattern of an exponent depends only on its
-        negative support nu, and the module cell is alive when live and nu
-        is empty: (nu, alive, cellset) of each support whose strand has
-        homology."""
+        """(pattern, alive, cellset) of each pattern whose strand has
+        homology, the module cell alive only when live. A pattern bounds each
+        e_i by (None, -1) or from one of thresholds[i] up to the next, and its
+        lower ends represent it, since cellset and module_alive are constant
+        on it. A free module (thresholds {0}) has the 2^n sign patterns."""
         out = self._contributing.get(live)
         if out is None:
             out = self._contributing[live] = []
-            for mask in range(1 << self.stack.nvars):
-                nu = frozenset(i for i in range(self.stack.nvars) if mask & (1 << i))
-                cs = self.cellset(tuple(-1 if i in nu else 0 for i in range(self.stack.nvars)))
-                alive = live and not nu
+            sides = []
+            for th in self.thresholds:
+                cuts = sorted(th)
+                sides.append([(None, -1)] + list(zip(cuts, [c - 1 for c in cuts[1:]] + [None])))
+            for pattern in itertools.product(*sides):
+                e = tuple(-1 if lo is None else lo for lo, _ in pattern)
+                cs = self.cellset(e)
+                alive = live and self.module_alive(e)
                 if (cs or alive) and any(self.homology(alive, cs)):
-                    out.append((nu, alive, cs))
+                    out.append((pattern, alive, cs))
         return out
 
-    def strand_homology(self, a, extended, t, keep=None):
+    def strand_homology(self, a, extended, keep=None):
         """Summed homology positions; extended includes the module cell
-        (position 0 = H^0_B), otherwise position 0 is the sheaf H^0 slot."""
-        inner = deg_add(tuple(a), self.shift)
-        kept = keep is None or keep(tuple(a))
-        live = extended and kept
+        (position 0 = H^0_B), otherwise position 0 is the sheaf H^0 slot.
+        Each contributing pattern counts once per exponent of its region."""
+        inner = deg_sub(deg_add(tuple(a), self.shift), self.gshift)
+        live = extended and (keep is None or keep(tuple(a)))
         out = [0] * (self.nlevels + (1 if extended else 0))
-
-        def add(alive, cs, n):
-            hom = self.homology(alive, cs)
-            for i, h in enumerate(hom if extended else hom[1:]):
-                out[i] += h * n
-
-        if not self.rels:
-            # free module: exact per-pattern polytope enumeration
-            for nu, alive, cs in self.contributing(live):
-                n = len(signed_exponents(self.stack, deg_sub(inner, self.gshift), nu))
-                if n:
-                    add(alive, cs, n)
-            return out
-        all_vars = frozenset(range(self.stack.nvars))
-        theta = self.stack.theta
-        reach = abs(theta(inner)) + theta(self.stack.total_degree)
-        floors = [reach // theta(d) + 1 for d in self.stack.var_degrees]
-        for e in _laurent_exponents(self.stack, deg_sub(inner, self.gshift), all_vars, t,
-                                    floors=floors):
-            cs = self.cellset(e)
-            alive = live and self.module_alive(e)
-            if cs or alive:
-                add(alive, cs, 1)
+        for pattern, alive, cs in self.contributing(live):
+            n = len(signed_exponents(self.stack, inner, pattern))
+            if n:
+                hom = self.homology(alive, cs)
+                for i, h in enumerate(hom if extended else hom[1:]):
+                    out[i] += h * n
         return out
 
 

@@ -23,8 +23,7 @@ from .diffmod import (FreeDiffModule, _add_block, _homology_column_unchecked, mi
 from .dmres import tate_cone
 from .errors import PreconditionError
 from .exterior import OmegaTwist, ext_mul, socle_readoff
-from .laurent import (CechComplex, MonomialStrands, _build_retract, _laurent_exponents,
-                      signed_exponents)
+from .laurent import CechComplex, MonomialStrands, _build_retract, signed_exponents
 from .linalg import GF
 from .toric import cone_contains, deg_add, deg_neg, deg_sub, is_irrelevant_subset
 
@@ -148,33 +147,23 @@ def _transfer(data):
 
 # -- monomial strand pipeline -------------------------------------------------
 
-def _monomial_transfer(pres, stack, window, field, t, types=None):
+def _monomial_transfer(pres, stack, window, field, types=None):
     """Transfer pipeline decomposed along Laurent exponent strands: returns
     the generators, one per homology vector of a source strand, and walk(),
-    which returns the sparse exterior entries of the transferred differential."""
+    which returns the sparse exterior entries of the transferred differential.
+    The sources are the exponents of the patterns whose strand carries
+    homology, each pattern's region enumerated exactly."""
     if types is None:
         types = MonomialStrands(stack, field, pres, stack.cover)
-    all_vars = frozenset(range(stack.nvars))
-
-    def source_exponents(inner):
-        if types.rels:
-            return _laurent_exponents(stack, inner, all_vars, t)
-        # free module: only sign patterns whose strand carries homology,
-        # each a bounded polytope enumerated exactly (no exponent cap)
-        return sorted(e for nu, _, _ in types.contributing(False)
-                      for e in signed_exponents(stack, inner, nu))
-
     gens = []
     sources = []  # (exponent, cellset, homology embedding)
     offset_of = {}  # the exponent fixes the degree, so it keys the generators
     for a in window.points():
-        for e in source_exponents(deg_sub(a, types.gshift)):
+        inner = deg_sub(a, types.gshift)
+        for e in sorted(e for pattern, _, _ in types.contributing(False)
+                        for e in signed_exponents(stack, inner, pattern)):
             cs = types.cellset(e)
-            if not cs:
-                continue
             ret = types.retract(cs)[0]
-            if ret.i.shape[1] == 0:
-                continue
             offset_of[e] = len(gens)
             for lvl in ret.hlabels:
                 gens.append(OmegaTwist(deg_neg(a), lvl))
@@ -251,32 +240,22 @@ def fm_transform(pres, stack, window, field, t=None):
     """The Cech Fourier-Mukai construction of the Tate resolution on any
     projective toric stack: build the bicomplex columns and contract each
     onto its homology. The generators are that column homology, and the
-    table is read off their twists. The exponent bound is doubled
+    table is read off their twists. A monomial presentation runs once on
+    the exact per-pattern strand decomposition. Any other runs on the dense
+    Cech complex at exponent bound t, or, when t is None, with t doubled
     adaptively until the table stabilizes (StabilizationError if it has not
     by t = T_CAP). The transferred horizontal differential is built, and the
-    module validated, only when the result's T is first read. Monomial
-    presentations run on the per-exponent strand decomposition."""
-
-    shared_types = MonomialStrands(stack, field, pres, stack.cover) if pres.is_monomial() else None
-
-    def build(tt):
-        if shared_types is not None:
-            return _monomial_transfer(pres, stack, window, field, tt, types=shared_types)
-        data = _FMData(stack, field, pres, window, tt)
-        return _transfer(data)
-
-    if t is not None:
-        gens, walk = build(t)
-    elif shared_types is not None and not pres.entries:
-        # a free module's strands are enumerated without an exponent bound,
-        # so every t gives the same transfer and one build is exact
-        gens, walk = build(T_START)
+    module validated, only when the result's T is first read."""
+    if pres.is_monomial():
+        gens, walk = _monomial_transfer(pres, stack, window, field)
+    elif t is not None:
+        gens, walk = _transfer(_FMData(stack, field, pres, window, t))
     else:
         latest = []
 
         def table(tt):
             latest.clear()  # only the latest build stays alive
-            latest.append(build(tt))
+            latest.append(_transfer(_FMData(stack, field, pres, window, tt)))
             return socle_readoff(stack, latest[0][0])
 
         _stabilize(table, start=max([T_START] + [exponent_floor(stack, a) for a in window.points()]))

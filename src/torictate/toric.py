@@ -307,8 +307,6 @@ def points(degrees, theta, target, lower, upper):
                       for R in itertools.combinations(range(r), size)
                       if _det([[rows[k][j] for j in P] for k in R]))
     free = [j for j in range(n) if j not in piv]
-    if any(hi[j] - lo[j] > _ENUM_CAP for j in free):
-        raise ArithmeticError("lattice-point region is unbounded or too wide to enumerate")
     sub = [[rows[k][j] for j in piv] for k in prows]
     det = _det(sub)
     # adj[i][m] = (-1)^(i+m) det(sub without row m and column i)
@@ -320,6 +318,19 @@ def points(degrees, theta, target, lower, upper):
     # numerators adj . rest[prows] of the solved coordinates.
     def extend(col):
         return col + [sum(c * col[k] for c, k in zip(adj_row, prows)) for adj_row in adj]
+
+    if len(free) == 1:
+        # each solved coordinate is affine in the one branching coordinate f,
+        # det e_j + m_j e_f = b_j, so its bounds bound e_f exactly
+        f = free[0]
+        lines = [[0] * n for _ in piv]
+        for line, j, m in zip(lines, piv, extend([row[f] for row in rows])[r + 1:]):
+            line[j], line[f] = det, m
+        bs = extend(rhs)[r + 1:]
+        for k, a, t_lo, t_hi in _cuts(lines, f, piv, lo, hi):
+            lo[f], hi[f] = max(lo[f], -((t_lo - bs[k]) // a)), min(hi[f], (bs[k] - t_hi) // a)
+    if any(hi[j] - lo[j] > _ENUM_CAP for j in free):
+        raise ArithmeticError("lattice-point region is unbounded or too wide to enumerate")
 
     plan = [(f, lo[f], hi[f], extend([row[f] for row in rows]),
              _cuts(rows, f, free[depth + 1:] + piv, lo, hi)) for depth, f in enumerate(free)]

@@ -224,6 +224,34 @@ def test_exit_code_window(capsys):
     assert code == 4 and "safe" in err
 
 
+def test_monomial_oracle_counts_every_exponent(capsys, tmp_path):
+    # S/(x0^4 x1^5) on P(1,2) has h^0 = 7 in every degree; the oracle must
+    # reach the sections that the relation's exponents push far out
+    with open(fixture("p12.tate")) as fh:
+        doc = json.load(fh)
+    doc["modules"] = {"M": {"relations": [{"degree": [14], "entries": [[[1, [4, 5]]]]}]}}
+    path = tmp_path / "p12m.tate"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run_cli(["oracle", str(path), "--module", "M", "--window", "-6:6"], capsys)
+    assert code == 0 and out.splitlines()[1].split() == ["0"] + ["7"] * 13
+    code, out, _ = run_cli(["verify", str(path), "--module", "M", "--window", "-6:6"], capsys)
+    assert code == 0 and "agrees" in out
+
+
+@pytest.mark.parametrize("module", ["S", "Q"])
+def test_infinite_cech_cohomology_exits_4(capsys, tmp_path, module):
+    # over the cover {x0} alone, M_{x0} is infinite dimensional in every
+    # degree, for S and for Q = S/(x1) alike
+    with open(fixture("p112.tate")) as fh:
+        doc = json.load(fh)
+    doc["cover"] = [[0]]
+    doc["modules"]["Q"] = {"relations": [{"degree": [1], "entries": [[[1, [0, 1, 0]]]]}]}
+    path = tmp_path / "cover.tate"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(["oracle", str(path), "--module", module, "--window", "-2:2"], capsys)
+    assert code == 4 and out == "" and err.startswith("error: ")
+
+
 def test_exit_code_verification(capsys, monkeypatch):
     # force a disagreement between the paths to exercise exit code 5
     import torictate.cli as cli

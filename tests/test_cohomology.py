@@ -15,7 +15,7 @@ from torictate.laurent import CechComplex, MonomialStrands
 from torictate.smodule import (Poly, Presentation, generated_truncation,
                                monomial_basis, presentation_from_span, realize,
                                truncate, twist)
-from torictate.toric import Window
+from torictate.toric import Window, deg_add, deg_sub, points
 
 
 def free_s(stack, gf, lo, hi):
@@ -89,6 +89,44 @@ def test_monomial_and_dense_oracles_agree(p112, hirz3, gf):
         for a in degrees.points():
             assert fast.local_dims(a) == slow.local_dims(a)
             assert fast.sheaf_dims(a) == slow.sheaf_dims(a)
+
+
+def reference_dims(oracle, a, extended, bound):
+    """The oracle's dims at a from every Laurent exponent of the degree with
+    e_i >= -bound, each classified by its own cellset and module cell."""
+    types, stack = oracle._strands, oracle.stack
+    inner = deg_sub(deg_add(a, types.shift), types.gshift)
+    live = extended and oracle.module.kept(a)
+    out = [0] * (types.nlevels + (1 if extended else 0))
+    for e in points(stack.var_degrees, stack.theta, inner, [-bound] * stack.nvars,
+                    [None] * stack.nvars):
+        cs = types.cellset(e)
+        alive = live and types.module_alive(e)
+        if cs or alive:
+            hom = types.homology(alive, cs)
+            for i, h in enumerate(hom if extended else hom[1:]):
+                out[i] += h
+    return out
+
+
+def test_monomial_oracle_matches_exponent_count(p112, p12, p1p1, hirz3, gf, rng):
+    # the monomial oracle counts pattern regions; the reference counts the
+    # exponents one by one down to -24 (-48 gives the same dims here), so
+    # a pattern region counted wrong or missed shows
+    cases = []
+    for stack, degrees in ((p112, Window((-5,), (5,))), (p12, Window((-5,), (5,))),
+                           (p1p1, Window((-2, -2), (2, 2))), (hirz3, Window((-2, -1), (2, 1)))):
+        for _ in range(3):
+            rels = [tuple(rng.randint(0, 5) for _ in range(stack.nvars))
+                    for _ in range(rng.randint(1, 3))]
+            pres = Presentation.quotient(stack, [g for g in rels if any(g)] or [(5,) * stack.nvars])
+            cases.append((realize(pres, stack, degrees, gf), degrees))
+    cases.append((truncate(cases[0][0], 2), cases[0][1]))
+    for module, degrees in cases:
+        oracle = CechOracle(module)
+        for a in degrees.points():
+            assert oracle.local_dims(a) == reference_dims(oracle, a, True, 24)
+            assert oracle.sheaf_dims(a) == reference_dims(oracle, a, False, 24)
 
 
 def test_stabilize_raises_when_no_two_bounds_agree():

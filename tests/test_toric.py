@@ -199,13 +199,19 @@ _sides = st.one_of(
     st.just((None, -1)),   # an inverted, negative one
 )
 
+_one_sided = st.one_of(st.tuples(st.integers(-3, 3), st.none()),
+                       st.tuples(st.none(), st.integers(-3, 3)))
+
 
 @st.composite
 def _problems(draw):
-    r = draw(st.integers(1, 2))
-    n = draw(st.integers(1, 4))
+    # three coordinates over two degree rows, each bounded on one side only:
+    # the mixed-sign regions that interval tightening alone may leave open
+    corank_one = draw(st.booleans())
+    r = 2 if corank_one else draw(st.integers(1, 2))
+    n = 3 if corank_one else draw(st.integers(1, 4))
     entry = st.integers(-2, 2)
-    if r == 2 and draw(st.booleans()):
+    if r == 2 and not corank_one and draw(st.booleans()):
         # rank-deficient: every degree a multiple of one vector
         u = draw(st.tuples(entry, entry))
         degrees = [tuple(c * x for x in u) for c in draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))]
@@ -213,7 +219,7 @@ def _problems(draw):
         degrees = [draw(st.tuples(*[entry] * r)) for _ in range(n)]
     theta = draw(st.tuples(*[st.integers(-2, 2)] * r))
     target = draw(st.tuples(*[st.integers(-4, 4)] * r))
-    sides = [draw(_sides) for _ in range(n)]
+    sides = [draw(_one_sided if corank_one else _sides) for _ in range(n)]
     return degrees, theta, target, [l for l, _ in sides], [h for _, h in sides]
 
 
@@ -222,6 +228,13 @@ def _brute(degrees, target, lower, upper):
            for l, h in zip(lower, upper)]
     return [e for e in itertools.product(*box)
             if all(sum(c * d[k] for c, d in zip(e, degrees)) == t for k, t in enumerate(target))]
+
+
+def _rank(degrees):
+    """The rank of the degree vectors (r <= 2)."""
+    if len(degrees[0]) == 2 and any(a * d - b * c for (a, b), (c, d) in itertools.combinations(degrees, 2)):
+        return 2
+    return 1 if any(any(d) for d in degrees) else 0
 
 
 def _recedes(degrees, lower, upper):
@@ -241,9 +254,14 @@ def test_points_matches_brute_force(problem):
         got = points(degrees, PositiveGrading(theta), target, lower, upper)
     except ArithmeticError:
         # the theta row bounds every coordinate when theta is positive on the
-        # degrees and every coordinate has a lower bound; elsewhere interval
+        # degrees and every coordinate has a lower bound; one coordinate
+        # beyond the rank of the degrees is bounded exactly by the solved
+        # ones, so only an unbounded region raises; elsewhere interval
         # tightening may leave a bounded region open
-        assert None in lower or any(PositiveGrading(theta)(d) <= 0 for d in degrees)
+        if len(degrees) - _rank(degrees) == 1:
+            assert _recedes(degrees, lower, upper)
+        else:
+            assert None in lower or any(PositiveGrading(theta)(d) <= 0 for d in degrees)
         return
     assert not (got and _recedes(degrees, lower, upper))
     assert got == sorted(set(got))
@@ -262,6 +280,15 @@ def test_points_solves_through_a_non_unimodular_pivot():
     for target in itertools.product(range(7), repeat=2):
         want = _brute(degs, target, [0] * 4, [6] * 4)
         assert points(degs, theta, target, [0] * 4, [None] * 4) == want
+
+
+def test_points_bounds_one_branching_coordinate_by_the_solved_ones():
+    # every coordinate has a one-sided bound and each row leaves another
+    # coordinate open, so interval tightening alone bounds none of them;
+    # the solved coordinates, affine in the branching one, bound it
+    got = points([(-1, 1), (-2, 1), (1, 2)], PositiveGrading((0, 2)), (4, 2),
+                 [0, None, 0], [None, -1, None])
+    assert got == [(3, -3, 1), (8, -6, 0)]
 
 
 def test_points_unbounded_region_raises():
