@@ -10,7 +10,7 @@ from .toric import (PositiveGrading, ToricStack, Window, cone_contains,
                     weights_zgraded)
 from .smodule import (DegreewiseModule, Poly, Presentation, generated_truncation,
                       koszul_complex, monomial_basis, realize, truncate, twist)
-from .exterior import FreeEModule, OmegaTwist, ext_mul, socle_readoff
+from .exterior import OmegaTwist, ext_mul, socle_readoff
 from .diffmod import (DMMorphism, EComplex, FreeDiffModule, check_minimal,
                       check_square_zero, cone, fold, homology_column, minimize,
                       tensor_EI, unfold)

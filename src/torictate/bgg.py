@@ -5,7 +5,9 @@ R sends a realized module M to the free differential module with dim M_a
 generators omega_E(-a; 0) per window degree a and differential assembled
 from the multiplication matrices tensored with the dual exterior variables;
 its column homology at (a; j) computes Tor_j(M, k)_a. L goes back, sending
-a windowed differential module to a complex of degreewise modules. R_I and
+a windowed differential module to a complex of degreewise modules, whose
+blocks are Kronecker products of multiplication by x_i with the column
+matrices (diffmod.column_matrix) of e_i and of the differential. R_I and
 the variable mask on L restrict the differential to a subset of variables.
 """
 
@@ -13,15 +15,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .diffmod import FreeDiffModule, _add_block, _homology_column_unchecked
-from .exterior import OmegaTwist, ext_mul
+from .diffmod import FreeDiffModule, _add_block, _homology_column_unchecked, column_matrix
+from .exterior import OmegaTwist
 from .linalg import Mat, _rank_arr
 from .smodule import GradedComplex, monomial_basis
 from .toric import deg_add, deg_neg, deg_sub, degrees_within
-
-
-def _full_mask(stack):
-    return (1 << stack.nvars) - 1
 
 
 def _r_safe_set(module):
@@ -110,89 +108,68 @@ def L(dm, module_degrees, col_degrees=None, mask=None):
     degree c is the sum over column degrees a of S_{c-a} tensor D_{(a; j)},
     with differential s (x) d -> sum x_i s (x) e_i d - s (x) del(d).
 
+    Its block from column a to column b is the sum of kron(x_i, e_i) over
+    the variables i of the mask (default all) with b = a - deg x_i, minus
+    kron(1, del) when b = a; e_i and del act through column_matrix.
+
     col_degrees defaults to the safe set of dm; the caller is responsible
     for passing every column that can contribute when exact homology at the
     requested module degrees is needed."""
     stack = dm.stack
     field = dm.field
-    use_mask = _full_mask(stack) if mask is None else sum(1 << i for i in set(mask))
+    use = range(stack.nvars) if mask is None else sorted(set(mask))
     if col_degrees is None:
         col_degrees = sorted(dm.safe)
     col_degrees = [tuple(a) for a in col_degrees]
     slices = {a: dm.column_slices(a) for a in col_degrees}
-    cx = GradedComplex(field)
-    bases = {}
     js = sorted({j for a in col_degrees for j in slices[a]})
+    diag = {t: [t] for t in range(len(dm.gens))}
+    wedge = [{(t, t): {1 << i: field.one} for t in diag} for i in range(stack.nvars)]
     module_degrees = [tuple(c) for c in module_degrees]
+    cx = GradedComplex(field)
+    blocks = {}  # (j, c) -> {a: (offset, monomials, slice)}, monomial-major
     for c in module_degrees:
         for j in js:
-            basis = []
+            off = 0
+            blocks[(j, c)] = {}
             for a in col_degrees:
                 sl = slices[a].get(j)
-                if not sl:
-                    continue
-                if stack.theta(deg_sub(c, a)) < 0:
-                    continue
-                for mono in monomial_basis(stack, deg_sub(c, a)):
-                    for k in range(len(sl)):
-                        basis.append((a, mono, k))
-            bases[(j, c)] = basis
-            cx.set_dim(j, c, len(basis))
+                if sl and stack.theta(deg_sub(c, a)) >= 0:
+                    monos = monomial_basis(stack, deg_sub(c, a))
+                    blocks[(j, c)][a] = (off, monos, sl)
+                    off += len(monos) * len(sl)
+            cx.set_dim(j, c, off)
     for c in module_degrees:
         for j in js:
-            src = bases.get((j, c), [])
-            tgt = bases.get((j - 1, c), [])
-            if not src or not tgt:
+            if not cx.dim(j, c) or not cx.dim(j - 1, c):
                 continue
-            tindex = {key: r for r, key in enumerate(tgt)}
-            tgt_slice_index = {}
-            for a in col_degrees:
-                sl = slices[a].get(j - 1)
-                if sl:
-                    tgt_slice_index[a] = {lab: k for k, lab in enumerate(sl)}
-            m = field.zeros(len(tgt), len(src))
-            for col, (a, mono, k) in enumerate(src):
-                t, mu = slices[a][j][k]
-                mm = use_mask
-                i = 0
-                while mm:
-                    if mm & 1:
-                        b = deg_sub(a, stack.var_degrees[i])
-                        smap = tgt_slice_index.get(b)
-                        if smap is not None:
-                            rr = ext_mul(1 << i, mu)
-                            if rr is not None:
-                                sign, um = rr
-                                k2 = smap.get((t, um))
-                                if k2 is not None:
-                                    newmono = tuple(x + (1 if idx == i else 0) for idx, x in enumerate(mono))
-                                    r = tindex.get((b, newmono, k2))
-                                    if r is not None:
-                                        v = field.one if sign > 0 else field.neg(field.one)
-                                        m[r, col] = field.add(m[r, col], v)
-                    mm >>= 1
-                    i += 1
-                smap = tgt_slice_index.get(a)
-                if smap is not None:
-                    for s2 in dm._out.get(t, ()):
-                        elem = dm.entries[(s2, t)]
-                        for u, cval in elem.items():
-                            if u & ~dm.varmask:
-                                continue
-                            rr = ext_mul(u, mu)
-                            if rr is None:
-                                continue
-                            sign, um = rr
-                            k2 = smap.get((s2, um))
-                            if k2 is None:
-                                continue
-                            r = tindex.get((a, mono, k2))
-                            if r is None:
-                                continue
-                            v = cval if sign < 0 else field.neg(cval)
-                            m[r, col] = field.add(m[r, col], v)
+            tgt = blocks[(j - 1, c)]
+            m = field.zeros(cx.dim(j - 1, c), cx.dim(j, c))
+            for a, (soff, monos, sl) in blocks[(j, c)].items():
+                cols = slice(soff, soff + len(monos) * len(sl))
+                if a in tgt:
+                    toff, _, tsl = tgt[a]
+                    d = np.kron(np.eye(len(monos), dtype=np.int64),
+                                column_matrix(field, dm.entries, dm._out, sl, tsl))
+                    m[toff:toff + d.shape[0], cols] -= d
+                for i in use:
+                    b = deg_sub(a, stack.var_degrees[i])
+                    if b in tgt:
+                        toff, tmonos, tsl = tgt[b]
+                        x = np.kron(_times_x(monos, tmonos, i), column_matrix(field, wedge[i], diag, sl, tsl))
+                        m[toff:toff + x.shape[0], cols] += x
             cx.set_map(j, c, Mat(field, m))
     return cx
+
+
+def _times_x(src, tgt, i):
+    """The 0/1 matrix of multiplication by x_i from the exponents src to
+    the exponents tgt."""
+    idx = {e: k for k, e in enumerate(tgt)}
+    x = np.zeros((len(tgt), len(src)), dtype=np.int64)
+    for col, e in enumerate(src):
+        x[idx[e[:i] + (e[i] + 1,) + e[i + 1:]], col] = 1
+    return x
 
 
 def betti_table(module, degrees=None):

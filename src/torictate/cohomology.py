@@ -78,7 +78,7 @@ class CechOracle:
                 return [reach // _theta(d) + 1 for d in self.stack.var_degrees]
 
         self.floors_fn = floors_fn
-        if module.pres.is_monomial() and not force_dense:
+        if module.pres.is_monomial(self.field) and not force_dense:
             self._strands = MonomialStrands(self.stack, self.field, module.pres,
                                             self.cover, shift=module.shift)
 

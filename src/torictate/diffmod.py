@@ -81,27 +81,6 @@ class FreeDiffModule:
             blocks[j] = self.column_block(a, src, tgt)
         return slices, blocks
 
-    def right_action_vec(self, vec, a, i):
-        """Right multiplication by e_i on a sparse column vector at degree a
-        (labels (gen, monomial)); lands in the column at a - deg x_i."""
-        from .exterior import mul_sign
-
-        out = {}
-        field = self.field
-        bit = 1 << i
-        for (s, u), c in vec.items():
-            if u & bit or bit & ~self.varmask:
-                continue
-            sign = mul_sign(u, bit)
-            cc = c if sign > 0 else field.neg(c)
-            key = (s, u | bit)
-            v = field.add(out.get(key, field.zero), cc)
-            if v == field.zero:
-                out.pop(key, None)
-            else:
-                out[key] = v
-        return out
-
 
 def column_matrix(field, entries, out, src, tgt):
     """The matrix, from the span of src to the span of tgt, of the sparse

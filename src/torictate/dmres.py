@@ -6,6 +6,10 @@ level adds one generator per homology class of the mapping cone of the
 partial comparison map; the differential of a new generator lands in
 strictly higher levels, so the result is a free flag, and no constant
 entries ever appear, so it is minimal as built.
+
+F's differential and the comparison map eps are both sparse E-matrices,
+{(target gen, F gen): {monomial: coeff}}, and act on a column only through
+diffmod.column_matrix.
 """
 
 from __future__ import annotations
@@ -59,7 +63,8 @@ class ResolutionState:
         self.rounds = []
         self.entries = {}
         self._out = {}
-        self.eps_vecs = []  # per generator: dict D-column-label -> coeff
+        self.eps = {}  # (target gen, F gen) -> {monomial: coeff}, like entries
+        self._eps_out = {}
         self.top_hit = False
 
     # -- column machinery for F ----------------------------------------------
@@ -67,32 +72,6 @@ class ResolutionState:
     def f_column_slices(self, a):
         # uncached: F's generators grow while the resolution runs
         return column_slices(self.stack, self.gens, column_basis(self.stack, self.gens, tuple(a)))
-
-    def eps_vector(self, t, mono):
-        """eps(basis element (t, e_mono)) as a label -> coeff dict in the
-        target's column at gen_degree(t) - deg(mono)."""
-        vec = self.eps_vecs[t]
-        a = deg_sub(self.stack.total_degree, self.gens[t].cl)
-        mono_left = mono
-        i = 0
-        while mono_left:
-            if mono_left & 1:
-                vec = self.target.right_action_vec(vec, a, i)
-                a = deg_sub(a, self.stack.var_degrees[i])
-            mono_left >>= 1
-            i += 1
-        return vec
-
-    def eps_block(self, src, tgt_labels):
-        field = self.field
-        idx = {lab: k for k, lab in enumerate(tgt_labels)}
-        mat = field.zeros(len(tgt_labels), len(src))
-        for col, (t, m) in enumerate(src):
-            for lab, c in self.eps_vector(t, m).items():
-                k = idx.get(lab)
-                if k is not None:
-                    mat[k, col] = field.add(mat[k, col], c)
-        return mat
 
     # -- cone columns ---------------------------------------------------------
 
@@ -116,7 +95,7 @@ class ResolutionState:
             if nd and md:
                 mat[:md, :nd] = self.target.column_block(a, dsl, dtgt)
             if nf and md:
-                mat[:md, nd:] = self.eps_block(fsl, dtgt)
+                mat[:md, nd:] = column_matrix(field, self.eps, self._eps_out, fsl, dtgt)
             if nf and mf:
                 mat[md:, nd:] = field.reduce(-column_matrix(field, self.entries, self._out, fsl, ftgt))
             blocks[j] = mat
@@ -128,41 +107,30 @@ class ResolutionState:
 
     # -- generator insertion --------------------------------------------------
 
-    def _add_generator(self, a, j, z_d, z_f, d_tgt_labels, f_tgt_labels, round_index):
+    def _add_generator(self, a, j, z, d_labels, f_labels, round_index):
+        """Add the generator killing the class z at cone degree (a; j): its
+        eps is z's D-part, its differential minus z's F-part."""
         field = self.field
         t = len(self.gens)
         self.gens.append(OmegaTwist(deg_sub(self.stack.total_degree, a), self.stack.nvars - j))
         self.rounds.append(round_index)
-        vec = {}
-        for k, lab in enumerate(d_tgt_labels):
-            c = z_d[k]
-            if c != field.zero:
-                vec[lab] = c
-        self.eps_vecs.append(vec)
-        by_gen = {}
-        for k, (s, m) in enumerate(f_tgt_labels):
-            c = z_f[k]
-            if c != field.zero:
-                by_gen.setdefault(s, {})[m] = field.neg(c)
-        for s, elem in by_gen.items():
-            self.entries[(s, t)] = elem
-            self._out.setdefault(t, []).append(s)
+        nd = len(d_labels)
+        eps, diff = {}, {}
+        for k in np.flatnonzero(z):
+            if k < nd:
+                s, m = d_labels[k]
+                eps.setdefault(s, {})[m] = z[k]
+            else:
+                s, m = f_labels[k - nd]
+                diff.setdefault(s, {})[m] = field.neg(z[k])
+        for store, out, by_gen in ((self.eps, self._eps_out, eps), (self.entries, self._out, diff)):
+            for s, elem in by_gen.items():
+                store[(s, t)] = elem
+                out.setdefault(t, []).append(s)
 
     def free_module(self, safe):
         return FreeDiffModule(self.stack, self.field, self.gens, self.entries,
                               safe=safe, validate=True)
-
-    def morphism_entries(self):
-        """eps as sparse E-entries (requires the target to be free)."""
-        field = self.field
-        out = {}
-        for t, vec in enumerate(self.eps_vecs):
-            by_gen = {}
-            for (s, u), c in vec.items():
-                by_gen.setdefault(s, {})[u] = c
-            for s, elem in by_gen.items():
-                out[(s, t)] = elem
-        return out
 
 
 def _select_representatives(field, ker, d_in, policy):
@@ -176,7 +144,10 @@ def _select_representatives(field, ker, d_in, policy):
 def min_free_resolution(target, floor, ceiling=None, policy="first", degrees=None):
     """Resolve a differential module by descending-level cycle killing.
 
-    target: a FreeDiffModule (or any object with the same column surface).
+    target: a FreeDiffModule, or any object with its column surface
+    (stack, field, safe, column_slices, column_block) whose column labels
+    are (generator, exterior monomial) pairs on which E acts by wedge, as
+    eps is applied to them through column_matrix.
     floor/ceiling: grading-functional bounds on the levels scanned; degrees
     defaults to the target's safe set clipped to [floor, ceiling].
 
@@ -207,16 +178,12 @@ def min_free_resolution(target, floor, ceiling=None, policy="first", degrees=Non
                     rank_in = d_in.shape[1] - kers[j + 1].shape[1]
                 if kers[j].shape[1] == rank_in:
                     continue  # the image of d_in is the whole kernel
-                dsl, fsl = slices[j]
-                nd = len(dsl)
+                # a class at cone degree (a; j) has its D-part in D_j(a)
+                # and its F-part in F_{j-1}(a)
                 for vec in _select_representatives(state.field, kers[j], d_in, policy):
-                    # the class lives at cone degree (a; j): its D-part in
-                    # D_j(a), its F-part in F_{j-1}(a)
-                    z_d_col = vec[:nd]
-                    z_f_col = vec[nd:]
-                    new.append((j, z_d_col, z_f_col, dsl, fsl))
-            for j, z_d_col, z_f_col, dsl, fsl in new:
-                state._add_generator(a, j, z_d_col, z_f_col, dsl, fsl, round_index)
+                    new.append((j, vec) + slices[j])
+            for j, vec, dsl, fsl in new:
+                state._add_generator(a, j, vec, dsl, fsl, round_index)
                 if lv == ceiling:
                     state.top_hit = True
     return state
@@ -237,5 +204,5 @@ def verify_quasi_iso(state, degrees=None):
 def tate_cone(state, safe):
     """cone(F -> D) as a FreeDiffModule (target must be free)."""
     f = state.free_module(safe=safe)
-    eps = DMMorphism(f, state.target, state.morphism_entries(), validate=True)
+    eps = DMMorphism(f, state.target, state.eps, validate=True)
     return cone(eps)

@@ -120,19 +120,6 @@ def entry_degree(stack, source_tw, target_tw, shift_aux=-1):
     return cl, aux
 
 
-class FreeEModule:
-    """A free E-module given by a list of omega_E twists."""
-
-    def __init__(self, stack, generators):
-        self.stack = stack
-        self.gens = list(generators)
-
-    def column_basis(self, a, varmask=None):
-        """The finite k-basis of the Cl-degree-a slice, as (generator index,
-        monomial bitmask) pairs in deterministic order."""
-        return column_basis(self.stack, self.gens, tuple(a), varmask)
-
-
 def column_basis(stack, gens, a, varmask=None):
     """The k-basis of the Cl-degree-a slice of the free module on the twists
     gens, as (generator index, monomial bitmask) pairs: generators in order,

@@ -62,8 +62,8 @@ class LocalizedModule(GradedPieces):
         self.t = t
         self.floors_fn = floors_fn
         self.shift = tuple(shift) if shift is not None else deg_zero(stack.r)
-        self.monomial = pres.is_monomial()
-        self._rel_exponents = pres.monomial_exponents() if self.monomial else ()
+        self.monomial = pres.is_monomial(field)
+        self._rel_exponents = pres.monomial_exponents(field) if self.monomial else ()
         self._cache = {}
 
     def _kills(self, e):
@@ -207,7 +207,7 @@ class MonomialStrands:
     general path."""
 
     def __init__(self, stack, field, pres, cover, shift=None):
-        if not pres.is_monomial():
+        if not pres.is_monomial(field):
             raise ValueError("MonomialStrands requires a monomial presentation")
         self.stack = stack
         self.field = field
@@ -215,7 +215,7 @@ class MonomialStrands:
         self.shift = tuple(shift) if shift is not None else deg_zero(stack.r)
         self.cover = [frozenset(c) for c in cover]
         self.gshift = pres.gen_degrees[0]
-        self.rels = pres.monomial_exponents()
+        self.rels = pres.monomial_exponents(field)
         self.cells, self.cofaces = cech_cells(self.cover)
         self.nlevels = len(self.cover)
         # cellset(e) reads e[i] only through e[i] < 0 and g[i] <= e[i] for

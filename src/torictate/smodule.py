@@ -78,6 +78,8 @@ class Presentation:
 
     def validate(self, stack):
         for (i, j), poly in self.entries.items():
+            if any(x < 0 for _, e in poly.terms for x in e):
+                raise ValueError("entry (%d, %d) has a negative exponent" % (i, j))
             d = poly.degree(stack)
             if d is not None and d != deg_sub(self.rel_degrees[j], self.gen_degrees[i]):
                 raise ValueError("entry (%d, %d) is not homogeneous of degree rel - gen" % (i, j))
@@ -95,12 +97,18 @@ class Presentation:
         entries = {(0, j): p for j, p in enumerate(polys)}
         return cls([deg_zero(stack.r)], rel_degrees, entries)
 
+    def relation_terms(self, field, j):
+        """The terms (generator, coefficient, exponent) of relation j whose
+        coefficient is nonzero in field, the coefficient read in field."""
+        terms = [(i, field.of(c), e) for i in range(len(self.gen_degrees))
+                 for c, e in self.entries.get((i, j), Poly([])).terms]
+        return [t for t in terms if t[1]]
+
     def relation_rows(self, field, j, index, multipliers):
         """Relation j times each multiplier monomial, as sparse rows over the
         labels (generator, exponent) numbered by index. A product with a
         label outside index is dropped, and so is one that is zero."""
-        terms = [(i, field.of(c), e) for i in range(len(self.gen_degrees))
-                 for c, e in self.entries.get((i, j), Poly([])).terms]
+        terms = self.relation_terms(field, j)
         rows = []
         for m in multipliers:
             # the labels of one product are distinct: a Poly repeats no exponent
@@ -110,8 +118,7 @@ class Presentation:
                 if k is None:
                     row = None
                     break
-                if c:
-                    row[k] = c
+                row[k] = c
             if row:
                 rows.append(row)
         return rows
@@ -129,19 +136,16 @@ class Presentation:
                 for row in self.relation_rows(field, j, index, exponents(rd))]
         return labels, (RowReducer(field, rows, len(labels)) if rows else None)
 
-    def is_monomial(self):
-        """True when every relation is a single monomial on a single generator
-        and there is one generator (monomial-quotient fast paths apply)."""
-        if len(self.gen_degrees) != 1:
-            return False
-        for j in range(len(self.rel_degrees)):
-            col = [(i, p) for (i, jj), p in self.entries.items() if jj == j]
-            if len(col) != 1 or len(col[0][1].terms) != 1:
-                return False
-        return True
+    def is_monomial(self, field):
+        """True when there is one generator and every relation has at most
+        one term nonzero in field (monomial-quotient fast paths apply)."""
+        return len(self.gen_degrees) == 1 and all(
+            len(self.relation_terms(field, j)) <= 1 for j in range(len(self.rel_degrees)))
 
-    def monomial_exponents(self):
-        return [p.terms[0][1] for (_, _), p in sorted(self.entries.items())]
+    def monomial_exponents(self, field):
+        """The exponents of the relations of a monomial presentation, one
+        per relation that is nonzero in field."""
+        return [e for j in range(len(self.rel_degrees)) for _, _, e in self.relation_terms(field, j)]
 
 
 class GradedPieces:

@@ -246,7 +246,7 @@ def fm_transform(pres, stack, window, field, t=None):
     adaptively until the table stabilizes (StabilizationError if it has not
     by t = T_CAP). The transferred horizontal differential is built, and the
     module validated, only when the result's T is first read."""
-    if pres.is_monomial():
+    if pres.is_monomial(field):
         gens, walk = _monomial_transfer(pres, stack, window, field)
     elif t is not None:
         gens, walk = _transfer(_FMData(stack, field, pres, window, t))

@@ -10,7 +10,8 @@ Fans are never computed; the user supplies this data directly.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
+
+from .linalg import QQ, solve_in_span
 
 
 def deg_add(a, b):
@@ -87,7 +88,7 @@ class PrimitiveCollection:
     deg_I(x_l) > 0 for l in I and <= 0 otherwise; the values must come from
     a single linear functional on Cl, which is solved for and stored."""
 
-    def __init__(self, vars_, values, var_degrees, r):
+    def __init__(self, vars_, values, var_degrees):
         self.vars = frozenset(vars_)
         self.values = tuple(int(v) for v in values)
         if len(self.values) != len(var_degrees):
@@ -97,41 +98,17 @@ class PrimitiveCollection:
                 raise ValueError("deg_I(x_%d) must be > 0 for %d in the collection" % (l, l))
             if l not in self.vars and v > 0:
                 raise ValueError("deg_I(x_%d) must be <= 0 for %d outside the collection" % (l, l))
-        self.functional = _solve_functional(var_degrees, self.values, r)
+        qq = QQ()
+        lam = solve_in_span(qq, qq.array(var_degrees), qq.array([[v] for v in self.values]))
+        if lam is None:
+            raise ValueError("deg_I values are not induced by a linear functional on Cl")
+        self.functional = tuple(lam[:, 0])
 
     def deg(self, d):
         v = sum(c * x for c, x in zip(self.functional, d))
         if v.denominator != 1:
             raise ValueError("deg_I is not integral on degree %r" % (d,))
         return int(v)
-
-
-def _solve_functional(var_degrees, values, r):
-    """Solve lam . deg(x_i) = values[i] for lam in Q^r by exact elimination."""
-    rows = [[Fraction(x) for x in d] + [Fraction(v)] for d, v in zip(var_degrees, values)]
-    n = len(rows)
-    pivots = []
-    ri = 0
-    for c in range(r):
-        piv = next((i for i in range(ri, n) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[ri], rows[piv] = rows[piv], rows[ri]
-        inv = 1 / rows[ri][c]
-        rows[ri] = [x * inv for x in rows[ri]]
-        for i in range(n):
-            if i != ri and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[ri])]
-        pivots.append(c)
-        ri += 1
-    for i in range(ri, n):
-        if rows[i][r] != 0:
-            raise ValueError("deg_I values are not induced by a linear functional on Cl")
-    lam = [Fraction(0)] * r
-    for i, c in enumerate(pivots):
-        lam[c] = rows[i][r]
-    return tuple(lam)
 
 
 class ToricStack:
@@ -167,7 +144,7 @@ class ToricStack:
             else:
                 vars_, values = pc
                 self.primitive_collections.append(
-                    PrimitiveCollection(vars_, values, self.var_degrees, self.r))
+                    PrimitiveCollection(vars_, values, self.var_degrees))
         self.total_degree = deg_zero(self.r)
         for d in self.var_degrees:
             self.total_degree = deg_add(self.total_degree, d)

@@ -180,8 +180,14 @@ def _set_exponents(doc):
     doc["modules"]["C"]["relations"][0]["entries"][0][0][1] = [4, 0]
 
 
+def _set_negative_exponent(doc):
+    # x1^2 / x0 has the degree of x0 but is no polynomial
+    doc["modules"]["C"]["relations"] = [{"degree": [1], "entries": [[[1, [-1, 2, 0]]]]}]
+
+
 @pytest.mark.parametrize("mutate", [_set_prime, _set_degree, _set_generators, _set_irrelevant,
-                                    _set_relations, _set_cover, _set_exponents])
+                                    _set_relations, _set_cover, _set_exponents,
+                                    _set_negative_exponent])
 def test_exit_code_schema_malformed_document(capsys, tmp_path, mutate):
     # one bad value in an otherwise valid document: exit 2, no traceback
     with open(fixture("p112.tate")) as fh:
@@ -252,6 +258,42 @@ def test_infinite_cech_cohomology_exits_4(capsys, tmp_path, module):
     assert code == 4 and out == "" and err.startswith("error: ")
 
 
+def _with_module(tmp_path, name, relation):
+    with open(fixture(name)) as fh:
+        doc = json.load(fh)
+    doc["modules"] = {"Z": {"relations": [relation]}}
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["cohomology", "oracle", "verify"])
+def test_relation_vanishing_in_the_field_is_no_relation_p112(capsys, tmp_path, command):
+    # 32003 x0 is zero in GF(32003): Z is S, on every path
+    path = _with_module(tmp_path, "p112.tate", {"degree": [1], "entries": [[[32003, [1, 0, 0]]]]})
+    code, out, _ = run_cli([command, path, "--module", "Z", "--window", "-6:6"], capsys)
+    code_s, out_s, _ = run_cli([command, fixture("p112.tate"), "--window", "-6:6"], capsys)
+    assert code == code_s == 0 and out == out_s
+
+
+def test_relation_vanishing_in_the_field_is_no_relation_p1p1(capsys, tmp_path):
+    path = _with_module(tmp_path, "p1p1.tate", {"degree": [1, 0], "entries": [[[32003, [1, 0, 0, 0]]]]})
+    for command in ("cohomology", "verify"):
+        code, out, _ = run_cli([command, path, "--module", "Z", "--window", "-2:2,-2:2"], capsys)
+        code_s, out_s, _ = run_cli([command, fixture("p1p1.tate"), "--window", "-2:2,-2:2"], capsys)
+        assert code == code_s == 0 and out == out_s
+
+
+def test_relation_vanishes_only_in_the_running_field(capsys, tmp_path):
+    # 7 x0 is S/(x0) at the document's prime and S under --prime 7
+    path = _with_module(tmp_path, "p112.tate", {"degree": [1], "entries": [[[7, [1, 0, 0]]]]})
+    args = ["oracle", path, "--module", "Z", "--window", "0:6"]
+    code, out, _ = run_cli(args, capsys)
+    assert code == 0 and out.splitlines()[1].split() == ["0", "1", "1", "2", "2", "3", "3", "4"]
+    code, out, _ = run_cli(args + ["--prime", "7"], capsys)
+    assert code == 0 and out.splitlines()[1].split() == ["0", "1", "2", "4", "6", "9", "12", "16"]
+
+
 def test_exit_code_verification(capsys, monkeypatch):
     # force a disagreement between the paths to exercise exit code 5
     import torictate.cli as cli
@@ -267,6 +309,18 @@ def test_exit_code_verification(capsys, monkeypatch):
     monkeypatch.setattr(cli, "oracle_table", doctored)
     code, _, err = run_cli(["verify", fixture("p112.tate"), "--window", "-6:6"], capsys)
     assert code == 5 and "mismatch" in err
+
+
+def test_readme_examples_run(capsys, monkeypatch):
+    # every command of README's command-line block exits 0, from the repo root
+    root = os.path.join(os.path.dirname(__file__), "..")
+    with open(os.path.join(root, "README.md")) as fh:
+        commands = [line.split()[1:] for line in fh if line.startswith("torictate ")]
+    assert commands
+    monkeypatch.chdir(root)
+    for args in commands:
+        code, _, err = run_cli(args, capsys)
+        assert code == 0, (args, err)
 
 
 def test_module_command_via_subprocess():

@@ -27,9 +27,6 @@ class PointTarget:
     def column_block(self, a, src, tgt):
         return self.field.zeros(len(tgt), len(src))
 
-    def right_action_vec(self, vec, a, i):
-        return {}
-
 
 def test_resolution_of_exact_module_is_zero(p1, gf):
     m = realize(Presentation.free([(0,)]), p1, Window((0,), (8,)), gf)
@@ -102,7 +99,7 @@ def test_resolution_comparison_is_chain_map(p112, gf):
     dm = R(m)
     state = min_free_resolution(dm, floor=-2)
     f = state.free_module(safe=[])
-    eps = DMMorphism(f, dm, state.morphism_entries())
+    eps = DMMorphism(f, dm, state.eps)
     assert eps.commutes(None)
 
 

@@ -3,7 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from torictate.toric import (PositiveGrading, ToricStack, Window, cone_contains,
+from torictate.toric import (PositiveGrading, PrimitiveCollection, ToricStack, Window, cone_contains,
                              deg_add, degrees_within, hirzebruch,
                              is_irrelevant_subset, points, safe_region,
                              weights_degI, weights_zgraded)
@@ -149,6 +149,19 @@ def test_deg_I_functional_validation():
             theta=(1, 4),
             primitive_collections=[({0, 2}, (1, -3, 2, 0))],
         )
+
+
+def test_deg_I_functional_on_rank_deficient_degrees():
+    # the degrees span a line: the functional is fixed on it, and its free
+    # coordinate is 0
+    from fractions import Fraction
+
+    degrees = [(1, 1), (2, 2), (1, 1)]
+    pc = PrimitiveCollection({0, 1, 2}, (1, 2, 1), degrees)
+    assert pc.functional == (Fraction(1), Fraction(0))
+    assert pc.deg((3, 3)) == 3
+    with pytest.raises(ValueError, match="not induced by a linear functional"):
+        PrimitiveCollection({0, 1, 2}, (1, 3, 1), degrees)
 
 
 def test_deg_I_evaluates_on_degrees(hirz3):
