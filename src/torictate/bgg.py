@@ -17,7 +17,7 @@ import numpy as np
 
 from .diffmod import FreeDiffModule, _add_block, _homology_column_unchecked, column_matrix
 from .exterior import OmegaTwist
-from .linalg import Mat, _rank_arr
+from .linalg import Mat
 from .smodule import GradedComplex, monomial_basis
 from .toric import deg_add, deg_neg, deg_sub, degrees_within
 
@@ -184,22 +184,6 @@ def betti_table(module, degrees=None):
         for j, h in _homology_column_unchecked(dm, a).items():
             out[(j, a)] = h
     return out
-
-
-def minimal_generator_dims(module, a):
-    """dim M_a minus the dimension of the span of the x_i M_{a - deg x_i}."""
-    stack = module.stack
-    field = module.field
-    cols = []
-    for i in range(stack.nvars):
-        b = deg_sub(a, stack.var_degrees[i])
-        m = module.mult_matrix(i, b)
-        if m.cols:
-            cols.append(m.a)
-    if not cols:
-        return module.dim(a)
-    stacked = np.concatenate(cols, axis=1)
-    return module.dim(a) - _rank_arr(field, stacked)
 
 
 def roundtrip_check(module, module_degrees):

@@ -211,12 +211,6 @@ def format_table(table, stack, window, fmt, kind="cohomology"):
     return "\n".join(lines)
 
 
-def read_table(text):
-    """Parse the machine format back into a table dict (round trip)."""
-    doc = json.loads(text)
-    return {(i, tuple(a)): v for i, a, v in doc["entries"]}
-
-
 def _looks_like_hirzebruch1(stack):
     """The hard-coded resolution holds for its variable order and ideal only."""
     model = hirzebruch(1)

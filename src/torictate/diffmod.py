@@ -52,9 +52,6 @@ class FreeDiffModule:
             if not ok.issuperset(elem):
                 raise ValueError("entry (%d, %d) not homogeneous of the differential degree" % (s, t))
 
-    def gen_count(self):
-        return len(self.gens)
-
     def column_basis(self, a):
         """Ordered basis [(gen, monomial)] of the degree-a slice."""
         a = tuple(a)
@@ -191,33 +188,6 @@ class DMMorphism:
                 for m in elem:
                     if source.stack.mask_degree(m) != deg_neg(cl) or -popcount(m) != aux:
                         raise ValueError("morphism entry (%d, %d) is not degree 0" % (s, t))
-
-    def commutes(self, degrees):
-        """Check f d = d' f on the given column degrees."""
-        f = _compose_entries
-        field = self.source.field
-        lhs = f(self.entries, self.source.entries, field)
-        rhs = f(self.target.entries, self.entries, field)
-        for key in set(lhs) | set(rhs):
-            if elem_add(lhs.get(key, {}), elem_scale(rhs.get(key, {}), field.neg(field.one), field), field):
-                return False
-        return True
-
-
-def _compose_entries(a, b, field):
-    """Entrywise product of sparse E-matrices (left-multiplication model:
-    (a b)[s][t] = sum_m a[s][m] * b[m][t])."""
-    by_src = {}
-    for (s, t), elem in a.items():
-        by_src.setdefault(t, []).append((s, elem))
-    out = {}
-    for (m, t), belem in b.items():
-        for s, aelem in by_src.get(m, ()):
-            prod = elem_mul(aelem, belem, field)
-            if prod:
-                cur = out.get((s, t))
-                out[(s, t)] = elem_add(cur, prod, field) if cur else prod
-    return {k: v for k, v in out.items() if v}
 
 
 def cone(morphism):

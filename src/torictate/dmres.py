@@ -10,6 +10,10 @@ entries ever appear, so it is minimal as built.
 F's differential and the comparison map eps are both sparse E-matrices,
 {(target gen, F gen): {monomial: coeff}}, and act on a column only through
 diffmod.column_matrix.
+
+`_IncrementalRank`, the greedy independence test of
+smodule.presentation_from_span, inserts each vector as a sparse row into
+the field's one forward elimination (linalg.GF.insert / QQ.insert).
 """
 
 from __future__ import annotations
@@ -23,31 +27,17 @@ from .toric import deg_sub
 
 
 class _IncrementalRank:
-    """Row-echelon accumulator for greedy independence tests."""
+    """Greedy independence tests: the vectors added so far, kept as the
+    pivot rows of the field's sparse forward elimination."""
 
-    def __init__(self, field, dim):
+    def __init__(self, field):
         self.field = field
-        self.dim = dim
-        self.rows = []  # (pivot index, normalized row)
-
-    def reduce(self, vec):
-        v = np.array(vec, copy=True)
-        for piv, row in self.rows:
-            c = v[piv]
-            if c != self.field.zero:
-                v = self.field.reduce(v - c * row)
-        return v
+        self.pivots = {}
 
     def add(self, vec):
         """Insert if independent; returns True when the rank grew."""
-        v = self.reduce(vec)
-        nz = np.nonzero(v)[0]
-        if nz.size == 0:
-            return False
-        piv = int(nz[0])
-        v = self.field.reduce(v * self.field.inv(v[piv]))
-        self.rows.append((piv, v))
-        return True
+        nz = np.flatnonzero(vec)
+        return self.field.insert(self.pivots, dict(zip(nz.tolist(), vec[nz].tolist())), min)
 
 
 class ResolutionState:

@@ -95,22 +95,6 @@ class OmegaTwist(NamedTuple):
     aux: int
 
 
-def generator_degree(stack, tw):
-    """Degree of the module generator of omega_E(cl; aux)."""
-    return deg_sub(stack.total_degree, tw.cl), stack.nvars - tw.aux
-
-
-def socle_degree(tw):
-    return deg_neg(tw.cl), -tw.aux
-
-
-def basis_degree(stack, tw, mask):
-    """(Cl-degree, aux degree) of the basis vector e_mask of the summand."""
-    cl = deg_sub(deg_sub(stack.total_degree, tw.cl), stack.mask_degree(mask))
-    aux = stack.nvars - tw.aux - popcount(mask)
-    return cl, aux
-
-
 def entry_degree(stack, source_tw, target_tw, shift_aux=-1):
     """Required (Cl, aux) degree in E of a matrix entry source -> target for
     a map of total degree (0; shift_aux); the Cl part equals the degree sum

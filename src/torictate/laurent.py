@@ -19,7 +19,7 @@ import itertools
 import numpy as np
 
 from .errors import StabilizationError
-from .linalg import _kernel_arr, homology_dims, independent_columns, invert, rref
+from .linalg import _rref_kernel, homology_dims, independent_columns, invert, rref
 from .smodule import GradedPieces
 from .toric import deg_add, deg_sub, deg_zero, points
 
@@ -153,9 +153,9 @@ def _build_retract(field, dims, maps):
             pivots.append([])
             kernels.append(field.zeros(0, 0))
             continue
-        _, piv = rref(field, u)
+        r, piv = rref(field, u)
         pivots.append(piv)
-        kernels.append(_kernel_arr(field, u))
+        kernels.append(_rref_kernel(field, r, piv, dims[l]))
     i_cols = []
     hlabels = []
     p_rows = []

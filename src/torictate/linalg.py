@@ -7,8 +7,11 @@ mod p, rational matrices are object arrays of Fractions.
 
 Dense arrays are the interface; elimination runs on sparse rows (dicts
 column -> nonzero coefficient), because the matrices met here are mostly
-about 1% dense. `rref` and `RowReducer` share one sparse Gauss-Jordan
-routine, and `sparse_rank` ranks sparse rows without back-substitution.
+about 1% dense. Each field has one forward elimination, `insert`, which
+reduces a row by the pivot rows and keeps what is left; the caller picks
+the lead column. `_echelon` (under `rref` and `RowReducer`) leads with the
+smallest column and back-substitutes; `sparse_rank` leads with the largest
+and only counts pivots.
 """
 
 from __future__ import annotations
@@ -86,6 +89,46 @@ class GF:
 
     def reduce(self, a):
         return a % self.p
+
+    def insert(self, pivots, row, lead):
+        """Reduce a sparse row by pivots, {lead column: (row, inverse of its
+        lead entry)}, where lead (min or max) picks a row's lead column, and
+        keep what is left as a pivot; returns whether the row was kept.
+        Pivot rows stay unscaled and are only read, and the row passed in is
+        copied once it changes."""
+        p = self.p
+        owned = False
+        while row:
+            c = lead(row)
+            piv = pivots.get(c)
+            if piv is None:
+                x = row[c] % p
+                if not x:
+                    raise ZeroDivisionError("division by zero in GF(%d)" % p)
+                # +-1, the usual leads here, are their own inverses
+                pivots[c] = (row, x if x == 1 or x == p - 1 else pow(x, p - 2, p))
+                return True
+            if not owned:
+                row = dict(row)
+                owned = True
+            piv, inv = piv
+            f = row[c] * inv % p
+            get = row.get
+            for k, v in piv.items():
+                nv = (get(k, 0) - f * v) % p
+                if nv:
+                    row[k] = nv
+                else:
+                    row.pop(k, None)
+        return False
+
+    def monic(self, piv, c):
+        """A pivot row of insert scaled to lead with one at column c."""
+        row, inv = piv
+        if inv == 1:
+            return dict(row)
+        p = self.p
+        return {k: v * inv % p for k, v in row.items()}
 
     def sub_scaled(self, row, f, other):
         """row -= f * other on sparse rows, in place; zeros are dropped."""
@@ -168,6 +211,52 @@ class QQ:
     def reduce(self, a):
         return a
 
+    def insert(self, pivots, row, lead):
+        """Reduce a sparse row (Fractions or ints) by pivots, {lead column:
+        primitive integer row}, where lead (min or max) picks a row's lead
+        column, and keep what is left as a pivot; returns whether the row was
+        kept. Fraction-free: the row is made integral once on entry, each
+        step is row = a * row - b * pivot with integers a and b, and common
+        factors are divided out every eighth step and on keeping."""
+        nums = [v.numerator for v in row.values()]
+        dens = [v.denominator for v in row.values()]
+        denom = math.lcm(*dens)
+        if denom == 1:
+            row = dict(zip(row, nums))
+        else:
+            row = {c: n * (denom // d) for c, n, d in zip(row, nums, dens)}
+        steps = 0
+        while row:
+            c = lead(row)
+            piv = pivots.get(c)
+            if piv is None:
+                g = math.gcd(*row.values())
+                if g > 1:
+                    row = {k: v // g for k, v in row.items()}
+                pivots[c] = row
+                return True
+            a = piv[c]
+            b = row[c]
+            new = {k: a * v for k, v in row.items()}
+            for k, v in piv.items():
+                nv = new.get(k, 0) - b * v
+                if nv:
+                    new[k] = nv
+                else:
+                    new.pop(k, None)
+            row = new
+            steps += 1
+            if steps % 8 == 0 and row:
+                g = math.gcd(*row.values())
+                if g > 1:
+                    row = {k: v // g for k, v in row.items()}
+        return False
+
+    def monic(self, row, c):
+        """A pivot row of insert divided by its lead entry at column c."""
+        x = row[c]
+        return {k: Fraction(v, x) for k, v in row.items()}
+
     def sub_scaled(self, row, f, other):
         """row -= f * other on sparse rows, in place; zeros are dropped."""
         get = row.get
@@ -226,25 +315,16 @@ def _echelon(field, rows, ncols):
     """Reduced row echelon form (R dense, one row per pivot; pivot column
     list) of sparse rows, dicts column -> coefficient none zero in the field.
 
-    Forward elimination takes the rows sparsest first, leads with the
-    smallest column and scales pivot rows to lead with one. Back-substitution
-    takes the pivots in decreasing order and clears a row only at the pivot
-    columns it holds, by rows already reduced, which hold no other."""
+    Forward elimination (field.insert) takes the rows sparsest first and
+    leads with the smallest column. The pivot rows are then scaled to lead
+    with one, and back-substitution takes them in decreasing order and
+    clears a row only at the pivot columns it holds, by rows already
+    reduced, which hold no other."""
     pivots = {}
     for row in sorted(rows, key=len):
-        row = dict(row)
-        while row:
-            lead = min(row)
-            piv = pivots.get(lead)
-            if piv is None:
-                x = row[lead]
-                if x != field.one:
-                    inv = field.inv(x)
-                    row = {c: field.mul(v, inv) for c, v in row.items()}
-                pivots[lead] = row
-                break
-            field.sub_scaled(row, row[lead], piv)
+        field.insert(pivots, row, min)
     order = sorted(pivots)
+    pivots = {c: field.monic(pivots[c], c) for c in order}
     for c in reversed(order):
         row = pivots[c]
         for k in [k for k in row if k != c and k in pivots]:
@@ -285,20 +365,25 @@ def _rank_arr(field, a):
 
 def kernel_basis(m):
     """Columns of the result form a basis of the right kernel: m @ result = 0."""
-    field = m.field
-    r, pivots = rref(field, m.a)
-    piv = set(pivots)
-    free = [j for j in range(m.cols) if j not in piv]
-    cols = range(len(free))
-    k = field.zeros(m.cols, len(free))
-    k[free, cols] = field.one
-    if pivots:
-        k[np.ix_(pivots, cols)] = field.reduce(-r[:, free])
-    return Mat(field, k)
+    r, pivots = rref(m.field, m.a)
+    return Mat(m.field, _rref_kernel(m.field, r, pivots, m.cols))
 
 
 def _kernel_arr(field, a):
     return kernel_basis(Mat(field, a)).a
+
+
+def _rref_kernel(field, r, pivots, ncols):
+    """The kernel basis of a matrix with ncols columns, read off its rref
+    (R, pivots): one column per free column."""
+    piv = set(pivots)
+    free = [j for j in range(ncols) if j not in piv]
+    cols = range(len(free))
+    k = field.zeros(ncols, len(free))
+    k[free, cols] = field.one
+    if pivots:
+        k[np.ix_(pivots, cols)] = field.reduce(-r[:, free])
+    return k
 
 
 def independent_columns(field, base, candidates):
@@ -363,90 +448,13 @@ def invert(field, a):
 
 def sparse_rank(field, rows):
     """Rank of a matrix given as sparse rows (dicts column -> coefficient,
-    none zero in the field; over Q, Fractions or Python ints), by
-    elimination with sparsest-first ordering. Exact over any field; the
-    rational mode runs fraction-free."""
-    if isinstance(field, QQ):
-        return _sparse_rank_fraction_free(rows)
-    p = field.p
-    # lead column -> (row, inverse of its lead entry); rows stay unscaled
+    none zero in the field; over Q, Fractions or Python ints), by forward
+    elimination (field.insert) with sparsest-first ordering, leading with
+    the largest column."""
     pivots = {}
     for row in sorted(rows, key=len):
-        owned = False
-        while row:
-            lead = max(row)
-            piv = pivots.get(lead)
-            if piv is None:
-                x = row[lead] % p
-                if not x:
-                    raise ZeroDivisionError("division by zero in GF(%d)" % p)
-                # +-1, the usual leads here, are their own inverses
-                pivots[lead] = (row, x if x == 1 or x == p - 1 else pow(x, p - 2, p))
-                break
-            if not owned:
-                # pivots are only read, so a row is copied once it changes
-                row = dict(row)
-                owned = True
-            piv, inv = piv
-            f = row[lead] * inv % p
-            get = row.get
-            for c, v in piv.items():
-                nv = (get(c, 0) - f * v) % p
-                if nv:
-                    row[c] = nv
-                else:
-                    row.pop(c, None)
+        field.insert(pivots, row, max)
     return len(pivots)
-
-
-def _sparse_rank_fraction_free(rows):
-    def to_int_row(row):
-        # ints and Fractions both carry numerator and denominator
-        nums = [v.numerator for v in row.values()]
-        dens = [v.denominator for v in row.values()]
-        denom = math.lcm(*dens)
-        if denom == 1:
-            return dict(zip(row, nums))
-        return {c: n * (denom // d) for c, n, d in zip(row, nums, dens)}
-
-    pivots = {}
-    order = sorted(range(len(rows)), key=lambda i: len(rows[i]))
-    rank = 0
-    for idx in order:
-        row = to_int_row(rows[idx])
-        steps = 0
-        while row:
-            lead = min(row)
-            piv = pivots.get(lead)
-            if piv is None:
-                g = 0
-                for v in row.values():
-                    g = math.gcd(g, v)
-                if g > 1:
-                    row = {c: v // g for c, v in row.items()}
-                pivots[lead] = row
-                rank += 1
-                break
-            a = piv[lead]
-            b = row[lead]
-            new = {}
-            for c, v in row.items():
-                new[c] = a * v
-            for c, v in piv.items():
-                nv = new.get(c, 0) - b * v
-                if nv:
-                    new[c] = nv
-                else:
-                    new.pop(c, None)
-            row = new
-            steps += 1
-            if steps % 8 == 0 and row:
-                g = 0
-                for v in row.values():
-                    g = math.gcd(g, v)
-                if g > 1:
-                    row = {c: v // g for c, v in row.items()}
-    return rank
 
 
 class RowReducer:

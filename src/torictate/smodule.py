@@ -419,7 +419,7 @@ def presentation_from_span(span, rel_degrees):
         ker = _kernel_arr(field, stacked)
         if ker.shape[1] == 0:
             continue
-        acc = _IncrementalRank(field, len(labels))
+        acc = _IncrementalRank(field)
         for cdeg, vec in chosen:
             shift = deg_sub(b, cdeg)
             if stack.theta(shift) < 0:
@@ -453,26 +453,6 @@ def presentation_from_span(span, rel_degrees):
                     entries[(k, relj)] = Poly(terms + [(coeff, mu)])
             chosen.append((b, vec))
     return Presentation(gen_degrees, rel_degs, entries)
-
-
-def verify_multiplication_commutes(module, degrees=None):
-    """Check mult(j, a + deg x_i) mult(i, a) = mult(i, a + deg x_j) mult(j, a)
-    wherever all pieces lie in the window."""
-    stack = module.stack
-    degrees = degrees if degrees is not None else module.window.points()
-    for a in degrees:
-        for i in range(stack.nvars):
-            for j in range(i + 1, stack.nvars):
-                ai = deg_add(a, stack.var_degrees[i])
-                aj = deg_add(a, stack.var_degrees[j])
-                ab = deg_add(ai, stack.var_degrees[j])
-                if not all(module.in_window(x) for x in (a, ai, aj, ab)):
-                    continue
-                lhs = module.mult_matrix(j, ai) @ module.mult_matrix(i, a)
-                rhs = module.mult_matrix(i, aj) @ module.mult_matrix(j, a)
-                if lhs != rhs:
-                    return False
-    return True
 
 
 class GradedComplex:
@@ -509,14 +489,6 @@ class GradedComplex:
         from .linalg import homology_dim
 
         return homology_dim(self.map(j + 1, a), self.map(j, a))
-
-    def check_complex(self, a):
-        for j in self.js():
-            m1 = self.map(j + 1, a)
-            m0 = self.map(j, a)
-            if m1.cols and m0.rows and not (m0 @ m1).is_zero():
-                return False
-        return True
 
 
 def koszul_complex(stack, window, field):

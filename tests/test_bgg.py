@@ -1,11 +1,29 @@
+import numpy as np
+
 from torictate.bgg import (L, ModuleComplex, R, R_complex, R_I, betti_table,
-                           minimal_generator_dims, roundtrip_check)
+                           roundtrip_check)
 from torictate.diffmod import FreeDiffModule, check_square_zero, homology_column
 from torictate.exterior import OmegaTwist
-from torictate.linalg import Mat
+from torictate.linalg import Mat, _rank_arr
 from torictate.smodule import (Poly, Presentation, koszul_complex,
                                monomial_basis, realize, truncate, twist)
-from torictate.toric import Window
+from torictate.toric import Window, deg_sub
+
+
+def minimal_generator_dims(module, a):
+    """dim M_a minus the dimension of the span of the x_i M_{a - deg x_i}."""
+    stack = module.stack
+    field = module.field
+    cols = []
+    for i in range(stack.nvars):
+        b = deg_sub(a, stack.var_degrees[i])
+        m = module.mult_matrix(i, b)
+        if m.cols:
+            cols.append(m.a)
+    if not cols:
+        return module.dim(a)
+    stacked = np.concatenate(cols, axis=1)
+    return module.dim(a) - _rank_arr(field, stacked)
 
 
 def free_s(stack, gf, lo, hi):

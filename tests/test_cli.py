@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from torictate.cli import main, parse_input, parse_window, read_table
+from torictate.cli import main, parse_input, parse_window
 from torictate.errors import SchemaError
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -92,7 +92,7 @@ def test_json_round_trip(capsys):
     code, out, _ = run_cli(["cohomology", fixture("p112.tate"), "--window", "-6:6",
                             "--format", "json"], capsys)
     assert code == 0
-    table = read_table(out)
+    table = {(i, tuple(a)): v for i, a, v in json.loads(out)["entries"]}
     assert table[(0, (2,))] == 4
     code2, out2, _ = run_cli(["cohomology", fixture("p112.tate"), "--window", "-6:6",
                               "--format", "json"], capsys)

@@ -1,8 +1,24 @@
 import itertools
 
-from torictate.exterior import (OmegaTwist, basis_degree, column_basis,
-                                elem_mul, ext_mul, generator_degree, mul_sign,
-                                popcount, socle_degree, socle_readoff)
+from torictate.exterior import (OmegaTwist, column_basis, elem_mul, ext_mul,
+                                mul_sign, popcount, socle_readoff)
+from torictate.toric import deg_neg, deg_sub
+
+
+def generator_degree(stack, tw):
+    """Degree of the module generator of omega_E(cl; aux)."""
+    return deg_sub(stack.total_degree, tw.cl), stack.nvars - tw.aux
+
+
+def socle_degree(tw):
+    return deg_neg(tw.cl), -tw.aux
+
+
+def basis_degree(stack, tw, mask):
+    """(Cl-degree, aux degree) of the basis vector e_mask of the summand."""
+    cl = deg_sub(deg_sub(stack.total_degree, tw.cl), stack.mask_degree(mask))
+    aux = stack.nvars - tw.aux - popcount(mask)
+    return cl, aux
 
 
 def test_ext_mul_antisymmetry():

@@ -1,9 +1,11 @@
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from torictate.dmres import _IncrementalRank
 from torictate.linalg import (GF, QQ, Mat, RowReducer, homology_dim, homology_dims,
                               invert, kernel_basis, rank, rref, solve_in_span,
                               sparse_rank)
@@ -318,6 +320,8 @@ def test_rref_matches_dense_reference(case):
     assert r.shape == want_r.shape and r.dtype == want_r.dtype
     assert r.tolist() == want_r.tolist()
     assert [type(x) for x in r.flat] == [type(x) for x in want_r.flat]
+    if isinstance(field, QQ):
+        assert all(type(x) is Fraction for x in r.flat)
 
 
 def _sparse(a):
@@ -362,3 +366,115 @@ def test_homology_dims_ranks_each_map_once(gf):
     assert homology_dims(gf, [1, 2, 1], [d0, d1, gf.zeros(0, 1)]) == [0, 0, 0]
     assert homology_dims(gf, [1, 2, 1], [gf.zeros(2, 1), d1]) == [1, 1, 0]
     assert homology_dims(gf, [3], []) == [3]
+
+
+def reference_sparse_rank_gf(p, rows):
+    """The GF(p) sparse rank loop that field.insert replaced: leads with the
+    largest column, keeps pivot rows unscaled with their lead inverse."""
+    pivots = {}
+    for row in sorted(rows, key=len):
+        owned = False
+        while row:
+            lead = max(row)
+            piv = pivots.get(lead)
+            if piv is None:
+                x = row[lead] % p
+                pivots[lead] = (row, x if x == 1 or x == p - 1 else pow(x, p - 2, p))
+                break
+            if not owned:
+                row = dict(row)
+                owned = True
+            piv, inv = piv
+            f = row[lead] * inv % p
+            get = row.get
+            for c, v in piv.items():
+                nv = (get(c, 0) - f * v) % p
+                if nv:
+                    row[c] = nv
+                else:
+                    row.pop(c, None)
+    return len(pivots)
+
+
+def reference_sparse_rank_fraction_free(rows):
+    """The fraction-free rational rank that field.insert replaced: leads with
+    the smallest column."""
+    def to_int_row(row):
+        nums = [v.numerator for v in row.values()]
+        dens = [v.denominator for v in row.values()]
+        denom = math.lcm(*dens)
+        return {c: n * (denom // d) for c, n, d in zip(row, nums, dens)}
+
+    pivots = {}
+    for row in sorted(rows, key=len):
+        row = to_int_row(row)
+        steps = 0
+        while row:
+            lead = min(row)
+            piv = pivots.get(lead)
+            if piv is None:
+                g = 0
+                for v in row.values():
+                    g = math.gcd(g, v)
+                pivots[lead] = {c: v // g for c, v in row.items()}
+                break
+            a, b = piv[lead], row[lead]
+            new = {c: a * v for c, v in row.items()}
+            for c, v in piv.items():
+                nv = new.get(c, 0) - b * v
+                if nv:
+                    new[c] = nv
+                else:
+                    new.pop(c, None)
+            row = new
+            steps += 1
+            if steps % 8 == 0 and row:
+                g = 0
+                for v in row.values():
+                    g = math.gcd(g, v)
+                row = {c: v // g for c, v in row.items()}
+    return len(pivots)
+
+
+class ReferenceIncrementalRank:
+    """The dense accumulator that _IncrementalRank replaced: rows normalized
+    at their first nonzero column, reduced one dense row at a time."""
+
+    def __init__(self, field, dim):
+        self.field = field
+        self.dim = dim
+        self.rows = []
+
+    def add(self, vec):
+        v = np.array(vec, copy=True)
+        for piv, row in self.rows:
+            c = v[piv]
+            if c != self.field.zero:
+                v = self.field.reduce(v - c * row)
+        nz = np.nonzero(v)[0]
+        if nz.size == 0:
+            return False
+        piv = int(nz[0])
+        self.rows.append((piv, self.field.reduce(v * self.field.inv(v[piv]))))
+        return True
+
+
+@settings(max_examples=400, deadline=None)
+@given(_matrices(), st.randoms(use_true_random=False))
+def test_one_elimination_matches_references(case, rnd):
+    # the matrices hold zero rows, copied rows and summed rows, with
+    # denominators over Q and 0-row or 0-column shapes
+    field, a = case
+    rows = _sparse(a)
+    if isinstance(field, QQ):
+        # a rational row may hold Python ints as well as Fractions
+        rows = [{c: int(v) if v.denominator == 1 and rnd.random() < 0.5 else v for c, v in row.items()}
+                for row in rows]
+        want = reference_sparse_rank_fraction_free(rows)
+    else:
+        want = reference_sparse_rank_gf(field.p, rows)
+    before = [dict(row) for row in rows]
+    assert sparse_rank(field, rows) == want
+    assert rows == before  # rows are only read
+    new, old = _IncrementalRank(field), ReferenceIncrementalRank(field, a.shape[1])
+    assert [new.add(v) for v in a] == [old.add(v) for v in a]

@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from torictate import laurent, tate
+from torictate import laurent, linalg, tate
 from torictate.cli import main
 from torictate.cohomology import oracle_table
 from torictate.diffmod import (FreeDiffModule, check_minimal, check_square_zero,
@@ -301,6 +301,40 @@ def test_strand_retract_identities(hirz3, p1p1, gf, monkeypatch):
             assert_retract_identities(gf, ret)
             assert types.homology(False, cs)[1:] == \
                 [ret.hlabels.count(lvl) for lvl in range(types.nlevels)]
+
+
+def test_strand_retract_eliminates_each_map_once(hirz3, gf, monkeypatch):
+    # a retract reads a level's pivots and kernel off one rref of its map;
+    # the only other eliminations are the change of basis and, where the
+    # kernel is nonzero, the choice of homology representatives
+    echelon, build = linalg._echelon, laurent._build_retract
+    built = []  # (dims, maps, _echelon calls while building)
+    inside = []
+
+    def counting_echelon(*args):
+        if inside:
+            inside[-1] += 1
+        return echelon(*args)
+
+    def recording_build(field, dims, maps):
+        inside.append(0)
+        try:
+            return build(field, dims, maps)
+        finally:
+            built.append((dims, maps, inside.pop()))
+
+    monkeypatch.setattr(linalg, "_echelon", counting_echelon)
+    monkeypatch.setattr(laurent, "_build_retract", recording_build)
+    fm_transform(hirz3_H(hirz3), hirz3, Window((-2, -1), (2, 1)), gf, t=4).T
+    monkeypatch.undo()
+    assert len(built) == 11
+    for dims, maps, calls in built:
+        want = 0
+        for lvl, n in enumerate(dims):
+            if n:
+                u = maps[lvl] if lvl < len(dims) - 1 else gf.zeros(0, n)
+                want += 2 + (len(linalg.rref(gf, u)[1]) < n)
+        assert calls == want
 
 
 @pytest.mark.parametrize("field", [GF(), GF(2**31 - 1), QQ()], ids=["gf32003", "gf2^31-1", "qq"])
