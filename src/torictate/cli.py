@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 
 from .cohomology import (check_betti_bounds_weighted, cohomology_table_fast,
                          is_0_regular, is_deg_I_0_regular, oracle_table)
@@ -189,26 +190,45 @@ def default_window(stack, pres):
     return Window(tuple(lo), tuple(hi))
 
 
-def format_table(table, stack, window, fmt, kind="cohomology"):
+def _deg(a):
+    return ",".join(str(x) for x in a)
+
+
+def _render(table, stack, fmt, kind, text):
+    """A table keyed by (index, degree): its nonzero entries (index, degree,
+    value), in (index, theta, degree) order, as JSON or through text."""
     entries = sorted(((i, tuple(a), v) for (i, a), v in table.items() if v),
                      key=lambda t: (t[0], stack.theta(t[1]), t[1]))
     if fmt == "json":
         return json.dumps({"kind": kind,
                            "entries": [[i, list(a), int(v)] for i, a, v in entries]},
                           sort_keys=True)
-    lines = []
-    if stack.r == 1 and window is not None:
+    return text(entries)
+
+
+def format_table(table, stack, window, fmt):
+    def text(entries):
+        if stack.r != 1 or window is None:
+            return "\n".join("%d %s %d" % (i, _deg(a), v) for i, a, v in entries)
         degs = [a for a in range(window.lo[0], window.hi[0] + 1)]
         imax = max((i for i, _, _ in entries), default=0)
-        header = "i\\a " + " ".join("%5d" % a for a in degs)
-        lines.append(header)
+        lines = ["i\\a " + " ".join("%5d" % a for a in degs)]
         for i in range(imax + 1):
             row = ["%5s" % (table.get((i, (a,)), 0) or ".") for a in degs]
             lines.append(("%-3d " % i) + " ".join(row))
-    else:
-        for i, a, v in entries:
-            lines.append("%d %s %d" % (i, ",".join(str(x) for x in a), v))
-    return "\n".join(lines)
+        return "\n".join(lines)
+
+    return _render(table, stack, fmt, "cohomology", text)
+
+
+def _diagonal_report(title, square_zero, acyclic, h0, verify):
+    """The three diagonal check lines under a title; VerificationError when
+    verifying and a check failed."""
+    if verify and not (square_zero and acyclic and h0):
+        raise VerificationError("diagonal checks failed")
+    return "\n".join([title, "square-zero: %s" % square_zero,
+                      "acyclic in positive degrees: %s" % acyclic,
+                      "H0 matches the diagonal Hilbert function: %s" % h0])
 
 
 def _looks_like_hirzebruch1(stack):
@@ -223,66 +243,43 @@ def run(command, args, stack, field, modules):
     pres = _module(stack, modules, args.module)
     window = parse_window(args.window, stack.r) if args.window else default_window(stack, pres)
     fmt = args.format
-    if command == "cohomology":
+    if command in ("cohomology", "tate", "verify"):
+        # the exterior path when Cl = Z, the Cech Fourier-Mukai transform otherwise
         if stack.r == 1:
-            table = cohomology_table_fast(pres, stack, window, field, d=args.truncate)
+            build = tate_weighted if command == "tate" else cohomology_table_fast
+            result = build(pres, stack, window, field, d=args.truncate)
         else:
-            table = fm_transform(pres, stack, window, field).table
-        return format_table(table, stack, window, fmt)
+            fm = fm_transform(pres, stack, window, field)
+            result = fm if command == "tate" else fm.table
+    if command == "cohomology":
+        return format_table(result, stack, window, fmt)
     if command == "oracle":
         module = realize(pres, stack, window, field)
         table = oracle_table(module, stack, window.points())
         return format_table(table, stack, window, fmt)
     if command == "tate":
-        if stack.r == 1:
-            res = tate_weighted(pres, stack, window, field, d=args.truncate)
-        else:
-            res = fm_transform(pres, stack, window, field)
-        counts = {}
-        for tw in res.gens:
-            counts[(tw.aux, tw.cl)] = counts.get((tw.aux, tw.cl), 0) + 1
-        entries = sorted(counts.items(), key=lambda kv: (kv[0][0], stack.theta(kv[0][1]), kv[0][1]))
-        if fmt == "json":
-            return json.dumps({"kind": "tate-generators",
-                               "entries": [[u, list(c), int(n)] for (u, c), n in entries]},
-                              sort_keys=True)
-        return "\n".join("omega_E(%s; %d)^%d" % (",".join(str(x) for x in c), u, n)
-                         for (u, c), n in entries)
+        return _render(Counter((tw.aux, tw.cl) for tw in result.gens), stack, fmt,
+                       "tate-generators", lambda entries: "\n".join(
+                           "omega_E(%s; %d)^%d" % (_deg(c), u, n) for u, c, n in entries))
     if command == "betti":
         module = realize(pres, stack, window, field)
-        table = betti_table(module)
-        entries = sorted(((j, a, v) for (j, a), v in table.items() if v),
-                         key=lambda t: (t[0], stack.theta(t[1]), t[1]))
-        if fmt == "json":
-            return json.dumps({"kind": "betti",
-                               "entries": [[j, list(a), int(v)] for j, a, v in entries]},
-                              sort_keys=True)
-        return "\n".join("beta_%d at %s = %d" % (j, ",".join(str(x) for x in a), v)
-                         for j, a, v in entries)
+        return _render(betti_table(module), stack, fmt, "betti", lambda entries: "\n".join(
+            "beta_%d at %s = %d" % (j, _deg(a), v) for j, a, v in entries))
     if command == "diagonal":
         if stack.r == 1:
+            title = "finite diagonal subcomplex on a weighted projective stack"
+            if not args.verify:
+                return title
             cx = build_F_prime_weighted(stack, field)
             top = max(2, window.hi[0])
             bids = [((d,), (e,)) for d in range(0, top + 1) for e in range(0, top + 1)]
-            lines = ["finite diagonal subcomplex on a weighted projective stack"]
-            if args.verify:
-                ok1 = cx.check_square_zero(bids)
-                ok2 = check_acyclicity(cx, bids)
-                ok3 = check_H0_diagonal(cx, bids)
-                lines += ["square-zero: %s" % ok1, "acyclic in positive degrees: %s" % ok2,
-                          "H0 matches the diagonal Hilbert function: %s" % ok3]
-                if not (ok1 and ok2 and ok3):
-                    raise VerificationError("diagonal checks failed")
-            return "\n".join(lines)
+            return _diagonal_report(title, cx.check_square_zero(bids), check_acyclicity(cx, bids),
+                                    check_H0_diagonal(cx, bids), True)
         if _looks_like_hirzebruch1(stack):
             rep = hirzebruch1_report(field, 0, 3 if not args.verify else 4)
-            lines = ["hard-coded finite diagonal resolution (Hirzebruch type 1)",
-                     "square-zero: %s" % rep["square_zero"],
-                     "acyclic in positive degrees: %s" % rep["acyclic_positive"],
-                     "H0 matches the diagonal Hilbert function: %s" % rep["h0_hilbert"]]
-            if args.verify and not all(rep[k] for k in ("square_zero", "acyclic_positive", "h0_hilbert")):
-                raise VerificationError("diagonal checks failed")
-            return "\n".join(lines)
+            return _diagonal_report("hard-coded finite diagonal resolution (Hirzebruch type 1)",
+                                    rep["square_zero"], rep["acyclic_positive"], rep["h0_hilbert"],
+                                    args.verify)
         raise PreconditionError("finite diagonal subcomplexes are available for r = 1 and the Hirzebruch-1 model only")
     if command == "regularity":
         module = realize(pres, stack, window, field)
@@ -305,10 +302,6 @@ def run(command, args, stack, field, modules):
         return "\n".join(lines)
     if command == "verify":
         module = realize(pres, stack, window, field)
-        if stack.r == 1:
-            fast = cohomology_table_fast(pres, stack, window, field, d=args.truncate)
-        else:
-            fast = fm_transform(pres, stack, window, field).table
         safe = safe_degrees(stack, window)
         if not safe:
             raise WindowTooSmall("the window has no safe degrees; enlarge it beyond the subset-sum reach")
@@ -317,7 +310,7 @@ def run(command, args, stack, field, modules):
         imax = stack.nvars - stack.r
         for a in safe:
             for i in range(imax + 1):
-                if fast.get((i, tuple(a)), 0) != otab.get((i, tuple(a)), 0):
+                if result.get((i, tuple(a)), 0) != otab.get((i, tuple(a)), 0):
                     bad.append((i, a))
         if bad:
             raise VerificationError("oracle mismatch at %s" % (bad[:5],))
@@ -340,8 +333,6 @@ def main(argv=None):
     parser.add_argument("--format", choices=["table", "json"], default="table")
     parser.add_argument("--prime", type=int, default=None, help="override the document's prime")
     parser.add_argument("--verify", action="store_true", help="run the verification checks")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="accepted for compatibility; computations are pure and callers may parallelize")
     argv = list(sys.argv[1:] if argv is None else argv)
     # let "--window -8:8" through even though the value starts with a dash
     merged = []

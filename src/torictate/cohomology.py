@@ -5,14 +5,14 @@ Betti-degree bound verifiers.
 The oracle works from localization strands of the presentation. Its
 monomial path runs on the Cech cell-pattern engine (laurent.MonomialStrands)
 that the Fourier-Mukai monomial path runs on too; it is exact, with no
-exponent bound and no stabilization. Its dense path builds its
-own localized pieces, restriction maps and ranks, and shares only the Cech
-signs (laurent.cech_cells) with that engine; the fast path works from
-minimal free resolutions of differential modules. Neither shares anything
-else with the engine past basic linear algebra, so their agreement with it
-is meaningful evidence of correctness. The dense path and the realized
-module do share their piece builder, Presentation.piece (and through it
-relation_rows and RowReducer), which the engine never calls.
+exponent bound and no stabilization. Its dense path builds its own
+localized pieces, restriction maps and ranks, monomial presentations too
+(force_dense), and shares only the Cech signs (laurent.cech_cells) with that
+engine; the fast path works from minimal free resolutions of differential
+modules. Neither shares anything else with the engine past basic linear
+algebra, so their agreement with it is meaningful evidence of correctness.
+The dense path and the realized module do share Presentation.piece and
+GradedPieces.image, which the engine never calls.
 """
 
 from __future__ import annotations
@@ -59,8 +59,8 @@ class CechOracle:
     """Cech strands of a realized module over the irrelevant cover (or a
     custom cover, e.g. the variables of a primitive collection). Monomial
     presentations run on the exact per-pattern strand decomposition, one
-    pass per degree. The dense path handles the rest at exponent bound t,
-    or, when t is None, doubles t until the dimensions stabilize."""
+    pass per degree. The dense path handles the rest, doubling its exponent
+    bound t until the dimensions stabilize."""
 
     def __init__(self, module, cover=None, force_dense=False, floors_fn=None):
         self.module = module
@@ -90,33 +90,31 @@ class CechOracle:
                 floors_fn=self.floors_fn)
         return self._complexes[t]
 
-    def _dims(self, a, extended, t):
+    def _dims(self, a, extended):
         if self._strands is not None:
             return self._strands.strand_homology(a, extended, keep=self.module.kept)
-        if t is not None:
-            return self._complex(t).strand_homology(a, extended=extended)
         return _stabilize(lambda tt: self._complex(tt).strand_homology(a, extended=extended))
 
-    def local_dims(self, a, t=None):
+    def local_dims(self, a):
         """All H^i_B(M)_a at once (i = 0 .. #cover)."""
-        return self._dims(a, True, t)
+        return self._dims(a, True)
 
-    def sheaf_dims(self, a, t=None):
+    def sheaf_dims(self, a):
         """All H^i(X, M~(a)) at once (i = 0 .. #cover - 1)."""
-        return self._dims(a, False, t)
+        return self._dims(a, False)
 
 
-def local_cohomology_oracle(module, stack, a, i, t=None):
+def local_cohomology_oracle(module, stack, a, i):
     """dim H^i_B(M)_a via the extended Cech strand on the generators of B."""
     oracle = CechOracle(module)
-    dims = oracle.local_dims(tuple(a), t=t)
+    dims = oracle.local_dims(tuple(a))
     return dims[i] if 0 <= i < len(dims) else 0
 
 
-def sheaf_cohomology_oracle(module, stack, a, i, t=None):
+def sheaf_cohomology_oracle(module, stack, a, i):
     """dim H^i(X, M~(a)) via the (non-extended) Cech strand."""
     oracle = CechOracle(module)
-    dims = oracle.sheaf_dims(tuple(a), t=t)
+    dims = oracle.sheaf_dims(tuple(a))
     return dims[i] if 0 <= i < len(dims) else 0
 
 

@@ -9,7 +9,8 @@ presentation. A localized piece in a fixed degree is usually infinite
 dimensional, so it bounds the inverted exponents below by -t and relies on
 the caller's adaptive stabilization (double t until the dimensions stop
 changing; a bound unsettled by t = T_CAP raises StabilizationError, exit 4).
-Its pieces are built by Presentation.piece, as the realized module's are.
+Its pieces are built by Presentation.piece, as the realized module's are,
+monomial presentations too: it shares no kill rule with MonomialStrands.
 """
 
 from __future__ import annotations
@@ -62,38 +63,19 @@ class LocalizedModule(GradedPieces):
         self.t = t
         self.floors_fn = floors_fn
         self.shift = tuple(shift) if shift is not None else deg_zero(stack.r)
-        self.monomial = pres.is_monomial(field)
-        self._rel_exponents = pres.monomial_exponents(field) if self.monomial else ()
         self._cache = {}
-
-    def _kills(self, e):
-        """Monomial path: is the Laurent monomial e annihilated, i.e. is some
-        relation monomial a divisor of e on the non-inverted variables?"""
-        for g in self._rel_exponents:
-            if all(e[i] >= g[i] for i in range(len(e)) if i not in self.inverted):
-                return True
-        return False
 
     def piece(self, a):
         """(labels, reducer): labels are (gen, exponent vector); reducer is
         None when the labels are already a basis."""
         a = tuple(a)
-        if a in self._cache:
-            return self._cache[a]
-        inner = deg_add(a, self.shift)
-        floors = self.floors_fn(inner) if self.floors_fn is not None else None
-
-        def exponents(d):
-            return _laurent_exponents(self.stack, deg_sub(inner, d), self.inverted, self.t,
-                                      floors=floors)
-
-        if self.monomial:
-            val = ([(0, e) for e in exponents(self.pres.gen_degrees[0]) if not self._kills(e)],
-                   None)
-        else:
-            val = self.pres.piece(self.field, exponents)
-        self._cache[a] = val
-        return val
+        if a not in self._cache:
+            inner = deg_add(a, self.shift)
+            floors = self.floors_fn(inner) if self.floors_fn is not None else None
+            self._cache[a] = self.pres.piece(
+                self.field, lambda d: _laurent_exponents(self.stack, deg_sub(inner, d),
+                                                         self.inverted, self.t, floors=floors))
+        return self._cache[a]
 
 
 def cech_cells(cover):
@@ -354,30 +336,13 @@ class CechComplex:
     def restriction_block(self, a, src_cell, tgt_cell):
         """Matrix of the localization map from cell J to cell J' (J subset
         of J', one more open)."""
-        _, J, inv = src_cell
-        _, J2, inv2 = tgt_cell
-        srcm = self.localized[inv]
-        tgtm = self.localized[inv2]
-        vectors = [{lab: self.field.one} for lab in srcm.basis_labels(a)]
-        coords, ok = tgtm.express(a, vectors)
-        if not all(ok):
-            raise ArithmeticError("truncation box too small for a restriction map")
-        return coords.T.copy()
+        return self.localized[tgt_cell[2]].image(a, self.localized[src_cell[2]].basis_labels(a))
 
     def module_block(self, a):
         """The map from the module piece into the level-0 cells, stacked."""
-        src = self.module_piece
-        vectors = [{lab: self.field.one} for lab in src.basis_labels(a)]
-        blocks = []
-        for _, cell in self.cells_at(0):
-            tgtm = self.localized[cell[2]]
-            coords, ok = tgtm.express(a, vectors)
-            if not all(ok):
-                raise ArithmeticError("truncation box too small for the module map")
-            blocks.append(coords.T)
-        if not blocks:
-            return self.field.zeros(0, len(vectors))
-        return np.concatenate(blocks, axis=0)
+        labels = self.module_piece.basis_labels(a)
+        blocks = [self.localized[cell[2]].image(a, labels) for _, cell in self.cells_at(0)]
+        return np.concatenate(blocks) if blocks else self.field.zeros(0, len(labels))
 
     def cech_block(self, a, level):
         """The Cech differential from level to level + 1 at degree a."""
@@ -386,20 +351,15 @@ class CechComplex:
         src_dims = [self.localized[c[2]].dim(a) for _, c in src_cells]
         tgt_dims = [self.localized[c[2]].dim(a) for _, c in tgt_cells]
         mat = self.field.zeros(sum(tgt_dims), sum(src_dims))
-        tgt_off = {}
-        off = 0
-        for (cj, _), d in zip(tgt_cells, tgt_dims):
-            tgt_off[cj] = off
-            off += d
+        tgt_off = dict(zip([cj for cj, _ in tgt_cells], itertools.accumulate([0] + tgt_dims)))
         src_off = 0
         for (ci, c), d in zip(src_cells, src_dims):
+            # each coface of a cell is a distinct cell: the blocks do not overlap
             for cj, sign in self.cofaces[ci]:
                 block = self.restriction_block(a, c, self.cells[cj])
-                if sign < 0:
-                    block = self.field.reduce(-block)
                 o = tgt_off[cj]
                 mat[o:o + block.shape[0], src_off:src_off + d] = \
-                    self.field.reduce(mat[o:o + block.shape[0], src_off:src_off + d] + block)
+                    block if sign > 0 else self.field.reduce(-block)
             src_off += d
         return mat
 
@@ -428,20 +388,12 @@ class CechComplex:
         a to the strand at a + deg x_i (cells only, no module cell), with the
         row sign (-1)^level."""
         field = self.field
-        b = deg_add(a, self.stack.var_degrees[i])
-        locs = [self.localized[inv] for _, _, inv in self.cells]
-        src = [loc.dim(a) for loc in locs]
-        tgt = [loc.dim(b) for loc in locs]
-        mat = field.zeros(sum(tgt), sum(src))
-        so = to = 0
-        for (level, _, _), loc, ns, nt in zip(self.cells, locs, src, tgt):
-            if ns and nt:
-                vectors = [{(g, e[:i] + (e[i] + 1,) + e[i + 1:]): field.one}
-                           for g, e in loc.basis_labels(a)]
-                coords, ok = loc.express(b, vectors)
-                if not all(ok):
-                    raise ArithmeticError("truncation box too small for a multiplication map")
-                mat[to:to + nt, so:so + ns] = field.reduce(-coords.T) if level % 2 else coords.T
-            so += ns
+        blocks = [self.localized[inv].multiply(i, a) for _, _, inv in self.cells]
+        mat = field.zeros(sum(m.shape[0] for m in blocks), sum(m.shape[1] for m in blocks))
+        to = so = 0
+        for (level, _, _), m in zip(self.cells, blocks):
+            nt, ns = m.shape
+            mat[to:to + nt, so:so + ns] = field.reduce(-m) if level % 2 else m
             to += nt
+            so += ns
         return mat

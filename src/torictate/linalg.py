@@ -268,7 +268,18 @@ class QQ:
                 row.pop(c, None)
 
     def matmul(self, a, b):
-        return a @ b
+        """a @ b over the nonzero entries only: the matrices multiplied
+        here are mostly zero, and a dense product of Fractions spends
+        nearly all its time on the zeros."""
+        out = self.zeros(a.shape[0], b.shape[1])
+        for k, brow in enumerate(b):
+            row = [(j, brow[j]) for j in np.flatnonzero(brow)]
+            if row:  # only the columns of a that meet a nonzero row of b are read
+                for r in np.flatnonzero(a[:, k]):
+                    x, acc = a[r, k], out[r]
+                    for j, v in row:
+                        acc[j] += x * v
+        return out
 
 
 class Mat:

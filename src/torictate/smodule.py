@@ -150,7 +150,8 @@ class Presentation:
 
 class GradedPieces:
     """Basis reading for modules whose piece(a) returns (labels, reducer):
-    the basis is the labels, or the reducer's free columns of them."""
+    the basis is the labels, or the reducer's free columns of them. Every
+    map into a piece goes through image."""
 
     def dim(self, a):
         labels, red = self.piece(a)
@@ -160,28 +161,28 @@ class GradedPieces:
         labels, red = self.piece(a)
         return list(labels) if red is None else [labels[j] for j in red.free]
 
-    def _kills(self, e):
-        """Whether a relation kills the exponent e outright, so that a
-        piece may leave it out of its labels."""
-        return False
+    def image(self, a, labels):
+        """The coordinate columns of the labels in the basis at degree a.
+        ArithmeticError for a label outside the piece, where the exponent
+        box is too small to hold it."""
+        pieces, red = self.piece(a)
+        index = {lab: k for k, lab in enumerate(pieces)}
+        amb = self.field.zeros(len(labels), len(pieces))
+        for r, lab in enumerate(labels):
+            k = index.get(lab)
+            if k is None:
+                raise ArithmeticError("label %r lies outside the piece at %r" % (lab, a))
+            amb[r, k] = self.field.one
+        return (amb if red is None else red.reduce_rows(amb)).T.copy()
 
-    def express(self, a, vectors):
-        """Coordinates of label->coeff dicts in the basis at degree a; ok is
-        False for a vector with a nonzero label outside the piece."""
-        labels, red = self.piece(a)
-        index = {lab: k for k, lab in enumerate(labels)}
-        amb = self.field.zeros(len(vectors), len(labels))
-        ok = [True] * len(vectors)
-        for r, vec in enumerate(vectors):
-            for lab, c in vec.items():
-                k = index.get(lab)
-                if k is None:
-                    if self._kills(lab[1]):
-                        continue
-                    ok[r] = False
-                    break
-                amb[r, k] = self.field.add(amb[r, k], c)
-        return (amb if red is None else red.reduce_rows(amb)), ok
+    def multiply(self, i, a):
+        """Multiplication by x_i from the piece at a to the piece at
+        a + deg x_i, in their bases."""
+        b = deg_add(a, self.stack.var_degrees[i])
+        src = self.basis_labels(a)
+        if not src or not self.dim(b):
+            return self.field.zeros(self.dim(b), len(src))
+        return self.image(b, [(g, e[:i] + (e[i] + 1,) + e[i + 1:]) for g, e in src])
 
 
 class DegreewiseModule(GradedPieces):
@@ -233,30 +234,10 @@ class DegreewiseModule(GradedPieces):
 
     def mult_matrix(self, i, a):
         """Multiplication by x_i from piece(a) to piece(a + deg x_i)."""
-        a = tuple(a)
-        key = (i, a)
-        if key in self._mult:
-            return self._mult[key]
-        b = deg_add(a, self.stack.var_degrees[i])
-        src_labels, src_red = self.piece(a)
-        tgt_labels, tgt_red = self.piece(b)
-        src_basis = self.basis_labels(a)
-        nt = self.dim(b)
-        m = self.field.zeros(nt, len(src_basis))
-        if nt and src_basis:
-            tgt_index = {lab: k for k, lab in enumerate(tgt_labels)}
-            amb = self.field.zeros(len(src_basis), len(tgt_labels))
-            for col, (g, e) in enumerate(src_basis):
-                lab = (g, tuple(x + (1 if k == i else 0) for k, x in enumerate(e)))
-                if lab in tgt_index:
-                    amb[col, tgt_index[lab]] = self.field.one
-            if tgt_red is None:
-                m = amb.T.copy()
-            else:
-                m = tgt_red.reduce_rows(amb).T.copy()
-        out = Mat(self.field, m)
-        self._mult[key] = out
-        return out
+        key = (i, tuple(a))
+        if key not in self._mult:
+            self._mult[key] = Mat(self.field, self.multiply(i, key[1]))
+        return self._mult[key]
 
 
 def realize(pres, stack, window, field):

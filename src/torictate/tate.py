@@ -6,7 +6,9 @@ to a suitable truncation, made minimal. For a general stack it is computed
 from the Cech model of the noncommutative Fourier-Mukai transform: the
 totalization of the Cech bicomplex is contracted onto its column homology
 by homotopy transfer, which yields the minimal differential module whose
-generators tabulate all twisted sheaf cohomology.
+generators tabulate all twisted sheaf cohomology. One walk, _walk, sums the
+transfer series on the exact strands of a monomial presentation and on the
+dense Cech strands, which every other presentation takes.
 """
 
 from __future__ import annotations
@@ -74,6 +76,33 @@ def tate_weighted(pres, stack, window, field, d=None):
     return TateResult(minimal.gens, table, "weighted", window, lambda: minimal, truncation=d)
 
 
+def _walk(field, nvars, sources, step):
+    """The perturbation series sum p d (-h d)^k i of the homotopy transfer,
+    as sparse exterior entries. sources yields (key, generator offset, i of
+    the source strand); step(key, i, mat) moves mat along x_i (x) e_i and
+    returns None where nothing arrives, else (next key, target generator
+    offset or None, the rows of p T mat, -h T mat or None when zero)."""
+    # per exterior monomial: (i, sign, product) for each x_i it can take
+    moves = [[(i,) + ext_mul(1 << i, mono) for i in range(nvars) if not mono >> i & 1]
+             for mono in range(1 << nvars)]
+    entries = {}
+
+    def rec(src_off, key, mat, mono, sign):
+        for i, msign, mmono in moves[mono]:
+            out = step(key, i, mat)
+            if out is None:
+                continue
+            key2, tgt_off, rows, cont = out
+            if tgt_off is not None:
+                _add_block(entries, field, tgt_off, src_off, rows, mmono, sign * msign)
+            if cont is not None:
+                rec(src_off, key2, cont, mmono, sign * msign)
+
+    for key, src_off, mat in sources:
+        rec(src_off, key, mat, 0, 1)
+    return entries
+
+
 # -- dense Cech strands -------------------------------------------------------
 
 class _FMData:
@@ -94,53 +123,40 @@ class _FMData:
 
 
 def _transfer(data):
-    """Homotopy transfer of the horizontal perturbation onto the columnwise
-    Cech homology: returns the generators (with their degrees and levels)
-    and walk(), which returns the sparse exterior entries of the minimal
-    differential module. Each step continues with -h, as in the
-    perturbation series sum p d (-h d)^k i."""
+    """Homotopy transfer on the dense Cech strands: returns the generators
+    (with their degrees and levels) and walk(), which returns the sparse
+    exterior entries of the minimal differential module. Walk keys are
+    degrees; each horizontal block is built once per (degree, variable)."""
     stack = data.stack
     field = data.field
     gens = []
     gen_offset = {}
     for a in data.window.points():
-        ret = data.retract[a]
         gen_offset[a] = len(gens)
-        for level in ret.hlabels:
+        for level in data.retract[a].hlabels:
             gens.append(OmegaTwist(deg_neg(a), level))
-    nvars = stack.nvars
+    blocks = {}
+
+    def step(c, i, mat):
+        b = deg_add(c, stack.var_degrees[i])
+        ret = data.retract.get(b)
+        if ret is None:
+            return None
+        block = blocks.get((c, i))
+        if block is None:
+            block = blocks[c, i] = data.cx.horizontal_block(c, i)
+        moved = field.matmul(block, mat)
+        if not np.any(moved):
+            return None
+        tgt_off = gen_offset.get(b)
+        cont = field.reduce(-field.matmul(ret.h, moved))
+        return (b, tgt_off, None if tgt_off is None else enumerate(field.matmul(ret.p, moved)),
+                cont if np.any(cont) else None)
 
     def walk():
-        entries = {}
-
-        def step(a, c, mat, mono, sign):
-            for i in range(nvars):
-                bit = 1 << i
-                if mono & bit:
-                    continue
-                b = deg_add(c, stack.var_degrees[i])
-                if b not in data.retract:
-                    continue
-                moved = field.matmul(data.cx.horizontal_block(c, i), mat)
-                if not np.any(moved):
-                    continue
-                r = ext_mul(bit, mono)
-                if r is None:
-                    continue
-                msign, mmono = r
-                if b in gen_offset:
-                    out = field.matmul(data.retract[b].p, moved)
-                    _add_block(entries, field, gen_offset[b], gen_offset[a],
-                               enumerate(out), mmono, sign * msign)
-                cont = field.reduce(-field.matmul(data.retract[b].h, moved))
-                if np.any(cont):
-                    step(a, b, cont, mmono, sign * msign)
-
-        for a in data.window.points():
-            ret = data.retract[a]
-            if ret.i.shape[1]:
-                step(a, a, ret.i, 0, 1)
-        return entries
+        return _walk(field, stack.nvars, ((a, gen_offset[a], data.retract[a].i)
+                                          for a in data.window.points()
+                                          if data.retract[a].i.shape[1]), step)
 
     return gens, walk
 
@@ -207,31 +223,20 @@ def _monomial_transfer(pres, stack, window, field, types=None):
                 out[r] = row
         return out
 
-    thresholds = types.thresholds
-    # per exterior monomial: (i, sign, product) for each x_i it can take
-    moves = [[(i,) + ext_mul(1 << i, mono) for i in range(stack.nvars) if not mono >> i & 1]
-             for mono in range(1 << stack.nvars)]
+    def step(key, i, mat):
+        ecur, cs_cur = key
+        e2 = ecur[:i] + (ecur[i] + 1,) + ecur[i + 1:]
+        cs2 = types.cellset(e2) if e2[i] in types.thresholds[i] else cs_cur
+        pt, ht = pair_maps.get((cs_cur, cs2)) or step_maps(cs_cur, cs2)
+        tgt_off = offset_of.get(e2)
+        return ((e2, cs2), tgt_off, None if tgt_off is None else sorted(apply(pt, mat).items()),
+                apply(ht, mat) or None)
 
     def walk():
-        entries = {}
-
-        def step(src_off, ecur, cs_cur, mat, mono, sign):
-            for i, msign, mmono in moves[mono]:
-                e2 = ecur[:i] + (ecur[i] + 1,) + ecur[i + 1:]
-                cs2 = types.cellset(e2) if e2[i] in thresholds[i] else cs_cur
-                pt, ht = pair_maps.get((cs_cur, cs2)) or step_maps(cs_cur, cs2)
-                tgt_off = offset_of.get(e2)
-                if tgt_off is not None:
-                    _add_block(entries, field, tgt_off, src_off,
-                               sorted(apply(pt, mat).items()), mmono, sign * msign)
-                cont = apply(ht, mat)
-                if cont:
-                    step(src_off, e2, cs2, cont, mmono, sign * msign)
-
-        for e, cs, i_mat in sources:
-            start = {r: row for r, row in enumerate(i_mat.tolist()) if any(row)}
-            step(offset_of[e], e, cs, start, 0, 1)
-        return entries
+        return _walk(field, stack.nvars,
+                     (((e, cs), offset_of[e], {r: row for r, row in enumerate(i_mat.tolist())
+                                               if any(row)})
+                      for e, cs, i_mat in sources), step)
 
     return gens, walk
 
@@ -368,10 +373,10 @@ def check_R_embedding(result, module):
     return True
 
 
-def beilinson_U(dm, stack, module_degrees, label_floor=None):
+def beilinson_U(dm, stack, module_degrees):
     """The Beilinson functor on a windowed Tate module: keep the generators
-    whose socle label is effective-negative (down to the recorded floor),
-    restrict their columns to degrees a with -a effective, and apply L.
+    whose socle label is effective-negative, restrict their columns to
+    degrees a with -a effective, and apply L.
 
     Column truncations of an exact module are exact, so the finite shadow
     of the degree restriction in the functor's definition is taken on
@@ -382,14 +387,7 @@ def beilinson_U(dm, stack, module_degrees, label_floor=None):
     def eff_neg(a):
         return cone_contains(stack.eff, stack.theta, deg_neg(tuple(a)))
 
-    keep = []
-    for t, tw in enumerate(dm.gens):
-        label = deg_neg(tw.cl)
-        if not eff_neg(label):
-            continue
-        if label_floor is not None and stack.theta(label) < label_floor:
-            continue
-        keep.append(t)
+    keep = [t for t, tw in enumerate(dm.gens) if eff_neg(deg_neg(tw.cl))]
     remap = {t: k for k, t in enumerate(keep)}
     gens = [dm.gens[t] for t in keep]
     entries = {}

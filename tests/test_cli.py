@@ -117,6 +117,12 @@ def test_diagonal_command(capsys):
     assert "True" in out
 
 
+def test_unknown_option_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["cohomology", fixture("p1.tate"), "--threads", "2"])
+    assert exc.value.code == 2 and "--threads" in capsys.readouterr().err
+
+
 def test_exit_code_schema(capsys, tmp_path):
     bad = tmp_path / "bad.tate"
     bad.write_text("{not json")

@@ -255,6 +255,21 @@ def test_matmul_splits_long_inner_dimension(rng):
     assert field.matmul(a, b).tolist() == _int_product(p, a, b)
 
 
+def test_qq_matmul_matches_dense_product(rng):
+    # QQ multiplies over nonzero entries only; the dense object product is
+    # the reference, on empty shapes too
+    field = QQ()
+    for m, k, n in ((4, 5, 3), (7, 1, 6), (0, 3, 2), (3, 0, 2), (3, 2, 0), (0, 0, 0)):
+        a, b = field.zeros(m, k), field.zeros(k, n)
+        for x in (a, b):
+            for idx in np.ndindex(x.shape):
+                if rng.random() < 0.3:
+                    x[idx] = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+        got = field.matmul(a, b)
+        assert got.shape == (m, n) and got.dtype == object
+        assert (got == a @ b).all()
+
+
 def reference_rref(field, a):
     """The dense column-by-column Gauss-Jordan routine that rref replaced."""
     a = field.reduce(np.array(a, copy=True))

@@ -178,19 +178,26 @@ def test_koszul_exactness_p112(p112, gf):
 
 
 def test_localized_piece_without_inversion_matches_degreewise(p112, hirz3, gf):
-    # genus-one runs both classes through Presentation.piece; module H
-    # compares the localized monomial fast path with the relation reducer
+    # both classes build their pieces through Presentation.piece, for a
+    # non-monomial relation (genus one) and a monomial one (module H)
     genus_one = Presentation.quotient(p112, [Poly([(1, (4, 0, 0)), (1, (0, 4, 0)), (1, (0, 0, 2))])])
     for pres, stack, window in ((genus_one, p112, Window((-2,), (9,))),
                                 (Presentation.quotient(hirz3, [(1, 1, 0, 0)]), hirz3,
                                  Window((-1, -1), (4, 3)))):
         deg = realize(pres, stack, window, gf)
         loc = LocalizedModule(stack, gf, pres, (), 2)
-        assert loc.monomial == (pres is not genus_one)
         for a in window.points():
             basis = deg.basis_labels(a)
             assert loc.basis_labels(a) == basis and loc.dim(a) == deg.dim(a) == len(basis)
-            assert loc.piece(a)[0] == (basis if loc.monomial else deg.piece(a)[0])
+            assert loc.piece(a)[0] == deg.piece(a)[0]
             for m in (loc, deg):
-                coords, ok = m.express(a, [{lab: gf.one} for lab in basis])
-                assert all(ok) and (coords == np.eye(len(basis), dtype=coords.dtype)).all()
+                coords = m.image(a, basis)
+                assert (coords == np.eye(len(basis), dtype=coords.dtype)).all()
+
+
+def test_image_rejects_a_label_outside_the_piece(p112, gf):
+    # a label below the exponent box of a localized piece has no coordinates
+    loc = LocalizedModule(p112, gf, Presentation.free([(0,)]), {0}, 2)
+    assert loc.image((0,), [(0, (-2, 2, 0))]).shape == (loc.dim((0,)), 1)
+    with pytest.raises(ArithmeticError):
+        loc.image((0,), [(0, (-3, 3, 0))])

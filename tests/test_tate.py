@@ -104,15 +104,22 @@ def test_fm_matches_weighted_p112(p112, gf):
             assert fm.entry(i, (a,)) == tw.entry(i, (a,))
 
 
-def test_fm_dense_path_matches_strand_path(p112, gf):
-    # the dense pipeline (used for non-monomial presentations) agrees with
-    # the strand pipeline on a structure sheaf
-    strand = fm_transform(Presentation.free([(0,)]), p112, Window((-4,), (4,)), gf)
-    dense = fm_transform(Presentation.free([(0,)]), p112, Window((-4,), (4,)), gf, t=8)
-    from torictate.tate import _FMData, _transfer
-    data = _FMData(p112, gf, Presentation.free([(0,)]), Window((-4,), (4,)), 8)
-    gens, entries = _transfer(data)
-    assert Counter(gens) == Counter(strand.T.gens)
+def test_fm_dense_path_matches_strand_path(p112, hirz3):
+    # T through the dense walk (the path of non-monomial presentations) and
+    # through the strand walk: the same generators, and each a minimal
+    # exact differential module on its safe degrees; on P(1,1,2) the window
+    # reaches H^2 at -4, whose map to H^0 needs the walk's continuation
+    for pres, stack, window, t in ((Presentation.free([(0,)]), p112, Window((-4,), (4,)), 4),
+                                   (hirz3_H(hirz3), hirz3, Window((-2, -1), (3, 1)), 2)):
+        for field in (GF(), QQ()):
+            strand = fm_transform(pres, stack, window, field).T
+            gens, walk = tate._transfer(tate._FMData(stack, field, pres, window, t))
+            dense = FreeDiffModule(stack, field, gens, walk(), safe=tate.safe_degrees(stack, window),
+                                   validate=True)
+            assert Counter(dense.gens) == Counter(strand.gens)
+            for T in (strand, dense):
+                assert T.safe and check_square_zero(T) and check_minimal(T)
+                assert all(homology_column(T, a) == {} for a in sorted(T.safe))
 
 
 def test_fm_hirzebruch_against_oracle(hirz3, gf):
@@ -268,17 +275,7 @@ def assert_retract_identities(field, ret):
     def zero(m):
         return not np.any(field.reduce(m))
 
-    def mul(a, b):
-        if a.dtype != object:
-            return field.matmul(a, b)
-        # QQ: the retract matrices are sparse, and a dense product of
-        # Fractions spends nearly all its time on zeros
-        out = field.zeros(a.shape[0], b.shape[1])
-        for r, k in zip(*np.nonzero(a)):
-            for j in np.flatnonzero(b[k]):
-                out[r, j] += a[r, k] * b[k, j]
-        return out
-
+    mul = field.matmul
     i, p, h = ret.i, ret.p, ret.h
     assert zero(mul(u, h) + mul(h, u) - np.eye(total, dtype=np.int64) + mul(i, p))
     assert zero(mul(p, i) - np.eye(p.shape[0], dtype=np.int64))
@@ -293,7 +290,7 @@ def test_strand_retract_identities(hirz3, p1p1, gf, monkeypatch):
     # The oracle ranks the same pattern complex instead of contracting it,
     # so both routes must find the same homology per Cech level.
     made = recorded_strand_types(monkeypatch)
-    fm_transform(hirz3_H(hirz3), hirz3, Window((-2, -1), (2, 1)), gf, t=4).T
+    fm_transform(hirz3_H(hirz3), hirz3, Window((-2, -1), (2, 1)), gf).T
     fm_transform(Presentation.free([(0, 0)]), p1p1, Window((-3, -3), (3, 3)), gf).T
     assert [len(types._retracts) for types in made] == [11, 16]
     for types in made:
@@ -325,7 +322,7 @@ def test_strand_retract_eliminates_each_map_once(hirz3, gf, monkeypatch):
 
     monkeypatch.setattr(linalg, "_echelon", counting_echelon)
     monkeypatch.setattr(laurent, "_build_retract", recording_build)
-    fm_transform(hirz3_H(hirz3), hirz3, Window((-2, -1), (2, 1)), gf, t=4).T
+    fm_transform(hirz3_H(hirz3), hirz3, Window((-2, -1), (2, 1)), gf).T
     monkeypatch.undo()
     assert len(built) == 11
     for dims, maps, calls in built:
@@ -348,6 +345,21 @@ def test_dense_retract_identities(field, p112, hirz3):
         assert any(ret.i.shape[1] for ret in rets) and any(np.any(ret.h) for ret in rets)
         for ret in rets:
             assert_retract_identities(field, ret)
+
+
+def test_dense_walk_builds_each_horizontal_block_once(p112, gf, monkeypatch):
+    # the walk reaches a (degree, variable) pair from many sources; its
+    # block is built on the first visit only
+    calls = []
+    block = laurent.CechComplex.horizontal_block
+
+    def counted_block(self, a, i):
+        calls.append((a, i))
+        return block(self, a, i)
+
+    monkeypatch.setattr(laurent.CechComplex, "horizontal_block", counted_block)
+    assert fm_transform(genus_one(p112), p112, Window((-3,), (3,)), gf, t=8).T.entries
+    assert calls and len(calls) == len(set(calls))
 
 
 def test_strand_cellset_clamp_and_thresholds(hirz3, gf):
