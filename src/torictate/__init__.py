@@ -6,8 +6,7 @@ algebra over a finite field or the rationals — no Groebner bases anywhere.
 from .linalg import GF, QQ, Mat, homology_dim, kernel_basis, rank
 from .toric import (PositiveGrading, ToricStack, Window, cone_contains,
                     hirzebruch, is_irrelevant_subset, p1xp1, projective_space,
-                    safe_region, weighted_projective, weights_degI,
-                    weights_zgraded)
+                    weighted_projective, weights_degI, weights_zgraded)
 from .smodule import (DegreewiseModule, Poly, Presentation, generated_truncation,
                       koszul_complex, monomial_basis, realize, truncate, twist)
 from .exterior import OmegaTwist, ext_mul, socle_readoff

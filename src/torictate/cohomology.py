@@ -33,7 +33,8 @@ def _stabilize(compute, start=T_START):
     2 start, ..., with T_CAP as the last value, and return the first value
     equal to the one before it; StabilizationError when none is. The
     degree-derived reach of a class enters through the oracle's
-    per-variable floors, not through t."""
+    per-variable floors (laurent.reach_floors), and through start in
+    fm_transform, not through the doubling."""
     prev = None
     t = min(start, T_CAP)
     while True:
@@ -46,38 +47,23 @@ def _stabilize(compute, start=T_START):
         t = min(2 * t, T_CAP)
 
 
-def exponent_floor(stack, a):
-    """A per-degree lower bound for the truncation exponent: classes in
-    degree a are reachable once every inverted exponent may go down by
-    (|theta(a)| + theta(w)) / min theta(x_i)."""
-    theta = stack.theta
-    minw = min(theta(d) for d in stack.var_degrees)
-    return (abs(theta(tuple(a))) + theta(stack.total_degree)) // minw + 1
-
-
 class CechOracle:
     """Cech strands of a realized module over the irrelevant cover (or a
     custom cover, e.g. the variables of a primitive collection). Monomial
     presentations run on the exact per-pattern strand decomposition, one
     pass per degree. The dense path handles the rest, doubling its exponent
-    bound t until the dimensions stabilize."""
+    bound t until the dimensions stabilize; each inverted exponent may also
+    reach down to the reach floor (laurent.reach_floors) of grading, theta
+    by default."""
 
-    def __init__(self, module, cover=None, force_dense=False, floors_fn=None):
+    def __init__(self, module, cover=None, force_dense=False, grading=None):
         self.module = module
         self.stack = module.stack
         self.field = module.field
         self.cover = [frozenset(c) for c in (cover if cover is not None else self.stack.cover)]
+        self.grading = grading if grading is not None else self.stack.theta
         self._complexes = {}
         self._strands = None
-        if floors_fn is None:
-            theta = self.stack.theta
-            w = theta(self.stack.total_degree)
-
-            def floors_fn(inner, _theta=theta, _w=w):
-                reach = abs(_theta(inner)) + _w
-                return [reach // _theta(d) + 1 for d in self.stack.var_degrees]
-
-        self.floors_fn = floors_fn
         if module.pres.is_monomial(self.field) and not force_dense:
             self._strands = MonomialStrands(self.stack, self.field, module.pres,
                                             self.cover, shift=module.shift)
@@ -87,7 +73,7 @@ class CechOracle:
             self._complexes[t] = CechComplex(
                 self.stack, self.field, self.module.pres, self.cover, t,
                 shift=self.module.shift, module_piece=self.module,
-                floors_fn=self.floors_fn)
+                grading=self.grading)
         return self._complexes[t]
 
     def _dims(self, a, extended):
@@ -216,6 +202,22 @@ def cohomology_table_fast(pres, stack, window, field, d=None):
     return table
 
 
+def _vanishes_above(oracle, degrees, deg, upper):
+    """True when H^i_B(M)_a = 0 for every listed degree a and every i with
+    deg(a) >= -upper[i - 1], up to the cover length and the number of
+    variables (past either, H^i_B vanishes); a degree where no i is checked
+    is skipped."""
+    top = min(len(oracle.cover), oracle.stack.nvars)
+    for a in degrees:
+        z = deg(a)
+        checked = [i for i in range(top + 1) if z >= -upper[i - 1]]
+        if checked:
+            dims = oracle.local_dims(a)
+            if any(dims[i] for i in checked):
+                return False
+    return True
+
+
 def is_0_regular(module, stack, dmax=None):
     """The local-cohomology vanishing (H^i_B M)_d = 0 for d >= -w^{i-1},
     checked on a finite range topped by dmax plus two stabilization rows."""
@@ -225,14 +227,8 @@ def is_0_regular(module, stack, dmax=None):
     if dmax is None:
         tops = [stack.theta(a) for a in module.window.points() if module.dim(a)]
         dmax = (max(tops) if tops else 0) + w + 1
-    oracle = CechOracle(module)
-    n1 = stack.nvars
-    for d in range(-upper[n1], dmax + 3):
-        dims = oracle.local_dims((d,))
-        for i in range(0, n1 + 1):
-            if d >= -upper[i - 1] and dims[i]:
-                return False
-    return True
+    return _vanishes_above(CechOracle(module), [(d,) for d in range(-upper[stack.nvars], dmax + 3)],
+                           lambda a: a[0], upper)
 
 
 def is_deg_I_0_regular(module, stack, collection_vars, cl_degrees):
@@ -240,27 +236,9 @@ def is_deg_I_0_regular(module, stack, collection_vars, cl_degrees):
     variables must vanish in every Cl-degree a with deg_I(a) >= -w^{i-1}_I,
     checked over the supplied window of Cl-degrees."""
     pc = stack.collection(collection_vars)
-    upper = weights_degI(stack, collection_vars)
-    cover = [frozenset([i]) for i in sorted(pc.vars)]
-    wI = sum(pc.values[i] for i in pc.vars)
-
-    def floors(inner):
-        reach = abs(pc.deg(inner)) + wI
-        return [reach // pc.values[i] + 1 if i in pc.vars else 1
-                for i in range(stack.nvars)]
-
-    oracle = CechOracle(module, cover=cover, floors_fn=floors)
-    k = len(cover)
-    for a in cl_degrees:
-        z = pc.deg(tuple(a))
-        thresholds = [(-upper[i - 1]) for i in range(0, k + 1)]
-        if all(z < th for th in thresholds):
-            continue
-        dims = oracle.local_dims(tuple(a))
-        for i in range(0, k + 1):
-            if z >= -upper[i - 1] and dims[i]:
-                return False
-    return True
+    oracle = CechOracle(module, cover=[frozenset([i]) for i in sorted(pc.vars)], grading=pc.deg)
+    return _vanishes_above(oracle, [tuple(a) for a in cl_degrees], pc.deg,
+                           weights_degI(stack, collection_vars))
 
 
 class BoundReport:

@@ -37,20 +37,7 @@ class FreeDiffModule:
         for (s, t) in self.entries:
             self._out.setdefault(t, []).append(s)
         if validate:
-            self._validate_degrees()
-
-    def _validate_degrees(self):
-        # the monomials of the right degree, once per pair of twists
-        table = self.stack.subsets_by_sum()
-        allowed = {}
-        for (s, t), elem in self.entries.items():
-            pair = (self.gens[t], self.gens[s])
-            ok = allowed.get(pair)
-            if ok is None:
-                cl, aux = entry_degree(self.stack, *pair)
-                ok = allowed[pair] = {m for m in table.get(deg_neg(cl), ()) if -popcount(m) == aux}
-            if not ok.issuperset(elem):
-                raise ValueError("entry (%d, %d) not homogeneous of the differential degree" % (s, t))
+            _check_degrees(stack, self.gens, self.gens, self.entries, -1)
 
     def column_basis(self, a):
         """Ordered basis [(gen, monomial)] of the degree-a slice."""
@@ -77,6 +64,31 @@ class FreeDiffModule:
             tgt = slices.get(j - 1, [])
             blocks[j] = self.column_block(a, src, tgt)
         return slices, blocks
+
+
+def _check_degrees(stack, src_gens, tgt_gens, entries, shift_aux):
+    """ValueError unless every entry (s, t), from src_gens[t] to
+    tgt_gens[s], holds only monomials of the degree (0; shift_aux) map
+    between their twists, looked up once per pair of twists."""
+    table = stack.subsets_by_sum()
+    allowed = {}
+    for (s, t), elem in entries.items():
+        pair = (src_gens[t], tgt_gens[s])
+        ok = allowed.get(pair)
+        if ok is None:
+            cl, aux = entry_degree(stack, *pair, shift_aux=shift_aux)
+            ok = allowed[pair] = {m for m in table.get(deg_neg(cl), ()) if -popcount(m) == aux}
+        if not ok.issuperset(elem):
+            raise ValueError("entry (%d, %d) is not homogeneous of degree (0; %d)" % (s, t, shift_aux))
+
+
+def restrict(gens, entries, keep):
+    """The generators at the increasing indices keep, and the entries
+    between them, renumbered."""
+    remap = {t: k for k, t in enumerate(keep)}
+    return ([gens[t] for t in keep],
+            {(remap[s], remap[t]): elem for (s, t), elem in entries.items()
+             if s in remap and t in remap})
 
 
 def column_matrix(field, entries, out, src, tgt):
@@ -183,11 +195,7 @@ class DMMorphism:
         self.target = target
         self.entries = {k: dict(v) for k, v in entries.items() if v}
         if validate:
-            for (s, t), elem in self.entries.items():
-                cl, aux = entry_degree(source.stack, source.gens[t], target.gens[s], shift_aux=0)
-                for m in elem:
-                    if source.stack.mask_degree(m) != deg_neg(cl) or -popcount(m) != aux:
-                        raise ValueError("morphism entry (%d, %d) is not degree 0" % (s, t))
+            _check_degrees(source.stack, source.gens, target.gens, self.entries, 0)
 
 
 def cone(morphism):
@@ -272,10 +280,7 @@ def minimize(module, report=False):
                     cols.get(t, set()).discard(s)
         cancelled += 1
 
-    order = sorted(alive)
-    remap = {g: i for i, g in enumerate(order)}
-    gens = [module.gens[g] for g in order]
-    entries = {(remap[s], remap[t]): elem for (s, t), elem in ent.items() if s in remap and t in remap}
+    gens, entries = restrict(module.gens, ent, sorted(alive))
     out = FreeDiffModule(module.stack, field, gens, entries, safe=module.safe,
                          varmask=module.varmask, validate=False)
     if report:

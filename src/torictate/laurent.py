@@ -6,9 +6,11 @@ relation thresholds its Laurent exponent crosses, so a degree's homology is
 a finite sum over patterns, each weighted by the lattice points of its
 region. The dense path (LocalizedModule, CechComplex) takes any
 presentation. A localized piece in a fixed degree is usually infinite
-dimensional, so it bounds the inverted exponents below by -t and relies on
-the caller's adaptive stabilization (double t until the dimensions stop
-changing; a bound unsettled by t = T_CAP raises StabilizationError, exit 4).
+dimensional, so it bounds each inverted exponent below by -max(t, floor),
+where the floor is the one reach rule (reach_floors) of a grading, or by -t
+when no grading is given, and relies on the caller's adaptive
+stabilization (double t until the dimensions stop changing; a bound
+unsettled by t = T_CAP raises StabilizationError, exit 4).
 Its pieces are built by Presentation.piece, as the realized module's are,
 monomial presentations too: it shares no kill rule with MonomialStrands.
 """
@@ -39,6 +41,16 @@ def signed_exponents(stack, d, pattern):
                                  "degree %r: %s" % (pattern, tuple(d), exc))
 
 
+def reach_floors(stack, grading, inner):
+    """Per-variable lower bounds on the inverted exponents that reach the
+    classes of degree inner: reach = |grading(inner)| plus the grading's
+    positive values on the variables, and floor_i = reach // v_i + 1 where
+    v_i = grading(deg x_i) > 0, else 1."""
+    values = [grading(d) for d in stack.var_degrees]
+    reach = abs(grading(inner)) + sum(v for v in values if v > 0)
+    return [reach // v + 1 if v > 0 else 1 for v in values]
+
+
 def _laurent_exponents(stack, d, inverted, t, floors=None):
     """Exponent vectors of degree d with e_i >= -max(t, floors[i]) on
     inverted variables and e_i >= 0 elsewhere, in lexicographic order."""
@@ -48,20 +60,20 @@ def _laurent_exponents(stack, d, inverted, t, floors=None):
 
 
 class LocalizedModule(GradedPieces):
-    """M[x_C^{-1}] realized degreewise with inverted exponents >= -t (or a
-    per-degree, per-variable bound supplied by floors_fn).
+    """M[x_C^{-1}] realized degreewise with inverted exponents >= -t, or
+    >= -max(t, floor_i) with the reach floors of a grading when one is given.
 
     M is given by its presentation (with an optional twist shift); the
     truncation predicate of a DegreewiseModule is irrelevant after inverting
     any variable and is ignored here."""
 
-    def __init__(self, stack, field, pres, inverted, t, shift=None, floors_fn=None):
+    def __init__(self, stack, field, pres, inverted, t, shift=None, grading=None):
         self.stack = stack
         self.field = field
         self.pres = pres
         self.inverted = frozenset(inverted)
         self.t = t
-        self.floors_fn = floors_fn
+        self.grading = grading
         self.shift = tuple(shift) if shift is not None else deg_zero(stack.r)
         self._cache = {}
 
@@ -71,7 +83,7 @@ class LocalizedModule(GradedPieces):
         a = tuple(a)
         if a not in self._cache:
             inner = deg_add(a, self.shift)
-            floors = self.floors_fn(inner) if self.floors_fn is not None else None
+            floors = None if self.grading is None else reach_floors(self.stack, self.grading, inner)
             self._cache[a] = self.pres.piece(
                 self.field, lambda d: _laurent_exponents(self.stack, deg_sub(inner, d),
                                                          self.inverted, self.t, floors=floors))
@@ -315,7 +327,7 @@ class CechComplex:
     optional module cell at level 0 prepends M itself (extended complex)."""
 
     def __init__(self, stack, field, pres, cover, t, shift=None, module_piece=None,
-                 floors_fn=None):
+                 grading=None):
         self.stack = stack
         self.field = field
         self.cover = [frozenset(c) for c in cover]
@@ -325,7 +337,7 @@ class CechComplex:
         for _, _, inv in self.cells:
             if inv not in self.localized:
                 self.localized[inv] = LocalizedModule(stack, field, pres, inv, t,
-                                                      shift=shift, floors_fn=floors_fn)
+                                                      shift=shift, grading=grading)
 
     def cells_at(self, level):
         """(index, cell) of the cells at Cech level l (l+1 opens

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import Mat, RowReducer
+from .linalg import Mat, RowReducer, _kernel_arr, rref, solve_in_span
 from .toric import Window, cone_contains, deg_add, deg_sub, deg_zero, points
 
 
@@ -175,14 +175,19 @@ class GradedPieces:
             amb[r, k] = self.field.one
         return (amb if red is None else red.reduce_rows(amb)).T.copy()
 
-    def multiply(self, i, a):
-        """Multiplication by x_i from the piece at a to the piece at
-        a + deg x_i, in their bases."""
-        b = deg_add(a, self.stack.var_degrees[i])
+    def times(self, a, b, mono):
+        """Multiplication by the monomial with exponent vector mono from the
+        piece at a to the piece at b = a + deg mono, in their bases."""
         src = self.basis_labels(a)
         if not src or not self.dim(b):
             return self.field.zeros(self.dim(b), len(src))
-        return self.image(b, [(g, e[:i] + (e[i] + 1,) + e[i + 1:]) for g, e in src])
+        return self.image(b, [(g, tuple(x + y for x, y in zip(e, mono))) for g, e in src])
+
+    def multiply(self, i, a):
+        """Multiplication by x_i from the piece at a to the piece at
+        a + deg x_i, in their bases."""
+        return self.times(a, deg_add(a, self.stack.var_degrees[i]),
+                          tuple(int(k == i) for k in range(self.stack.nvars)))
 
 
 class DegreewiseModule(GradedPieces):
@@ -289,33 +294,12 @@ class SpanSubmodule:
 
     def _span(self, b):
         b = tuple(b)
-        if b in self._basis:
-            return self._basis[b]
-        field = self.field
-        cols = []
-        dimt = self.inner.dim(b)
-        for d in self.gen_degrees:
-            shift = deg_sub(b, d)
-            if self.stack.theta(shift) < 0 or self.inner.dim(d) == 0:
-                continue
-            for mono in monomial_basis(self.stack, shift):
-                m = field.zeros(self.inner.dim(d), self.inner.dim(d))
-                for k in range(self.inner.dim(d)):
-                    m[k, k] = field.one
-                pos = d
-                for i, e in enumerate(mono):
-                    for _ in range(e):
-                        m = field.matmul(self.inner.mult_matrix(i, pos).a, m)
-                        pos = deg_add(pos, self.stack.var_degrees[i])
-                cols.append(m)
-        if not cols:
-            val = field.zeros(dimt, 0)
-        else:
-            val = np.concatenate(cols, axis=1)
-        from .linalg import rref
-
-        r, _ = rref(field, val.T)
-        self._basis[b] = r.T
+        if b not in self._basis:
+            cols = [self.inner.times(d, b, mono) for d in self.gen_degrees
+                    if self.stack.theta(deg_sub(b, d)) >= 0 and self.inner.dim(d)
+                    for mono in monomial_basis(self.stack, deg_sub(b, d))]
+            val = np.concatenate(cols, axis=1) if cols else self.field.zeros(self.inner.dim(b), 0)
+            self._basis[b] = rref(self.field, val.T)[0].T
         return self._basis[b]
 
     def dim(self, a):
@@ -328,8 +312,6 @@ class SpanSubmodule:
         return tuple(a) in self.window
 
     def mult_matrix(self, i, a):
-        from .linalg import solve_in_span
-
         a = tuple(a)
         src = self._span(a)
         tgt = self._span(deg_add(a, self.stack.var_degrees[i]))
@@ -356,84 +338,40 @@ def presentation_from_span(span, rel_degrees):
     already chosen, and only genuinely new syzygies are kept. The degrees
     must include every minimal first-syzygy degree."""
     from .dmres import _IncrementalRank
-    from .linalg import _kernel_arr, solve_in_span
 
     stack = span.stack
     field = span.field
     zero = deg_zero(stack.r)
     ngens = span.dim(zero)
-    gen_degrees = [zero] * ngens
-    rel_degs = []
-    chosen = []  # (degree, dict (gen, exponent) -> coeff)
-    entries = {}
-
-    def evaluation(b):
-        """Columns (per (gen, monomial) pair) of the evaluation into the
-        span basis at degree b, plus the labels."""
-        monos = monomial_basis(stack, b)
-        tgt = span._span(b)
-        cols = []
-        labels = []
-        for mu in monos:
-            mat = field.zeros(ngens, ngens)
-            for k in range(ngens):
-                mat[k, k] = field.one
-            pos = zero
-            for i, e in enumerate(mu):
-                for _ in range(e):
-                    mat = field.matmul(span.inner.mult_matrix(i, pos).a, mat)
-                    pos = deg_add(pos, stack.var_degrees[i])
-            coords = solve_in_span(field, tgt, mat)
-            for k in range(ngens):
-                cols.append(coords[:, k])
-                labels.append((k, mu))
-        return cols, labels
+    pres = Presentation([zero] * ngens)  # the relations chosen so far
 
     for b in sorted((tuple(x) for x in rel_degrees), key=lambda d: (stack.theta(d), d)):
-        cols, labels = evaluation(b)
-        if not cols:
+        # the evaluation at b: one column per (generator, monomial) label
+        monos = monomial_basis(stack, b)
+        labels = [(k, mu) for mu in monos for k in range(ngens)]
+        if not labels:
             continue
-        index = {lab: k for k, lab in enumerate(labels)}
-        stacked = field.zeros(cols[0].shape[0], len(cols))
-        for c, v in enumerate(cols):
-            stacked[:, c] = v
-        ker = _kernel_arr(field, stacked)
+        ker = _kernel_arr(field, solve_in_span(
+            field, span._span(b), np.concatenate([span.inner.times(zero, b, mu) for mu in monos],
+                                                 axis=1)))
         if ker.shape[1] == 0:
             continue
+        index = {lab: k for k, lab in enumerate(labels)}
         acc = _IncrementalRank(field)
-        for cdeg, vec in chosen:
-            shift = deg_sub(b, cdeg)
-            if stack.theta(shift) < 0:
-                continue
-            for m in monomial_basis(stack, shift):
-                mult = field.zeros(len(labels), 1)[:, 0]
-                ok = True
-                for (k, mu), coeff in vec.items():
-                    lab = (k, tuple(x + y for x, y in zip(mu, m)))
-                    j = index.get(lab)
-                    if j is None:
-                        ok = False
-                        break
-                    mult[j] = field.add(mult[j], coeff)
-                if ok:
-                    acc.add(mult)
+        for j, cdeg in enumerate(pres.rel_degrees):
+            if stack.theta(deg_sub(b, cdeg)) >= 0:
+                for row in pres.relation_rows(field, j, index, monomial_basis(stack, deg_sub(b, cdeg))):
+                    vec = field.zeros(1, len(labels))[0]
+                    vec[list(row)] = list(row.values())
+                    acc.add(vec)
         for c in range(ker.shape[1]):
-            if not acc.add(ker[:, c]):
-                continue
-            vec = {}
-            relj = len(rel_degs)
-            rel_degs.append(b)
-            for pos_idx, lab in enumerate(labels):
-                v = ker[pos_idx, c]
-                if v != field.zero:
-                    coeff = v.item() if hasattr(v, "item") else v
-                    vec[lab] = coeff
-                    k, mu = lab
-                    poly = entries.get((k, relj))
-                    terms = poly.terms if poly else []
-                    entries[(k, relj)] = Poly(terms + [(coeff, mu)])
-            chosen.append((b, vec))
-    return Presentation(gen_degrees, rel_degs, entries)
+            if acc.add(ker[:, c]):
+                relj = len(pres.rel_degrees)
+                pres.rel_degrees.append(b)
+                for (k, mu), v in zip(labels, ker[:, c].tolist()):
+                    if v != field.zero:
+                        pres.entries.setdefault((k, relj), Poly([])).terms.append((v, mu))
+    return pres
 
 
 class GradedComplex:

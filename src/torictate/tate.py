@@ -18,14 +18,14 @@ from functools import cached_property
 import numpy as np
 
 from .bgg import R
-from .cohomology import (CechOracle, T_START, _stabilize, exponent_floor, fast_table_state,
-                         h0b_vanishes)
+from .cohomology import CechOracle, T_START, _stabilize, fast_table_state, h0b_vanishes
 from .diffmod import (FreeDiffModule, _add_block, _homology_column_unchecked, minimize,
-                      tensor_EI)
+                      restrict, tensor_EI)
 from .dmres import tate_cone
 from .errors import PreconditionError
 from .exterior import OmegaTwist, ext_mul, socle_readoff
-from .laurent import CechComplex, MonomialStrands, _build_retract, signed_exponents
+from .laurent import (CechComplex, MonomialStrands, _build_retract, reach_floors,
+                      signed_exponents)
 from .linalg import GF
 from .toric import cone_contains, deg_add, deg_neg, deg_sub, is_irrelevant_subset
 
@@ -241,20 +241,19 @@ def _monomial_transfer(pres, stack, window, field, types=None):
     return gens, walk
 
 
-def fm_transform(pres, stack, window, field, t=None):
+def fm_transform(pres, stack, window, field):
     """The Cech Fourier-Mukai construction of the Tate resolution on any
     projective toric stack: build the bicomplex columns and contract each
     onto its homology. The generators are that column homology, and the
     table is read off their twists. A monomial presentation runs once on
     the exact per-pattern strand decomposition. Any other runs on the dense
-    Cech complex at exponent bound t, or, when t is None, with t doubled
-    adaptively until the table stabilizes (StabilizationError if it has not
-    by t = T_CAP). The transferred horizontal differential is built, and the
-    module validated, only when the result's T is first read."""
+    Cech complex at exponent bound t, doubled adaptively from the largest
+    theta reach floor (laurent.reach_floors) over the window until the
+    table stabilizes (StabilizationError if it has not by t = T_CAP). The
+    transferred horizontal differential is built, and the module
+    validated, only when the result's T is first read."""
     if pres.is_monomial(field):
         gens, walk = _monomial_transfer(pres, stack, window, field)
-    elif t is not None:
-        gens, walk = _transfer(_FMData(stack, field, pres, window, t))
     else:
         latest = []
 
@@ -263,7 +262,8 @@ def fm_transform(pres, stack, window, field, t=None):
             latest.append(_transfer(_FMData(stack, field, pres, window, tt)))
             return socle_readoff(stack, latest[0][0])
 
-        _stabilize(table, start=max([T_START] + [exponent_floor(stack, a) for a in window.points()]))
+        _stabilize(table, start=max([T_START] + [max(reach_floors(stack, stack.theta, a))
+                                                  for a in window.points()]))
         gens, walk = latest[0]
     safe = safe_degrees(stack, window)
 
@@ -326,14 +326,9 @@ def head_submodule(dm):
     """The sub-differential-module spanned by the auxiliary-level-0
     generators (minimality makes it closed under the differential)."""
     keep = [t for t, tw in enumerate(dm.gens) if tw.aux == 0]
-    remap = {t: k for k, t in enumerate(keep)}
-    gens = [dm.gens[t] for t in keep]
-    entries = {}
-    for (s, t), elem in dm.entries.items():
-        if s in remap and t in remap:
-            entries[(remap[s], remap[t])] = dict(elem)
-        elif t in remap and s not in remap:
-            raise AssertionError("differential leaves the head: filtration violated")
+    if any(dm.gens[s].aux and not dm.gens[t].aux for s, t in dm.entries):
+        raise AssertionError("differential leaves the head: filtration violated")
+    gens, entries = restrict(dm.gens, dm.entries, keep)
     return FreeDiffModule(dm.stack, dm.field, gens, entries, safe=dm.safe, validate=False)
 
 
@@ -387,13 +382,8 @@ def beilinson_U(dm, stack, module_degrees):
     def eff_neg(a):
         return cone_contains(stack.eff, stack.theta, deg_neg(tuple(a)))
 
-    keep = [t for t, tw in enumerate(dm.gens) if eff_neg(deg_neg(tw.cl))]
-    remap = {t: k for k, t in enumerate(keep)}
-    gens = [dm.gens[t] for t in keep]
-    entries = {}
-    for (s, t), elem in dm.entries.items():
-        if s in remap and t in remap:
-            entries[(remap[s], remap[t])] = dict(elem)
+    gens, entries = restrict(dm.gens, dm.entries,
+                             [t for t, tw in enumerate(dm.gens) if eff_neg(deg_neg(tw.cl))])
     sub = FreeDiffModule(stack, dm.field, gens, entries, safe=[], validate=False)
     cols = set()
     sums = set(stack.subset_sums())

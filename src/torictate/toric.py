@@ -377,17 +377,6 @@ def weights_degI(stack, vars_):
     return out
 
 
-def safe_region(stack, window):
-    """Degrees a in the window with a + s in the window for every variable
-    subset-sum s. Homology and resolution answers are asserted only here."""
-    sums = set(stack.subset_sums())
-    out = []
-    for a in window.points():
-        if all(deg_add(a, s) in window for s in sums):
-            out.append(a)
-    return set(out)
-
-
 # -- stock examples used across the test-suite and docs ----------------------
 
 def weighted_projective(*weights):

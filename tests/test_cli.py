@@ -205,6 +205,19 @@ def test_exit_code_schema_malformed_document(capsys, tmp_path, mutate):
     assert code == 2 and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("module", ["P", "C"])
+def test_regularity_with_a_cover_shorter_than_the_variables(capsys, tmp_path, module):
+    # two cover sets on P(1,1,2): the vanishing checks run only as far as
+    # the Cech complex has levels
+    with open(fixture("p112.tate")) as fh:
+        doc = json.load(fh)
+    doc["cover"] = [[0, 1], [2]]
+    short = tmp_path / "short.tate"
+    short.write_text(json.dumps(doc))
+    code, _, err = run_cli(["regularity", str(short), "--module", module], capsys)
+    assert code in (0, 2, 3, 4, 5) and "Traceback" not in err
+
+
 def test_largest_prime_matches_default(capsys):
     code, out, _ = run_cli(["cohomology", fixture("p1p1.tate"), "--prime", "2147483647"], capsys)
     code0, out0, _ = run_cli(["cohomology", fixture("p1p1.tate")], capsys)

@@ -11,7 +11,7 @@ from torictate.cohomology import (CechOracle, check_betti_bounds_multigraded,
                                   oracle_table, sheaf_cohomology_oracle,
                                   weighted_closed_forms)
 from torictate.errors import PreconditionError, StabilizationError
-from torictate.laurent import CechComplex, MonomialStrands
+from torictate.laurent import CechComplex, MonomialStrands, reach_floors
 from torictate.smodule import (Poly, Presentation, generated_truncation,
                                monomial_basis, presentation_from_span, realize,
                                truncate, twist)
@@ -360,3 +360,29 @@ def test_euler_characteristic_quasi_polynomial(p112, p12, gf):
                 vals.append((chi, want))
             for chi, want in vals:
                 assert chi == want
+
+
+def test_reach_floors_match_the_three_rules_they_replace(p112, p156, p1p1, hirz1, hirz3):
+    # the oracle's theta floors, the deg_I regularity floors and the
+    # Fourier-Mukai start bound, as they were written before one rule
+    # served all three
+    def oracle_floors(stack, inner):
+        reach = abs(stack.theta(inner)) + stack.theta(stack.total_degree)
+        return [reach // stack.theta(d) + 1 for d in stack.var_degrees]
+
+    def deg_I_floors(stack, pc, inner):
+        reach = abs(pc.deg(inner)) + sum(pc.values[i] for i in pc.vars)
+        return [reach // pc.values[i] + 1 if i in pc.vars else 1 for i in range(stack.nvars)]
+
+    def exponent_floor(stack, a):
+        minw = min(stack.theta(d) for d in stack.var_degrees)
+        return (abs(stack.theta(a)) + stack.theta(stack.total_degree)) // minw + 1
+
+    for stack in (p112, p156, p1p1, hirz1, hirz3):
+        for a in itertools.product(range(-9, 10), repeat=stack.r):
+            floors = reach_floors(stack, stack.theta, a)
+            assert floors == oracle_floors(stack, a)
+            assert max(floors) == exponent_floor(stack, a)
+            for pc in stack.primitive_collections:
+                assert reach_floors(stack, pc.deg, a) == deg_I_floors(stack, pc, a)
+    assert hirz1.primitive_collections and hirz3.primitive_collections

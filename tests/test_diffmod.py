@@ -298,7 +298,7 @@ def test_unfold_koszul_dual_shape(p1, gf):
         assert homology_column(dm2, a) == homology_column(dm, a)
 
 
-@pytest.mark.parametrize("gens, elem", [
+INHOMOGENEOUS = [
     # e0 e2 has Cl-degree 3, not 1
     ([OmegaTwist((0,), 0), OmegaTwist((-1,), 0)], {0b101: 1}),
     # one monomial of the entry is right, the next is not
@@ -307,14 +307,32 @@ def test_unfold_koszul_dual_shape(p1, gf):
     ([OmegaTwist((0,), 0), OmegaTwist((-1,), 1)], {0b001: 1}),
     # a bit beyond the three variables
     ([OmegaTwist((0,), 0), OmegaTwist((-1,), 0)], {0b1000: 1}),
-])
+]
+
+
+@pytest.mark.parametrize("gens, elem", INHOMOGENEOUS)
 def test_inhomogeneous_entry_rejected(p112, gf, gens, elem):
     with pytest.raises(ValueError):
         FreeDiffModule(p112, gf, gens, {(1, 0): elem})
     assert FreeDiffModule(p112, gf, gens, {(1, 0): elem}, validate=False).entries
 
 
+@pytest.mark.parametrize("gens, elem", INHOMOGENEOUS)
+def test_inhomogeneous_morphism_entry_rejected(p112, gf, gens, elem):
+    # the same entries at shift 0: a degree-0 morphism into the twists one
+    # auxiliary degree lower
+    source = FreeDiffModule(p112, gf, gens, {})
+    target = FreeDiffModule(p112, gf, [OmegaTwist(tw.cl, tw.aux - 1) for tw in gens], {})
+    with pytest.raises(ValueError):
+        DMMorphism(source, target, {(1, 0): elem})
+    assert DMMorphism(source, target, {(1, 0): elem}, validate=False).entries
+
+
 def test_homogeneous_entries_accepted(p112, gf):
     # e0 and e1 both have degree 1; e2 has degree 2 and fits the next twist
     gens = [OmegaTwist((0,), 0), OmegaTwist((-1,), 0), OmegaTwist((-2,), 0)]
-    FreeDiffModule(p112, gf, gens, {(1, 0): {0b001: 1, 0b010: 2}, (2, 0): {0b100: 1}})
+    entries = {(1, 0): {0b001: 1, 0b010: 2}, (2, 0): {0b100: 1}}
+    source = FreeDiffModule(p112, gf, gens, entries)
+    # and as a degree-0 morphism into the twists one auxiliary degree lower
+    target = FreeDiffModule(p112, gf, [OmegaTwist(tw.cl, tw.aux - 1) for tw in gens], {})
+    assert DMMorphism(source, target, entries).entries == entries

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
+from torictate.dmres import _IncrementalRank
 from torictate.laurent import LocalizedModule
+from torictate.linalg import GF, QQ, _kernel_arr, rref, solve_in_span
 from torictate.smodule import (DegreewiseModule, Poly, Presentation,
-                               koszul_complex, monomial_basis, realize,
+                               generated_truncation, koszul_complex,
+                               monomial_basis, presentation_from_span, realize,
                                truncate, twist)
-from torictate.toric import Window, deg_add
+from torictate.toric import Window, deg_add, deg_sub, deg_zero
 
 
 def verify_multiplication_commutes(module, degrees=None):
@@ -201,3 +204,106 @@ def test_image_rejects_a_label_outside_the_piece(p112, gf):
     assert loc.image((0,), [(0, (-2, 2, 0))]).shape == (loc.dim((0,)), 1)
     with pytest.raises(ArithmeticError):
         loc.image((0,), [(0, (-3, 3, 0))])
+
+
+def path_span(span, b):
+    """SpanSubmodule._span as a product of x_i multiplications along each
+    monomial, variable by variable."""
+    field, stack, inner = span.field, span.stack, span.inner
+    cols = []
+    for d in span.gen_degrees:
+        shift = deg_sub(b, d)
+        if stack.theta(shift) < 0 or inner.dim(d) == 0:
+            continue
+        for mono in monomial_basis(stack, shift):
+            m = field.zeros(inner.dim(d), inner.dim(d))
+            for k in range(inner.dim(d)):
+                m[k, k] = field.one
+            pos = d
+            for i, e in enumerate(mono):
+                for _ in range(e):
+                    m = field.matmul(inner.mult_matrix(i, pos).a, m)
+                    pos = deg_add(pos, stack.var_degrees[i])
+            cols.append(m)
+    val = np.concatenate(cols, axis=1) if cols else field.zeros(inner.dim(b), 0)
+    return rref(field, val.T)[0].T
+
+
+def path_presentation(span, rel_degrees):
+    """presentation_from_span with path-product evaluations, one solve per
+    monomial, and dense multiples of the relations chosen so far."""
+    stack, field = span.stack, span.field
+    zero = deg_zero(stack.r)
+    ngens = span.dim(zero)
+    rel_degs, chosen, entries = [], [], {}
+    for b in sorted((tuple(x) for x in rel_degrees), key=lambda d: (stack.theta(d), d)):
+        tgt = span._span(b)
+        cols, labels = [], []
+        for mu in monomial_basis(stack, b):
+            mat = field.zeros(ngens, ngens)
+            for k in range(ngens):
+                mat[k, k] = field.one
+            pos = zero
+            for i, e in enumerate(mu):
+                for _ in range(e):
+                    mat = field.matmul(span.inner.mult_matrix(i, pos).a, mat)
+                    pos = deg_add(pos, stack.var_degrees[i])
+            coords = solve_in_span(field, tgt, mat)
+            for k in range(ngens):
+                cols.append(coords[:, k])
+                labels.append((k, mu))
+        if not cols:
+            continue
+        index = {lab: k for k, lab in enumerate(labels)}
+        ker = _kernel_arr(field, np.stack(cols, axis=1))
+        if ker.shape[1] == 0:
+            continue
+        acc = _IncrementalRank(field)
+        for cdeg, vec in chosen:
+            shift = deg_sub(b, cdeg)
+            if stack.theta(shift) < 0:
+                continue
+            for m in monomial_basis(stack, shift):
+                mult = field.zeros(len(labels), 1)[:, 0]
+                ok = True
+                for (k, mu), coeff in vec.items():
+                    j = index.get((k, tuple(x + y for x, y in zip(mu, m))))
+                    if j is None:
+                        ok = False
+                        break
+                    mult[j] = field.add(mult[j], coeff)
+                if ok:
+                    acc.add(mult)
+        for c in range(ker.shape[1]):
+            if not acc.add(ker[:, c]):
+                continue
+            vec = {}
+            relj = len(rel_degs)
+            rel_degs.append(b)
+            for pos_idx, lab in enumerate(labels):
+                v = ker[pos_idx, c]
+                if v != field.zero:
+                    coeff = v.item() if hasattr(v, "item") else v
+                    vec[lab] = coeff
+                    poly = entries.get((lab[0], relj))
+                    entries[(lab[0], relj)] = Poly((poly.terms if poly else []) + [(coeff, lab[1])])
+            chosen.append((b, vec))
+    return Presentation([zero] * ngens, rel_degs, entries)
+
+
+@pytest.mark.parametrize("field", [GF(), QQ()], ids=["gf", "qq"])
+def test_span_and_its_presentation_match_path_products(field, hirz3):
+    # the Hirzebruch-3 example of the acceptance suite: S / (x0 x1)
+    # truncated at (2, 3), with its first syzygy degrees
+    n = realize(Presentation.quotient(hirz3, [(1, 1, 0, 0)]), hirz3,
+                Window((-12, -2), (10, 8)), field)
+    span = generated_truncation(n, (2, 3), Window((-6, -1), (5, 4)))
+    for b in Window((-4, -1), (3, 3)).points():
+        assert np.array_equal(span._span(b), path_span(span, b))
+    rel_degs = [(-3, 1), (0, 1), (1, 0)]
+    got = presentation_from_span(span, rel_degs)
+    want = path_presentation(span, rel_degs)
+    assert got.rel_degrees == want.rel_degrees and len(got.rel_degrees) == 10
+    assert got.gen_degrees == want.gen_degrees
+    assert {k: p.terms for k, p in got.entries.items()} == \
+        {k: p.terms for k, p in want.entries.items()}

@@ -194,6 +194,16 @@ def test_head_submodule_closed(p112, gf):
     assert all(tw.aux == 0 for tw in head.gens)
 
 
+def test_head_submodule_rejects_a_map_out_of_the_head(p112, gf):
+    # an aux-0 generator whose differential reaches an aux-(-1) generator
+    gens = [OmegaTwist((0,), 0), OmegaTwist((-1,), -1), OmegaTwist((-1,), 0)]
+    with pytest.raises(AssertionError):
+        head_submodule(FreeDiffModule(p112, gf, gens, {(1, 0): {0b001: 1}}, validate=False))
+    # the reverse direction, into the head, is dropped with its source
+    head = head_submodule(FreeDiffModule(p112, gf, gens, {(2, 1): {0b001: 1}}, validate=False))
+    assert head.gens == [gens[0], gens[2]] and not head.entries
+
+
 def test_beilinson_u_p1(p1, gf):
     res = tate_weighted(Presentation.free([(0,)]), p1, Window((-10,), (8,)), gf)
     cx = beilinson_U(res.T, p1, [(c,) for c in range(0, 6)])
@@ -238,7 +248,7 @@ def genus_one(stack):
 def test_fm_nonmonomial_dense(p112, gf):
     # the genus-one hypersurface module through the dense Cech pipeline
     pres = genus_one(p112)
-    res = fm_transform(pres, p112, Window((-3,), (3,)), gf, t=8)
+    res = fm_transform(pres, p112, Window((-3,), (3,)), gf)
     tw = tate_weighted(pres, p112, Window((-6,), (6,)), gf)
     for a in range(-3, 4):
         for i in range(0, 3):
@@ -358,7 +368,8 @@ def test_dense_walk_builds_each_horizontal_block_once(p112, gf, monkeypatch):
         return block(self, a, i)
 
     monkeypatch.setattr(laurent.CechComplex, "horizontal_block", counted_block)
-    assert fm_transform(genus_one(p112), p112, Window((-3,), (3,)), gf, t=8).T.entries
+    _, walk = tate._transfer(tate._FMData(p112, gf, genus_one(p112), Window((-3,), (3,)), 8))
+    assert walk()
     assert calls and len(calls) == len(set(calls))
 
 
@@ -443,12 +454,12 @@ def test_cohomology_command_skips_the_transfer_walk(monkeypatch, capsys):
 def test_fm_result_builds_T_once_from_its_gens(field, hirz3, p1p1, p112):
     # T is built on first read and cached; its generators are the ones the
     # table was read off
-    cases = [(Presentation.free([(0, 0)]), hirz3, Window((-5, -4), (5, 4)), None),
-             (Presentation.free([(0, 0)]), p1p1, Window((-3, -3), (3, 3)), None),
-             (hirz3_H(hirz3), hirz3, Window((-2, -1), (2, 1)), 4),
-             (genus_one(p112), p112, Window((-2,), (2,)), 1)]
-    for pres, stack, window, t in cases:
-        res = fm_transform(pres, stack, window, field, t=t)
+    cases = [(Presentation.free([(0, 0)]), hirz3, Window((-5, -4), (5, 4))),
+             (Presentation.free([(0, 0)]), p1p1, Window((-3, -3), (3, 3))),
+             (hirz3_H(hirz3), hirz3, Window((-2, -1), (2, 1))),
+             (genus_one(p112), p112, Window((-2,), (2,)))]
+    for pres, stack, window in cases:
+        res = fm_transform(pres, stack, window, field)
         assert res.T is res.T
         assert res.gens == res.T.gens
         assert res.table == socle_readoff(stack, res.T.gens)

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from torictate.toric import (PositiveGrading, PrimitiveCollection, ToricStack, Window, cone_contains,
                              deg_add, degrees_within, hirzebruch,
-                             is_irrelevant_subset, points, safe_region,
+                             is_irrelevant_subset, points,
                              weights_degI, weights_zgraded)
 
 
@@ -171,21 +171,6 @@ def test_deg_I_evaluates_on_degrees(hirz3):
     assert pc.deg((5, 2)) == 5
     pc2 = hirz3.collection({1, 3})
     assert pc2.deg((5, 2)) == 2
-
-
-def test_safe_region_p1(p1):
-    w = Window((0,), (10,))
-    assert safe_region(p1, w) == {(a,) for a in range(0, 9)}
-
-
-def test_safe_region_p112(p112):
-    w = Window((-8,), (8,))
-    assert safe_region(p112, w) == {(a,) for a in range(-8, 5)}
-
-
-def test_safe_region_empty(p112):
-    w = Window((0,), (3,))
-    assert safe_region(p112, w) == set()
 
 
 def test_theta_positivity_enforced():
