@@ -2,7 +2,8 @@
 modules, one subcommand per pipeline, deterministic table or JSON output.
 
 Exit codes: 0 success, 2 schema error, 3 precondition failure, 4 window too
-small (including Cech stabilization failures), 5 verification mismatch.
+small (including Cech stabilization failures and dense matrices over the
+size budget), 5 verification mismatch.
 """
 
 from __future__ import annotations

@@ -104,16 +104,14 @@ def sheaf_cohomology_oracle(module, stack, a, i):
     return dims[i] if 0 <= i < len(dims) else 0
 
 
-def oracle_table(module, stack, degrees, imax=None):
+def oracle_table(module, stack, degrees):
     """The oracle's cohomology table over the given degrees."""
     oracle = CechOracle(module)
-    imax = imax if imax is not None else len(oracle.cover) - 1
     table = {}
     for a in degrees:
-        dims = oracle.sheaf_dims(tuple(a))
-        for i in range(min(imax + 1, len(dims))):
-            if dims[i]:
-                table[(i, tuple(a))] = dims[i]
+        for i, v in enumerate(oracle.sheaf_dims(tuple(a))):
+            if v:
+                table[(i, tuple(a))] = v
     return table
 
 
@@ -218,15 +216,14 @@ def _vanishes_above(oracle, degrees, deg, upper):
     return True
 
 
-def is_0_regular(module, stack, dmax=None):
+def is_0_regular(module, stack):
     """The local-cohomology vanishing (H^i_B M)_d = 0 for d >= -w^{i-1},
-    checked on a finite range topped by dmax plus two stabilization rows."""
+    checked up to the module's top degree plus w + 3 (two stabilization rows)."""
     if stack.r != 1:
         raise PreconditionError("0-regularity in this form requires r = 1")
     w, upper, _ = weights_zgraded(stack)
-    if dmax is None:
-        tops = [stack.theta(a) for a in module.window.points() if module.dim(a)]
-        dmax = (max(tops) if tops else 0) + w + 1
+    tops = [stack.theta(a) for a in module.window.points() if module.dim(a)]
+    dmax = (max(tops) if tops else 0) + w + 1
     return _vanishes_above(CechOracle(module), [(d,) for d in range(-upper[stack.nvars], dmax + 3)],
                            lambda a: a[0], upper)
 

@@ -21,9 +21,19 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import SchemaError
+from .errors import SchemaError, WindowTooSmall
 
 DEFAULT_PRIME = 32003
+MAX_DENSE_CELLS = 1 << 26  # 512 MiB as int64 over GF(p), as many pointers over QQ
+
+
+def _dense_cells(rows, cols):
+    """The shape of a dense matrix, checked against MAX_DENSE_CELLS before it
+    is allocated: WindowTooSmall (exit 4) names a shape over the budget."""
+    if rows * cols > MAX_DENSE_CELLS:
+        raise WindowTooSmall("a dense %d x %d matrix is over the size budget of %d cells"
+                             % (rows, cols, MAX_DENSE_CELLS))
+    return rows, cols
 
 
 def _is_prime(p):
@@ -82,7 +92,7 @@ class GF:
     one = 1
 
     def zeros(self, rows, cols):
-        return np.zeros((rows, cols), dtype=np.int64)
+        return np.zeros(_dense_cells(rows, cols), dtype=np.int64)
 
     def array(self, rows):
         return np.array(rows, dtype=np.int64) % self.p
@@ -196,9 +206,7 @@ class QQ:
     one = Fraction(1)
 
     def zeros(self, rows, cols):
-        m = np.empty((rows, cols), dtype=object)
-        m[:] = Fraction(0)
-        return m
+        return np.full(_dense_cells(rows, cols), Fraction(0), dtype=object)
 
     def array(self, rows):
         m = np.array(rows, dtype=object)

@@ -6,9 +6,10 @@ to a suitable truncation, made minimal. For a general stack it is computed
 from the Cech model of the noncommutative Fourier-Mukai transform: the
 totalization of the Cech bicomplex is contracted onto its column homology
 by homotopy transfer, which yields the minimal differential module whose
-generators tabulate all twisted sheaf cohomology. One walk, _walk, sums the
-transfer series on the exact strands of a monomial presentation and on the
-dense Cech strands, which every other presentation takes.
+generators tabulate all twisted sheaf cohomology; the table needs only the
+column homology dimensions. One walk, _walk, sums the transfer series, on
+the exact strands of a monomial presentation or the dense Cech strands of
+any other, when the module itself is read.
 """
 
 from __future__ import annotations
@@ -105,72 +106,63 @@ def _walk(field, nvars, sources, step):
 
 # -- dense Cech strands -------------------------------------------------------
 
-class _FMData:
-    """Materialized Cech data of one transform attempt at a fixed exponent
-    bound: the Cech complex and the retract of each strand the walk reaches."""
-
-    def __init__(self, stack, field, pres, window, t):
-        self.stack = stack
-        self.field = field
-        self.window = window
-        sums = set(stack.subset_sums())
-        r = stack.r
-        smin = tuple(min(s[k] for s in sums) for k in range(r))
-        smax = tuple(max(s[k] for s in sums) for k in range(r))
-        self.cx = CechComplex(stack, field, pres, stack.cover, t)
-        self.retract = {a: _build_retract(field, *self.cx.strand(a, extended=False))
-                        for a in window.expand(smin, smax).points()}
-
-
-def _transfer(data):
-    """Homotopy transfer on the dense Cech strands: returns the generators
-    (with their degrees and levels) and walk(), which returns the sparse
-    exterior entries of the minimal differential module. Walk keys are
-    degrees; each horizontal block is built once per (degree, variable)."""
-    stack = data.stack
-    field = data.field
+def _transfer(cx, window):
+    """Homotopy transfer on the dense Cech strands of cx: returns the
+    generators, read off the strand homology at each window degree, and
+    walk(), which returns the sparse exterior entries of the minimal
+    differential module. Walk keys are degrees; a strand's retract is built
+    the first time the walk reaches its degree, a horizontal block once per
+    (degree, variable)."""
+    stack = cx.stack
+    field = cx.field
     gens = []
     gen_offset = {}
-    for a in data.window.points():
+    sources = []
+    for a in window.points():
         gen_offset[a] = len(gens)
-        for level in data.retract[a].hlabels:
-            gens.append(OmegaTwist(deg_neg(a), level))
+        for level, n in enumerate(cx.strand_homology(a, extended=False)):
+            gens.extend([OmegaTwist(deg_neg(a), level)] * n)
+        if len(gens) > gen_offset[a]:
+            sources.append(a)
+    retracts = {}
     blocks = {}
+
+    def retract(b):
+        ret = retracts.get(b)
+        if ret is None:
+            ret = retracts[b] = _build_retract(field, *cx.strand(b, extended=False))
+        return ret
 
     def step(c, i, mat):
         b = deg_add(c, stack.var_degrees[i])
-        ret = data.retract.get(b)
-        if ret is None:
-            return None
         block = blocks.get((c, i))
         if block is None:
-            block = blocks[c, i] = data.cx.horizontal_block(c, i)
+            block = blocks[c, i] = cx.horizontal_block(c, i)
         moved = field.matmul(block, mat)
         if not np.any(moved):
             return None
+        ret = retract(b)
         tgt_off = gen_offset.get(b)
         cont = field.reduce(-field.matmul(ret.h, moved))
         return (b, tgt_off, None if tgt_off is None else enumerate(field.matmul(ret.p, moved)),
                 cont if np.any(cont) else None)
 
     def walk():
-        return _walk(field, stack.nvars, ((a, gen_offset[a], data.retract[a].i)
-                                          for a in data.window.points()
-                                          if data.retract[a].i.shape[1]), step)
+        return _walk(field, stack.nvars,
+                     ((a, gen_offset[a], retract(a).i) for a in sources), step)
 
     return gens, walk
 
 
 # -- monomial strand pipeline -------------------------------------------------
 
-def _monomial_transfer(pres, stack, window, field, types=None):
+def _monomial_transfer(pres, stack, window, field):
     """Transfer pipeline decomposed along Laurent exponent strands: returns
     the generators, one per homology vector of a source strand, and walk(),
     which returns the sparse exterior entries of the transferred differential.
     The sources are the exponents of the patterns whose strand carries
     homology, each pattern's region enumerated exactly."""
-    if types is None:
-        types = MonomialStrands(stack, field, pres, stack.cover)
+    types = MonomialStrands(stack, field, pres, stack.cover)
     gens = []
     sources = []  # (exponent, cellset, homology embedding)
     offset_of = {}  # the exponent fixes the degree, so it keys the generators
@@ -249,9 +241,9 @@ def fm_transform(pres, stack, window, field):
     the exact per-pattern strand decomposition. Any other runs on the dense
     Cech complex at exponent bound t, doubled adaptively from the largest
     theta reach floor (laurent.reach_floors) over the window until the
-    table stabilizes (StabilizationError if it has not by t = T_CAP). The
-    transferred horizontal differential is built, and the module
-    validated, only when the result's T is first read."""
+    table stabilizes (StabilizationError if it has not by t = T_CAP); a
+    pass only ranks strands. The transferred horizontal differential is
+    built, and the module validated, only when the result's T is first read."""
     if pres.is_monomial(field):
         gens, walk = _monomial_transfer(pres, stack, window, field)
     else:
@@ -259,7 +251,7 @@ def fm_transform(pres, stack, window, field):
 
         def table(tt):
             latest.clear()  # only the latest build stays alive
-            latest.append(_transfer(_FMData(stack, field, pres, window, tt)))
+            latest.append(_transfer(CechComplex(stack, field, pres, stack.cover, tt), window))
             return socle_readoff(stack, latest[0][0])
 
         _stabilize(table, start=max([T_START] + [max(reach_floors(stack, stack.theta, a))

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -75,6 +76,51 @@ def test_cohomology_command_table(capsys):
     row2 = lines[3].split()
     assert row2[1:6] == ["9", "6", "4", "2", "1"]
 
+
+
+def _p1p1_line_bundle(a):
+    """h^j(P1 x P1, O(a)) for j = 0, 1, 2 by Kunneth, from h^0(O(k)) =
+    max(0, k + 1) and h^1(O(k)) = max(0, -k - 1) on P1."""
+    h = [lambda k: max(0, k + 1), lambda k: max(0, -k - 1)]
+    return [sum(h[p](a[0]) * h[j - p](a[1]) for p in range(2) if 0 <= j - p <= 1)
+            for j in range(3)]
+
+
+def test_dense_curve_table_from_the_line_bundle_sequence(capsys):
+    # the (1,1) curve C of p1p1-curves.tate is not monomial, so it runs on
+    # the dense Cech path. By 0 -> O(a - (1,1)) -> O(a) -> O_C(a) -> 0,
+    # h^0(O_C(a)) = 0 where h^0(O(a)) = h^1(O(a - (1,1))) = 0, and
+    # h^1(O_C(a)) = 0 where h^1(O(a)) = h^2(O(a - (1,1))) = 0; the Euler
+    # characteristics give the other
+    want = {}
+    for a in itertools.product(range(-1, 2), repeat=2):
+        h, g = _p1p1_line_bundle(a), _p1p1_line_bundle((a[0] - 1, a[1] - 1))
+        chi = h[0] - h[1] + h[2] - g[0] + g[1] - g[2]
+        if h[0] == g[1] == 0:
+            dims = (0, -chi)
+        else:
+            assert h[1] == g[2] == 0
+            dims = (chi, 0)
+        want.update({(i, a): v for i, v in enumerate(dims) if v})
+    args = [fixture("p1p1-curves.tate"), "--module", "C1", "--window", "-1:1,-1:1"]
+    code, out, _ = run_cli(["cohomology"] + args, capsys)
+    assert code == 0
+    table = {}
+    for line in out.splitlines():
+        i, a, v = line.split()
+        table[int(i), tuple(int(x) for x in a.split(","))] = int(v)
+    assert table == want
+    # omega_E(-a; i)^n: n generators for h^i at a
+    code, out, _ = run_cli(["tate"] + args, capsys)
+    assert code == 0
+    gens = {}
+    for line in out.splitlines():
+        twist, n = line[len("omega_E("):].split(")^")
+        c, i = twist.split("; ")
+        gens[int(i), tuple(-int(x) for x in c.split(","))] = int(n)
+    assert gens == want
+    code, out, _ = run_cli(["verify"] + args, capsys)
+    assert code == 0 and out.startswith("verified")
 
 def test_betti_command(capsys):
     code, out, _ = run_cli(["betti", fixture("p156-trunc.tate"), "--module", "M",
@@ -249,6 +295,18 @@ def test_exit_code_window(capsys):
     assert code == 4 and "safe" in err
 
 
+
+def test_matrix_over_the_size_budget_exits_4(capsys, monkeypatch):
+    # a dense matrix over linalg.MAX_DENSE_CELLS is refused before it is
+    # allocated, as a window too small to certify (exit 4) naming its shape
+    import torictate.linalg as linalg
+
+    monkeypatch.setattr(linalg, "MAX_DENSE_CELLS", 100)
+    code, out, err = run_cli(["oracle", fixture("p1p1-curves.tate"), "--module", "C1",
+                              "--window", "0:0,0:0"], capsys)
+    assert code == 4 and out == ""
+    assert err.startswith("error: a dense ") and "matrix is over the size budget of 100 cells" in err
+
 def test_monomial_oracle_counts_every_exponent(capsys, tmp_path):
     # S/(x0^4 x1^5) on P(1,2) has h^0 = 7 in every degree; the oracle must
     # reach the sections that the relation's exponents push far out
@@ -319,8 +377,8 @@ def test_exit_code_verification(capsys, monkeypatch):
 
     real = cli.oracle_table
 
-    def doctored(module, stack, degrees, imax=None):
-        table = dict(real(module, stack, degrees, imax=imax))
+    def doctored(module, stack, degrees):
+        table = dict(real(module, stack, degrees))
         a = tuple(sorted(degrees)[0])
         table[(0, a)] = table.get((0, a), 0) + 1
         return table

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from torictate import linalg
 from torictate.dmres import _IncrementalRank
+from torictate.errors import WindowTooSmall
 from torictate.linalg import (GF, QQ, Mat, RowReducer, homology_dim, homology_dims,
                               invert, kernel_basis, rank, rref, solve_in_span,
                               sparse_rank)
@@ -493,3 +495,18 @@ def test_one_elimination_matches_references(case, rnd):
     assert rows == before  # rows are only read
     new, old = _IncrementalRank(field), ReferenceIncrementalRank(field, a.shape[1])
     assert [new.add(v) for v in a] == [old.add(v) for v in a]
+
+
+@pytest.mark.parametrize("field", [GF(), QQ()], ids=["gf", "qq"])
+def test_dense_allocation_over_the_budget_raises_before_allocating(field, monkeypatch):
+    # the shape is checked before the matrix is allocated: at a budget of
+    # six cells 2 x 3 is made and 3 x 3 refused, and the Cech block the P1^3
+    # hypersurface S/(x0x2x4 + x1x3x5) asks for at (0,0,0) (9.75 GiB as
+    # int64) is refused at the real budget
+    monkeypatch.setattr(linalg, "MAX_DENSE_CELLS", 6)
+    assert field.zeros(2, 3).shape == (2, 3)
+    with pytest.raises(WindowTooSmall, match="dense 3 x 3 matrix"):
+        field.zeros(3, 3)
+    monkeypatch.undo()
+    with pytest.raises(WindowTooSmall, match="dense 42952 x 30464 matrix"):
+        field.zeros(42952, 30464)

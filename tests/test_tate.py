@@ -113,7 +113,8 @@ def test_fm_dense_path_matches_strand_path(p112, hirz3):
                                    (hirz3_H(hirz3), hirz3, Window((-2, -1), (3, 1)), 2)):
         for field in (GF(), QQ()):
             strand = fm_transform(pres, stack, window, field).T
-            gens, walk = tate._transfer(tate._FMData(stack, field, pres, window, t))
+            gens, walk = tate._transfer(
+                laurent.CechComplex(stack, field, pres, stack.cover, t), window)
             dense = FreeDiffModule(stack, field, gens, walk(), safe=tate.safe_degrees(stack, window),
                                    validate=True)
             assert Counter(dense.gens) == Counter(strand.gens)
@@ -347,11 +348,14 @@ def test_strand_retract_eliminates_each_map_once(hirz3, gf, monkeypatch):
 @pytest.mark.parametrize("field", [GF(), GF(2**31 - 1), QQ()], ids=["gf32003", "gf2^31-1", "qq"])
 def test_dense_retract_identities(field, p112, hirz3):
     # the dense transfer walk relies on the same identities for the retract
-    # of every degree it reaches
+    # of every degree it can reach: the window expanded by the subset sums
     for pres, stack, window, t in ((genus_one(p112), p112, Window((-2,), (2,)), 2),
                                    (hirz3_H(hirz3), hirz3, Window((-1, -1), (1, 1)), 2)):
-        data = tate._FMData(stack, field, pres, window, t)
-        rets = list(data.retract.values())
+        cx = laurent.CechComplex(stack, field, pres, stack.cover, t)
+        sums = stack.subset_sums()
+        box = window.expand(tuple(map(min, zip(*sums))), tuple(map(max, zip(*sums))))
+        rets = [laurent._build_retract(field, *cx.strand(a, extended=False))
+                for a in box.points()]
         assert any(ret.i.shape[1] for ret in rets) and any(np.any(ret.h) for ret in rets)
         for ret in rets:
             assert_retract_identities(field, ret)
@@ -368,7 +372,8 @@ def test_dense_walk_builds_each_horizontal_block_once(p112, gf, monkeypatch):
         return block(self, a, i)
 
     monkeypatch.setattr(laurent.CechComplex, "horizontal_block", counted_block)
-    _, walk = tate._transfer(tate._FMData(p112, gf, genus_one(p112), Window((-3,), (3,)), 8))
+    _, walk = tate._transfer(laurent.CechComplex(p112, gf, genus_one(p112), p112.cover, 8),
+                             Window((-3,), (3,)))
     assert walk()
     assert calls and len(calls) == len(set(calls))
 
@@ -420,7 +425,7 @@ def test_fm_dense_path_matches_strand_path_with_relation(hirz3, gf):
     pres = hirz3_H(hirz3)
     window = Window((-1, -1), (1, 1))
     strand_gens, _ = tate._monomial_transfer(pres, hirz3, window, gf)
-    dense_gens, _ = tate._transfer(tate._FMData(hirz3, gf, pres, window, 2))
+    dense_gens, _ = tate._transfer(laurent.CechComplex(hirz3, gf, pres, hirz3.cover, 2), window)
     assert strand_gens
     assert Counter(strand_gens) == Counter(dense_gens)
     assert socle_readoff(hirz3, strand_gens) == socle_readoff(hirz3, dense_gens)
@@ -463,3 +468,34 @@ def test_fm_result_builds_T_once_from_its_gens(field, hirz3, p1p1, p112):
         assert res.T is res.T
         assert res.gens == res.T.gens
         assert res.table == socle_readoff(stack, res.T.gens)
+
+
+def test_dense_table_builds_no_retract_and_T_builds_each_once(p1p1, gf, monkeypatch, capsys):
+    # the dense table is read off the strand ranks: the cohomology command
+    # and a result's table build no retract; reading T builds the retract of
+    # each degree its walk reaches, once
+    curve = Presentation.quotient(p1p1, [Poly([(1, (1, 1, 0, 0)), (1, (0, 0, 1, 1)),
+                                               (1, (0, 1, 1, 0))])])
+    degree_of = {}  # id of a strand's maps -> (degree, maps kept alive so the id stays theirs)
+    built = []
+    strand, build = laurent.CechComplex.strand, laurent._build_retract
+
+    def recording_strand(self, a, extended):
+        dims, maps = strand(self, a, extended)
+        degree_of[id(maps)] = (a, maps)
+        return dims, maps
+
+    def recording_build(field, dims, maps):
+        built.append(degree_of[id(maps)][0])
+        return build(field, dims, maps)
+
+    monkeypatch.setattr(laurent.CechComplex, "strand", recording_strand)
+    for module in (laurent, tate):
+        monkeypatch.setattr(module, "_build_retract", recording_build)
+    path = os.path.join(os.path.dirname(__file__), "..", "fixtures", "p1p1-curves.tate")
+    assert main(["cohomology", path, "--module", "C1", "--window", "-1:1,-1:1"]) == 0
+    assert capsys.readouterr().out
+    res = fm_transform(curve, p1p1, Window((0, 0), (1, 1)), gf)
+    assert res.table and built == []
+    assert res.T.entries
+    assert built and len(built) == len(set(built))
