@@ -31,6 +31,9 @@ EXIT_CODES = [
     (WindowTooSmall, 4),
     (VerificationError, 5),
 ]
+# torictate's own errors are ValueErrors too; parse_input passes them on
+# with their exit codes rather than turning them into SchemaError
+_OWN_ERRORS = tuple(klass for klass, _ in EXIT_CODES)
 
 
 def _list(value, where):
@@ -109,6 +112,8 @@ def parse_input(document):
         stack = ToricStack(r=r, var_degrees=degrees, irrelevant_supports=supports,
                            theta=theta, cover=cover or None, eff_generators=eff or None,
                            primitive_collections=pcs)
+    except _OWN_ERRORS:
+        raise
     except (ValueError, KeyError) as exc:
         raise SchemaError(str(exc))
     modules = {}
@@ -143,6 +148,8 @@ def parse_input(document):
         pres = Presentation(gen_degrees, rel_degrees, entries)
         try:
             pres.validate(stack)
+        except _OWN_ERRORS:
+            raise
         except ValueError as exc:
             raise SchemaError("modules[%r]: %s" % (name, exc))
         modules[name] = pres

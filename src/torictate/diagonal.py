@@ -6,105 +6,136 @@ realized degreewise, one bidegree at a time. Its terms decompose as
 F_i = sum over a in Eff, subsets T of size i of S'-summands, a basis
 element being (T, a, x-exponent, y-exponent). For a weighted projective
 stack the finite subcomplex keeping deg(T) < w - a is again a resolution.
+
+Each map at a bidegree is built once as entry arrays: an image term's
+block is the outer product of an x and a y shift map, cached on the
+complex. A map whose every column is y_i e_k - x_i e_l (two entries of +-1,
+as d_1 is) is ranked by counting components of a signed graph
+(linalg.signed_graph_rank); every other map by sparse_rank on its columns.
 """
 
 from __future__ import annotations
 
 from operator import add
 
+import numpy as np
+
 from .errors import PreconditionError
-from .linalg import sparse_rank
+from .linalg import signed_graph_rank, sparse_rank
 from .smodule import monomial_basis
 from .toric import cone_contains, deg_add, deg_sub, degrees_within, hirzebruch
 
 
-def _block_columns(field, src, tgt, terms):
-    """Columns of a map between two block-indexed bases, as sparse dicts
-    over target indices.
-
-    A basis is a list of blocks (key, xs, ys) with xs, ys monomial_basis
-    lists; a block starting at index off holds key * x^ex y^ey for ex in xs,
-    ey in ys, the pair (xs[j], ys[k]) at off + j * len(ys) + k. terms(key)
-    lists the images of a source block's generator as (target key,
-    coefficient, tx, ty): x^ex y^ey maps to coefficient * x^(ex+tx) y^(ey+ty)
-    in the target block, and a product outside that block's xs x ys (wrong
-    bidegree) contributes nothing."""
-    where = {}
-    off = 0
-    for key, xs, ys in tgt:
-        where[key] = (off, {e: j for j, e in enumerate(xs)}, {e: j for j, e in enumerate(ys)}, len(ys))
-        off += len(xs) * len(ys)
-    cols = []
-    for key, xs, ys in src:
-        ny = len(ys)
-        # terms with the same target block and monomial hit the same entry of
-        # every column: sum them first, so entries are written once
-        merged = {}
-        for tkey, coeff, tx, ty in terms(key):
-            if tkey in where:
-                k = (tkey, tx, ty)
-                merged[k] = field.add(merged.get(k, field.zero), field.of(coeff))
-        block = [{} for _ in range(len(xs) * ny)]
-        for (tkey, tx, ty), c in merged.items():
-            if c == field.zero:
-                continue
-            toff, xpos, ypos, tny = where[tkey]
-            ymap = []
-            for jy, ey in enumerate(ys):
-                j = ypos.get(tuple(map(add, ey, ty)))
-                if j is not None:
-                    ymap.append((jy, j))
-            for jx, ex in enumerate(xs):
-                j = xpos.get(tuple(map(add, ex, tx)))
-                if j is not None:
-                    row = block[jx * ny:(jx + 1) * ny]
-                    base = toff + j * tny
-                    for jy, jt in ymap:
-                        row[jy][base + jt] = c
-        cols += block
-    return cols
-
-
 class _BlockComplex:
-    """A complex of free S'-modules realized degreewise: the basis of term i
-    at a bidegree is a list of blocks (see _block_columns), one per summand
-    that a subclass's _summands lists, and _images gives the differential's
-    terms. Columns and ranks are cached per (i, bidegree)."""
+    """A complex of free S'-modules realized degreewise. The basis of term i
+    at a bidegree is a list of blocks (key, dx, dy, xs, ys), one per summand
+    (key, dx, dy) that a subclass's _summands lists, with xs, ys the
+    monomial_basis lists of dx, dy: a block starting at index off holds
+    key * x^ex y^ey for ex in xs, ey in ys, the pair (xs[j], ys[k]) at
+    off + j * len(ys) + k. _images(i)(key) lists the images of a source
+    block's generator as (target key, coefficient, tx, ty): x^ex y^ey maps
+    to coefficient * x^(ex+tx) y^(ey+ty) in the target block, and a product
+    outside that block's xs x ys (wrong bidegree) contributes nothing.
+    Blocks, shift maps and ranks are cached on the complex."""
 
     def __init__(self, stack, field):
         self.stack = stack
         self.field = field
         self._blocks = {}
-        self._sc_cache = {}
+        self._shifts = {}
         self._rk_cache = {}
 
     def blocks(self, i, bid):
         key = (i, tuple(bid[0]), tuple(bid[1]))
         if key not in self._blocks:
-            self._blocks[key] = [(k, monomial_basis(self.stack, dx), monomial_basis(self.stack, dy))
+            self._blocks[key] = [(k, dx, dy, monomial_basis(self.stack, dx), monomial_basis(self.stack, dy))
                                  for k, dx, dy in self._summands(i, bid)]
         return self._blocks[key]
 
     def basis(self, i, bid):
-        return [k + (ex, ey) for k, xs, ys in self.blocks(i, bid) for ex in xs for ey in ys]
+        return [k + (ex, ey) for k, _, _, xs, ys in self.blocks(i, bid) for ex in xs for ey in ys]
 
     def dim(self, i, bid):
-        return sum(len(xs) * len(ys) for _, xs, ys in self.blocks(i, bid))
+        return sum(len(xs) * len(ys) for _, _, _, xs, ys in self.blocks(i, bid))
+
+    def _shift(self, d, t, td):
+        """The shift map of x^t from degree d to td: the positions j of
+        monomial_basis(d) whose product with x^t lies in monomial_basis(td),
+        and the positions of those products there."""
+        key = (d, t, td)
+        if key not in self._shifts:
+            where = {e: j for j, e in enumerate(monomial_basis(self.stack, td))}
+            shifted = (tuple(map(add, e, t)) for e in monomial_basis(self.stack, d))
+            pairs = [(j, where[e]) for j, e in enumerate(shifted) if e in where]
+            self._shifts[key] = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+        return self._shifts[key]
+
+    def _entries(self, i, bid):
+        """The map F_i -> F_{i-1} at bid as entry arrays: coefficient
+        coefs[k] at (rows, cols) for a run of counts[k] consecutive entries.
+        Each run is one image term on one source block, the outer product of
+        an x and a y shift map; terms with the same target block and shift
+        are summed first, so no entry is written twice."""
+        field = self.field
+        where = {}
+        off = 0
+        for key, dx, dy, xs, ys in self.blocks(i - 1, bid):
+            where[key] = (off, dx, dy, len(ys))
+            off += len(xs) * len(ys)
+        images = self._images(i)
+        cols, rows, coefs, counts = [], [], [], []
+        off = 0
+        for key, dx, dy, xs, ys in self.blocks(i, bid):
+            ny = len(ys)
+            merged = {}
+            for tkey, coeff, tx, ty in images(key):
+                if tkey in where:
+                    k = (tkey, tx, ty)
+                    merged[k] = field.add(merged.get(k, field.zero), field.of(coeff))
+            for (tkey, tx, ty), c in merged.items():
+                if c == field.zero:
+                    continue
+                toff, tdx, tdy, tny = where[tkey]
+                (jx, kx), (jy, ky) = self._shift(dx, tx, tdx), self._shift(dy, ty, tdy)
+                cols.append(np.add.outer(jx * ny + off, jy).ravel())
+                rows.append(np.add.outer(kx * tny + toff, ky).ravel())
+                coefs.append(c)
+                counts.append(len(jx) * len(jy))
+            off += len(xs) * ny
+        if not cols:
+            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), coefs, counts
+        return np.concatenate(cols), np.concatenate(rows), coefs, counts
 
     # sparse_columns and homology are defined on each subclass itself, where
     # bench/tracer.py wraps them, and call these
 
     def _columns(self, i, bid):
-        key = (i, tuple(bid[0]), tuple(bid[1]))
-        if key not in self._sc_cache:
-            self._sc_cache[key] = _block_columns(self.field, self.blocks(i, bid),
-                                                 self.blocks(i - 1, bid), self._images(i))
-        return self._sc_cache[key]
+        """The columns of F_i -> F_{i-1} at bid as sparse dicts over target
+        indices, read off the entry arrays."""
+        cols, rows, coefs, counts = self._entries(i, bid)
+        order = np.argsort(cols, kind="stable")
+        targets = rows[order].tolist()
+        values = np.repeat(np.array(coefs, dtype=object), counts)[order].tolist()
+        out = []
+        start = 0
+        for end in np.cumsum(np.bincount(cols, minlength=self.dim(i, bid))).tolist():
+            out.append(dict(zip(targets[start:end], values[start:end])))
+            start = end
+        return out
 
     def _rank(self, i, bid):
+        """Rank of F_i -> F_{i-1} at bid: by components when the map is a
+        signed graph (every column two entries of +-1), else by sparse_rank."""
         key = (i, tuple(bid[0]), tuple(bid[1]))
         if key not in self._rk_cache:
-            self._rk_cache[key] = sparse_rank(self.field, self.sparse_columns(i, bid))
+            field = self.field
+            cols, rows, coefs, counts = self._entries(i, bid)
+            unit = {field.one: 1, field.neg(field.one): -1}
+            signs = np.repeat(np.array([unit.get(c, 0) for c in coefs], dtype=np.int64), counts)
+            rk = signed_graph_rank(cols, rows, signs, self.dim(i, bid)) if len(cols) else 0
+            if rk is None:
+                rk = sparse_rank(field, self.sparse_columns(i, bid))
+            self._rk_cache[key] = rk
         return self._rk_cache[key]
 
     def _homology(self, i, bid):

@@ -11,7 +11,9 @@ about 1% dense. Each field has one forward elimination, `insert`, which
 reduces a row by the pivot rows and keeps what is left; the caller picks
 the lead column. `_echelon` (under `rref` and `RowReducer`) leads with the
 smallest column and back-substitutes; `sparse_rank` leads with the largest
-and only counts pivots.
+and only counts pivots. A matrix whose every column is two entries of +-1
+(the diagonal's binomial maps) is ranked without elimination by
+`signed_graph_rank`, which counts components of a signed graph.
 """
 
 from __future__ import annotations
@@ -474,6 +476,59 @@ def sparse_rank(field, rows):
     for row in sorted(rows, key=len):
         field.insert(pivots, row, max)
     return len(pivots)
+
+
+def _components(n, u, v):
+    """Number of connected components of the graph on nodes 0..n-1 with
+    edges (u[k], v[k]), by label propagation: each round hooks the larger
+    root label of every edge whose ends disagree onto the smaller, then
+    follows labels to their roots. Labels only decrease, and each round
+    removes at least one root."""
+    lab = np.arange(n)
+    while True:
+        lu, lv = lab[u], lab[v]
+        apart = lu != lv
+        if not apart.any():
+            return int(np.count_nonzero(lab == np.arange(n)))
+        lu, lv = lu[apart], lv[apart]
+        lo = np.minimum(lu, lv)
+        np.minimum.at(lab, lu, lo)
+        np.minimum.at(lab, lv, lo)
+        while True:
+            up = lab[lab]
+            if np.array_equal(up, lab):
+                break
+            lab = up
+
+
+def signed_graph_rank(cols, rows, signs, ncols):
+    """Rank, over any field of characteristic other than 2, of the matrix
+    with entry signs[k] at (rows[k], cols[k]), when each of its ncols
+    columns has exactly two entries, on distinct rows, each 1 or -1; None
+    otherwise, and the caller eliminates.
+
+    Such a matrix is the incidence matrix of a signed graph on its rows
+    (Zaslavsky, Signed graphs, 1982): s e_u + t e_v is an edge, negative when
+    s = t. Its rank is the number of rows it touches minus the number of
+    balanced components, and a component is balanced exactly when it lifts
+    to two components of the signed double cover (negative edges cross the
+    sheets), so balanced = components(cover) - components(graph)."""
+    if len(cols) != 2 * ncols or not (np.abs(signs) == 1).all():
+        return None
+    if not (np.bincount(cols, minlength=ncols) == 2).all():
+        return None
+    order = np.argsort(cols, kind="stable")
+    ends = rows[order].reshape(ncols, 2)
+    if (ends[:, 0] == ends[:, 1]).any():
+        return None
+    touched, ends = np.unique(ends, return_inverse=True)
+    u, v = ends.reshape(ncols, 2).T
+    m = len(touched)
+    s = signs[order].reshape(ncols, 2)
+    cross = np.where(s[:, 0] == s[:, 1], m, 0)
+    cover = _components(2 * m, np.concatenate([u, u + m]),
+                        np.concatenate([v + cross, v + m - cross]))
+    return m - (cover - _components(m, u, v))
 
 
 class RowReducer:

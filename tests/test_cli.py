@@ -307,6 +307,18 @@ def test_matrix_over_the_size_budget_exits_4(capsys, monkeypatch):
     assert code == 4 and out == ""
     assert err.startswith("error: a dense ") and "matrix is over the size budget of 100 cells" in err
 
+
+def test_budget_refusal_while_parsing_exits_4(capsys, monkeypatch):
+    # at 4 cells a matrix made while the document is parsed (inside
+    # ToricStack or a module's validation) is already refused; the refusal
+    # keeps its own exit code, not the malformed-input one (2)
+    import torictate.linalg as linalg
+
+    monkeypatch.setattr(linalg, "MAX_DENSE_CELLS", 4)
+    code, out, err = run_cli(["oracle", fixture("p1p1-curves.tate"), "--module", "C1"], capsys)
+    assert code == 4 and out == ""
+    assert "over the size budget of 4 cells" in err
+
 def test_monomial_oracle_counts_every_exponent(capsys, tmp_path):
     # S/(x0^4 x1^5) on P(1,2) has h^0 = 7 in every degree; the oracle must
     # reach the sections that the relation's exponents push far out

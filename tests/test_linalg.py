@@ -9,8 +9,8 @@ from torictate import linalg
 from torictate.dmres import _IncrementalRank
 from torictate.errors import WindowTooSmall
 from torictate.linalg import (GF, QQ, Mat, RowReducer, homology_dim, homology_dims,
-                              invert, kernel_basis, rank, rref, solve_in_span,
-                              sparse_rank)
+                              invert, kernel_basis, rank, rref, signed_graph_rank,
+                              solve_in_span, sparse_rank)
 
 
 def test_rank_empty(gf):
@@ -510,3 +510,65 @@ def test_dense_allocation_over_the_budget_raises_before_allocating(field, monkey
     monkeypatch.undo()
     with pytest.raises(WindowTooSmall, match="dense 42952 x 30464 matrix"):
         field.zeros(42952, 30464)
+
+
+@st.composite
+def _signed_graphs(draw):
+    """A field and a map whose every column is two entries of +-1 on
+    distinct rows, as (cols, rows, signs, ncols) and as sparse columns:
+    random edges, whose signs close unbalanced cycles, triangles with an odd
+    number of negative edges, columns repeated or negated, edges on two rows
+    nothing else touches, and rows no column touches."""
+    field = draw(st.sampled_from(FIELDS))
+    nrows = draw(st.integers(2, 14))
+    rnd = draw(st.randoms(use_true_random=False))
+    sign = lambda: rnd.choice([1, -1])
+    cols = []
+    for _ in range(draw(st.integers(0, 16))):
+        kind = rnd.choice(["edge", "edge", "triangle", "repeat", "isolated"])
+        if kind == "triangle" and nrows >= 3:
+            a, b, c = rnd.sample(range(nrows), 3)
+            cols += [((a, 1), (b, -1)), ((b, 1), (c, -1)), ((c, 1), (a, 1))]
+        elif kind == "repeat" and cols:
+            (u, s), (v, t) = rnd.choice(cols)
+            f = sign()
+            cols.append(((u, f * s), (v, f * t)))
+        elif kind == "isolated":
+            u, v = nrows, nrows + 1
+            nrows += 2
+            cols.append(((u, sign()), (v, sign())))
+        else:
+            u, v = rnd.sample(range(nrows), 2)
+            cols.append(((u, sign()), (v, sign())))
+    nrows += draw(st.integers(0, 3))  # untouched rows
+    rnd.shuffle(cols)
+    entries = [(j, u, s) for j, col in enumerate(cols) for u, s in col]
+    rnd.shuffle(entries)
+    arrays = [np.array([e[k] for e in entries], dtype=np.int64) for k in range(3)]
+    sparse = [{u: field.of(s) for u, s in col} for col in cols]
+    return field, (*arrays, len(cols)), sparse
+
+
+@settings(max_examples=300, deadline=None)
+@given(_signed_graphs())
+def test_signed_graph_rank_matches_sparse_rank(case):
+    field, entries, sparse = case
+    assert signed_graph_rank(*entries) == sparse_rank(field, sparse)
+
+
+def test_signed_graph_rank_declines_other_maps():
+    # a column of e0 + e1 and one of e1 - e2 is a signed graph; with an
+    # entry 2, a third entry, a lone entry or both entries on one row it is
+    # not, and the caller eliminates
+    def rank(*cols):
+        entries = [(j, u, s) for j, col in enumerate(cols) for u, s in col]
+        c, r, s = (np.array(x, dtype=np.int64) for x in zip(*entries))
+        return signed_graph_rank(c, r, s, len(cols))
+
+    assert rank([(0, 1), (1, 1)], [(1, 1), (2, -1)]) == 2
+    assert rank([(0, 2), (1, 1)], [(1, 1), (2, -1)]) is None
+    assert rank([(0, 1), (1, 1), (2, 1)], [(1, 1), (2, -1)]) is None
+    assert rank([(0, 1)], [(1, 1), (2, -1)]) is None
+    assert rank([(0, 1), (0, -1)], [(1, 1), (2, -1)]) is None
+    assert signed_graph_rank(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
+                             np.zeros(0, dtype=np.int64), 0) == 0
