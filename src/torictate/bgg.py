@@ -2,9 +2,10 @@
 E-modules, with the Betti-number readout through exterior homology.
 
 R sends a realized module M to the free differential module with dim M_a
-generators omega_E(-a; 0) per window degree a and differential assembled
-from the multiplication matrices tensored with the dual exterior variables;
-its column homology at (a; j) computes Tor_j(M, k)_a. L goes back, sending
+generators omega_E(-a; 0) per window degree a, one run per degree, and
+differential sum_i e_i (x) x_i: the multiplication matrix of x_i from
+degree a is stored as the e_i block between the runs of a and a + deg x_i.
+Its column homology at (a; j) computes Tor_j(M, k)_a. L goes back, sending
 a windowed differential module to a complex of degreewise modules, whose
 blocks are Kronecker products of multiplication by x_i with the column
 matrices (diffmod.column_matrix) of e_i and of the differential. R_I and
@@ -15,8 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .diffmod import FreeDiffModule, _add_block, _homology_column_unchecked, column_matrix
-from .exterior import OmegaTwist
+from .diffmod import EMatrix, FreeDiffModule, _homology_column_unchecked, column_matrix
+from .exterior import OmegaTwist, Runs
 from .linalg import Mat
 from .smodule import GradedComplex, monomial_basis
 from .toric import deg_add, deg_neg, deg_sub, degrees_within
@@ -73,34 +74,32 @@ def R_complex(cx, mask=None):
     use = range(stack.nvars) if mask is None else sorted(set(mask))
     degrees = {j: sorted(mod.window.points(), key=lambda x: (stack.theta(x), x))
                for j, mod in cx.terms.items()}
-    gens = []
-    index = {}
+    runs = Runs()
+    index = {}  # (j, a) -> the run of its generators
     for j in sorted(cx.terms):
         for a in degrees[j]:
-            index[(j, a)] = len(gens)
-            gens.extend([OmegaTwist(deg_neg(a), -j)] * cx.terms[j].dim(a))
-    entries = {}
+            if cx.terms[j].dim(a):
+                index[(j, a)] = runs.append(OmegaTwist(deg_neg(a), -j), cx.terms[j].dim(a))
+    d = EMatrix(field)
     for j in sorted(cx.terms):
         mod = cx.terms[j]
-        sign = -1 if j % 2 else 1
         for a in degrees[j]:
-            if mod.dim(a) == 0:
+            t = index.get((j, a))
+            if t is None:
                 continue
-            base = index[(j, a)]
             for i in use:
-                b = deg_add(a, stack.var_degrees[i])
-                if (j, b) in index:
-                    _add_block(entries, field, index[(j, b)], base,
-                               enumerate(mod.mult_matrix(i, a).a), 1 << i, sign)
+                s = index.get((j, deg_add(a, stack.var_degrees[i])))
+                if s is not None:
+                    m = mod.mult_matrix(i, a).a
+                    d.put(s, t, 1 << i, field.reduce(-m) if j % 2 else m)
             m = cx.maps.get(j, {}).get(a)
             if m is not None and (j - 1, a) in index:
-                _add_block(entries, field, index[(j - 1, a)], base,
-                           enumerate(m.a if isinstance(m, Mat) else m), 0, 1)
+                d.put(index[(j - 1, a)], t, 0, m.a if isinstance(m, Mat) else field.array(m))
     safe = None
     for j, mod in cx.terms.items():
         s = _r_safe_set(mod)
         safe = s if safe is None else (safe & s)
-    return FreeDiffModule(stack, field, gens, entries, safe=safe or set())
+    return FreeDiffModule(stack, field, runs, d, safe=safe or set())
 
 
 def L(dm, module_degrees, col_degrees=None, mask=None):
@@ -123,8 +122,10 @@ def L(dm, module_degrees, col_degrees=None, mask=None):
     col_degrees = [tuple(a) for a in col_degrees]
     slices = {a: dm.column_slices(a) for a in col_degrees}
     js = sorted({j for a in col_degrees for j in slices[a]})
-    diag = {t: [t] for t in range(len(dm.gens))}
-    wedge = [{(t, t): {1 << i: field.one} for t in diag} for i in range(stack.nvars)]
+    # e_i as an EMatrix: identity blocks on the runs the columns meet
+    eye = {r: field.array(np.eye(dm.runs.size[r], dtype=np.int64))
+           for a in col_degrees for sl in slices[a].values() for r, *_ in sl.segs}
+    wedge = [EMatrix(field, {r: {(r, 1 << i): e} for r, e in eye.items()}) for i in range(stack.nvars)]
     module_degrees = [tuple(c) for c in module_degrees]
     cx = GradedComplex(field)
     blocks = {}  # (j, c) -> {a: (offset, monomials, slice)}, monomial-major
@@ -150,13 +151,13 @@ def L(dm, module_degrees, col_degrees=None, mask=None):
                 if a in tgt:
                     toff, _, tsl = tgt[a]
                     d = np.kron(np.eye(len(monos), dtype=np.int64),
-                                column_matrix(field, dm.entries, dm._out, sl, tsl))
+                                column_matrix(field, dm.d, sl, tsl))
                     m[toff:toff + d.shape[0], cols] -= d
                 for i in use:
                     b = deg_sub(a, stack.var_degrees[i])
                     if b in tgt:
                         toff, tmonos, tsl = tgt[b]
-                        x = np.kron(_times_x(monos, tmonos, i), column_matrix(field, wedge[i], diag, sl, tsl))
+                        x = np.kron(_times_x(monos, tmonos, i), column_matrix(field, wedge[i], sl, tsl))
                         m[toff:toff + x.shape[0], cols] += x
             cx.set_map(j, c, Mat(field, m))
     return cx

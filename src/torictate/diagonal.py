@@ -109,10 +109,10 @@ class _BlockComplex:
     # sparse_columns and homology are defined on each subclass itself, where
     # bench/tracer.py wraps them, and call these
 
-    def _columns(self, i, bid):
+    def _columns(self, i, bid, entries=None):
         """The columns of F_i -> F_{i-1} at bid as sparse dicts over target
-        indices, read off the entry arrays."""
-        cols, rows, coefs, counts = self._entries(i, bid)
+        indices, read off the entry arrays (built here unless given)."""
+        cols, rows, coefs, counts = self._entries(i, bid) if entries is None else entries
         order = np.argsort(cols, kind="stable")
         targets = rows[order].tolist()
         values = np.repeat(np.array(coefs, dtype=object), counts)[order].tolist()
@@ -129,12 +129,13 @@ class _BlockComplex:
         key = (i, tuple(bid[0]), tuple(bid[1]))
         if key not in self._rk_cache:
             field = self.field
-            cols, rows, coefs, counts = self._entries(i, bid)
+            entries = self._entries(i, bid)
+            cols, rows, coefs, counts = entries
             unit = {field.one: 1, field.neg(field.one): -1}
             signs = np.repeat(np.array([unit.get(c, 0) for c in coefs], dtype=np.int64), counts)
             rk = signed_graph_rank(cols, rows, signs, self.dim(i, bid)) if len(cols) else 0
             if rk is None:
-                rk = sparse_rank(field, self.sparse_columns(i, bid))
+                rk = sparse_rank(field, self._columns(i, bid, entries))
             self._rk_cache[key] = rk
         return self._rk_cache[key]
 

@@ -1,10 +1,17 @@
 """Free differential E-modules on degree windows.
 
-A FreeDiffModule is a list of omega_E twists plus a sparse matrix of
-homogeneous exterior-algebra entries acting by left multiplication; the
-differential has total degree (0; -1), so it preserves the Cl-degree and
-every Cl-degree slice ("column") is an ordinary finite complex of
-k-vector spaces graded by the auxiliary degree.
+A FreeDiffModule is a list of omega_E twists plus a differential of total
+degree (0; -1), so it preserves the Cl-degree and every Cl-degree slice
+("column") is an ordinary finite complex of k-vector spaces graded by the
+auxiliary degree.
+
+The differential is kept as D = sum_u e_u (x) A_u over exterior monomials
+u (an EMatrix): the generators fall into runs of consecutive equal twists
+(exterior.Runs), and each A_u is held as dense blocks between runs. A
+column's basis is a concatenation of (run x monomials) ranges
+(exterior.Slice), and column_matrix places each block, signed, at strided
+positions. Modules built from {(target, source): {monomial: coeff}} dicts
+are converted once; `entries` gives that form back.
 
 Homology is only ever reported on the module's safe degree set: outside it
 a column may be missing contributors from generators beyond the window.
@@ -14,120 +21,209 @@ from __future__ import annotations
 
 import numpy as np
 
-from .exterior import (OmegaTwist, column_basis, column_slices, elem_add, elem_mask_filter,
-                       elem_mul, elem_scale, entry_degree, ext_mul, popcount)
+from .exterior import (OmegaTwist, Runs, Slice, column_basis, column_slices, elem_add,
+                       elem_mul, elem_scale, entry_degree, mul_sign, popcount)
 from .linalg import homology_dims
 from .toric import deg_neg
 
 
+class EMatrix:
+    """A matrix over E between free modules, sum_u e_u (x) A_u:
+    blocks[t][(s, u)] is the block of A_u from source run t to target run s,
+    dense and nonzero. Run indices refer to the Runs of the two modules. A
+    block may be the array it was built from (a multiplication matrix, a
+    block of another module), so blocks are never written in place, except
+    by _add_block on the blocks it made."""
+
+    def __init__(self, field, blocks=None):
+        self.field = field
+        self.blocks = {} if blocks is None else blocks
+
+    def __bool__(self):
+        return bool(self.blocks)
+
+    def items(self):
+        for t, row in self.blocks.items():
+            for (s, u), block in row.items():
+                yield s, t, u, block
+
+    def put(self, s, t, u, block):
+        """Store the e_u block from run t to run s, unless it is zero."""
+        if np.any(block):
+            self.blocks.setdefault(t, {})[(s, u)] = block
+
+    def entries(self, rows, cols):
+        """The dict form {(target, source): {monomial: coeff}}, for the runs
+        rows and cols."""
+        out = {}
+        for s, t, u, block in self.items():
+            vals = block.tolist()
+            for i, k in zip(*np.nonzero(block)):
+                out.setdefault((rows.start[s] + int(i), cols.start[t] + int(k)), {})[u] = vals[i][k]
+        return out
+
+
+def _from_entries(field, rows, cols, entries):
+    """The EMatrix of a dict {(target, source): {monomial: coeff}} between
+    the runs rows and cols."""
+    rloc = [(r, k) for r, n in enumerate(rows.size) for k in range(n)]
+    cloc = rloc if cols is rows else [(r, k) for r, n in enumerate(cols.size) for k in range(n)]
+    blocks = {}
+    for (s, t), elem in entries.items():
+        (rs, i), (rt, k) = rloc[s], cloc[t]
+        for u, c in elem.items():
+            block = blocks.get((rs, rt, u))
+            if block is None:
+                block = blocks[(rs, rt, u)] = field.zeros(rows.size[rs], cols.size[rt])
+            block[i, k] = c
+    out = EMatrix(field)
+    for (rs, rt, u), block in blocks.items():
+        out.put(rs, rt, u, field.reduce(block))
+    return out
+
+
+def _add_block(emat, runs, toff, soff, mat, mono, sign):
+    """Add sign * mat to the e_mono blocks at generator rows toff..,
+    columns soff.., split along the runs. Blocks are summed in place, so
+    emat must hold only blocks that _add_block made; a block that cancels
+    is dropped."""
+    field = emat.field
+    if sign < 0:
+        mat = field.reduce(-mat)
+    for s, i0, i1, a in runs.cover(toff, toff + mat.shape[0]):
+        for t, k0, k1, b in runs.cover(soff, soff + mat.shape[1]):
+            piece = mat[a:a + i1 - i0, b:b + k1 - k0]
+            if not np.any(piece):
+                continue
+            row = emat.blocks.setdefault(t, {})
+            block = row.get((s, mono))
+            if block is None:
+                block = row[(s, mono)] = field.zeros(runs.size[s], runs.size[t])
+            view = block[i0:i1, k0:k1]
+            view += piece
+            view[...] = field.reduce(view)
+            if not np.any(view) and not np.any(block):
+                del row[(s, mono)]
+                if not row:
+                    del emat.blocks[t]
+
+
 class FreeDiffModule:
+    """gens is a list of twists or a Runs; entries an EMatrix keyed by those
+    runs (by Runs(gens) for a list) or a dict {(s, t): {u: c}}."""
+
     def __init__(self, stack, field, gens, entries, safe=(), varmask=None, validate=True):
         self.stack = stack
         self.field = field
-        self.gens = list(gens)
-        self.varmask = (1 << stack.nvars) - 1 if varmask is None else varmask
-        self.entries = {}
-        for (s, t), elem in entries.items():
-            elem = {m: c for m, c in elem.items() if c != field.zero}
-            if elem:
-                self.entries[(s, t)] = elem
+        self.runs = gens if isinstance(gens, Runs) else Runs(gens)
+        self.gens = self.runs.gens
+        full = (1 << stack.nvars) - 1
+        self.varmask = full if varmask is None else varmask
+        self._mask = None if self.varmask == full else self.varmask
+        self.d = (entries if isinstance(entries, EMatrix)
+                  else _from_entries(field, self.runs, self.runs, entries))
         self.safe = frozenset(tuple(a) for a in safe)
-        self._columns = {}
-        self._out = {}
-        for (s, t) in self.entries:
-            self._out.setdefault(t, []).append(s)
+        self._slices = {}
         if validate:
-            _check_degrees(stack, self.gens, self.gens, self.entries, -1)
+            _check_degrees(stack, self.runs, self.runs, self.d, -1)
+
+    @property
+    def entries(self):
+        """The differential as {(target, source): {monomial: coeff}}."""
+        return self.d.entries(self.runs, self.runs)
 
     def column_basis(self, a):
         """Ordered basis [(gen, monomial)] of the degree-a slice."""
-        a = tuple(a)
-        if a not in self._columns:
-            self._columns[a] = column_basis(self.stack, self.gens, a, self.varmask)
-        return self._columns[a]
+        return column_basis(self.stack, self.runs, tuple(a), self._mask)
 
     def column_slices(self, a):
-        """The column split by auxiliary degree: dict aux -> element list."""
-        return column_slices(self.stack, self.gens, self.column_basis(a))
+        """The column split by auxiliary degree: dict aux -> Slice."""
+        a = tuple(a)
+        if a not in self._slices:
+            self._slices[a] = column_slices(self.stack, self.runs, a, self._mask)
+        return self._slices[a]
 
     def column_block(self, a, slice_src, slice_tgt):
         """Differential matrix from the span of slice_src to slice_tgt
-        (both lists of (gen, monomial) at the same Cl-degree)."""
-        return column_matrix(self.field, self.entries, self._out, slice_src, slice_tgt)
+        (both Slices of the degree-a column)."""
+        return column_matrix(self.field, self.d, slice_src, slice_tgt)
 
     def column_complex(self, a):
-        """(slices, blocks): slices maps aux -> basis list, blocks maps
+        """(slices, blocks): slices maps aux -> Slice, blocks maps
         aux -> matrix from slice(aux) to slice(aux - 1)."""
         slices = self.column_slices(a)
         blocks = {}
         for j, src in slices.items():
-            tgt = slices.get(j - 1, [])
-            blocks[j] = self.column_block(a, src, tgt)
+            blocks[j] = self.column_block(a, src, slices.get(j - 1, Slice()))
         return slices, blocks
 
 
-def _check_degrees(stack, src_gens, tgt_gens, entries, shift_aux):
-    """ValueError unless every entry (s, t), from src_gens[t] to
-    tgt_gens[s], holds only monomials of the degree (0; shift_aux) map
-    between their twists, looked up once per pair of twists."""
+def _check_degrees(stack, rows, cols, emat, shift_aux):
+    """ValueError unless every block, from run t of cols to run s of rows,
+    has a monomial of the degree (0; shift_aux) map between their twists;
+    one check per block, the allowed monomials looked up once per pair of
+    twists."""
     table = stack.subsets_by_sum()
     allowed = {}
-    for (s, t), elem in entries.items():
-        pair = (src_gens[t], tgt_gens[s])
+    for s, t, u, block in emat.items():
+        pair = (cols.twist[t], rows.twist[s])
         ok = allowed.get(pair)
         if ok is None:
             cl, aux = entry_degree(stack, *pair, shift_aux=shift_aux)
             ok = allowed[pair] = {m for m in table.get(deg_neg(cl), ()) if -popcount(m) == aux}
-        if not ok.issuperset(elem):
-            raise ValueError("entry (%d, %d) is not homogeneous of degree (0; %d)" % (s, t, shift_aux))
+        if u not in ok:
+            i, k = np.argwhere(block)[0]
+            raise ValueError("entry (%d, %d) is not homogeneous of degree (0; %d)"
+                             % (rows.start[s] + i, cols.start[t] + k, shift_aux))
 
 
-def restrict(gens, entries, keep):
-    """The generators at the increasing indices keep, and the entries
-    between them, renumbered."""
-    remap = {t: k for k, t in enumerate(keep)}
-    return ([gens[t] for t in keep],
-            {(remap[s], remap[t]): elem for (s, t), elem in entries.items()
-             if s in remap and t in remap})
+def restrict(runs, emat, keep):
+    """The runs at the increasing indices keep, and the blocks between
+    them, renumbered."""
+    out = Runs()
+    remap = {r: out.append(runs.twist[r], runs.size[r]) for r in keep}
+    sub = EMatrix(emat.field)
+    for s, t, u, block in emat.items():
+        if s in remap and t in remap:
+            sub.blocks.setdefault(remap[t], {})[(remap[s], u)] = block
+    return out, sub
 
 
-def column_matrix(field, entries, out, src, tgt):
-    """The matrix, from the span of src to the span of tgt, of the sparse
-    E-matrix entries (out[t] lists the s with an entry (s, t)) acting by
-    left multiplication; src and tgt list (gen, monomial) labels."""
-    idx = {lab: k for k, lab in enumerate(tgt)}
-    mat = field.zeros(len(tgt), len(src))
-    for col, (t, m) in enumerate(src):
-        for s in out.get(t, ()):
-            for u, c in entries[(s, t)].items():
-                r = ext_mul(u, m)
-                if r is None:
-                    continue
-                sign, um = r
-                k = idx.get((s, um))
+def column_matrix(field, emat, src, tgt, out=None, sign=1):
+    """The matrix, from the span of the Slice src to that of tgt, of the
+    E-matrix emat acting by left multiplication, times sign; written into
+    out when given. The block A_u from run t to run s lands, for each
+    monomial m of t's segment with e_u e_m = +-e_{u|m} in s's segment, at
+    the strided rows of (s, u|m) and columns of (t, m). The target monomial
+    fixes u, so a cell receives at most one block entry."""
+    if out is None:
+        out = field.zeros(len(tgt), len(src))
+    where = {s: (off, len(monos), {m: k for k, m in enumerate(monos)})
+             for s, _, _, monos, off in tgt.segs}
+    for t, _, size, monos, coff in src.segs:
+        row = emat.blocks.get(t)
+        if not row:
+            continue
+        step = len(monos)
+        cend = coff + size * step
+        for (s, u), block in row.items():
+            hit = where.get(s)
+            if hit is None:
+                continue
+            roff, rstep, index = hit
+            rend = roff + block.shape[0] * rstep
+            neg = None
+            for mi, m in enumerate(monos):
+                k = None if u & m else index.get(u | m)
                 if k is None:
                     continue
-                cc = c if sign > 0 else field.neg(c)
-                mat[k, col] = field.add(mat[k, col], cc)
-    return mat
-
-
-def _add_block(entries, field, toff, soff, rows, mono, sign):
-    """Add sign * block to the e_mono coefficients of the differential at
-    rows toff.., columns soff.., dropping coefficients that cancel; rows
-    yields (row index, row values)."""
-    for rr, row in rows:
-        for cc, v in enumerate(row):
-            if v == field.zero:
-                continue
-            if sign < 0:
-                v = field.neg(v)
-            elem = entries.setdefault((toff + rr, soff + cc), {})
-            nv = field.add(elem.get(mono, field.zero), v)
-            if nv == field.zero:
-                elem.pop(mono, None)
-            else:
-                elem[mono] = nv
+                if mul_sign(u, m) == sign:
+                    out[roff + k:rend:rstep, coff + mi:cend:step] = block
+                else:
+                    if neg is None:
+                        neg = field.reduce(-block)
+                    out[roff + k:rend:rstep, coff + mi:cend:step] = neg
+    return out
 
 
 def check_square_zero(module, degrees=None):
@@ -171,31 +267,36 @@ def _slice_homology(field, slices, blocks):
 
 def tensor_EI(module, subset):
     """The quotient differential module over E_I = E / <e_i : i not in I>:
-    entries lose every monomial meeting the complement of I, and columns are
-    computed over monomials inside I only."""
+    the blocks of monomials meeting the complement of I are dropped, and
+    columns are computed over monomials inside I only."""
     mask = 0
     for i in subset:
         mask |= 1 << i
     mask &= module.varmask
-    entries = {}
-    for key, elem in module.entries.items():
-        filtered = elem_mask_filter(elem, mask)
-        if filtered:
-            entries[key] = filtered
-    return FreeDiffModule(module.stack, module.field, module.gens, entries,
+    d = EMatrix(module.field)
+    for s, t, u, block in module.d.items():
+        if not u & ~mask:
+            d.blocks.setdefault(t, {})[(s, u)] = block
+    return FreeDiffModule(module.stack, module.field, module.runs, d,
                           safe=module.safe, varmask=mask, validate=False)
 
 
 class DMMorphism:
-    """A degree-0 morphism of free differential modules, as a sparse matrix
-    of homogeneous exterior entries (rows: target gens, cols: source gens)."""
+    """A degree-0 morphism of free differential modules, as an EMatrix m
+    from the source's runs to the target's (or a dict of entries, rows:
+    target gens, cols: source gens, converted once)."""
 
     def __init__(self, source, target, entries, validate=True):
         self.source = source
         self.target = target
-        self.entries = {k: dict(v) for k, v in entries.items() if v}
+        self.m = (entries if isinstance(entries, EMatrix)
+                  else _from_entries(source.field, target.runs, source.runs, entries))
         if validate:
-            _check_degrees(source.stack, source.gens, target.gens, self.entries, 0)
+            _check_degrees(source.stack, target.runs, source.runs, self.m, 0)
+
+    @property
+    def entries(self):
+        return self.m.entries(self.target.runs, self.source.runs)
 
 
 def cone(morphism):
@@ -204,36 +305,41 @@ def cone(morphism):
     if src.stack is not tgt.stack or src.field != tgt.field:
         raise ValueError("cone of a morphism between mismatched modules")
     field = src.field
-    gens = list(tgt.gens) + [OmegaTwist(tw.cl, tw.aux - 1) for tw in src.gens]
-    off = len(tgt.gens)
-    entries = {}
-    for (s, t), elem in tgt.entries.items():
-        entries[(s, t)] = dict(elem)
-    for (s, t), elem in morphism.entries.items():
-        entries[(s, off + t)] = dict(elem)
-    for (s, t), elem in src.entries.items():
-        entries[(off + s, off + t)] = elem_scale(elem, field.neg(field.one), field)
-    safe = src.safe & tgt.safe
-    return FreeDiffModule(src.stack, field, gens, entries, safe=safe,
+    runs = Runs()
+    for tw, n in zip(tgt.runs.twist, tgt.runs.size):
+        runs.append(tw, n)
+    off = len(runs.start)
+    for tw, n in zip(src.runs.twist, src.runs.size):
+        runs.append(OmegaTwist(tw.cl, tw.aux - 1), n)
+    blocks = {t: dict(row) for t, row in tgt.d.blocks.items()}
+    for t, row in morphism.m.blocks.items():
+        blocks[off + t] = dict(row)
+    for t, row in src.d.blocks.items():
+        blocks.setdefault(off + t, {}).update(
+            ((off + s, u), field.reduce(-block)) for (s, u), block in row.items())
+    return FreeDiffModule(src.stack, field, runs, EMatrix(field, blocks), safe=src.safe & tgt.safe,
                           varmask=src.varmask & tgt.varmask, validate=False)
 
 
 def check_minimal(module):
     """True iff no entry has a nonzero constant term."""
-    return not any(0 in elem for elem in module.entries.values())
+    return not any(u == 0 for _, _, u, _ in module.d.items())
 
 
 def minimize(module, report=False):
     """Cancel unit (constant) entries pairwise until none remain. Homology
     columns are unchanged on the safe region. Pivots are chosen smallest
-    (target, source) first, so the output is deterministic."""
+    (target, source) first, so the output is deterministic. A module with
+    no constant block is returned as it is; otherwise the cancellation runs
+    on its entries, read off the blocks."""
+    if check_minimal(module):
+        return (module, 0) if report else module
     field = module.field
     alive = set(range(len(module.gens)))
     rows = {}
     cols = {}
-    ent = {}
-    for (s, t), elem in module.entries.items():
-        ent[(s, t)] = dict(elem)
+    ent = module.entries
+    for (s, t) in ent:
         rows.setdefault(s, set()).add(t)
         cols.setdefault(t, set()).add(s)
     cancelled = 0
@@ -280,9 +386,11 @@ def minimize(module, report=False):
                     cols.get(t, set()).discard(s)
         cancelled += 1
 
-    gens, entries = restrict(module.gens, ent, sorted(alive))
-    out = FreeDiffModule(module.stack, field, gens, entries, safe=module.safe,
-                         varmask=module.varmask, validate=False)
+    keep = sorted(alive)
+    remap = {t: k for k, t in enumerate(keep)}
+    out = FreeDiffModule(module.stack, field, [module.gens[t] for t in keep],
+                         {(remap[s], remap[t]): elem for (s, t), elem in ent.items()},
+                         safe=module.safe, varmask=module.varmask, validate=False)
     if report:
         return out, cancelled
     return out
@@ -331,21 +439,24 @@ def fold(stack, field, complex_):
 
 def unfold(module):
     """Inverse of fold: a generator omega_E(c; u) contributes E(c - n - 1)
-    in homological degree c - u."""
+    in homological degree c - u; a run of generators lands in one term."""
     _require_standard(module.stack)
     n1 = module.stack.nvars
+    runs = module.runs
     terms = {}
-    pos = {}
-    for g, tw in enumerate(module.gens):
+    pos = []  # per run: (homological degree, position of its first generator)
+    for tw, n in zip(runs.twist, runs.size):
         j = tw.cl[0] - tw.aux
         terms.setdefault(j, [])
-        pos[g] = (j, len(terms[j]))
-        terms[j].append(tw.cl[0] - n1)
+        pos.append((j, len(terms[j])))
+        terms[j] += [tw.cl[0] - n1] * n
     diffs = {}
-    for (s, t), elem in module.entries.items():
-        js, ks = pos[s]
-        jt, kt = pos[t]
+    for s, t, u, block in module.d.items():
+        (js, ks), (jt, kt) = pos[s], pos[t]
         if js != jt - 1:
             raise ValueError("differential entry does not drop the folded homological degree by 1")
-        diffs.setdefault(jt, {})[(ks, kt)] = dict(elem)
+        vals = block.tolist()
+        d = diffs.setdefault(jt, {})
+        for i, k in zip(*np.nonzero(block)):
+            d.setdefault((ks + int(i), kt + int(k)), {})[u] = vals[i][k]
     return EComplex(terms, diffs)

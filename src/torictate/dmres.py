@@ -7,9 +7,11 @@ partial comparison map; the differential of a new generator lands in
 strictly higher levels, so the result is a free flag, and no constant
 entries ever appear, so it is minimal as built.
 
-F's differential and the comparison map eps are both sparse E-matrices,
-{(target gen, F gen): {monomial: coeff}}, and act on a column only through
-diffmod.column_matrix.
+F's generators grow one run at a time, a run per cone degree (a; j) that
+has classes to kill. F's differential and the comparison map eps are
+EMatrix blocks from those runs, to F's runs and to the target's, written
+one block per (target run, monomial) as a run is added, and act on a column
+only through diffmod.column_matrix.
 
 `_IncrementalRank`, the greedy independence test of
 smodule.presentation_from_span, inserts each vector as a sparse row into
@@ -20,8 +22,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .diffmod import DMMorphism, FreeDiffModule, _slice_homology, column_matrix, cone
-from .exterior import OmegaTwist, column_basis, column_slices
+from .diffmod import DMMorphism, EMatrix, FreeDiffModule, _slice_homology, column_matrix, cone
+from .exterior import OmegaTwist, Runs, Slice, column_slices
 from .linalg import _kernel_arr, independent_columns
 from .toric import deg_sub
 
@@ -49,19 +51,18 @@ class ResolutionState:
         self.field = target.field
         self.floor = floor
         self.ceiling = ceiling
-        self.gens = []
+        self.runs = Runs()
+        self.gens = self.runs.gens
         self.rounds = []
-        self.entries = {}
-        self._out = {}
-        self.eps = {}  # (target gen, F gen) -> {monomial: coeff}, like entries
-        self._eps_out = {}
+        self.d = EMatrix(self.field)  # F -> F
+        self.eps = EMatrix(self.field)  # F -> target, keyed by the target's runs
         self.top_hit = False
 
     # -- column machinery for F ----------------------------------------------
 
     def f_column_slices(self, a):
         # uncached: F's generators grow while the resolution runs
-        return column_slices(self.stack, self.gens, column_basis(self.stack, self.gens, tuple(a)))
+        return column_slices(self.stack, self.runs, tuple(a))
 
     # -- cone columns ---------------------------------------------------------
 
@@ -72,22 +73,20 @@ class ResolutionState:
         d_slices = self.target.column_slices(a)
         f_slices = self.f_column_slices(a)
         js = sorted(set(d_slices) | {j + 1 for j in f_slices})
+        empty = Slice()
         slices = {}
         for j in js:
-            slices[j] = (d_slices.get(j, []), f_slices.get(j - 1, []))
+            slices[j] = (d_slices.get(j, empty), f_slices.get(j - 1, empty))
         blocks = {}
         for j in js:
             dsl, fsl = slices[j]
-            dtgt, ftgt = slices.get(j - 1, ([], []))
-            nd, nf = len(dsl), len(fsl)
-            md, mf = len(dtgt), len(ftgt)
-            mat = field.zeros(md + mf, nd + nf)
+            dtgt, ftgt = slices.get(j - 1, (empty, empty))
+            nd, md = len(dsl), len(dtgt)
+            mat = field.zeros(md + len(ftgt), nd + len(fsl))
             if nd and md:
                 mat[:md, :nd] = self.target.column_block(a, dsl, dtgt)
-            if nf and md:
-                mat[:md, nd:] = column_matrix(field, self.eps, self._eps_out, fsl, dtgt)
-            if nf and mf:
-                mat[md:, nd:] = field.reduce(-column_matrix(field, self.entries, self._out, fsl, ftgt))
+            column_matrix(field, self.eps, fsl, dtgt, out=mat[:md, nd:])
+            column_matrix(field, self.d, fsl, ftgt, out=mat[md:, nd:], sign=-1)
             blocks[j] = mat
         return slices, blocks
 
@@ -97,30 +96,30 @@ class ResolutionState:
 
     # -- generator insertion --------------------------------------------------
 
-    def _add_generator(self, a, j, z, d_labels, f_labels, round_index):
-        """Add the generator killing the class z at cone degree (a; j): its
-        eps is z's D-part, its differential minus z's F-part."""
-        field = self.field
-        t = len(self.gens)
-        self.gens.append(OmegaTwist(deg_sub(self.stack.total_degree, a), self.stack.nvars - j))
-        self.rounds.append(round_index)
-        nd = len(d_labels)
-        eps, diff = {}, {}
-        for k in np.flatnonzero(z):
-            if k < nd:
-                s, m = d_labels[k]
-                eps.setdefault(s, {})[m] = z[k]
-            else:
-                s, m = f_labels[k - nd]
-                diff.setdefault(s, {})[m] = field.neg(z[k])
-        for store, out, by_gen in ((self.eps, self._eps_out, eps), (self.entries, self._out, diff)):
-            for s, elem in by_gen.items():
-                store[(s, t)] = elem
-                out.setdefault(t, []).append(s)
+    def _add_run(self, a, j, vecs, dsl, fsl, round_index):
+        """Add the run of generators killing the classes vecs at cone degree
+        (a; j): the eps of each is its class's D-part, its differential
+        minus its F-part."""
+        t = self.runs.append(OmegaTwist(deg_sub(self.stack.total_degree, a), self.stack.nvars - j),
+                             len(vecs))
+        self.rounds += [round_index] * len(vecs)
+        z = np.column_stack(vecs)
+        _write_columns(self.eps, dsl, z[:len(dsl)], t)
+        _write_columns(self.d, fsl, self.field.reduce(-z[len(dsl):]), t)
 
     def free_module(self, safe):
-        return FreeDiffModule(self.stack, self.field, self.gens, self.entries,
+        return FreeDiffModule(self.stack, self.field, self.runs, self.d,
                               safe=safe, validate=True)
+
+
+def _write_columns(emat, sl, z, t):
+    """Store the columns z, over the labels of the Slice sl, as the blocks
+    of emat from run t: the rows of a segment's monomial m are its e_m
+    block to the segment's run."""
+    for s, _, size, monos, off in sl.segs:
+        part = z[off:off + size * len(monos)].reshape(size, len(monos), z.shape[1])
+        for k, m in enumerate(monos):
+            emat.put(s, t, m, part[:, k, :].copy())
 
 
 def _select_representatives(field, ker, d_in, policy):
@@ -135,9 +134,10 @@ def min_free_resolution(target, floor, ceiling=None, policy="first", degrees=Non
     """Resolve a differential module by descending-level cycle killing.
 
     target: a FreeDiffModule, or any object with its column surface
-    (stack, field, safe, column_slices, column_block) whose column labels
-    are (generator, exterior monomial) pairs on which E acts by wedge, as
-    eps is applied to them through column_matrix.
+    (stack, field, safe, column_slices, column_block) whose column slices
+    are exterior.Slice segments over runs of its generators, on whose
+    labels E acts by wedge, as eps is applied to them through
+    column_matrix.
     floor/ceiling: grading-functional bounds on the levels scanned; degrees
     defaults to the target's safe set clipped to [floor, ceiling].
 
@@ -158,7 +158,7 @@ def min_free_resolution(target, floor, ceiling=None, policy="first", degrees=Non
         for a in sorted(levels[lv]):
             slices, blocks = state.cone_column(a)
             kers = {j: _kernel_arr(state.field, d_out) for j, d_out in blocks.items()}
-            new = []
+            new = {}
             for j in sorted(slices):
                 d_in = blocks.get(j + 1)
                 if d_in is None:
@@ -170,10 +170,11 @@ def min_free_resolution(target, floor, ceiling=None, policy="first", degrees=Non
                     continue  # the image of d_in is the whole kernel
                 # a class at cone degree (a; j) has its D-part in D_j(a)
                 # and its F-part in F_{j-1}(a)
-                for vec in _select_representatives(state.field, kers[j], d_in, policy):
-                    new.append((j, vec) + slices[j])
-            for j, vec, dsl, fsl in new:
-                state._add_generator(a, j, vec, dsl, fsl, round_index)
+                vecs = _select_representatives(state.field, kers[j], d_in, policy)
+                if vecs:
+                    new[j] = vecs
+            for j, vecs in new.items():
+                state._add_run(a, j, vecs, *slices[j], round_index)
                 if lv == ceiling:
                     state.top_hit = True
     return state

@@ -20,11 +20,11 @@ import numpy as np
 
 from .bgg import R
 from .cohomology import CechOracle, T_START, _stabilize, fast_table_state, h0b_vanishes
-from .diffmod import (FreeDiffModule, _add_block, _homology_column_unchecked, minimize,
+from .diffmod import (EMatrix, FreeDiffModule, _add_block, _homology_column_unchecked, minimize,
                       restrict, tensor_EI)
 from .dmres import tate_cone
 from .errors import PreconditionError
-from .exterior import OmegaTwist, ext_mul, socle_readoff
+from .exterior import OmegaTwist, Runs, ext_mul, socle_readoff
 from .laurent import (CechComplex, MonomialStrands, _build_retract, reach_floors,
                       signed_exponents)
 from .linalg import GF
@@ -77,31 +77,33 @@ def tate_weighted(pres, stack, window, field, d=None):
     return TateResult(minimal.gens, table, "weighted", window, lambda: minimal, truncation=d)
 
 
-def _walk(field, nvars, sources, step):
+def _walk(field, gens, nvars, sources, step):
     """The perturbation series sum p d (-h d)^k i of the homotopy transfer,
-    as sparse exterior entries. sources yields (key, generator offset, i of
-    the source strand); step(key, i, mat) moves mat along x_i (x) e_i and
-    returns None where nothing arrives, else (next key, target generator
-    offset or None, the rows of p T mat, -h T mat or None when zero)."""
+    as an EMatrix over the runs of gens. sources yields (key, generator
+    offset, i of the source strand); step(key, i, mat) moves mat along
+    x_i (x) e_i and returns None where nothing arrives, else (next key,
+    target generator offset or None, the matrix p T mat, -h T mat or None
+    when zero)."""
     # per exterior monomial: (i, sign, product) for each x_i it can take
     moves = [[(i,) + ext_mul(1 << i, mono) for i in range(nvars) if not mono >> i & 1]
              for mono in range(1 << nvars)]
-    entries = {}
+    runs = Runs(gens)
+    d = EMatrix(field)
 
     def rec(src_off, key, mat, mono, sign):
         for i, msign, mmono in moves[mono]:
             out = step(key, i, mat)
             if out is None:
                 continue
-            key2, tgt_off, rows, cont = out
+            key2, tgt_off, block, cont = out
             if tgt_off is not None:
-                _add_block(entries, field, tgt_off, src_off, rows, mmono, sign * msign)
+                _add_block(d, runs, tgt_off, src_off, block, mmono, sign * msign)
             if cont is not None:
                 rec(src_off, key2, cont, mmono, sign * msign)
 
     for key, src_off, mat in sources:
         rec(src_off, key, mat, 0, 1)
-    return entries
+    return d
 
 
 # -- dense Cech strands -------------------------------------------------------
@@ -109,10 +111,10 @@ def _walk(field, nvars, sources, step):
 def _transfer(cx, window):
     """Homotopy transfer on the dense Cech strands of cx: returns the
     generators, read off the strand homology at each window degree, and
-    walk(), which returns the sparse exterior entries of the minimal
-    differential module. Walk keys are degrees; a strand's retract is built
-    the first time the walk reaches its degree, a horizontal block once per
-    (degree, variable)."""
+    walk(), which returns the differential of the minimal module as an
+    EMatrix over the runs of the generators. Walk keys are degrees; a
+    strand's retract is built the first time the walk reaches its degree, a
+    horizontal block once per (degree, variable)."""
     stack = cx.stack
     field = cx.field
     gens = []
@@ -144,11 +146,11 @@ def _transfer(cx, window):
         ret = retract(b)
         tgt_off = gen_offset.get(b)
         cont = field.reduce(-field.matmul(ret.h, moved))
-        return (b, tgt_off, None if tgt_off is None else enumerate(field.matmul(ret.p, moved)),
+        return (b, tgt_off, None if tgt_off is None else field.matmul(ret.p, moved),
                 cont if np.any(cont) else None)
 
     def walk():
-        return _walk(field, stack.nvars,
+        return _walk(field, gens, stack.nvars,
                      ((a, gen_offset[a], retract(a).i) for a in sources), step)
 
     return gens, walk
@@ -159,9 +161,9 @@ def _transfer(cx, window):
 def _monomial_transfer(pres, stack, window, field):
     """Transfer pipeline decomposed along Laurent exponent strands: returns
     the generators, one per homology vector of a source strand, and walk(),
-    which returns the sparse exterior entries of the transferred differential.
-    The sources are the exponents of the patterns whose strand carries
-    homology, each pattern's region enumerated exactly."""
+    which returns the transferred differential as an EMatrix over the runs
+    of the generators. The sources are the exponents of the patterns whose
+    strand carries homology, each pattern's region enumerated exactly."""
     types = MonomialStrands(stack, field, pres, stack.cover)
     gens = []
     sources = []  # (exponent, cellset, homology embedding)
@@ -184,8 +186,9 @@ def _monomial_transfer(pres, stack, window, field):
     pair_maps = {}
 
     def step_maps(cs_src, cs2):
-        """(p2 T, -h2 T) from the strand pattern cs_src to cs2,
-        column-sparse: per source row, its (target row, coeff) terms."""
+        """(p2 T, -h2 T, rows of p2) from the strand pattern cs_src to cs2,
+        the maps column-sparse: per source row, its (target row, coeff)
+        terms."""
         ret2, order2 = types.retract(cs2)
         idx2 = {ci: k for k, ci in enumerate(order2)}
         p_rows, h_rows = ret2.p.tolist(), ret2.h.tolist()
@@ -197,8 +200,8 @@ def _monomial_transfer(pres, stack, window, field):
                       tuple((r, sgn * row[k]) for r, row in enumerate(p_rows) if row[k]))
             ht.append(() if k is None else
                       tuple((r, -sgn * row[k]) for r, row in enumerate(h_rows) if row[k]))
-        pair_maps[cs_src, cs2] = (pt, ht)
-        return pt, ht
+        pair_maps[cs_src, cs2] = (pt, ht, len(p_rows))
+        return pair_maps[cs_src, cs2]
 
     def apply(cols, mat):
         acc = {}
@@ -219,13 +222,20 @@ def _monomial_transfer(pres, stack, window, field):
         ecur, cs_cur = key
         e2 = ecur[:i] + (ecur[i] + 1,) + ecur[i + 1:]
         cs2 = types.cellset(e2) if e2[i] in types.thresholds[i] else cs_cur
-        pt, ht = pair_maps.get((cs_cur, cs2)) or step_maps(cs_cur, cs2)
+        pt, ht, npt = pair_maps.get((cs_cur, cs2)) or step_maps(cs_cur, cs2)
         tgt_off = offset_of.get(e2)
-        return ((e2, cs2), tgt_off, None if tgt_off is None else sorted(apply(pt, mat).items()),
+        return ((e2, cs2), tgt_off, None if tgt_off is None else dense(apply(pt, mat), npt),
                 apply(ht, mat) or None)
 
+    def dense(rows, n):
+        ncols = len(next(iter(rows.values()))) if rows else 0
+        out = [[0] * ncols for _ in range(n)]
+        for r, row in rows.items():
+            out[r] = row
+        return field.array(out).reshape(n, ncols)
+
     def walk():
-        return _walk(field, stack.nvars,
+        return _walk(field, gens, stack.nvars,
                      (((e, cs), offset_of[e], {r: row for r, row in enumerate(i_mat.tolist())
                                                if any(row)})
                       for e, cs, i_mat in sources), step)
@@ -279,26 +289,25 @@ def cech_totalization_dm(pres, stack, window, field, t):
     against the transferred minimal model): the strands' Cech maps are
     vertical, and the horizontal blocks carry x_i (x) e_i."""
     cx = CechComplex(stack, field, pres, stack.cover, t)
-    gens = []
-    entries = {}
+    runs = Runs()
+    d = EMatrix(field)
     offsets = {}  # per degree: the offset of each level of its strand
     for a in window.points():
         dims, mats = cx.strand(a, extended=False)
-        offsets[a] = [len(gens)]
+        offsets[a] = [len(runs.gens)]
         for level, n in enumerate(dims):
-            gens.extend([OmegaTwist(deg_neg(a), level)] * n)
-            offsets[a].append(len(gens))
+            if n:
+                runs.append(OmegaTwist(deg_neg(a), level), n)
+            offsets[a].append(len(runs.gens))
         for level, m in enumerate(mats):
-            _add_block(entries, field, offsets[a][level + 1], offsets[a][level],
-                       enumerate(m), 0, 1)
+            _add_block(d, runs, offsets[a][level + 1], offsets[a][level], field.array(m), 0, 1)
     for a in window.points():
         for i in range(stack.nvars):
             b = deg_add(a, stack.var_degrees[i])
             if b in window:
-                _add_block(entries, field, offsets[b][0], offsets[a][0],
-                           enumerate(cx.horizontal_block(a, i)), 1 << i, 1)
-    return FreeDiffModule(stack, field, gens, entries, safe=safe_degrees(stack, window),
-                          validate=True)
+                _add_block(d, runs, offsets[b][0], offsets[a][0],
+                           cx.horizontal_block(a, i), 1 << i, 1)
+    return FreeDiffModule(stack, field, runs, d, safe=safe_degrees(stack, window), validate=True)
 
 
 def check_exactness_property(dm, stack, subset):
@@ -317,11 +326,11 @@ def check_exactness_property(dm, stack, subset):
 def head_submodule(dm):
     """The sub-differential-module spanned by the auxiliary-level-0
     generators (minimality makes it closed under the differential)."""
-    keep = [t for t, tw in enumerate(dm.gens) if tw.aux == 0]
-    if any(dm.gens[s].aux and not dm.gens[t].aux for s, t in dm.entries):
+    twist = dm.runs.twist
+    if any(twist[s].aux and not twist[t].aux for s, t, _, _ in dm.d.items()):
         raise AssertionError("differential leaves the head: filtration violated")
-    gens, entries = restrict(dm.gens, dm.entries, keep)
-    return FreeDiffModule(dm.stack, dm.field, gens, entries, safe=dm.safe, validate=False)
+    runs, d = restrict(dm.runs, dm.d, [r for r, tw in enumerate(twist) if tw.aux == 0])
+    return FreeDiffModule(dm.stack, dm.field, runs, d, safe=dm.safe, validate=False)
 
 
 def check_R_embedding(result, module):
@@ -374,12 +383,12 @@ def beilinson_U(dm, stack, module_degrees):
     def eff_neg(a):
         return cone_contains(stack.eff, stack.theta, deg_neg(tuple(a)))
 
-    gens, entries = restrict(dm.gens, dm.entries,
-                             [t for t, tw in enumerate(dm.gens) if eff_neg(deg_neg(tw.cl))])
-    sub = FreeDiffModule(stack, dm.field, gens, entries, safe=[], validate=False)
+    runs, d = restrict(dm.runs, dm.d, [r for r, tw in enumerate(dm.runs.twist)
+                                       if eff_neg(deg_neg(tw.cl))])
+    sub = FreeDiffModule(stack, dm.field, runs, d, safe=[], validate=False)
     cols = set()
     sums = set(stack.subset_sums())
-    for tw in gens:
+    for tw in runs.twist:
         label = deg_neg(tw.cl)
         for s in sums:
             a = deg_add(label, s)

@@ -151,6 +151,15 @@ def test_deterministic_output(capsys):
     assert a == b
 
 
+@pytest.mark.parametrize("module", ["S", "C", "P"])
+def test_rational_document_prints_the_prime_field_answer(module, capsys):
+    # p112-qq.tate is p112.tate over QQ; the Tate generators of these
+    # modules do not depend on the characteristic
+    runs = [run_cli(["tate", fixture(name), "--module", module, "--window", "-4:4"], capsys)
+            for name in ("p112.tate", "p112-qq.tate")]
+    assert runs[0][0] == 0 and runs[0][1] and runs[0] == runs[1]
+
+
 def test_verify_command(capsys):
     code, out, _ = run_cli(["verify", fixture("p112.tate"), "--window", "-6:6"], capsys)
     assert code == 0 and "agrees" in out

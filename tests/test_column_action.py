@@ -1,15 +1,20 @@
 """`diffmod.column_matrix` is the one place an exterior matrix acts on a
-column basis. These tests keep the earlier hand-written actions, the
+column basis. These tests keep earlier hand-written actions as references:
+the walk over {(target, source): {monomial: coeff}} entries that
+column_matrix was before the differential was stored as blocks over twist
+runs, the scan of every generator that column_basis was, the
 element-by-element `L` and the right-multiplied comparison vectors of the
-cycle-killing resolution, as references, and require the same matrices,
+cycle-killing resolution. They require the same labels, matrices,
 resolutions and Tate cones entry for entry."""
 
 import pytest
 
-from torictate.bgg import L, R
-from torictate.diffmod import DMMorphism, FreeDiffModule, _slice_homology, column_matrix, cone
-from torictate.dmres import _select_representatives, min_free_resolution, tate_cone
-from torictate.exterior import OmegaTwist, column_basis, column_slices, ext_mul, mul_sign
+from torictate.bgg import L, ModuleComplex, R, R_complex
+from torictate.diffmod import (DMMorphism, FreeDiffModule, _slice_homology, cone, minimize,
+                               tensor_EI)
+from torictate.dmres import (ResolutionState, _select_representatives, min_free_resolution,
+                             tate_cone)
+from torictate.exterior import OmegaTwist, column_basis, ext_mul, mul_sign, popcount
 from torictate.linalg import GF, QQ, Mat, _kernel_arr
 from torictate.smodule import GradedComplex, Presentation, monomial_basis, realize, truncate
 from torictate.tate import beilinson_U, tate_weighted
@@ -18,12 +23,54 @@ from torictate.toric import Window, deg_sub, projective_space, weighted_projecti
 FIELDS = [GF(), GF(2147483647), QQ()]
 
 
+def _scan_basis(stack, gens, a, varmask=None):
+    """column_basis as a scan of every generator."""
+    table = stack.subsets_by_sum()
+    out = []
+    for t, tw in enumerate(gens):
+        need = deg_sub(deg_sub(stack.total_degree, tw.cl), a)
+        out += [(t, m) for m in table.get(need, ()) if varmask is None or not m & ~varmask]
+    return out
+
+
+def _scan_slices(stack, gens, basis):
+    out = {}
+    for t, m in basis:
+        out.setdefault(stack.nvars - gens[t].aux - popcount(m), []).append((t, m))
+    return out
+
+
+def _walk_matrix(field, entries, src, tgt):
+    """column_matrix as a walk over the entries dict, one entry at a time."""
+    out = {}
+    for s, t in entries:
+        out.setdefault(t, []).append(s)
+    idx = {lab: k for k, lab in enumerate(tgt)}
+    mat = field.zeros(len(tgt), len(src))
+    for col, (t, m) in enumerate(src):
+        for s in out.get(t, ()):
+            for u, c in entries[(s, t)].items():
+                r = ext_mul(u, m)
+                k = None if r is None else idx.get((s, r[1]))
+                if k is not None:
+                    mat[k, col] = field.add(mat[k, col], c if r[0] > 0 else field.neg(c))
+    return mat
+
+
+def _labels(slices):
+    return {j: list(sl) for j, sl in slices.items()}
+
+
 def _reference_L(dm, module_degrees, col_degrees, mask=None):
     """L with the x_i (x) e_i and del actions applied element by element."""
     stack = dm.stack
     field = dm.field
     use_mask = (1 << stack.nvars) - 1 if mask is None else sum(1 << i for i in set(mask))
-    slices = {a: dm.column_slices(a) for a in col_degrees}
+    slices = {a: _labels(dm.column_slices(a)) for a in col_degrees}
+    entries = dm.entries
+    out = {}
+    for s2, t in entries:
+        out.setdefault(t, []).append(s2)
     cx = GradedComplex(field)
     bases = {}
     js = sorted({j for a in col_degrees for j in slices[a]})
@@ -64,8 +111,8 @@ def _reference_L(dm, module_degrees, col_degrees, mask=None):
                 smap = tgt_slice_index.get(a)
                 if smap is None:
                     continue
-                for s2 in dm._out.get(t, ()):
-                    for u, cval in dm.entries[(s2, t)].items():
+                for s2 in out.get(t, ()):
+                    for u, cval in entries[(s2, t)].items():
                         rr = None if u & ~dm.varmask else ext_mul(u, mu)
                         k2 = None if rr is None else smap.get((s2, rr[1]))
                         r = None if k2 is None else tindex.get((a, mono, k2))
@@ -121,7 +168,8 @@ class _ReferenceState:
 
     def __init__(self, target):
         self.target, self.stack, self.field = target, target.stack, target.field
-        self.gens, self.rounds, self.entries, self._out, self.eps_vecs = [], [], {}, {}, []
+        self.gens, self.rounds, self.entries, self.eps_vecs = [], [], {}, []
+        self.target_entries = target.entries
         self.top_hit = False
 
     def eps_block(self, src, tgt_labels):
@@ -142,8 +190,8 @@ class _ReferenceState:
 
     def cone_column(self, a):
         field = self.field
-        d_slices = self.target.column_slices(a)
-        f_slices = column_slices(self.stack, self.gens, column_basis(self.stack, self.gens, a))
+        d_slices = _labels(self.target.column_slices(a))
+        f_slices = _scan_slices(self.stack, self.gens, _scan_basis(self.stack, self.gens, a))
         js = sorted(set(d_slices) | {j + 1 for j in f_slices})
         slices = {j: (d_slices.get(j, []), f_slices.get(j - 1, [])) for j in js}
         blocks = {}
@@ -151,9 +199,9 @@ class _ReferenceState:
             (dsl, fsl), (dtgt, ftgt) = slices[j], slices.get(j - 1, ([], []))
             mat = field.zeros(len(dtgt) + len(ftgt), len(dsl) + len(fsl))
             md, nd = len(dtgt), len(dsl)
-            mat[:md, :nd] = self.target.column_block(a, dsl, dtgt)
+            mat[:md, :nd] = _walk_matrix(field, self.target_entries, dsl, dtgt)
             mat[:md, nd:] = self.eps_block(fsl, dtgt)
-            mat[md:, nd:] = field.reduce(-column_matrix(field, self.entries, self._out, fsl, ftgt))
+            mat[md:, nd:] = field.reduce(-_walk_matrix(field, self.entries, fsl, ftgt))
             blocks[j] = mat
         return slices, blocks
 
@@ -169,7 +217,6 @@ class _ReferenceState:
                 by_gen.setdefault(s, {})[m] = field.neg(z_f[k])
         for s, elem in by_gen.items():
             self.entries[(s, t)] = elem
-            self._out.setdefault(t, []).append(s)
 
     def morphism_entries(self):
         out = {}
@@ -212,11 +259,80 @@ def test_resolution_and_tate_cone_match_reference(field, policy, module):
     state = min_free_resolution(dm, floor=-2, policy=policy)
     ref = _reference_resolution(dm, -2, policy)
     assert state.gens
-    got = (state.gens, state.rounds, repr(state.entries), repr(state.eps), state.top_hit)
-    assert got == (ref.gens, ref.rounds, repr(ref.entries), repr(ref.morphism_entries()), ref.top_hit)
     safe = [(a,) for a in range(-2, 7)]
+    free = state.free_module(safe)
+    got = (state.gens, state.rounds, free.entries, DMMorphism(free, dm, state.eps).entries,
+           state.top_hit)
+    assert got == (ref.gens, ref.rounds, ref.entries, ref.morphism_entries(), ref.top_hit)
     ref_free = FreeDiffModule(p112, field, ref.gens, ref.entries, safe=safe)
     want = cone(DMMorphism(ref_free, dm, ref.morphism_entries()))
-    assert repr(tate_cone(state, safe).entries) == repr(want.entries)
+    assert tate_cone(state, safe).entries == want.entries
     for a in safe:
         assert _slice_homology(field, *state.cone_column(a)) == {}
+
+
+def _cases(field):
+    """R of a P(1,1,2) module, the Tate cone of its resolution, R of the
+    complex [S(-1) --x0--> S] minimized, and R restricted to E_I."""
+    p112 = weighted_projective(1, 1, 2)
+    window = Window((0,), (8,))
+    dm = R(realize(_modules(p112)["S/(x0^2,x1^2)"], p112, window, field))
+    tc = tate_cone(min_free_resolution(dm, floor=-2), [(a,) for a in range(-2, 5)])
+    s0 = realize(Presentation.free([(0,)]), p112, window, field)
+    s1 = realize(Presentation.free([(1,)]), p112, window, field)
+    maps = {}
+    for a in window.points():
+        rows = {lab: k for k, lab in enumerate(s0.basis_labels(a))}
+        m = field.zeros(s0.dim(a), s1.dim(a))
+        for c, (_, e) in enumerate(s1.basis_labels(a)):
+            m[rows[(0, (e[0] + 1,) + e[1:])], c] = field.one
+        maps[a] = Mat(field, m)
+    minimal, cancelled = minimize(R_complex(ModuleComplex({0: s0, 1: s1}, {1: maps})), report=True)
+    assert cancelled and minimal.entries
+    return p112, {"R": dm, "tate cone": tc, "minimized": minimal, "tensor_EI": tensor_EI(dm, (0, 2))}
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_column_complex_matches_dict_walk(field):
+    stack, cases = _cases(field)
+    for name, dm in cases.items():
+        entries = dm.entries
+        assert entries, name
+        for a in [(x,) for x in range(-4, 11)]:
+            want = _scan_slices(stack, dm.gens, _scan_basis(stack, dm.gens, a, dm.varmask))
+            slices, blocks = dm.column_complex(a)
+            assert _labels(slices) == want, (name, a)
+            for j, src in want.items():
+                ref = _walk_matrix(field, entries, src, want.get(j - 1, []))
+                assert blocks[j].tolist() == ref.tolist(), (name, a, j)
+
+
+def test_column_basis_by_runs_matches_scan(gf):
+    stack, cases = _cases(gf)
+    gens = cases["tate cone"].gens
+    # the cone's generators interleave twists: one Cl part recurs in runs
+    # apart from each other
+    cls = [tw.cl for k, tw in enumerate(gens) if k == 0 or tw != gens[k - 1]]
+    assert len(cls) > len(set(cls))
+    for a in [(x,) for x in range(-6, 12)]:
+        for mask in (None, 0b101, 0b011, 0):
+            want = _scan_basis(stack, gens, a, mask)
+            assert column_basis(stack, gens, a, mask) == want
+            assert column_basis(stack, cases["tate cone"].runs, a, mask) == want
+        assert cases["tensor_EI"].column_basis(a) == _scan_basis(stack, cases["R"].gens, a, 0b101)
+
+
+def test_f_column_slices_match_scan_while_f_grows(gf, monkeypatch):
+    stack, cases = _cases(gf)
+    sizes = []
+    slices = ResolutionState.f_column_slices
+
+    def checked(self, a):
+        got = slices(self, a)
+        assert _labels(got) == _scan_slices(stack, self.gens, _scan_basis(stack, self.gens, a))
+        sizes.append(len(self.gens))
+        return got
+
+    monkeypatch.setattr(ResolutionState, "f_column_slices", checked)
+    min_free_resolution(cases["R"], floor=-2)
+    assert len(set(sizes)) > 3

@@ -5,7 +5,7 @@ from torictate.bgg import R
 from torictate.diffmod import check_minimal, check_square_zero, homology_column
 from torictate.dmres import (_select_representatives, min_free_resolution,
                              tate_cone, verify_quasi_iso)
-from torictate.exterior import OmegaTwist
+from torictate.exterior import OmegaTwist, Slice
 from torictate.linalg import GF, QQ, Mat, independent_columns, kernel_basis, rank
 from torictate.smodule import Presentation, realize
 from torictate.toric import Window
@@ -14,7 +14,8 @@ from test_diffmod import commutes
 
 
 class PointTarget:
-    """The residue field as a one-element differential module at (0; 0)."""
+    """The residue field as a one-element differential module at (0; 0):
+    its column at 0 is one Slice segment, run 0 with the monomial 1."""
 
     def __init__(self, stack, field):
         self.stack = stack
@@ -23,7 +24,9 @@ class PointTarget:
 
     def column_slices(self, a):
         if tuple(a) == (0,) * self.stack.r:
-            return {0: [("pt", 0)]}
+            point = Slice()
+            point.add(0, 0, 1, [0])
+            return {0: point}
         return {}
 
     def column_block(self, a, src, tgt):
