@@ -11,7 +11,8 @@ Each map at a bidegree is built once as entry arrays: an image term's
 block is the outer product of an x and a y shift map, cached on the
 complex. A map whose every column is y_i e_k - x_i e_l (two entries of +-1,
 as d_1 is) is ranked by counting components of a signed graph
-(linalg.signed_graph_rank); every other map by sparse_rank on its columns.
+(linalg.signed_graph_rank); every other map by peeling its singleton rows and
+columns off the entry arrays (linalg.peel), plus sparse_rank on the core left.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from operator import add
 import numpy as np
 
 from .errors import PreconditionError
-from .linalg import signed_graph_rank, sparse_rank
+from .linalg import peel, signed_graph_rank, sparse_rank
 from .smodule import monomial_basis
 from .toric import cone_contains, deg_add, deg_sub, degrees_within, hirzebruch
 
@@ -109,10 +110,10 @@ class _BlockComplex:
     # sparse_columns and homology are defined on each subclass itself, where
     # bench/tracer.py wraps them, and call these
 
-    def _columns(self, i, bid, entries=None):
+    def _columns(self, i, bid):
         """The columns of F_i -> F_{i-1} at bid as sparse dicts over target
-        indices, read off the entry arrays (built here unless given)."""
-        cols, rows, coefs, counts = self._entries(i, bid) if entries is None else entries
+        indices."""
+        cols, rows, coefs, counts = self._entries(i, bid)
         order = np.argsort(cols, kind="stable")
         targets = rows[order].tolist()
         values = np.repeat(np.array(coefs, dtype=object), counts)[order].tolist()
@@ -125,17 +126,22 @@ class _BlockComplex:
 
     def _rank(self, i, bid):
         """Rank of F_i -> F_{i-1} at bid: by components when the map is a
-        signed graph (every column two entries of +-1), else by sparse_rank."""
+        signed graph (every column two entries of +-1), else the columns
+        peeled by linalg.peel plus sparse_rank of the core left over."""
         key = (i, tuple(bid[0]), tuple(bid[1]))
         if key not in self._rk_cache:
             field = self.field
-            entries = self._entries(i, bid)
-            cols, rows, coefs, counts = entries
+            cols, rows, coefs, counts = self._entries(i, bid)
             unit = {field.one: 1, field.neg(field.one): -1}
             signs = np.repeat(np.array([unit.get(c, 0) for c in coefs], dtype=np.int64), counts)
             rk = signed_graph_rank(cols, rows, signs, self.dim(i, bid)) if len(cols) else 0
             if rk is None:
-                rk = sparse_rank(field, self._columns(i, bid, entries))
+                rk, core = peel(rows, cols, self.dim(i - 1, bid), self.dim(i, bid))
+                values = np.repeat(np.array(coefs, dtype=object), counts)[core]
+                left = {}
+                for c, r, v in zip(cols[core].tolist(), rows[core].tolist(), values.tolist()):
+                    left.setdefault(c, {})[r] = v
+                rk += sparse_rank(field, list(left.values()))
             self._rk_cache[key] = rk
         return self._rk_cache[key]
 
@@ -265,6 +271,7 @@ class ExplicitBigradedComplex(_BlockComplex):
         super().__init__(stack, field)
         self.twists = twists
         self.matrices = matrices
+        self._image_maps = {}
 
     def _summands(self, i, bid):
         # basis element (twist index k, x-exponent, y-exponent)
@@ -272,10 +279,13 @@ class ExplicitBigradedComplex(_BlockComplex):
             yield (k,), deg_sub(tuple(bid[0]), vx), deg_sub(tuple(bid[1]), vy)
 
     def _images(self, i):
-        images = {}
-        for (row, col), terms in self.matrices.get(i, {}).items():
-            images.setdefault((col,), []).extend(((row,), c, tx, ty) for c, tx, ty in terms)
-        return lambda key: images.get(key, ())
+        # built on first use, so matrices may still be edited before any map is
+        if i not in self._image_maps:
+            images = {}
+            for (row, col), terms in self.matrices.get(i, {}).items():
+                images.setdefault((col,), []).extend(((row,), c, tx, ty) for c, tx, ty in terms)
+            self._image_maps[i] = lambda key: images.get(key, ())
+        return self._image_maps[i]
 
     def sparse_columns(self, i, bid):
         return self._columns(i, bid)

@@ -13,7 +13,9 @@ the lead column. `_echelon` (under `rref` and `RowReducer`) leads with the
 smallest column and back-substitutes; `sparse_rank` leads with the largest
 and only counts pivots. A matrix whose every column is two entries of +-1
 (the diagonal's binomial maps) is ranked without elimination by
-`signed_graph_rank`, which counts components of a signed graph.
+`signed_graph_rank`, which counts components of a signed graph. `peel`
+removes singleton rows and columns from a matrix given as entry arrays,
+counting one rank for each, and leaves a core for `sparse_rank`.
 """
 
 from __future__ import annotations
@@ -529,6 +531,40 @@ def signed_graph_rank(cols, rows, signs, ncols):
     cover = _components(2 * m, np.concatenate([u, u + m]),
                         np.concatenate([v + cross, v + m - cross]))
     return m - (cover - _components(m, u, v))
+
+
+def peel(rows, cols, nrows, ncols):
+    """Singleton reduction of the matrix with a nonzero entry at each
+    (rows[k], cols[k]), every position given once, over any field.
+
+    Each round removes every column that is the only entry of some row (it
+    is independent of all other columns), then every remaining column with a
+    single entry together with that entry's row (a column operation by it
+    clears the row); each removal adds one to the rank, a row shared by
+    several single-entry columns only once. Rounds repeat until neither rule
+    applies (the reductions of Kaczynski, Mrozek and Slusarek, 1998, and of
+    structured Gaussian elimination). Returns the rank removed and a mask of
+    the entries left in the core: rank = peeled + rank(core)."""
+    at = np.arange(len(rows))
+    r, c = rows, cols
+    peeled = 0
+    while len(at):
+        lone = np.bincount(r, minlength=nrows)[r] == 1
+        claimed = np.zeros(ncols, dtype=bool)
+        claimed[c[lone]] = True
+        taken = claimed[c]
+        single = np.bincount(c, minlength=ncols)[c] == 1
+        cleared = np.zeros(nrows, dtype=bool)
+        cleared[r[single & ~taken]] = True
+        removed = int(np.count_nonzero(claimed)) + int(np.count_nonzero(cleared))
+        if not removed:
+            break
+        peeled += removed
+        keep = ~(taken | cleared[r])
+        at, r, c = at[keep], r[keep], c[keep]
+    core = np.zeros(len(rows), dtype=bool)
+    core[at] = True
+    return peeled, core
 
 
 class RowReducer:

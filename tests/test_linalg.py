@@ -9,7 +9,7 @@ from torictate import linalg
 from torictate.dmres import _IncrementalRank
 from torictate.errors import WindowTooSmall
 from torictate.linalg import (GF, QQ, Mat, RowReducer, homology_dim, homology_dims,
-                              invert, kernel_basis, rank, rref, signed_graph_rank,
+                              invert, kernel_basis, peel, rank, rref, signed_graph_rank,
                               solve_in_span, sparse_rank)
 
 
@@ -572,3 +572,82 @@ def test_signed_graph_rank_declines_other_maps():
     assert rank([(0, 1), (0, -1)], [(1, 1), (2, -1)]) is None
     assert signed_graph_rank(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
                              np.zeros(0, dtype=np.int64), 0) == 0
+
+
+PEEL_FIELDS = [GF(3), GF(), GF(2147483647), QQ()]
+
+
+def _column_dicts(field, rows, cols, vals, keep):
+    out = {}
+    for r, c, v, k in zip(rows.tolist(), cols.tolist(), vals, keep.tolist()):
+        if k:
+            out.setdefault(c, {})[r] = field.of(v)
+    return list(out.values())
+
+
+@st.composite
+def _peelable(draw):
+    """A field and a sparse matrix with nonzero entries, as entry arrays
+    (rows, cols, values) and its shape: planted dense cores, the 2 x 2 core
+    [[1, 1], [1, 4]] whose rank drops mod 3, triangular blocks that peel over
+    several rounds, rows claimed by two single-entry columns, and entries
+    scattered across the blocks."""
+    field = draw(st.sampled_from(PEEL_FIELDS))
+    rnd = draw(st.randoms(use_true_random=False))
+
+    def value():  # nonzero mod 3, 32003 and 2^31 - 1
+        v = rnd.choice([1, -1, 2, 4, -5, 7, 1000])
+        return Fraction(v, rnd.choice([1, 1, 3])) if isinstance(field, QQ) else v
+
+    entries = {}
+    nrows = ncols = 0
+    for _ in range(draw(st.integers(0, 8))):
+        kind = rnd.choice(["core", "mod 3", "triangle", "twins", "scatter"])
+        if kind == "scatter" and nrows and ncols:
+            for _ in range(rnd.randint(1, 4)):
+                entries[rnd.randrange(nrows), rnd.randrange(ncols)] = value()
+            continue
+        if kind == "mod 3":
+            block = {(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): 4}
+        elif kind == "twins":
+            block = {(0, 0): value(), (0, 1): value()}
+        else:
+            k = rnd.randint(2, 4)
+            block = {(a, b): value() for a in range(k) for b in range(k)
+                     if kind == "core" or a == b or (b > a and rnd.random() < 0.5)}
+        for (a, b), v in block.items():
+            entries[nrows + a, ncols + b] = v
+        nrows += 1 + max(a for a, _ in block)
+        ncols += 1 + max(b for _, b in block)
+    items = list(entries.items())
+    rnd.shuffle(items)
+    rows, cols = (np.array([rc[k] for rc, _ in items], dtype=np.int64) for k in range(2))
+    extra = draw(st.integers(0, 2))  # untouched rows and columns
+    return field, rows, cols, [v for _, v in items], nrows + extra, ncols + extra
+
+
+@settings(max_examples=300, deadline=None)
+@given(_peelable())
+def test_peel_plus_core_rank_is_sparse_rank(case):
+    field, rows, cols, vals, nrows, ncols = case
+    peeled, core = peel(rows, cols, nrows, ncols)
+    whole = _column_dicts(field, rows, cols, vals, np.ones(len(rows), dtype=bool))
+    assert peeled + sparse_rank(field, _column_dicts(field, rows, cols, vals, core)) == sparse_rank(field, whole)
+    # peeling runs to the end: no row or column of the core has one entry
+    for ends in (rows[core], cols[core]):
+        assert not (np.bincount(ends) == 1).any()
+
+
+@pytest.mark.parametrize("field, rank_core", [(GF(3), 1), (GF(), 2), (GF(2147483647), 2), (QQ(), 2)],
+                         ids=repr)
+def test_peel_counts_a_shared_row_once_and_keeps_a_dense_core(field, rank_core):
+    # columns 0 and 1 are single entries on row 0, which is counted once;
+    # [[1, 1], [1, 4]] on rows 1, 2 and columns 2, 3 does not peel, and its
+    # rank is left to elimination, where it drops mod 3
+    rows, cols = np.array([0, 0, 1, 1, 2, 2]), np.array([0, 1, 2, 3, 2, 3])
+    vals = [1, 2, 1, 1, 1, 4]
+    peeled, core = peel(rows, cols, 3, 4)
+    assert peeled == 1 and core.tolist() == [False, False, True, True, True, True]
+    assert sparse_rank(field, _column_dicts(field, rows, cols, vals, core)) == rank_core
+    whole = _column_dicts(field, rows, cols, vals, np.ones(6, dtype=bool))
+    assert sparse_rank(field, whole) == 1 + rank_core
