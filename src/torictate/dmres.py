@@ -7,11 +7,14 @@ partial comparison map; the differential of a new generator lands in
 strictly higher levels, so the result is a free flag, and no constant
 entries ever appear, so it is minimal as built.
 
-F's generators grow one run at a time, a run per cone degree (a; j) that
-has classes to kill. F's differential and the comparison map eps are
-EMatrix blocks from those runs, to F's runs and to the target's, written
-one block per (target run, monomial) as a run is added, and act on a column
-only through diffmod.column_matrix.
+Every block of a cone column is ranked by forward elimination only
+(linalg._rank_arr). A kernel basis, and the class representatives chosen
+from it, are taken only at a cone degree (a; j) with classes left to kill,
+cols(j) - rank(j) > rank(j + 1), and there F's generators grow by one run.
+F's differential and the comparison map eps are EMatrix blocks from those
+runs, to F's runs and to the target's, written one block per (target run,
+monomial) as a run is added, and act on a column only through
+diffmod.column_matrix.
 
 `_IncrementalRank`, the greedy independence test of
 smodule.presentation_from_span, inserts each vector as a sparse row into
@@ -24,7 +27,7 @@ import numpy as np
 
 from .diffmod import DMMorphism, EMatrix, FreeDiffModule, _slice_homology, column_matrix, cone
 from .exterior import OmegaTwist, Runs, Slice, column_slices
-from .linalg import _kernel_arr, independent_columns
+from .linalg import _kernel_arr, _rank_arr, independent_columns
 from .toric import deg_sub
 
 
@@ -157,22 +160,19 @@ def min_free_resolution(target, floor, ceiling=None, policy="first", degrees=Non
     for round_index, lv in enumerate(sorted(levels, reverse=True)):
         for a in sorted(levels[lv]):
             slices, blocks = state.cone_column(a)
-            kers = {j: _kernel_arr(state.field, d_out) for j, d_out in blocks.items()}
+            ranks = {j: _rank_arr(state.field, d_out) for j, d_out in blocks.items()}
             new = {}
             for j in sorted(slices):
+                d_out = blocks[j]
+                if d_out.shape[1] - ranks[j] == ranks.get(j + 1, 0):
+                    continue  # the image of d_in is the whole kernel
                 d_in = blocks.get(j + 1)
                 if d_in is None:
-                    d_in = state.field.zeros(blocks[j].shape[1], 0)
-                    rank_in = 0
-                else:
-                    rank_in = d_in.shape[1] - kers[j + 1].shape[1]
-                if kers[j].shape[1] == rank_in:
-                    continue  # the image of d_in is the whole kernel
+                    d_in = state.field.zeros(d_out.shape[1], 0)
                 # a class at cone degree (a; j) has its D-part in D_j(a)
                 # and its F-part in F_{j-1}(a)
-                vecs = _select_representatives(state.field, kers[j], d_in, policy)
-                if vecs:
-                    new[j] = vecs
+                new[j] = _select_representatives(state.field, _kernel_arr(state.field, d_out),
+                                                 d_in, policy)
             for j, vecs in new.items():
                 state._add_run(a, j, vecs, *slices[j], round_index)
                 if lv == ceiling:

@@ -11,11 +11,13 @@ about 1% dense. Each field has one forward elimination, `insert`, which
 reduces a row by the pivot rows and keeps what is left; the caller picks
 the lead column. `_echelon` (under `rref` and `RowReducer`) leads with the
 smallest column and back-substitutes; `sparse_rank` leads with the largest
-and only counts pivots. A matrix whose every column is two entries of +-1
-(the diagonal's binomial maps) is ranked without elimination by
-`signed_graph_rank`, which counts components of a signed graph. `peel`
-removes singleton rows and columns from a matrix given as entry arrays,
-counting one rank for each, and leaves a core for `sparse_rank`.
+and only counts pivots, and it ranks dense arrays too (`rank`, `_rank_arr`,
+`homology_dims`), read into sparse rows as `rref` reads them. A matrix
+whose every column is two entries of +-1 (the diagonal's binomial maps) is
+ranked without elimination by `signed_graph_rank`, which counts components
+of a signed graph. `peel` removes singleton rows and columns from a matrix
+given as entry arrays, counting one rank for each, and leaves a core for
+`sparse_rank`.
 """
 
 from __future__ import annotations
@@ -363,27 +365,36 @@ def _echelon(field, rows, ncols):
     return r, order
 
 
+def _sparse_rows(field, a):
+    """The nonzero rows of a dense matrix as sparse rows, dicts column ->
+    reduced coefficient, read off its nonzero entries once: only those are
+    reduced, and any that reduce to zero are dropped."""
+    a = np.asarray(a)
+    ri, ci = np.nonzero(a)
+    vals = field.reduce(a[ri, ci])
+    keep = np.flatnonzero(vals)
+    rows = {}
+    for i, c, v in zip(ri[keep].tolist(), ci[keep].tolist(), vals[keep].tolist()):
+        rows.setdefault(i, {})[c] = v
+    return list(rows.values())
+
+
 def rref(field, a):
     """Reduced row echelon form of a dense matrix. Returns (R, pivot column
     list); R has one row per pivot. It is computed on the sparse rows of a
     (see _echelon)."""
-    a = field.reduce(np.asarray(a))
-    rows = [{} for _ in range(a.shape[0])]
-    ri, ci = np.nonzero(a)
-    for i, c, v in zip(ri.tolist(), ci.tolist(), a[ri, ci].tolist()):
-        rows[i][c] = v
-    return _echelon(field, rows, a.shape[1])
+    return _echelon(field, _sparse_rows(field, a), np.shape(a)[1])
 
 
 def rank(m):
-    """Rank over the field, by exact Gaussian elimination."""
+    """Rank over the field, by forward elimination only (see _rank_arr)."""
     return _rank_arr(m.field, m.a)
 
 
 def _rank_arr(field, a):
-    if a.shape[0] == 0 or a.shape[1] == 0:
-        return 0
-    return len(rref(field, a)[1])
+    """Rank of a dense matrix: sparse_rank of its sparse rows, so no
+    back-substitution and no dense R."""
+    return sparse_rank(field, _sparse_rows(field, a))
 
 
 def kernel_basis(m):

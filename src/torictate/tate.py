@@ -7,9 +7,12 @@ from the Cech model of the noncommutative Fourier-Mukai transform: the
 totalization of the Cech bicomplex is contracted onto its column homology
 by homotopy transfer, which yields the minimal differential module whose
 generators tabulate all twisted sheaf cohomology; the table needs only the
-column homology dimensions. One walk, _walk, sums the transfer series, on
-the exact strands of a monomial presentation or the dense Cech strands of
-any other, when the module itself is read.
+column homology dimensions. For a monomial presentation they are counted
+per strand pattern, and the generator list is built only when a result's
+gens or T is read; the dense path reads them off strand ranks. One walk,
+_walk, sums the transfer series, on the exact strands of a monomial
+presentation or the dense Cech strands of any other, when the module
+itself is read.
 """
 
 from __future__ import annotations
@@ -32,25 +35,33 @@ from .toric import cone_contains, deg_add, deg_neg, deg_sub, is_irrelevant_subse
 
 
 class TateResult:
-    """A minimal Tate differential module. The generators and the cohomology
-    table read off their twists are computed up front; on the Fourier-Mukai
-    path the generators are the column homology of the Cech strands.
-    build() makes the module T, which on that path runs the transfer walk
-    and validates the result; it runs when T is first read, and T is cached
-    from then on."""
+    """A minimal Tate differential module and the cohomology table read off
+    its generators' twists. The table is computed up front. build() returns
+    the generators and a function that makes the module T from them; it
+    runs when gens or T is first read, and gens and T are cached from then
+    on. On the Fourier-Mukai path of a monomial presentation the table is
+    counted pattern by pattern and the generators are built only here; on
+    that path making T runs the transfer walk and validates the result."""
 
-    def __init__(self, gens, table, provenance, safe_window, build, truncation=None):
-        self.gens = gens
+    def __init__(self, table, provenance, safe_window, build, truncation=None):
         self.table = table
         self.provenance = provenance
         self.safe_window = safe_window
         self.truncation = truncation
         self._build = build
+        self._make_T = None
+
+    @cached_property
+    def gens(self):
+        gens, self._make_T = self._build()
+        self._build = None
+        return gens
 
     @cached_property
     def T(self):
-        dm = self._build()
-        self._build = None
+        gens = self.gens
+        dm = self._make_T(gens)
+        self._make_T = None
         return dm
 
     def entry(self, i, a):
@@ -74,7 +85,8 @@ def tate_weighted(pres, stack, window, field, d=None):
         got = table.get((0, (a,)), 0)
         if got != v:
             raise AssertionError("section row mismatch at %d: %d vs %d" % (a, got, v))
-    return TateResult(minimal.gens, table, "weighted", window, lambda: minimal, truncation=d)
+    return TateResult(table, "weighted", window, lambda: (minimal.gens, lambda gens: minimal),
+                      truncation=d)
 
 
 def _walk(field, gens, nvars, sources, step):
@@ -110,8 +122,9 @@ def _walk(field, gens, nvars, sources, step):
 
 def _transfer(cx, window):
     """Homotopy transfer on the dense Cech strands of cx: returns the
-    generators, read off the strand homology at each window degree, and
-    walk(), which returns the differential of the minimal module as an
+    cohomology table of the generators, read off the strand homology at
+    each window degree, and build(), which returns the generators and
+    walk(); walk() returns the differential of the minimal module as an
     EMatrix over the runs of the generators. Walk keys are degrees; a
     strand's retract is built the first time the walk reaches its degree, a
     horizontal block once per (degree, variable)."""
@@ -153,31 +166,34 @@ def _transfer(cx, window):
         return _walk(field, gens, stack.nvars,
                      ((a, gen_offset[a], retract(a).i) for a in sources), step)
 
-    return gens, walk
+    return socle_readoff(stack, gens), lambda: (gens, walk)
 
 
 # -- monomial strand pipeline -------------------------------------------------
 
 def _monomial_transfer(pres, stack, window, field):
     """Transfer pipeline decomposed along Laurent exponent strands: returns
-    the generators, one per homology vector of a source strand, and walk(),
-    which returns the transferred differential as an EMatrix over the runs
-    of the generators. The sources are the exponents of the patterns whose
-    strand carries homology, each pattern's region enumerated exactly."""
+    the cohomology table and build(). The table counts, at each window
+    degree, the exponents of every pattern whose strand carries homology,
+    each pattern's region enumerated exactly, once per homology label of
+    the pattern's retract. build() returns the generators, one per homology
+    vector of a source exponent's strand, in exponent order within each
+    degree, and walk(), which returns the transferred differential as an
+    EMatrix over the runs of the generators; it reuses the exponents the
+    table enumerated."""
     types = MonomialStrands(stack, field, pres, stack.cover)
-    gens = []
-    sources = []  # (exponent, cellset, homology embedding)
-    offset_of = {}  # the exponent fixes the degree, so it keys the generators
+    table = {}
+    regions = []  # per window degree: (cellset, exponents) of each pattern met
     for a in window.points():
         inner = deg_sub(a, types.gshift)
-        for e in sorted(e for pattern, _, _ in types.contributing(False)
-                        for e in signed_exponents(stack, inner, pattern)):
-            cs = types.cellset(e)
-            ret = types.retract(cs)[0]
-            offset_of[e] = len(gens)
-            for lvl in ret.hlabels:
-                gens.append(OmegaTwist(deg_neg(a), lvl))
-            sources.append((e, cs, ret.i))
+        found = []
+        for pattern, _, cs in types.contributing(False):
+            es = signed_exponents(stack, inner, pattern)
+            if es:
+                for lvl in types.retract(cs)[0].hlabels:
+                    table[lvl, a] = table.get((lvl, a), 0) + len(es)
+                found.append((cs, es))
+        regions.append((a, found))
     # The walk runs on plain ints. Its state maps each nonzero strand row to
     # that row's values over the source's homology basis; one step applies
     # p2 T and -h2 T, precomposed per pattern pair, where T is the signed
@@ -218,15 +234,6 @@ def _monomial_transfer(pres, stack, window, field):
                 out[r] = row
         return out
 
-    def step(key, i, mat):
-        ecur, cs_cur = key
-        e2 = ecur[:i] + (ecur[i] + 1,) + ecur[i + 1:]
-        cs2 = types.cellset(e2) if e2[i] in types.thresholds[i] else cs_cur
-        pt, ht, npt = pair_maps.get((cs_cur, cs2)) or step_maps(cs_cur, cs2)
-        tgt_off = offset_of.get(e2)
-        return ((e2, cs2), tgt_off, None if tgt_off is None else dense(apply(pt, mat), npt),
-                apply(ht, mat) or None)
-
     def dense(rows, n):
         ncols = len(next(iter(rows.values()))) if rows else 0
         out = [[0] * ncols for _ in range(n)]
@@ -234,13 +241,37 @@ def _monomial_transfer(pres, stack, window, field):
             out[r] = row
         return field.array(out).reshape(n, ncols)
 
-    def walk():
-        return _walk(field, gens, stack.nvars,
-                     (((e, cs), offset_of[e], {r: row for r, row in enumerate(i_mat.tolist())
-                                               if any(row)})
-                      for e, cs, i_mat in sources), step)
+    def build():
+        gens = []
+        sources = []  # (exponent, cellset, homology embedding)
+        offset_of = {}  # the exponent fixes the degree, so it keys the generators
+        for a, found in regions:
+            # a pattern's cellset is that of every exponent of its region
+            for e, cs in sorted((e, cs) for cs, es in found for e in es):
+                ret = types.retract(cs)[0]
+                offset_of[e] = len(gens)
+                for lvl in ret.hlabels:
+                    gens.append(OmegaTwist(deg_neg(a), lvl))
+                sources.append((e, cs, ret.i))
 
-    return gens, walk
+        def step(key, i, mat):
+            ecur, cs_cur = key
+            e2 = ecur[:i] + (ecur[i] + 1,) + ecur[i + 1:]
+            cs2 = types.cellset(e2) if e2[i] in types.thresholds[i] else cs_cur
+            pt, ht, npt = pair_maps.get((cs_cur, cs2)) or step_maps(cs_cur, cs2)
+            tgt_off = offset_of.get(e2)
+            return ((e2, cs2), tgt_off, None if tgt_off is None else dense(apply(pt, mat), npt),
+                    apply(ht, mat) or None)
+
+        def walk():
+            return _walk(field, gens, stack.nvars,
+                         (((e, cs), offset_of[e], {r: row for r, row in enumerate(i_mat.tolist())
+                                                   if any(row)})
+                          for e, cs, i_mat in sources), step)
+
+        return gens, walk
+
+    return table, build
 
 
 def fm_transform(pres, stack, window, field):
@@ -248,31 +279,35 @@ def fm_transform(pres, stack, window, field):
     projective toric stack: build the bicomplex columns and contract each
     onto its homology. The generators are that column homology, and the
     table is read off their twists. A monomial presentation runs once on
-    the exact per-pattern strand decomposition. Any other runs on the dense
-    Cech complex at exponent bound t, doubled adaptively from the largest
-    theta reach floor (laurent.reach_floors) over the window until the
-    table stabilizes (StabilizationError if it has not by t = T_CAP); a
-    pass only ranks strands. The transferred horizontal differential is
-    built, and the module validated, only when the result's T is first read."""
+    the exact per-pattern strand decomposition, and its table is counted
+    per pattern without building the generators. Any other runs on the
+    dense Cech complex at exponent bound t, doubled adaptively from the
+    largest theta reach floor (laurent.reach_floors) over the window until
+    the table stabilizes (StabilizationError if it has not by t = T_CAP); a
+    pass only ranks strands. The monomial generators are built when the
+    result's gens or T is first read; the transferred horizontal
+    differential is built, and the module validated, only when T is."""
     if pres.is_monomial(field):
-        gens, walk = _monomial_transfer(pres, stack, window, field)
+        table, transfer = _monomial_transfer(pres, stack, window, field)
     else:
         latest = []
 
-        def table(tt):
-            latest.clear()  # only the latest build stays alive
-            latest.append(_transfer(CechComplex(stack, field, pres, stack.cover, tt), window))
-            return socle_readoff(stack, latest[0][0])
+        def table_at(tt):
+            # only the latest build stays alive
+            latest[:] = [_transfer(CechComplex(stack, field, pres, stack.cover, tt), window)]
+            return latest[0][0]
 
-        _stabilize(table, start=max([T_START] + [max(reach_floors(stack, stack.theta, a))
-                                                  for a in window.points()]))
-        gens, walk = latest[0]
+        table = _stabilize(table_at, start=max([T_START] + [max(reach_floors(stack, stack.theta, a))
+                                                             for a in window.points()]))
+        transfer = latest[0][1]
     safe = safe_degrees(stack, window)
 
-    def build_T():
-        return FreeDiffModule(stack, field, gens, walk(), safe=safe, validate=True)
+    def build():
+        gens, walk = transfer()
+        return gens, lambda gens: FreeDiffModule(stack, field, gens, walk(), safe=safe,
+                                                 validate=True)
 
-    return TateResult(gens, socle_readoff(stack, gens), "fm", window, build_T)
+    return TateResult(table, "fm", window, build)
 
 
 def safe_degrees(stack, window):

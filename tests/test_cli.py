@@ -160,6 +160,16 @@ def test_rational_document_prints_the_prime_field_answer(module, capsys):
     assert runs[0][0] == 0 and runs[0][1] and runs[0] == runs[1]
 
 
+def test_rank2_tate_generators_are_pinned(capsys):
+    # no bench command prints the Fourier-Mukai generator list, which is
+    # built only when read; its stdout is pinned to the recorded file
+    with open(os.path.join(os.path.dirname(__file__), "pinned", "tate_hirz3_H.out")) as fh:
+        want = fh.read()
+    code, out, _ = run_cli(["tate", fixture("hirz3.tate"), "--module", "H",
+                            "--window", "-2:2,-1:1"], capsys)
+    assert code == 0 and out == want
+
+
 def test_verify_command(capsys):
     code, out, _ = run_cli(["verify", fixture("p112.tate"), "--window", "-6:6"], capsys)
     assert code == 0 and "agrees" in out

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
+from torictate import linalg
 from torictate.bgg import R
 from torictate.diffmod import check_minimal, check_square_zero, homology_column
 from torictate.dmres import (_select_representatives, min_free_resolution,
                              tate_cone, verify_quasi_iso)
 from torictate.exterior import OmegaTwist, Slice
 from torictate.linalg import GF, QQ, Mat, independent_columns, kernel_basis, rank
-from torictate.smodule import Presentation, realize
+from torictate.smodule import Presentation, realize, truncate
 from torictate.toric import Window
 
 from test_diffmod import commutes
@@ -39,6 +40,24 @@ def test_resolution_of_exact_module_is_zero(p1, gf):
     # R(S) has homology only at degree 0; above the floor 1 nothing remains
     state = min_free_resolution(dm, floor=1)
     assert state.gens == []
+
+
+@pytest.mark.parametrize("field", [GF(), QQ()], ids=["gf", "qq"])
+def test_kernel_only_where_a_run_is_added(field, p112, monkeypatch):
+    # every cone block is ranked; a kernel is taken only at a cone degree
+    # (a; j) with a class left to kill, where exactly one run is added
+    m = realize(Presentation.free([(0,)]), p112, Window((0,), (10,)), field)
+    dm = R(truncate(m, 2))
+    calls = []
+    kernel = linalg.kernel_basis
+
+    def counted_kernel(mat):
+        calls.append(mat.cols)
+        return kernel(mat)
+
+    monkeypatch.setattr(linalg, "kernel_basis", counted_kernel)
+    state = min_free_resolution(dm, floor=-2)
+    assert state.gens and len(calls) == len(state.runs.start)
 
 
 def test_resolution_of_residue_field_p1(p1, gf):

@@ -301,11 +301,11 @@ FIELDS = [GF(), GF(2147483647), QQ()]
 
 
 @st.composite
-def _matrices(draw):
+def _matrices(draw, fields=FIELDS):
     """A field and a matrix over it: any shape up to 9 x 12 (0 rows or 0
     columns included), density 1% to 100%, with zero rows and rows that are
     multiples or sums of other rows."""
-    field = draw(st.sampled_from(FIELDS))
+    field = draw(st.sampled_from(fields))
     m, n = draw(st.integers(0, 9)), draw(st.integers(0, 12))
     density = draw(st.floats(0.01, 1.0))
     rnd = draw(st.randoms(use_true_random=False))
@@ -339,6 +339,27 @@ def test_rref_matches_dense_reference(case):
     assert [type(x) for x in r.flat] == [type(x) for x in want_r.flat]
     if isinstance(field, QQ):
         assert all(type(x) is Fraction for x in r.flat)
+
+
+@st.composite
+def _unreduced_matrices(draw):
+    """A matrix of _matrices, also over GF(3), whose GF(p) entries are
+    shifted by -2p to p: a cone block holds -x unreduced, and a zero entry
+    shifted reads +-p, nonzero but zero in the field."""
+    field, a = draw(_matrices(FIELDS + [GF(3)]))
+    if isinstance(field, GF) and a.size:
+        shifts = draw(st.lists(st.sampled_from([0, 0, -1, 1, -2]), min_size=a.size,
+                               max_size=a.size))
+        a = a + field.p * np.array(shifts, dtype=np.int64).reshape(a.shape)
+    return field, a
+
+
+@settings(max_examples=400, deadline=None)
+@given(_unreduced_matrices())
+def test_rank_by_forward_elimination_is_the_rref_pivot_count(case):
+    field, a = case
+    want = len(reference_rref(field, a)[1])
+    assert linalg._rank_arr(field, a) == len(rref(field, a)[1]) == want
 
 
 def _sparse(a):

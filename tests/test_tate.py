@@ -1,5 +1,6 @@
 import itertools
 import os
+import sys
 from collections import Counter
 
 import numpy as np
@@ -17,7 +18,7 @@ from torictate.smodule import (Poly, Presentation, monomial_basis, realize)
 from torictate.tate import (beilinson_U, cech_totalization_dm,
                             check_exactness_property, check_R_embedding,
                             fm_transform, head_submodule, tate_weighted)
-from torictate.toric import Window
+from torictate.toric import Window, deg_neg, deg_sub
 
 
 def counted(gens):
@@ -113,8 +114,9 @@ def test_fm_dense_path_matches_strand_path(p112, hirz3):
                                    (hirz3_H(hirz3), hirz3, Window((-2, -1), (3, 1)), 2)):
         for field in (GF(), QQ()):
             strand = fm_transform(pres, stack, window, field).T
-            gens, walk = tate._transfer(
+            _, build = tate._transfer(
                 laurent.CechComplex(stack, field, pres, stack.cover, t), window)
+            gens, walk = build()
             dense = FreeDiffModule(stack, field, gens, walk(), safe=tate.safe_degrees(stack, window),
                                    validate=True)
             assert Counter(dense.gens) == Counter(strand.gens)
@@ -372,8 +374,9 @@ def test_dense_walk_builds_each_horizontal_block_once(p112, gf, monkeypatch):
         return block(self, a, i)
 
     monkeypatch.setattr(laurent.CechComplex, "horizontal_block", counted_block)
-    _, walk = tate._transfer(laurent.CechComplex(p112, gf, genus_one(p112), p112.cover, 8),
-                             Window((-3,), (3,)))
+    _, build = tate._transfer(laurent.CechComplex(p112, gf, genus_one(p112), p112.cover, 8),
+                              Window((-3,), (3,)))
+    _, walk = build()
     assert walk()
     assert calls and len(calls) == len(set(calls))
 
@@ -419,16 +422,63 @@ def test_fm_transform_builds_the_monomial_transfer_once(hirz3, p1p1, gf, monkeyp
         assert len(calls) == 1
 
 
+def _per_exponent_gens(pres, stack, window, field):
+    """The monomial generators as the transfer built them before the table
+    was counted: per window degree, per source exponent in sorted order, one
+    per homology label of the exponent's pattern retract."""
+    types = laurent.MonomialStrands(stack, field, pres, stack.cover)
+    gens = []
+    for a in window.points():
+        inner = deg_sub(a, types.gshift)
+        for e in sorted(e for pattern, _, _ in types.contributing(False)
+                        for e in laurent.signed_exponents(stack, inner, pattern)):
+            ret = types.retract(types.cellset(e))[0]
+            gens += [OmegaTwist(deg_neg(a), lvl) for lvl in ret.hlabels]
+    return gens
+
+
+@pytest.mark.parametrize("field", [GF(), QQ()], ids=["gf", "qq"])
+def test_monomial_table_is_counted_and_gens_built_on_read(field, hirz3, p1p1, monkeypatch):
+    # the table counts each contributing pattern's exponents: no exponent's
+    # cellset is looked up and no generator is built until gens is read
+    callers, twists = [], []
+    cellset = laurent.MonomialStrands.cellset
+
+    def recording_cellset(self, e):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return cellset(self, e)
+
+    def counted_twist(*args):
+        twists.append(args)
+        return OmegaTwist(*args)
+
+    monkeypatch.setattr(laurent.MonomialStrands, "cellset", recording_cellset)
+    monkeypatch.setattr(tate, "OmegaTwist", counted_twist)
+    for pres, stack, window in ((hirz3_H(hirz3), hirz3, Window((-2, -1), (2, 1))),
+                                (Presentation.free([(0, 0)]), p1p1, Window((-3, -3), (3, 3)))):
+        callers.clear()
+        twists.clear()
+        res = fm_transform(pres, stack, window, field)
+        assert res.table
+        assert set(callers) == {"contributing"} and twists == []
+        assert res.gens == _per_exponent_gens(pres, stack, window, field)
+        assert len(twists) == len(res.gens)
+        assert res.table == socle_readoff(stack, res.gens)
+
+
 def test_fm_dense_path_matches_strand_path_with_relation(hirz3, gf):
     # rank-2 class group with a monomial relation: the strand walk and the
     # dense Cech pipeline give the same generators and socle table
     pres = hirz3_H(hirz3)
     window = Window((-1, -1), (1, 1))
-    strand_gens, _ = tate._monomial_transfer(pres, hirz3, window, gf)
-    dense_gens, _ = tate._transfer(laurent.CechComplex(hirz3, gf, pres, hirz3.cover, 2), window)
+    strand_table, strand_build = tate._monomial_transfer(pres, hirz3, window, gf)
+    dense_table, dense_build = tate._transfer(
+        laurent.CechComplex(hirz3, gf, pres, hirz3.cover, 2), window)
+    strand_gens, dense_gens = strand_build()[0], dense_build()[0]
     assert strand_gens
     assert Counter(strand_gens) == Counter(dense_gens)
-    assert socle_readoff(hirz3, strand_gens) == socle_readoff(hirz3, dense_gens)
+    assert strand_table == dense_table == socle_readoff(hirz3, strand_gens)
+    assert dense_table == socle_readoff(hirz3, dense_gens)
 
 
 def test_cohomology_command_skips_the_transfer_walk(monkeypatch, capsys):
