@@ -3,8 +3,10 @@ them, and the exact cell-pattern engine of monomial presentations.
 
 MonomialStrands needs no exponent bound: a strand depends only on which
 relation thresholds its Laurent exponent crosses, so a degree's homology is
-a finite sum over patterns, each weighted by the lattice points of its
-region. The dense path (LocalizedModule, CechComplex) takes any
+a finite sum over patterns, each weighted by the number of lattice points
+of its region in that degree, a value of a vector partition function
+(count_exponents counts them; signed_exponents lists them where a caller
+needs them). The dense path (LocalizedModule, CechComplex) takes any
 presentation. A localized piece in a fixed degree is usually infinite
 dimensional, so it bounds each inverted exponent below by -max(t, floor),
 where the floor is the one reach rule (reach_floors) of a grading, or by -t
@@ -24,7 +26,15 @@ import numpy as np
 from .errors import StabilizationError
 from .linalg import _rref_kernel, homology_dims, independent_columns, invert, rref
 from .smodule import GradedPieces
-from .toric import deg_add, deg_sub, deg_zero, points
+from .toric import count_points, deg_add, deg_sub, deg_zero, points
+
+
+def _pattern_call(fn, stack, d, pattern):
+    try:
+        return fn(stack.var_degrees, stack.theta, d, [lo for lo, _ in pattern], [hi for _, hi in pattern])
+    except ArithmeticError as exc:
+        raise StabilizationError("the Cech strand pattern %r has no finite enumeration at "
+                                 "%r: %s" % (pattern, d, exc))
 
 
 def signed_exponents(stack, d, pattern):
@@ -32,13 +42,15 @@ def signed_exponents(stack, d, pattern):
     per-variable (lower, upper) bounds of pattern (None: open on that side),
     in lexicographic order. StabilizationError (exit 4) when toric.points
     cannot bound the region, as for a strand pattern whose cohomology is
-    infinite."""
-    try:
-        return points(stack.var_degrees, stack.theta, d,
-                      [lo for lo, _ in pattern], [hi for _, hi in pattern])
-    except ArithmeticError as exc:
-        raise StabilizationError("the Cech strand pattern %r has no finite enumeration in "
-                                 "degree %r: %s" % (pattern, tuple(d), exc))
+    infinite. count_exponents counts them without building them."""
+    return _pattern_call(points, stack, tuple(d), pattern)
+
+
+def count_exponents(stack, degrees, pattern):
+    """The number of signed_exponents(stack, d, pattern) for each d in
+    degrees, counted for all of them at once (toric.count_points); the same
+    StabilizationError."""
+    return _pattern_call(count_points, stack, [tuple(d) for d in degrees], pattern)
 
 
 def reach_floors(stack, grading, inner):
@@ -308,12 +320,13 @@ class MonomialStrands:
     def strand_homology(self, a, extended, keep=None):
         """Summed homology positions; extended includes the module cell
         (position 0 = H^0_B), otherwise position 0 is the sheaf H^0 slot.
-        Each contributing pattern counts once per exponent of its region."""
+        Each contributing pattern counts once per exponent of its region,
+        the exponents counted (count_exponents), not built."""
         inner = deg_sub(deg_add(tuple(a), self.shift), self.gshift)
         live = extended and (keep is None or keep(tuple(a)))
         out = [0] * (self.nlevels + (1 if extended else 0))
         for pattern, alive, cs in self.contributing(live):
-            n = len(signed_exponents(self.stack, inner, pattern))
+            n, = count_exponents(self.stack, [inner], pattern)
             if n:
                 hom = self.homology(alive, cs)
                 for i, h in enumerate(hom if extended else hom[1:]):

@@ -28,10 +28,10 @@ from .diffmod import (EMatrix, FreeDiffModule, _add_block, _homology_column_unch
 from .dmres import tate_cone
 from .errors import PreconditionError
 from .exterior import OmegaTwist, Runs, ext_mul, socle_readoff
-from .laurent import (CechComplex, MonomialStrands, _build_retract, reach_floors,
-                      signed_exponents)
+from .laurent import (CechComplex, MonomialStrands, _build_retract, count_exponents,
+                      reach_floors, signed_exponents)
 from .linalg import GF
-from .toric import cone_contains, deg_add, deg_neg, deg_sub, is_irrelevant_subset
+from .toric import Window, cone_contains, deg_add, deg_neg, deg_sub, is_irrelevant_subset
 
 
 class TateResult:
@@ -175,25 +175,28 @@ def _monomial_transfer(pres, stack, window, field):
     """Transfer pipeline decomposed along Laurent exponent strands: returns
     the cohomology table and build(). The table counts, at each window
     degree, the exponents of every pattern whose strand carries homology,
-    each pattern's region enumerated exactly, once per homology label of
-    the pattern's retract. build() returns the generators, one per homology
-    vector of a source exponent's strand, in exponent order within each
-    degree, and walk(), which returns the transferred differential as an
-    EMatrix over the runs of the generators; it reuses the exponents the
-    table enumerated."""
+    once per homology label of the pattern's retract; each pattern's
+    exponents are counted over the whole window at once (count_exponents),
+    not enumerated. build() enumerates the exponents of the (degree,
+    pattern) pairs with a nonzero count and returns the generators, one per
+    homology vector of a source exponent's strand, in exponent order within
+    each degree, and walk(), which returns the transferred differential as
+    an EMatrix over the runs of the generators."""
     types = MonomialStrands(stack, field, pres, stack.cover)
+    degrees = window.points()
+    inners = [deg_sub(a, types.gshift) for a in degrees]
+    counted = [(pattern, cs, count_exponents(stack, inners, pattern))
+               for pattern, _, cs in types.contributing(False)]
     table = {}
-    regions = []  # per window degree: (cellset, exponents) of each pattern met
-    for a in window.points():
-        inner = deg_sub(a, types.gshift)
+    regions = []  # per window degree: (cellset, pattern) of each pattern met
+    for k, a in enumerate(degrees):
         found = []
-        for pattern, _, cs in types.contributing(False):
-            es = signed_exponents(stack, inner, pattern)
-            if es:
+        for pattern, cs, ns in counted:
+            if ns[k]:
                 for lvl in types.retract(cs)[0].hlabels:
-                    table[lvl, a] = table.get((lvl, a), 0) + len(es)
-                found.append((cs, es))
-        regions.append((a, found))
+                    table[lvl, a] = table.get((lvl, a), 0) + ns[k]
+                found.append((cs, pattern))
+        regions.append((a, inners[k], found))
     # The walk runs on plain ints. Its state maps each nonzero strand row to
     # that row's values over the source's homology basis; one step applies
     # p2 T and -h2 T, precomposed per pattern pair, where T is the signed
@@ -245,9 +248,10 @@ def _monomial_transfer(pres, stack, window, field):
         gens = []
         sources = []  # (exponent, cellset, homology embedding)
         offset_of = {}  # the exponent fixes the degree, so it keys the generators
-        for a, found in regions:
+        for a, inner, found in regions:
             # a pattern's cellset is that of every exponent of its region
-            for e, cs in sorted((e, cs) for cs, es in found for e in es):
+            for e, cs in sorted((e, cs) for cs, pattern in found
+                                for e in signed_exponents(stack, inner, pattern)):
                 ret = types.retract(cs)[0]
                 offset_of[e] = len(gens)
                 for lvl in ret.hlabels:
@@ -279,14 +283,16 @@ def fm_transform(pres, stack, window, field):
     projective toric stack: build the bicomplex columns and contract each
     onto its homology. The generators are that column homology, and the
     table is read off their twists. A monomial presentation runs once on
-    the exact per-pattern strand decomposition, and its table is counted
-    per pattern without building the generators. Any other runs on the
+    the exact per-pattern strand decomposition: its table is counted once
+    per pattern over the whole window, and no exponent is enumerated until
+    the generators are built. Any other runs on the
     dense Cech complex at exponent bound t, doubled adaptively from the
     largest theta reach floor (laurent.reach_floors) over the window until
     the table stabilizes (StabilizationError if it has not by t = T_CAP); a
     pass only ranks strands. The monomial generators are built when the
     result's gens or T is first read; the transferred horizontal
-    differential is built, and the module validated, only when T is."""
+    differential and the safe degrees are computed, and the module
+    validated, only when T is."""
     if pres.is_monomial(field):
         table, transfer = _monomial_transfer(pres, stack, window, field)
     else:
@@ -300,22 +306,23 @@ def fm_transform(pres, stack, window, field):
         table = _stabilize(table_at, start=max([T_START] + [max(reach_floors(stack, stack.theta, a))
                                                              for a in window.points()]))
         transfer = latest[0][1]
-    safe = safe_degrees(stack, window)
 
     def build():
         gens, walk = transfer()
-        return gens, lambda gens: FreeDiffModule(stack, field, gens, walk(), safe=safe,
-                                                 validate=True)
+        return gens, lambda gens: FreeDiffModule(stack, field, gens, walk(),
+                                                 safe=safe_degrees(stack, window), validate=True)
 
     return TateResult(table, "fm", window, build)
 
 
 def safe_degrees(stack, window):
     """The window degrees whose columns are complete: labels contribute to
-    columns below them, so the downward subset-sum reach must stay inside
-    the window."""
-    sums = set(stack.subset_sums())
-    return [a for a in window.points() if all(deg_sub(a, s) in window for s in sums)]
+    columns below them, so a - s must stay inside the window for every
+    subset sum s. Per coordinate, that shrinks the window by the largest
+    and the smallest subset sum; listed in window.points() order."""
+    lo = [l + sum(max(d[k], 0) for d in stack.var_degrees) for k, l in enumerate(window.lo)]
+    hi = [h + sum(min(d[k], 0) for d in stack.var_degrees) for k, h in enumerate(window.hi)]
+    return Window(lo, hi).points() if all(l <= h for l, h in zip(lo, hi)) else []
 
 
 def cech_totalization_dm(pres, stack, window, field, t):

@@ -10,6 +10,9 @@ Fans are never computed; the user supplies this data directly.
 from __future__ import annotations
 
 import itertools
+import math
+
+import numpy as np
 
 from .linalg import QQ, solve_in_span
 
@@ -225,6 +228,10 @@ _ENUM_CAP = 2_000_000
 # lies far beyond any coordinate of a region small enough to enumerate, and a
 # branching range that still reaches it is wider than _ENUM_CAP.
 _FAR = 1 << 64
+# count_points works in int64 only where every intermediate is below _SAFE, and
+# on at most _CHUNK (box point, target) pairs at a time
+_SAFE = 1 << 62
+_CHUNK = 1 << 16
 
 
 def _det(m):
@@ -248,18 +255,40 @@ def _cuts(rows, f, cols, lo, hi):
     return out
 
 
-def points(degrees, theta, target, lower, upper):
-    """All integer vectors e with sum e_i degrees[i] = target and lower[i] <=
-    e_i <= upper[i] (None: unbounded on that side), in lexicographic order.
+def _project(ineqs, q):
+    """(lo, hi) of x_q over the system sum_j c_j x_j <= b of ineqs, pairs
+    (c, b) among them finite bounds on x_q, by Fourier-Motzkin elimination
+    of the other coordinates (Schrijver 1986): exact over the rationals, so
+    both ends are finite wherever the system bounds x_q, and lo > hi when
+    it has no real solution."""
+    for v in range(len(ineqs[0][0])):
+        if v != q:
+            ineqs = [x for x in ineqs if not x[0][v]] + [
+                ([p[0][v] * y - m[0][v] * x for x, y in zip(p[0], m[0])],
+                 p[0][v] * m[1] - m[0][v] * p[1])
+                for p in ineqs if p[0][v] > 0 for m in ineqs if m[0][v] < 0]
+    if any(b < 0 for c, b in ineqs if not any(c)):
+        return 1, 0
+    return (max(-(b // -c[q]) for c, b in ineqs if c[q] < 0),
+            min(b // c[q] for c, b in ineqs if c[q] > 0))
 
-    Tightens the bounds over the degree rows and the theta row, branches on
-    the coordinates outside a rank-size set P with independent degrees, and
-    solves for P through the integer adjugate of its degree submatrix, so
-    integrality is a divisibility test. Raises ArithmeticError when a
-    branching coordinate is unbounded or the branching passes _ENUM_CAP."""
-    n, r = len(degrees), len(target)
+
+def _region(degrees, theta, targets, lower, upper):
+    """The one bounding rule of points and count_points. It tightens the
+    bounds over the degree rows and the theta row once for all targets,
+    each row's right-hand side taken as its interval over them; picks
+    pivots P with independent degrees, solved through the integer adjugate
+    of their degree submatrix; and, where tightening leaves a branching
+    coordinate (outside P) wider than _ENUM_CAP, bounds each by projecting
+    the solved ones' bounds onto it. None when no target has a point, else
+    (rows, lo, hi, P, the branching coordinates, the degree rows outside
+    the solve, det, starts, cols): starts per target and cols per branching
+    coordinate hold its column of the rows followed by the numerators of P
+    solved for that column."""
+    n, r = len(degrees), len(targets[0])
     rows = [[d[k] for d in degrees] for k in range(r)] + [[theta(d) for d in degrees]]
-    rhs = list(target) + [theta(target)]
+    rhss = [list(t) + [theta(t)] for t in targets]
+    rhs = [(min(b), max(b)) for b in zip(*rhss)]
     lo = [-_FAR if x is None else x for x in lower]
     hi = [_FAR if x is None else x for x in upper]
     # bounds only ever tighten; a few sweeps settle the callers' regions, and
@@ -268,9 +297,10 @@ def points(degrees, theta, target, lower, upper):
         moved = False
         for i in range(n):
             for k, a, t_lo, t_hi in _cuts(rows, i, [j for j in range(n) if j != i], lo, hi):
-                l, h = max(lo[i], -((t_lo - rhs[k]) // a)), min(hi[i], (rhs[k] - t_hi) // a)
+                b_lo, b_hi = rhs[k] if a > 0 else rhs[k][::-1]
+                l, h = max(lo[i], -((t_lo - b_lo) // a)), min(hi[i], (b_hi - t_hi) // a)
                 if l > h:
-                    return []
+                    return None
                 moved = moved or (l, h) != (lo[i], hi[i])
                 lo[i], hi[i] = l, h
         if not moved:
@@ -289,30 +319,50 @@ def points(degrees, theta, target, lower, upper):
     # adj[i][m] = (-1)^(i+m) det(sub without row m and column i)
     adj = [[(-1) ** (i + m) * _det([row[:i] + row[i + 1:] for q, row in enumerate(sub) if q != m])
             for m in range(len(piv))] for i in range(len(piv))]
-    checks = [k for k in range(r) if k not in prows]
 
-    # A node's state is each row's remaining right-hand side followed by the
-    # numerators adj . rest[prows] of the solved coordinates.
     def extend(col):
         return col + [sum(c * col[k] for c, k in zip(adj_row, prows)) for adj_row in adj]
 
-    if len(free) == 1:
-        # each solved coordinate is affine in the one branching coordinate f,
-        # det e_j + m_j e_f = b_j, so its bounds bound e_f exactly
-        f = free[0]
-        lines = [[0] * n for _ in piv]
-        for line, j, m in zip(lines, piv, extend([row[f] for row in rows])[r + 1:]):
-            line[j], line[f] = det, m
-        bs = extend(rhs)[r + 1:]
-        for k, a, t_lo, t_hi in _cuts(lines, f, piv, lo, hi):
-            lo[f], hi[f] = max(lo[f], -((t_lo - bs[k]) // a)), min(hi[f], (bs[k] - t_hi) // a)
+    starts = [extend(b) for b in rhss]
+    cols = [extend([row[f] for row in rows]) for f in free]
+    if any(hi[f] - lo[f] > _ENUM_CAP for f in free):
+        # each solved coordinate is affine in the branching ones,
+        # det e_j = b_j - sum_f m_jf e_f with b_j ranging over the targets,
+        # so its bounds are inequalities on them
+        ineqs = [([s * (q == f) for q in free], bound)
+                 for f in free for s, bound in ((1, hi[f]), (-1, -lo[f]))]
+        for p, j in enumerate(piv):
+            t_lo, t_hi = sorted((det * lo[j], det * hi[j]))
+            ms, bs = [col[r + 1 + p] for col in cols], [b[r + 1 + p] for b in starts]
+            ineqs += [(ms, max(bs) - t_lo), ([-x for x in ms], t_hi - min(bs))]
+        for q, f in enumerate(free):
+            lo[f], hi[f] = _project(ineqs, q)
+            if lo[f] > hi[f]:
+                return None
+    return rows, lo, hi, piv, free, [k for k in range(r) if k not in prows], det, starts, cols
+
+
+def points(degrees, theta, target, lower, upper):
+    """All integer vectors e with sum e_i degrees[i] = target and lower[i] <=
+    e_i <= upper[i] (None: unbounded on that side), in lexicographic order,
+    each branching coordinate of _region walked within the bounds that the
+    choices before it leave, so integrality of the solved coordinates is a
+    divisibility test. Raises ArithmeticError when a branching coordinate
+    is unbounded or the branching passes _ENUM_CAP. count_points counts the
+    same points for many targets at once."""
+    region = _region(degrees, theta, [target], lower, upper)
+    if region is None:
+        return []
+    rows, lo, hi, piv, free, checks, det, (start,), cols = region
     if any(hi[j] - lo[j] > _ENUM_CAP for j in free):
         raise ArithmeticError("lattice-point region is unbounded or too wide to enumerate")
-
-    plan = [(f, lo[f], hi[f], extend([row[f] for row in rows]),
-             _cuts(rows, f, free[depth + 1:] + piv, lo, hi)) for depth, f in enumerate(free)]
+    r = len(target)
+    # A node's state is each row's remaining right-hand side followed by the
+    # numerators of the solved coordinates.
+    plan = [(f, lo[f], hi[f], col, _cuts(rows, f, free[depth + 1:] + piv, lo, hi))
+            for depth, (f, col) in enumerate(zip(free, cols))]
     out = []
-    e = [0] * n
+    e = [0] * len(degrees)
     nodes = 0
 
     def rec(depth, rest):
@@ -336,9 +386,45 @@ def points(degrees, theta, target, lower, upper):
             e[f] = c
             rec(depth + 1, [x - c * y for x, y in zip(rest, col)])
 
-    rec(0, extend(rhs))
+    rec(0, start)
     out.sort()
     return out
+
+
+def count_points(degrees, theta, targets, lower, upper):
+    """[len(points(degrees, theta, t, lower, upper)) for t in targets],
+    without building a point: one _region for all targets, then every point
+    of its branching box solved for every target at once in int64, _CHUNK
+    (point, target) pairs at a time. Falls back to points per target, and
+    its ArithmeticError, where the box passes _ENUM_CAP, where int64 is not
+    proven exact (every intermediate below _SAFE), and for rank-deficient
+    degrees, which no toric stack has."""
+    region = _region(degrees, theta, targets, lower, upper) if targets else None
+    if region is None:
+        return [0] * len(targets)
+    _, lo, hi, piv, free, checks, det, starts, cols = region
+    off = len(targets[0]) + 1  # where the numerators start
+    reach = [max(-lo[f], hi[f]) for f in free]
+    # every numerator, and so every solved coordinate, is at most vmax
+    vmax = max([0] + reach + [max(abs(b[p]) for b in starts) + sum(abs(c[p]) * x for c, x in zip(cols, reach))
+                              for p in range(off, off + len(piv))])
+    widths = [hi[f] - lo[f] + 1 for f in free]
+    size = math.prod(widths)
+    if size > _ENUM_CAP or vmax >= _SAFE or checks:
+        return [len(points(degrees, theta, t, lower, upper)) for t in targets]
+    b = np.array([x[off:] for x in starts], dtype=np.int64).reshape(len(targets), 1, len(piv))
+    m = np.array([c[off:] for c in cols], dtype=np.int64).reshape(len(free), len(piv))
+    plo = np.array([max(lo[j], -_SAFE) for j in piv], dtype=np.int64)
+    phi = np.array([min(hi[j], _SAFE) for j in piv], dtype=np.int64)
+    counts = np.zeros(len(targets), dtype=np.int64)
+    step = max(1, _CHUNK // len(targets))
+    for start in range(0, size, step):
+        idx = np.arange(start, min(size, start + step))
+        grid = np.stack(np.unravel_index(idx, widths), axis=1) + [lo[f] for f in free] \
+            if free else np.zeros((len(idx), 0), dtype=np.int64)
+        e, rem = np.divmod(b - grid @ m, det)
+        counts += ((rem == 0) & (plo <= e) & (e <= phi)).all(axis=2).sum(axis=1)
+    return counts.tolist()
 
 
 def weights_zgraded(stack):

@@ -1,10 +1,12 @@
 import itertools
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from torictate import toric
 from torictate.toric import (PositiveGrading, PrimitiveCollection, ToricStack, Window, cone_contains,
-                             deg_add, degrees_within, hirzebruch,
+                             count_points, deg_add, degrees_within, hirzebruch,
                              is_irrelevant_subset, points,
                              weights_degI, weights_zgraded)
 
@@ -201,24 +203,34 @@ _one_sided = st.one_of(st.tuples(st.integers(-3, 3), st.none()),
                        st.tuples(st.none(), st.integers(-3, 3)))
 
 
+_two_sided = st.tuples(st.integers(-3, 0), st.integers(0, 3))
+
+
 @st.composite
 def _problems(draw):
-    # three coordinates over two degree rows, each bounded on one side only:
-    # the mixed-sign regions that interval tightening alone may leave open
-    corank_one = draw(st.booleans())
-    r = 2 if corank_one else draw(st.integers(1, 2))
-    n = 3 if corank_one else draw(st.integers(1, 4))
+    # up to four coordinates over one or two degree rows, with one to four
+    # targets. Two shapes have n - r in {1, 2}: in "one-sided" every
+    # coordinate is bounded on one side only (the mixed-sign regions that
+    # interval tightening alone may leave open), in "finite" on both, so
+    # brute force over the bounds counts every point
+    shape = draw(st.sampled_from(["any", "one-sided", "finite"]))
     entry = st.integers(-2, 2)
-    if r == 2 and not corank_one and draw(st.booleans()):
+    if shape == "any":
+        r, n = draw(st.integers(1, 2)), draw(st.integers(1, 4))
+    else:
+        r = draw(st.integers(1, 2))
+        n = r + draw(st.integers(1, 2))
+    if r == 2 and shape == "any" and draw(st.booleans()):
         # rank-deficient: every degree a multiple of one vector
         u = draw(st.tuples(entry, entry))
         degrees = [tuple(c * x for x in u) for c in draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))]
     else:
         degrees = [draw(st.tuples(*[entry] * r)) for _ in range(n)]
     theta = draw(st.tuples(*[st.integers(-2, 2)] * r))
-    target = draw(st.tuples(*[st.integers(-4, 4)] * r))
-    sides = [draw(_one_sided if corank_one else _sides) for _ in range(n)]
-    return degrees, theta, target, [l for l, _ in sides], [h for _, h in sides]
+    targets = draw(st.lists(st.tuples(*[st.integers(-4, 4)] * r), min_size=1, max_size=4))
+    sides = [draw({"any": _sides, "one-sided": _one_sided, "finite": _two_sided}[shape])
+             for _ in range(n)]
+    return degrees, theta, targets, [l for l, _ in sides], [h for _, h in sides]
 
 
 def _brute(degrees, target, lower, upper):
@@ -247,27 +259,98 @@ def _recedes(degrees, lower, upper):
 @settings(max_examples=300, deadline=None)
 @given(_problems())
 def test_points_matches_brute_force(problem):
-    degrees, theta, target, lower, upper = problem
+    degrees, theta, targets, lower, upper = problem
+    for target in targets:
+        try:
+            got = points(degrees, PositiveGrading(theta), target, lower, upper)
+        except ArithmeticError:
+            # the theta row bounds every coordinate when theta is positive on
+            # the degrees and every coordinate has a lower bound; up to two
+            # coordinates beyond the rank of the degrees are bounded exactly
+            # by projecting the solved ones' bounds, so only an unbounded
+            # region raises; elsewhere a bounded region may be left open
+            if len(degrees) - _rank(degrees) in (1, 2):
+                assert _recedes(degrees, lower, upper)
+            else:
+                assert None in lower or any(PositiveGrading(theta)(d) <= 0 for d in degrees)
+            continue
+        assert not (got and _recedes(degrees, lower, upper))
+        assert got == sorted(set(got))
+        for e in got:
+            assert all(sum(c * d[k] for c, d in zip(e, degrees)) == t for k, t in enumerate(target))
+            assert all((l is None or l <= x) and (h is None or x <= h) for l, x, h in zip(lower, e, upper))
+        assert [e for e in got if all(abs(x) <= BOX for x in e)] == \
+            [e for e in _brute(degrees, target, lower, upper) if all(abs(x) <= BOX for x in e)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_problems())
+def test_count_points_matches_brute_force_and_points(problem):
+    degrees, theta, targets, lower, upper = problem
+    theta = PositiveGrading(theta)
+    enumerated = []
+    for target in targets:
+        try:
+            enumerated.append(len(points(degrees, theta, target, lower, upper)))
+        except ArithmeticError:
+            enumerated = None
+            break
     try:
-        got = points(degrees, PositiveGrading(theta), target, lower, upper)
+        got = count_points(degrees, theta, targets, lower, upper)
     except ArithmeticError:
-        # the theta row bounds every coordinate when theta is positive on the
-        # degrees and every coordinate has a lower bound; one coordinate
-        # beyond the rank of the degrees is bounded exactly by the solved
-        # ones, so only an unbounded region raises; elsewhere interval
-        # tightening may leave a bounded region open
-        if len(degrees) - _rank(degrees) == 1:
-            assert _recedes(degrees, lower, upper)
-        else:
-            assert None in lower or any(PositiveGrading(theta)(d) <= 0 for d in degrees)
+        # a window-wide count raises only through points on one target
+        assert enumerated is None
         return
-    assert not (got and _recedes(degrees, lower, upper))
-    assert got == sorted(set(got))
-    for e in got:
-        assert all(sum(c * d[k] for c, d in zip(e, degrees)) == t for k, t in enumerate(target))
-        assert all((l is None or l <= x) and (h is None or x <= h) for l, x, h in zip(lower, e, upper))
-    assert [e for e in got if all(abs(x) <= BOX for x in e)] == \
-        [e for e in _brute(degrees, target, lower, upper) if all(abs(x) <= BOX for x in e)]
+    assert got == enumerated
+    if None not in lower + upper:
+        sums = Counter(tuple(sum(c * d[k] for c, d in zip(e, degrees)) for k in range(len(targets[0])))
+                       for e in itertools.product(*[range(l, h + 1) for l, h in zip(lower, upper)]))
+        assert got == [sums[tuple(t)] for t in targets]
+
+
+def test_count_points_falls_back_to_points_beyond_int64(monkeypatch):
+    # coordinates near 2^40 of degrees near 2^21 make degrees near 2^62, past
+    # what int64 is proven to hold: every target is counted by points
+    big, deg = 1 << 40, 1 << 21
+    degrees, theta = [(3 * deg,), (2 * deg,)], PositiveGrading((1,))
+    lower, upper = [big, big - 3], [big + 6, big + 3]
+    box = list(itertools.product(range(big, big + 7), range(big - 3, big + 4)))
+    sums = Counter(3 * a * deg + 2 * b * deg for a, b in box)
+    targets = [(t,) for t in sorted(sums)[::3]] + [(5 * big * deg + 1,), (5 * big * deg - 1000 * deg,)]
+    calls = []
+    enumerate_ = toric.points
+
+    def counted_points(*args):
+        calls.append(args[2])
+        return enumerate_(*args)
+
+    monkeypatch.setattr(toric, "points", counted_points)
+    assert count_points(degrees, theta, targets, lower, upper) == [sums[t] for t, in targets]
+    assert calls == targets
+    assert any(sums[t] > 1 for t, in targets)
+
+
+def test_count_points_counts_in_int64_over_a_window(monkeypatch):
+    # P(1,1,2): the monomials of each degree, counted for a window at once
+    # in int64 with no call to points
+    degrees, theta = [(1,), (1,), (2,)], PositiveGrading((1,))
+    targets = [(a,) for a in range(-3, 12)]
+    want = [len(points(degrees, theta, t, [0] * 3, [None] * 3)) for t in targets]
+    assert want[3:6] == [1, 2, 4]
+    monkeypatch.setattr(toric, "points", None)
+    assert count_points(degrees, theta, targets, [0] * 3, [None] * 3) == want
+
+
+def test_points_bounds_two_branching_coordinates_by_projection():
+    # rank 2 in four coordinates: interval tightening leaves the two
+    # branching coordinates open, and each solved coordinate's bounds,
+    # affine in both, bound them only together
+    degrees, theta = [(2, 2), (2, 0), (2, 1), (2, 2)], PositiveGrading((1, 2))
+    lower, upper = [-2, None, None, 1], [None, 2, 0, None]
+    want = [(-2, 1, 0, 1), (-2, 2, -2, 2), (-1, 2, -2, 1)]
+    assert want == [e for e in _brute(degrees, (0, -2), lower, upper)]
+    assert points(degrees, theta, (0, -2), lower, upper) == want
+    assert count_points(degrees, theta, [(0, -2)], lower, upper) == [3]
 
 
 def test_points_solves_through_a_non_unimodular_pivot():
