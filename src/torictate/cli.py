@@ -23,7 +23,7 @@ from .errors import (PreconditionError, SchemaError, VerificationError,
 from .linalg import GF, QQ
 from .smodule import Poly, Presentation, realize
 from .tate import fm_transform, safe_degrees, tate_weighted
-from .toric import ToricStack, Window, hirzebruch
+from .toric import ToricStack, Window, deg_neg, hirzebruch
 
 EXIT_CODES = [
     (SchemaError, 2),
@@ -266,7 +266,11 @@ def run(command, args, stack, field, modules):
         table = oracle_table(module, stack, window.points())
         return format_table(table, stack, window, fmt)
     if command == "tate":
-        return _render(Counter((tw.aux, tw.cl) for tw in result.gens), stack, fmt,
+        # at Cl rank >= 2 the table counts the generators, which are never
+        # built; the Cl = Z generators reach outside the window
+        counts = (Counter((tw.aux, tw.cl) for tw in result.gens) if stack.r == 1 else
+                  {(i, deg_neg(a)): n for (i, a), n in result.table.items()})
+        return _render(counts, stack, fmt,
                        "tate-generators", lambda entries: "\n".join(
                            "omega_E(%s; %d)^%d" % (_deg(c), u, n) for u, c, n in entries))
     if command == "betti":

@@ -182,7 +182,7 @@ def cohomology_table_fast(pres, stack, window, field, d=None):
     d, trunc, dm, state = fast_table_state(pres, stack, window, field, d=d)
     lo, hi = window.lo[0], window.hi[0]
     table = {}
-    for a in range(d, hi + 1):
+    for a in range(max(d, lo), hi + 1):
         v = trunc.dim((a,))
         if v:
             table[(0, (a,))] = v

@@ -10,8 +10,7 @@ u (an EMatrix): the generators fall into runs of consecutive equal twists
 (exterior.Runs), and each A_u is held as dense blocks between runs. A
 column's basis is a concatenation of (run x monomials) ranges
 (exterior.Slice), and column_matrix places each block, signed, at strided
-positions. Modules built from {(target, source): {monomial: coeff}} dicts
-are converted once; `entries` gives that form back.
+positions.
 
 Homology is only ever reported on the module's safe degree set: outside it
 a column may be missing contributors from generators beyond the window.
@@ -21,9 +20,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .exterior import (OmegaTwist, Runs, Slice, column_basis, column_slices, elem_add,
-                       elem_mul, elem_scale, entry_degree, mul_sign, popcount)
-from .linalg import homology_dims
+from .exterior import (OmegaTwist, Runs, Slice, column_basis, column_slices, entry_degree,
+                       mul_sign, popcount)
+from .linalg import homology_dims, invert, rref
 from .toric import deg_neg
 
 
@@ -51,16 +50,6 @@ class EMatrix:
         """Store the e_u block from run t to run s, unless it is zero."""
         if np.any(block):
             self.blocks.setdefault(t, {})[(s, u)] = block
-
-    def entries(self, rows, cols):
-        """The dict form {(target, source): {monomial: coeff}}, for the runs
-        rows and cols."""
-        out = {}
-        for s, t, u, block in self.items():
-            vals = block.tolist()
-            for i, k in zip(*np.nonzero(block)):
-                out.setdefault((rows.start[s] + int(i), cols.start[t] + int(k)), {})[u] = vals[i][k]
-        return out
 
 
 def _from_entries(field, rows, cols, entries):
@@ -109,10 +98,10 @@ def _add_block(emat, runs, toff, soff, mat, mono, sign):
 
 
 class FreeDiffModule:
-    """gens is a list of twists or a Runs; entries an EMatrix keyed by those
-    runs (by Runs(gens) for a list) or a dict {(s, t): {u: c}}."""
+    """gens is a list of twists or a Runs; d the differential, an EMatrix
+    keyed by those runs (by Runs(gens) for a list)."""
 
-    def __init__(self, stack, field, gens, entries, safe=(), varmask=None, validate=True):
+    def __init__(self, stack, field, gens, d, safe=(), varmask=None, validate=True):
         self.stack = stack
         self.field = field
         self.runs = gens if isinstance(gens, Runs) else Runs(gens)
@@ -120,17 +109,11 @@ class FreeDiffModule:
         full = (1 << stack.nvars) - 1
         self.varmask = full if varmask is None else varmask
         self._mask = None if self.varmask == full else self.varmask
-        self.d = (entries if isinstance(entries, EMatrix)
-                  else _from_entries(field, self.runs, self.runs, entries))
+        self.d = d
         self.safe = frozenset(tuple(a) for a in safe)
         self._slices = {}
         if validate:
             _check_degrees(stack, self.runs, self.runs, self.d, -1)
-
-    @property
-    def entries(self):
-        """The differential as {(target, source): {monomial: coeff}}."""
-        return self.d.entries(self.runs, self.runs)
 
     def column_basis(self, a):
         """Ordered basis [(gen, monomial)] of the degree-a slice."""
@@ -283,20 +266,14 @@ def tensor_EI(module, subset):
 
 class DMMorphism:
     """A degree-0 morphism of free differential modules, as an EMatrix m
-    from the source's runs to the target's (or a dict of entries, rows:
-    target gens, cols: source gens, converted once)."""
+    from the source's runs to the target's."""
 
-    def __init__(self, source, target, entries, validate=True):
+    def __init__(self, source, target, m, validate=True):
         self.source = source
         self.target = target
-        self.m = (entries if isinstance(entries, EMatrix)
-                  else _from_entries(source.field, target.runs, source.runs, entries))
+        self.m = m
         if validate:
             _check_degrees(source.stack, target.runs, source.runs, self.m, 0)
-
-    @property
-    def entries(self):
-        return self.m.entries(self.target.runs, self.source.runs)
 
 
 def cone(morphism):
@@ -327,73 +304,60 @@ def check_minimal(module):
 
 
 def minimize(module, report=False):
-    """Cancel unit (constant) entries pairwise until none remain. Homology
-    columns are unchanged on the safe region. Pivots are chosen smallest
-    (target, source) first, so the output is deterministic. A module with
-    no constant block is returned as it is; otherwise the cancellation runs
-    on its entries, read off the blocks."""
+    """Cancel the constant (u = 0) blocks until none remain, a block at a
+    time, smallest (target run, source run) first; homology columns are
+    unchanged on the safe region. For a block A from run t to run s, with
+    I the pivot rows (those of A^T) and K the pivot columns of A, A[I, K]
+    is invertible: the generators I of s cancel against K of t, and every
+    block C_u out of t and B_v into s adds -sign(u, v) C_u[:, K] A[I, K]^-1
+    B_v[I, :] to the e_{u|v} block between their runs (the reductions of
+    Kaczynski, Mrozek and Slusarek). A module with no constant block is
+    returned as it is."""
     if check_minimal(module):
         return (module, 0) if report else module
     field = module.field
-    alive = set(range(len(module.gens)))
-    rows = {}
-    cols = {}
-    ent = module.entries
-    for (s, t) in ent:
-        rows.setdefault(s, set()).add(t)
-        cols.setdefault(t, set()).add(s)
+    size = list(module.runs.size)
+    blocks = {(s, t, u): block for s, t, u, block in module.d.items()}
     cancelled = 0
-
-    def scalar_pivot():
-        best = None
-        for (s, t), elem in ent.items():
-            if 0 in elem and (best is None or (s, t) < best):
-                best = (s, t)
-        return best
-
     while True:
-        piv = scalar_pivot()
+        piv = min(((s, t) for s, t, u in blocks if u == 0), default=None)
         if piv is None:
             break
-        a, b = piv
-        lam = ent[piv][0]
-        lam_inv = field.inv(lam)
-        row_a = [(t, dict(ent[(a, t)])) for t in rows.get(a, set()) if t != b and t in alive]
-        col_b = [(s, dict(ent[(s, b)])) for s in cols.get(b, set()) if s != a and s in alive]
-        for g in (a, b):
-            for t in rows.pop(g, set()):
-                ent.pop((g, t), None)
-                cols.get(t, set()).discard(g)
-            for s in cols.pop(g, set()):
-                ent.pop((s, g), None)
-                rows.get(s, set()).discard(g)
-            alive.discard(g)
-        for s, left in col_b:
-            for t, right in row_a:
-                prod = elem_mul(left, right, field)
-                if not prod:
+        s, t = piv
+        a = blocks[s, t, 0]
+        rows, cols = rref(field, a.T)[1], rref(field, a)[1]
+        ainv = invert(field, a[np.ix_(rows, cols)])
+        out_t = [(s2, u, field.matmul(b[:, cols], ainv))
+                 for (s2, t2, u), b in blocks.items() if t2 == t]
+        into_s = [(t2, v, b[rows]) for (s2, t2, v), b in blocks.items() if s2 == s]
+        for s2, u, left in out_t:
+            for t2, v, right in into_s:
+                if u & v:
                     continue
-                corr = elem_scale(prod, field.neg(lam_inv), field)
-                cur = ent.get((s, t), {})
-                new = elem_add(cur, corr, field)
-                if new:
-                    ent[(s, t)] = new
-                    rows.setdefault(s, set()).add(t)
-                    cols.setdefault(t, set()).add(s)
-                else:
-                    ent.pop((s, t), None)
-                    rows.get(s, set()).discard(t)
-                    cols.get(t, set()).discard(s)
-        cancelled += 1
-
-    keep = sorted(alive)
-    remap = {t: k for k, t in enumerate(keep)}
-    out = FreeDiffModule(module.stack, field, [module.gens[t] for t in keep],
-                         {(remap[s], remap[t]): elem for (s, t), elem in ent.items()},
-                         safe=module.safe, varmask=module.varmask, validate=False)
-    if report:
-        return out, cancelled
-    return out
+                corr = field.matmul(left, right)
+                if mul_sign(u, v) > 0:
+                    corr = -corr
+                cur = blocks.get((s2, t2, u | v))
+                blocks[s2, t2, u | v] = field.reduce(corr if cur is None else cur + corr)
+        keep = {s: np.delete(np.arange(size[s]), rows), t: np.delete(np.arange(size[t]), cols)}
+        for (s2, t2, u), b in list(blocks.items()):
+            b = b[keep[s2]] if s2 in keep else b
+            b = b[:, keep[t2]] if t2 in keep else b
+            if np.any(b):
+                blocks[s2, t2, u] = b
+            else:
+                del blocks[s2, t2, u]
+        size[s] -= len(rows)
+        size[t] -= len(rows)
+        cancelled += len(rows)
+    runs = Runs()
+    remap = {r: runs.append(tw, n) for r, (tw, n) in enumerate(zip(module.runs.twist, size)) if n}
+    d = EMatrix(field)
+    for (s, t, u), block in blocks.items():
+        d.blocks.setdefault(remap[t], {})[(remap[s], u)] = block
+    out = FreeDiffModule(module.stack, field, runs, d, safe=module.safe,
+                         varmask=module.varmask, validate=False)
+    return (out, cancelled) if report else out
 
 
 # -- folding and unfolding (standard grading only) ---------------------------
@@ -434,7 +398,9 @@ def fold(stack, field, complex_):
             continue
         for (s, t), elem in d.items():
             entries[(offset[j - 1] + s, offset[j] + t)] = dict(elem)
-    return FreeDiffModule(stack, field, gens, entries, safe=(), validate=True)
+    runs = Runs(gens)
+    return FreeDiffModule(stack, field, runs, _from_entries(field, runs, runs, entries), safe=(),
+                          validate=True)
 
 
 def unfold(module):

@@ -1,11 +1,11 @@
 """The Koszul-dual exterior algebra E with its Cl + Z grading.
 
-Monomials are variable subsets stored as bitmasks; elements are sparse
-coefficient dicts. Free modules are sums of twists omega_E(c; u) of the
-dual module omega_E = Hom_k(E, k) ~ E(-w; -n-1), where w is the sum of the
-variable degrees. All degree bookkeeping goes through these twist labels:
-the summand omega_E(c; u) has its socle in degree (-c; -u) and its module
-generator in degree (w - c; n + 1 - u).
+Monomials are variable subsets stored as bitmasks. Free modules are sums
+of twists omega_E(c; u) of the dual module omega_E = Hom_k(E, k) ~
+E(-w; -n-1), where w is the sum of the variable degrees. All degree
+bookkeeping goes through these twist labels: the summand omega_E(c; u) has
+its socle in degree (-c; -u) and its module generator in degree
+(w - c; n + 1 - u).
 
 Internally a twist omega_E(c; u) is the free module E(c - w; u - n - 1)
 with monomial basis {e_T}; the basis vector e_T of a summand sits in degree
@@ -50,43 +50,6 @@ def ext_mul(m1, m2):
     if m1 & m2:
         return None
     return mul_sign(m1, m2), m1 | m2
-
-
-def elem_scale(x, c, field):
-    if c == field.zero:
-        return {}
-    return {m: field.mul(v, c) for m, v in x.items()}
-
-
-def elem_add(x, y, field):
-    out = dict(x)
-    for m, v in y.items():
-        s = field.add(out.get(m, field.zero), v)
-        if s == field.zero:
-            out.pop(m, None)
-        else:
-            out[m] = s
-    return out
-
-
-def elem_mul(x, y, field):
-    """Product in E of sparse elements."""
-    out = {}
-    for m1, c1 in x.items():
-        for m2, c2 in y.items():
-            r = ext_mul(m1, m2)
-            if r is None:
-                continue
-            sign, m = r
-            c = field.mul(c1, c2)
-            if sign < 0:
-                c = field.neg(c)
-            s = field.add(out.get(m, field.zero), c)
-            if s == field.zero:
-                out.pop(m, None)
-            else:
-                out[m] = s
-    return out
 
 
 class OmegaTwist(NamedTuple):

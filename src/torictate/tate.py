@@ -80,7 +80,7 @@ def tate_weighted(pres, stack, window, field, d=None):
     minimal, cancelled = minimize(cone_dm, report=True)
     table = socle_readoff(stack, minimal.gens)
     table = {(i, a): v for (i, a), v in table.items() if lo <= a[0] <= hi}
-    for a in range(d, hi + 1):
+    for a in range(max(d, lo), hi + 1):
         v = trunc.dim((a,))
         got = table.get((0, (a,)), 0)
         if got != v:
@@ -323,33 +323,6 @@ def safe_degrees(stack, window):
     lo = [l + sum(max(d[k], 0) for d in stack.var_degrees) for k, l in enumerate(window.lo)]
     hi = [h + sum(min(d[k], 0) for d in stack.var_degrees) for k, h in enumerate(window.hi)]
     return Window(lo, hi).points() if all(l <= h for l, h in zip(lo, hi)) else []
-
-
-def cech_totalization_dm(pres, stack, window, field, t):
-    """The uncontracted totalization of the Cech bicomplex as an explicit
-    free differential module (small windows only; used for cross-checks
-    against the transferred minimal model): the strands' Cech maps are
-    vertical, and the horizontal blocks carry x_i (x) e_i."""
-    cx = CechComplex(stack, field, pres, stack.cover, t)
-    runs = Runs()
-    d = EMatrix(field)
-    offsets = {}  # per degree: the offset of each level of its strand
-    for a in window.points():
-        dims, mats = cx.strand(a, extended=False)
-        offsets[a] = [len(runs.gens)]
-        for level, n in enumerate(dims):
-            if n:
-                runs.append(OmegaTwist(deg_neg(a), level), n)
-            offsets[a].append(len(runs.gens))
-        for level, m in enumerate(mats):
-            _add_block(d, runs, offsets[a][level + 1], offsets[a][level], field.array(m), 0, 1)
-    for a in window.points():
-        for i in range(stack.nvars):
-            b = deg_add(a, stack.var_degrees[i])
-            if b in window:
-                _add_block(d, runs, offsets[b][0], offsets[a][0],
-                           cx.horizontal_block(a, i), 1 << i, 1)
-    return FreeDiffModule(stack, field, runs, d, safe=safe_degrees(stack, window), validate=True)
 
 
 def check_exactness_property(dm, stack, subset):

@@ -24,6 +24,7 @@ from torictate.toric import (Window, hirzebruch, p1xp1, projective_space,
                              weighted_projective, weights_zgraded)
 
 from conftest import seed
+from dictform import entries_of
 
 
 def report(name, ok, detail=""):
@@ -267,7 +268,7 @@ def test_acceptance_11_roundtrip_and_fold():
             dm = fold(stack, gf, cx)
         ok &= unfold(dm) == cx
         refold = fold(stack, gf, unfold(dm))
-        ok &= refold.gens == dm.gens and refold.entries == dm.entries
+        ok &= refold.gens == dm.gens and entries_of(refold) == entries_of(dm)
         rounds += 1
     report("11 BGG round trip and fold/unfold", bool(ok) and rounds == 20)
 

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import itertools
 import json
 import os
@@ -5,7 +7,9 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from torictate import laurent, tate
 from torictate.cli import main, parse_input, parse_window
 from torictate.errors import SchemaError
 
@@ -20,6 +24,11 @@ def run_cli(args, capsys):
     code = main(args)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def pinned(name):
+    with open(os.path.join(os.path.dirname(__file__), "pinned", name)) as fh:
+        return fh.read()
 
 
 def test_parse_input_p112():
@@ -158,16 +167,69 @@ def test_rational_document_prints_the_prime_field_answer(module, capsys):
     runs = [run_cli(["tate", fixture(name), "--module", module, "--window", "-4:4"], capsys)
             for name in ("p112.tate", "p112-qq.tate")]
     assert runs[0][0] == 0 and runs[0][1] and runs[0] == runs[1]
+    if module == "C":
+        assert runs[1][1] == pinned("tate_p112qq_C.out")
 
 
-def test_rank2_tate_generators_are_pinned(capsys):
-    # no bench command prints the Fourier-Mukai generator list, which is
-    # built only when read; its stdout is pinned to the recorded file
-    with open(os.path.join(os.path.dirname(__file__), "pinned", "tate_hirz3_H.out")) as fh:
-        want = fh.read()
+def test_rank2_tate_generators_are_pinned(capsys, monkeypatch):
+    # no bench command prints the Fourier-Mukai generator list; the tate
+    # command prints it from the counted table, so no exponent is
+    # enumerated, and its stdout is pinned to the recorded file
+    def refuse(*args):
+        raise AssertionError("an exponent was enumerated")
+
+    for module in (laurent, tate):
+        monkeypatch.setattr(module, "signed_exponents", refuse)
     code, out, _ = run_cli(["tate", fixture("hirz3.tate"), "--module", "H",
                             "--window", "-2:2,-1:1"], capsys)
-    assert code == 0 and out == want
+    assert code == 0 and out == pinned("tate_hirz3_H.out")
+
+
+@pytest.mark.parametrize("args", [["p112.tate", "--window", "2:2"],
+                                  ["p112.tate", "--window", "2:4", "--truncate", "1"],
+                                  ["p156-trunc.tate", "--window", "3:4", "--truncate", "2",
+                                   "--prime", "7"]])
+def test_tate_window_above_the_truncation(args, capsys):
+    # the section rows are checked inside the window only
+    code, out, err = run_cli(["tate", fixture(args[0])] + args[1:], capsys)
+    assert code == 0 and out.startswith("omega_E(") and not err
+
+
+def test_cohomology_json_stays_in_the_window(capsys):
+    # H^0 at a = 0 and 1 lies below the window, as in the text table
+    code, out, _ = run_cli(["cohomology", fixture("p112.tate"), "--window", "2:2",
+                            "--format", "json"], capsys)
+    assert code == 0 and json.loads(out)["entries"] == [[0, [2], 4]]
+
+
+# fixture -> (its modules, Cl rank)
+FUZZ_FIXTURES = {"p1.tate": (["S"], 1), "p12.tate": (["S"], 1),
+                 "p112.tate": (["S", "C", "P"], 1), "p112-qq.tate": (["S", "C"], 1),
+                 "p156-trunc.tate": (["S", "M"], 1), "hirz1.tate": (["S"], 2),
+                 "hirz3.tate": (["S", "H"], 2), "p1p1.tate": (["S"], 2),
+                 "p1p1-curves.tate": (["C1", "C2"], 2)}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_every_command_past_parsing_exits_with_a_documented_code(data):
+    # small windows (one or two degrees wide at Cl rank 2, where the curves
+    # take the dense path) over every command, truncation, prime and format
+    name = data.draw(st.sampled_from(sorted(FUZZ_FIXTURES)))
+    modules, r = FUZZ_FIXTURES[name]
+    ranges = st.tuples(st.integers(-3, 3), st.integers(0, 3 if r == 1 else 1))
+    window = ",".join("%d:%d" % (lo, lo + w) for lo, w in [data.draw(ranges) for _ in range(r)])
+    args = [data.draw(st.sampled_from(["cohomology", "tate", "betti", "diagonal", "regularity",
+                                       "oracle", "verify"])),
+            fixture(name), "--module", data.draw(st.sampled_from(modules)), "--window", window]
+    for flag, values in (("--truncate", [-1, 0, 1, 2, 4]), ("--prime", [4, 7, 2147483647]),
+                         ("--format", ["table", "json"])):
+        value = data.draw(st.sampled_from([None] + values))
+        if value is not None:
+            args += [flag, str(value)]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(args)
+    assert code in (0, 2, 3, 4, 5), args
 
 
 def test_verify_command(capsys):

@@ -10,8 +10,7 @@ resolutions and Tate cones entry for entry."""
 import pytest
 
 from torictate.bgg import L, ModuleComplex, R, R_complex
-from torictate.diffmod import (DMMorphism, FreeDiffModule, _slice_homology, cone, minimize,
-                               tensor_EI)
+from torictate.diffmod import DMMorphism, _slice_homology, cone, minimize, tensor_EI
 from torictate.dmres import (ResolutionState, _select_representatives, min_free_resolution,
                              tate_cone)
 from torictate.exterior import OmegaTwist, column_basis, ext_mul, mul_sign, popcount
@@ -19,6 +18,8 @@ from torictate.linalg import GF, QQ, Mat, _kernel_arr
 from torictate.smodule import GradedComplex, Presentation, monomial_basis, realize, truncate
 from torictate.tate import beilinson_U, tate_weighted
 from torictate.toric import Window, deg_sub, projective_space, weighted_projective
+
+from dictform import dict_module, dict_morphism, entries_of
 
 FIELDS = [GF(), GF(2147483647), QQ()]
 
@@ -67,7 +68,7 @@ def _reference_L(dm, module_degrees, col_degrees, mask=None):
     field = dm.field
     use_mask = (1 << stack.nvars) - 1 if mask is None else sum(1 << i for i in set(mask))
     slices = {a: _labels(dm.column_slices(a)) for a in col_degrees}
-    entries = dm.entries
+    entries = entries_of(dm)
     out = {}
     for s2, t in entries:
         out.setdefault(t, []).append(s2)
@@ -169,7 +170,7 @@ class _ReferenceState:
     def __init__(self, target):
         self.target, self.stack, self.field = target, target.stack, target.field
         self.gens, self.rounds, self.entries, self.eps_vecs = [], [], {}, []
-        self.target_entries = target.entries
+        self.target_entries = entries_of(target)
         self.top_hit = False
 
     def eps_block(self, src, tgt_labels):
@@ -261,23 +262,21 @@ def test_resolution_and_tate_cone_match_reference(field, policy, module):
     assert state.gens
     safe = [(a,) for a in range(-2, 7)]
     free = state.free_module(safe)
-    got = (state.gens, state.rounds, free.entries, DMMorphism(free, dm, state.eps).entries,
+    got = (state.gens, state.rounds, entries_of(free), entries_of(DMMorphism(free, dm, state.eps)),
            state.top_hit)
     assert got == (ref.gens, ref.rounds, ref.entries, ref.morphism_entries(), ref.top_hit)
-    ref_free = FreeDiffModule(p112, field, ref.gens, ref.entries, safe=safe)
-    want = cone(DMMorphism(ref_free, dm, ref.morphism_entries()))
-    assert tate_cone(state, safe).entries == want.entries
+    ref_free = dict_module(p112, field, ref.gens, ref.entries, safe=safe)
+    want = cone(dict_morphism(ref_free, dm, ref.morphism_entries()))
+    assert entries_of(tate_cone(state, safe)) == entries_of(want)
     for a in safe:
         assert _slice_homology(field, *state.cone_column(a)) == {}
 
 
-def _cases(field):
-    """R of a P(1,1,2) module, the Tate cone of its resolution, R of the
-    complex [S(-1) --x0--> S] minimized, and R restricted to E_I."""
+def _r_complex(field):
+    """R of the complex [S(-1) --x0--> S] on P(1,1,2): the complex's map
+    enters as constant blocks, so the module is not minimal."""
     p112 = weighted_projective(1, 1, 2)
     window = Window((0,), (8,))
-    dm = R(realize(_modules(p112)["S/(x0^2,x1^2)"], p112, window, field))
-    tc = tate_cone(min_free_resolution(dm, floor=-2), [(a,) for a in range(-2, 5)])
     s0 = realize(Presentation.free([(0,)]), p112, window, field)
     s1 = realize(Presentation.free([(1,)]), p112, window, field)
     maps = {}
@@ -287,8 +286,17 @@ def _cases(field):
         for c, (_, e) in enumerate(s1.basis_labels(a)):
             m[rows[(0, (e[0] + 1,) + e[1:])], c] = field.one
         maps[a] = Mat(field, m)
-    minimal, cancelled = minimize(R_complex(ModuleComplex({0: s0, 1: s1}, {1: maps})), report=True)
-    assert cancelled and minimal.entries
+    return R_complex(ModuleComplex({0: s0, 1: s1}, {1: maps}))
+
+
+def _cases(field):
+    """R of a P(1,1,2) module, the Tate cone of its resolution, R of the
+    complex [S(-1) --x0--> S] minimized, and R restricted to E_I."""
+    p112 = weighted_projective(1, 1, 2)
+    dm = R(realize(_modules(p112)["S/(x0^2,x1^2)"], p112, Window((0,), (8,)), field))
+    tc = tate_cone(min_free_resolution(dm, floor=-2), [(a,) for a in range(-2, 5)])
+    minimal, cancelled = minimize(_r_complex(field), report=True)
+    assert cancelled and minimal.d
     return p112, {"R": dm, "tate cone": tc, "minimized": minimal, "tensor_EI": tensor_EI(dm, (0, 2))}
 
 
@@ -296,7 +304,7 @@ def _cases(field):
 def test_column_complex_matches_dict_walk(field):
     stack, cases = _cases(field)
     for name, dm in cases.items():
-        entries = dm.entries
+        entries = entries_of(dm)
         assert entries, name
         for a in [(x,) for x in range(-4, 11)]:
             want = _scan_slices(stack, dm.gens, _scan_basis(stack, dm.gens, a, dm.varmask))

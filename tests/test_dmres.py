@@ -11,6 +11,7 @@ from torictate.linalg import GF, QQ, Mat, independent_columns, kernel_basis, ran
 from torictate.smodule import Presentation, realize, truncate
 from torictate.toric import Window
 
+from dictform import entries_of
 from test_diffmod import commutes
 
 
@@ -76,7 +77,7 @@ def test_resolution_of_residue_field_p1(p1, gf):
     f = state.free_module(safe=[])
     assert check_minimal(f)
     # free flag: differentials point to earlier rounds
-    for (s, t) in f.entries:
+    for (s, t) in entries_of(f):
         assert state.rounds[s] < state.rounds[t]
 
 

@@ -1,7 +1,7 @@
 import itertools
 
-from torictate.exterior import (OmegaTwist, column_basis, elem_mul, ext_mul,
-                                mul_sign, popcount, socle_readoff)
+from torictate.exterior import (OmegaTwist, column_basis, ext_mul, mul_sign, popcount,
+                                socle_readoff)
 from torictate.toric import deg_neg, deg_sub
 
 
@@ -56,13 +56,6 @@ def test_ext_mul_associative_and_graded_commutative():
         s_bc, m_bc = ext_mul(b, c)
         s2, m2 = ext_mul(a, m_bc)
         assert m1 == m2 and s_ab * s1 == s_bc * s2
-
-
-def test_elem_mul(gf):
-    x = {0b01: 1}
-    y = {0b10: 1, 0b00: 2}
-    out = elem_mul(x, y, gf)
-    assert out == {0b11: 1, 0b01: 2}
 
 
 def test_omega_degrees_p1(p1):

@@ -10,17 +10,46 @@ import pytest
 
 from torictate import laurent, linalg, tate
 from torictate.cli import main, parse_input
-from torictate.cohomology import oracle_table
-from torictate.diffmod import (FreeDiffModule, check_minimal, check_square_zero,
-                               homology_column, minimize)
+from torictate.cohomology import cohomology_table_fast, oracle_table
+from torictate.diffmod import (EMatrix, FreeDiffModule, _add_block, check_minimal,
+                               check_square_zero, homology_column, minimize)
 from torictate.errors import PreconditionError, StabilizationError
-from torictate.exterior import OmegaTwist, socle_readoff
+from torictate.exterior import OmegaTwist, Runs, socle_readoff
+from torictate.laurent import CechComplex
 from torictate.linalg import GF, QQ
 from torictate.smodule import (Poly, Presentation, monomial_basis, realize)
-from torictate.tate import (beilinson_U, cech_totalization_dm,
-                            check_exactness_property, check_R_embedding,
-                            fm_transform, head_submodule, tate_weighted)
-from torictate.toric import Window, deg_neg, deg_sub
+from torictate.tate import (beilinson_U, check_exactness_property, check_R_embedding,
+                            fm_transform, head_submodule, safe_degrees, tate_weighted)
+from torictate.toric import Window, deg_add, deg_neg, deg_sub, weighted_projective
+
+from dictform import dict_module, entries_of
+
+
+def cech_totalization_dm(pres, stack, window, field, t):
+    """The uncontracted totalization of the Cech bicomplex as an explicit
+    free differential module (small windows only; used for cross-checks
+    against the transferred minimal model): the strands' Cech maps are
+    vertical, and the horizontal blocks carry x_i (x) e_i."""
+    cx = CechComplex(stack, field, pres, stack.cover, t)
+    runs = Runs()
+    d = EMatrix(field)
+    offsets = {}  # per degree: the offset of each level of its strand
+    for a in window.points():
+        dims, mats = cx.strand(a, extended=False)
+        offsets[a] = [len(runs.gens)]
+        for level, n in enumerate(dims):
+            if n:
+                runs.append(OmegaTwist(deg_neg(a), level), n)
+            offsets[a].append(len(runs.gens))
+        for level, m in enumerate(mats):
+            _add_block(d, runs, offsets[a][level + 1], offsets[a][level], field.array(m), 0, 1)
+    for a in window.points():
+        for i in range(stack.nvars):
+            b = deg_add(a, stack.var_degrees[i])
+            if b in window:
+                _add_block(d, runs, offsets[b][0], offsets[a][0],
+                           cx.horizontal_block(a, i), 1 << i, 1)
+    return FreeDiffModule(stack, field, runs, d, safe=safe_degrees(stack, window), validate=True)
 
 
 def counted(gens):
@@ -37,7 +66,7 @@ def test_tate_weighted_p112_structure_sheaf(p112, gf):
     # single tail-to-head map via e0 e1 e2
     head = [i for i, tw in enumerate(res.T.gens) if tw == OmegaTwist((0,), 0)]
     tail = [i for i, tw in enumerate(res.T.gens) if tw == OmegaTwist((4,), 2)]
-    entry = res.T.entries.get((head[0], tail[0]))
+    entry = entries_of(res.T).get((head[0], tail[0]))
     assert entry is not None and set(entry) == {0b111}
     assert check_minimal(res.T)
     assert check_square_zero(res.T)
@@ -87,7 +116,7 @@ def test_filtration_block_triangular(p112, gf):
     # the differential of a minimal Tate module never raises the auxiliary
     # level of generators
     res = tate_weighted(Presentation.free([(0,)]), p112, Window((-8,), (8,)), gf)
-    for (s, t) in res.T.entries:
+    for (s, t) in entries_of(res.T):
         assert res.T.gens[s].aux <= res.T.gens[t].aux
 
 
@@ -97,6 +126,21 @@ def test_fm_p1_classical(p1, gf):
         assert res.entry(0, (a,)) == max(0, a + 1)
         assert res.entry(1, (a,)) == max(0, -a - 1)
     assert check_square_zero(res.T, degrees=sorted(res.T.safe))
+
+
+@pytest.mark.parametrize("weights", [(1, 1, 2), (1, 2), (1, 5, 6)])
+def test_weighted_tate_table_is_the_fast_table_in_the_window(weights, gf):
+    # the section rows are checked inside the window only, so a window whose
+    # low end is above the truncation has a Tate table too, and both tables
+    # stop at the window
+    stack = weighted_projective(*weights)
+    x0 = (1,) + (0,) * (len(weights) - 1)
+    for pres in (Presentation.free([(0,)]), Presentation.quotient(stack, [x0])):
+        for lo, hi, d in itertools.product(range(-2, 4), range(0, 5), (None, 1, 3)):
+            if lo <= hi:
+                window = Window((lo,), (hi,))
+                assert tate_weighted(pres, stack, window, gf, d=d).table == \
+                    cohomology_table_fast(pres, stack, window, gf, d=d), (pres, lo, hi, d)
 
 
 def test_fm_matches_weighted_p112(p112, gf):
@@ -203,10 +247,10 @@ def test_head_submodule_rejects_a_map_out_of_the_head(p112, gf):
     # an aux-0 generator whose differential reaches an aux-(-1) generator
     gens = [OmegaTwist((0,), 0), OmegaTwist((-1,), -1), OmegaTwist((-1,), 0)]
     with pytest.raises(AssertionError):
-        head_submodule(FreeDiffModule(p112, gf, gens, {(1, 0): {0b001: 1}}, validate=False))
+        head_submodule(dict_module(p112, gf, gens, {(1, 0): {0b001: 1}}, validate=False))
     # the reverse direction, into the head, is dropped with its source
-    head = head_submodule(FreeDiffModule(p112, gf, gens, {(2, 1): {0b001: 1}}, validate=False))
-    assert head.gens == [gens[0], gens[2]] and not head.entries
+    head = head_submodule(dict_module(p112, gf, gens, {(2, 1): {0b001: 1}}, validate=False))
+    assert head.gens == [gens[0], gens[2]] and not head.d
 
 
 def test_beilinson_u_p1(p1, gf):
@@ -228,9 +272,7 @@ def test_beilinson_u_p12(p12, gf):
 
 
 def test_beilinson_u_zero(p1, gf):
-    from torictate.diffmod import FreeDiffModule
-
-    empty = FreeDiffModule(p1, gf, [], {}, safe=[])
+    empty = FreeDiffModule(p1, gf, [], EMatrix(gf), safe=[])
     cx = beilinson_U(empty, p1, [(0,), (1,)])
     assert all(cx.dim(j, (c,)) == 0 for j in cx.js() for c in [(0,), (1,)])
 
@@ -549,7 +591,7 @@ def test_dense_table_builds_no_retract_and_T_builds_each_once(p1p1, gf, monkeypa
     assert capsys.readouterr().out
     res = fm_transform(curve, p1p1, Window((0, 0), (1, 1)), gf)
     assert res.table and built == []
-    assert res.T.entries
+    assert res.T.d
     assert built and len(built) == len(set(built))
 
 
