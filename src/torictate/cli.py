@@ -372,6 +372,9 @@ def main(argv=None):
         out = run(args.command, args, stack, field, modules)
         print(out)
         return 0
+    except MemoryError:
+        print("error: out of memory (try a smaller --window)", file=sys.stderr)
+        return 4
     except Exception as exc:
         for klass, code in EXIT_CODES:
             if isinstance(exc, klass):

@@ -12,7 +12,7 @@ engine; the fast path works from minimal free resolutions of differential
 modules. Neither shares anything else with the engine past basic linear
 algebra, so their agreement with it is meaningful evidence of correctness.
 The dense path and the realized module do share Presentation.piece and
-GradedPieces.image, which the engine never calls.
+GradedPieces.image_entries, which the engine never calls.
 """
 
 from __future__ import annotations

@@ -22,7 +22,7 @@ from operator import add
 import numpy as np
 
 from .errors import PreconditionError
-from .linalg import peel, signed_graph_rank, sparse_rank
+from .linalg import entry_rows, peel, signed_graph_rank, sparse_rank
 from .smodule import monomial_basis
 from .toric import cone_contains, deg_add, deg_sub, degrees_within, hirzebruch
 
@@ -138,10 +138,7 @@ class _BlockComplex:
             if rk is None:
                 rk, core = peel(rows, cols, self.dim(i - 1, bid), self.dim(i, bid))
                 values = np.repeat(np.array(coefs, dtype=object), counts)[core]
-                left = {}
-                for c, r, v in zip(cols[core].tolist(), rows[core].tolist(), values.tolist()):
-                    left.setdefault(c, {})[r] = v
-                rk += sparse_rank(field, list(left.values()))
+                rk += sparse_rank(field, entry_rows(cols[core], rows[core], values))
             self._rk_cache[key] = rk
         return self._rk_cache[key]
 

@@ -12,9 +12,11 @@ dimensional, so it bounds each inverted exponent below by -max(t, floor),
 where the floor is the one reach rule (reach_floors) of a grading, or by -t
 when no grading is given, and relies on the caller's adaptive
 stabilization (double t until the dimensions stop changing; a bound
-unsettled by t = T_CAP raises StabilizationError, exit 4).
-Its pieces are built by Presentation.piece, as the realized module's are,
-monomial presentations too: it shares no kill rule with MonomialStrands.
+unsettled by t = T_CAP raises StabilizationError, exit 4). Its pieces are
+built by Presentation.piece, monomial presentations too (no kill rule is
+shared with MonomialStrands), and its maps as entry arrays of the pieces'
+normal forms: strand homology ranks them sparsely, and only the Tate
+walk's retracts and horizontal blocks are made dense.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ import itertools
 import numpy as np
 
 from .errors import StabilizationError
-from .linalg import _rref_kernel, homology_dims, independent_columns, invert, rref
+from .linalg import (_rref_kernel, dense, entry_rows, homology_dims, independent_columns,
+                     invert, rref, sparse_rank)
 from .smodule import GradedPieces
 from .toric import count_points, deg_add, deg_sub, deg_zero, points
 
@@ -354,71 +357,66 @@ class CechComplex:
 
     def cells_at(self, level):
         """(index, cell) of the cells at Cech level l (l+1 opens
-        intersected); level -1 would be the module cell, handled
-        separately."""
+        intersected)."""
         return [(ci, c) for ci, c in enumerate(self.cells) if c[0] == level]
 
-    def restriction_block(self, a, src_cell, tgt_cell):
-        """Matrix of the localization map from cell J to cell J' (J subset
-        of J', one more open)."""
-        return self.localized[tgt_cell[2]].image(a, self.localized[src_cell[2]].basis_labels(a))
+    def _block(self, a, b, sources, targets, mono=None):
+        """Every map of the strands is made here: (shape, rows, cols, values)
+        of a map from the pieces at degree a to the target pieces at b, as
+        entry arrays. sources lists (piece, [(target index, sign)]); each
+        source's basis labels, moved by the monomial mono if given, are
+        imaged in each of its targets' bases, signed, at the pieces'
+        offsets. No two (source, target) blocks overlap."""
+        field = self.field
+        offsets = list(itertools.accumulate([t.dim(b) for t in targets], initial=0))
+        ents = [(np.zeros(0, dtype=np.int64),) * 2 + (np.full(0, field.one),)]
+        co = 0
+        for src, signs in sources:
+            labels = src.basis_labels(a) if mono is None else src.moved(a, mono)
+            for k, sign in signs:
+                if labels and targets[k].dim(b):
+                    rows, cols, vals = targets[k].image_entries(b, labels)
+                    ents.append((rows + offsets[k], cols + co, vals if sign > 0 else field.reduce(-vals)))
+            co += len(labels)
+        return ((offsets[-1], co),) + tuple(np.concatenate(x) for x in zip(*ents))
 
-    def module_block(self, a):
-        """The map from the module piece into the level-0 cells, stacked."""
-        labels = self.module_piece.basis_labels(a)
-        blocks = [self.localized[cell[2]].image(a, labels) for _, cell in self.cells_at(0)]
-        return np.concatenate(blocks) if blocks else self.field.zeros(0, len(labels))
+    def _map(self, a, level):
+        """The map at degree a from Cech level to level + 1, or from the
+        module cell to the level-0 cells (level -1)."""
+        tgt = self.cells_at(level + 1)
+        index = {cj: k for k, (cj, _) in enumerate(tgt)}
+        if level < 0:
+            sources = [(self.module_piece, [(k, 1) for k in range(len(tgt))])]
+        else:
+            sources = [(self.localized[c[2]], [(index[cj], sign) for cj, sign in self.cofaces[ci]])
+                       for ci, c in self.cells_at(level)]
+        return self._block(a, a, sources, [self.localized[c[2]] for _, c in tgt])
 
-    def cech_block(self, a, level):
-        """The Cech differential from level to level + 1 at degree a."""
-        src_cells = self.cells_at(level)
-        tgt_cells = self.cells_at(level + 1)
-        src_dims = [self.localized[c[2]].dim(a) for _, c in src_cells]
-        tgt_dims = [self.localized[c[2]].dim(a) for _, c in tgt_cells]
-        mat = self.field.zeros(sum(tgt_dims), sum(src_dims))
-        tgt_off = dict(zip([cj for cj, _ in tgt_cells], itertools.accumulate([0] + tgt_dims)))
-        src_off = 0
-        for (ci, c), d in zip(src_cells, src_dims):
-            # each coface of a cell is a distinct cell: the blocks do not overlap
-            for cj, sign in self.cofaces[ci]:
-                block = self.restriction_block(a, c, self.cells[cj])
-                o = tgt_off[cj]
-                mat[o:o + block.shape[0], src_off:src_off + d] = \
-                    block if sign > 0 else self.field.reduce(-block)
-            src_off += d
-        return mat
+    def _strand(self, a, extended):
+        """Dims and maps (_block) of the complex at degree a, the last map
+        out of the top level (to no cells); position 0 is the module cell
+        when extended, else the level-0 cells."""
+        maps = [self._map(a, level) for level in range(-1 if extended else 0, len(self.cover))]
+        return [m[0][1] for m in maps], maps
 
     def strand(self, a, extended):
-        """The full complex at degree a as a list of (dim, matrix-to-next);
-        position 0 is the module cell when extended, else the level-0 cells."""
-        dims = []
-        mats = []
-        if extended:
-            dims.append(self.module_piece.dim(a))
-            mats.append(self.module_block(a))
-        for level in range(len(self.cover)):
-            cells = self.cells_at(level)
-            dims.append(sum(self.localized[c[2]].dim(a) for _, c in cells))
-            if level < len(self.cover) - 1:
-                mats.append(self.cech_block(a, level))
-        return dims, mats
+        """The full complex at degree a as (dims, dense maps to the next)."""
+        dims, maps = self._strand(a, extended)
+        return dims, [dense(self.field, *m) for m in maps[:-1]]
 
     def strand_homology(self, a, extended):
-        """Homology dimensions by position (0 = H^0_B resp. kernel end)."""
-        dims, mats = self.strand(a, extended)
-        return homology_dims(self.field, dims, mats)
+        """Homology dimensions by position (0 = H^0_B resp. kernel end), each
+        map ranked on its sparse columns (sparse_rank), never made dense."""
+        return homology_dims(self.field, *self._strand(a, extended),
+                             rank_of=lambda field, m: sparse_rank(field, entry_rows(m[2], m[1], m[3])))
 
     def horizontal_block(self, a, i):
         """The horizontal map x_i (x) e_i of the bicomplex, from the strand at
         a to the strand at a + deg x_i (cells only, no module cell), with the
         row sign (-1)^level."""
-        field = self.field
-        blocks = [self.localized[inv].multiply(i, a) for _, _, inv in self.cells]
-        mat = field.zeros(sum(m.shape[0] for m in blocks), sum(m.shape[1] for m in blocks))
-        to = so = 0
-        for (level, _, _), m in zip(self.cells, blocks):
-            nt, ns = m.shape
-            mat[to:to + nt, so:so + ns] = field.reduce(-m) if level % 2 else m
-            to += nt
-            so += ns
-        return mat
+        pieces = [self.localized[inv] for _, _, inv in self.cells]
+        sources = [(piece, [(k, -1 if level % 2 else 1)])
+                   for k, (piece, (level, _, _)) in enumerate(zip(pieces, self.cells))]
+        mono = tuple(int(k == i) for k in range(self.stack.nvars))
+        return dense(self.field, *self._block(a, deg_add(a, self.stack.var_degrees[i]),
+                                              sources, pieces, mono))

@@ -5,19 +5,18 @@ strands) reduces to rank / kernel / reduced-echelon computations done here.
 No floating point anywhere: GF(p) matrices are int64 numpy arrays reduced
 mod p, rational matrices are object arrays of Fractions.
 
-Dense arrays are the interface; elimination runs on sparse rows (dicts
-column -> nonzero coefficient), because the matrices met here are mostly
-about 1% dense. Each field has one forward elimination, `insert`, which
-reduces a row by the pivot rows and keeps what is left; the caller picks
-the lead column. `_echelon` (under `rref` and `RowReducer`) leads with the
-smallest column and back-substitutes; `sparse_rank` leads with the largest
-and only counts pivots, and it ranks dense arrays too (`rank`, `_rank_arr`,
-`homology_dims`), read into sparse rows as `rref` reads them. A matrix
-whose every column is two entries of +-1 (the diagonal's binomial maps) is
-ranked without elimination by `signed_graph_rank`, which counts components
-of a signed graph. `peel` removes singleton rows and columns from a matrix
-given as entry arrays, counting one rank for each, and leaves a core for
-`sparse_rank`.
+Elimination runs on sparse rows (dicts column -> nonzero coefficient), as
+the matrices met here are mostly about 1% dense; dense arrays are made only
+for callers that want them (`rref`, `dense`). Each field has one forward
+elimination, `insert`; the caller picks the lead column. `_echelon` leads
+with the smallest and back-substitutes, and returns sparse reduced rows:
+`rref` fills them in, `RowReducer` keeps each label's normal form modulo
+them in CSR arrays and gathers them (`reduce_rows`). `sparse_rank` leads
+with the largest and only counts pivots, on sparse rows or, through
+`_rank_arr`, on a dense array's. `signed_graph_rank` ranks a matrix whose
+every column is two entries of +-1 (the diagonal's binomial maps) by
+counting components of a signed graph; `peel` removes singleton rows and
+columns, one rank each, and leaves a core for `sparse_rank`.
 """
 
 from __future__ import annotations
@@ -336,9 +335,11 @@ class Mat:
         return not np.any(self.a)
 
 
-def _echelon(field, rows, ncols):
-    """Reduced row echelon form (R dense, one row per pivot; pivot column
-    list) of sparse rows, dicts column -> coefficient none zero in the field.
+def _echelon(field, rows):
+    """Reduced row echelon form of sparse rows, dicts column -> coefficient
+    none zero in the field: (reduced rows, one per pivot, as dicts; pivot
+    column list). Each reduced row holds one at its pivot column, no other
+    pivot column, and its nonzero entries at free columns.
 
     Forward elimination (field.insert) takes the rows sparsest first and
     leads with the smallest column. The pivot rows are then scaled to lead
@@ -354,15 +355,17 @@ def _echelon(field, rows, ncols):
         row = pivots[c]
         for k in [k for k in row if k != c and k in pivots]:
             field.sub_scaled(row, row[k], pivots[k])
-    r = field.zeros(len(order), ncols)
-    ri, ci, vals = [], [], []
-    for i, c in enumerate(order):
-        row = pivots[c]
-        ri += [i] * len(row)
-        ci += row
-        vals += row.values()
-    r[ri, ci] = vals
-    return r, order
+    return [pivots[c] for c in order], order
+
+
+def entry_rows(keys, cols, vals):
+    """Sparse rows, dicts column -> value, of the entries (keys[k], cols[k],
+    vals[k]) grouped by key in order of first appearance; each (key, column)
+    appears once, and values are nonzero in the field."""
+    rows = {}
+    for i, c, v in zip(keys.tolist(), cols.tolist(), vals.tolist()):
+        rows.setdefault(i, {})[c] = v
+    return list(rows.values())
 
 
 def _sparse_rows(field, a):
@@ -373,17 +376,27 @@ def _sparse_rows(field, a):
     ri, ci = np.nonzero(a)
     vals = field.reduce(a[ri, ci])
     keep = np.flatnonzero(vals)
-    rows = {}
-    for i, c, v in zip(ri[keep].tolist(), ci[keep].tolist(), vals[keep].tolist()):
-        rows.setdefault(i, {})[c] = v
-    return list(rows.values())
+    return entry_rows(ri[keep], ci[keep], vals[keep])
 
 
 def rref(field, a):
     """Reduced row echelon form of a dense matrix. Returns (R, pivot column
     list); R has one row per pivot. It is computed on the sparse rows of a
-    (see _echelon)."""
-    return _echelon(field, _sparse_rows(field, a), np.shape(a)[1])
+    (see _echelon) and filled in densely only here."""
+    rows, order = _echelon(field, _sparse_rows(field, a))
+    ri, ci, vals = [], [], []
+    for i, row in enumerate(rows):
+        ri += [i] * len(row)
+        ci += row
+        vals += row.values()
+    return dense(field, (len(order), np.shape(a)[1]), ri, ci, vals), order
+
+
+def dense(field, shape, rows, cols, vals):
+    """The matrix of the given shape with vals at (rows, cols), zero elsewhere."""
+    out = field.zeros(*shape)
+    out[rows, cols] = vals
+    return out
 
 
 def rank(m):
@@ -444,12 +457,12 @@ def homology_dim(d_in, d_out):
     return d_out.cols - rank(d_out) - rank(d_in)
 
 
-def homology_dims(field, dims, maps):
+def homology_dims(field, dims, maps, rank_of=_rank_arr):
     """Homology dimensions of a complex of vector spaces with the given
     dimensions, maps[k] going from position k to position k + 1 (a last map
     out of the final position may be given or left out). Each map is ranked
-    once."""
-    ranks = [_rank_arr(field, m) for m in maps] + [0]
+    once, by rank_of(field, map), by default as a dense array."""
+    ranks = [rank_of(field, m) for m in maps] + [0]
     return [n - ranks[k] - (ranks[k - 1] if k else 0) for k, n in enumerate(dims)]
 
 
@@ -534,14 +547,17 @@ def signed_graph_rank(cols, rows, signs, ncols):
     ends = rows[order].reshape(ncols, 2)
     if (ends[:, 0] == ends[:, 1]).any():
         return None
-    touched, ends = np.unique(ends, return_inverse=True)
-    u, v = ends.reshape(ncols, 2).T
-    m = len(touched)
+    touched = np.bincount(ends.ravel()) > 0
+    u, v = (np.cumsum(touched) - 1)[ends].T
+    m = int(np.count_nonzero(touched))
     s = signs[order].reshape(ncols, 2)
     cross = np.where(s[:, 0] == s[:, 1], m, 0)
+    parts = _components(m, u, v)
+    if not cross.any():  # no negative edge: every component is balanced
+        return m - parts
     cover = _components(2 * m, np.concatenate([u, u + m]),
                         np.concatenate([v + cross, v + m - cross]))
-    return m - (cover - _components(m, u, v))
+    return m - (cover - parts)
 
 
 def peel(rows, cols, nrows, ncols):
@@ -579,33 +595,47 @@ def peel(rows, cols, nrows, ncols):
 
 
 class RowReducer:
-    """Echelonized row space with fast membership reduction.
+    """Echelonized row space with normal forms by lookup.
 
     Used to present cokernels: rows (sparse, over ncols columns) span the
-    relation space, labels outside the pivot set index the quotient basis."""
+    relation space, labels outside the pivot set index the quotient basis.
+    The normal form of every label is kept in CSR arrays over that basis: a
+    free label is its own basis vector, and a pivot label c is -R[c, free]
+    for the reduced echelon form R, read off the sparse reduced rows."""
 
     def __init__(self, field, rows, ncols):
         self.field = field
         self.ncols = ncols
-        self.r, self.pivots = _echelon(field, rows, ncols)
-        piv = set(self.pivots)
-        self.free = [j for j in range(ncols) if j not in piv]
-        self._free_arr = np.array(self.free, dtype=np.int64)
-        self._piv_arr = np.array(self.pivots, dtype=np.int64)
+        reduced, self.pivots = _echelon(field, rows)
+        free = np.ones(ncols, dtype=bool)
+        free[self.pivots] = False
+        self.free = np.flatnonzero(free).tolist()
+        sizes = free.astype(np.int64)
+        sizes[self.pivots] = [len(row) - 1 for row in reduced]
+        self._indptr = np.concatenate([[0], np.cumsum(sizes)])
+        ks, vs = [], []
+        for c, row in zip(self.pivots, reduced):
+            del row[c]
+            ks += row
+            vs += row.values()
+        own = np.repeat(free, sizes)  # the one entry of each free label
+        self._cols = np.cumsum(own) - 1  # there, the label's basis index
+        self._cols[~own] = self._cols[self._indptr[ks]]
+        self._vals = field.zeros(1, len(own))[0]
+        self._vals[own] = field.one
+        self._vals[~own] = field.reduce(-field.array(vs))
 
     @property
     def corank(self):
         return len(self.free)
 
-    def reduce_rows(self, v):
-        """Reduce row vectors modulo the row space; returns coordinates in
-        the non-pivot (quotient) basis, shape (k, corank). Only the pivot
-        rows at pivot columns that v touches enter the product."""
-        if len(self.pivots) and v.shape[0]:
-            vp = v[:, self._piv_arr]
-            touched = np.flatnonzero(vp.any(axis=0))
-            if touched.size:
-                v = self.field.reduce(v - self.field.matmul(vp[:, touched], self.r[touched]))
-        if len(self.free) == 0:
-            return self.field.zeros(v.shape[0], 0)
-        return v[:, self._free_arr]
+    def reduce_rows(self, labels):
+        """The normal forms of the labels (an int array of columns) modulo the
+        row space, gathered from the CSR rows as entries (owner, coordinate,
+        value): the label at position owner has value at that quotient
+        basis vector. Every value is nonzero."""
+        start = self._indptr[labels]
+        sizes = self._indptr[labels + 1] - start
+        owner = np.repeat(np.arange(len(labels)), sizes)
+        at = np.arange(len(owner)) + np.repeat(start - np.cumsum(sizes) + sizes, sizes)
+        return owner, self._cols[at], self._vals[at]

@@ -400,6 +400,42 @@ def test_budget_refusal_while_parsing_exits_4(capsys, monkeypatch):
     assert code == 4 and out == ""
     assert "over the size budget of 4 cells" in err
 
+
+def test_out_of_memory_exits_4(capsys, monkeypatch):
+    # an allocation under the size budget that the host cannot back ends the
+    # run with exit 4 and one line on stderr, not a traceback
+    def exhausted(self, a):
+        raise MemoryError
+
+    monkeypatch.setattr(laurent.LocalizedModule, "piece", exhausted)
+    code, out, err = run_cli(["oracle", fixture("p1p1-curves.tate"), "--module", "C1",
+                              "--window", "0:0,0:0"], capsys)
+    assert code == 4 and out == ""
+    assert err == "error: out of memory (try a smaller --window)\n"
+
+
+def test_dense_cohomology_of_the_22_curve_in_bounded_memory():
+    # the (2,2) curve takes the dense Cech path at Cl rank 2; with its
+    # reducers kept as sparse normal forms and its strands ranked on sparse
+    # rows it peaks far below the 808 MB its dense echelon forms took, and
+    # prints the recorded table
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(os.path.dirname(__file__), "..", "src")] +
+        env.get("PYTHONPATH", "").split(os.pathsep))
+    script = ("import resource, sys\n"
+              "from torictate.cli import main\n"
+              "code = main(sys.argv[1:])\n"
+              "sys.stderr.write('%d\\n' % resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+              "sys.exit(code)\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "cohomology", fixture("p1p1-curves.tate"),
+         "--module", "C2", "--window", "-2:2,-2:2"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == pinned("cohomology_p1p1curves_C2.out")
+    assert int(proc.stderr.split()[-1]) < 250 * 1024  # ru_maxrss is in KiB on Linux
+
 def test_monomial_oracle_counts_every_exponent(capsys, tmp_path):
     # S/(x0^4 x1^5) on P(1,2) has h^0 = 7 in every degree; the oracle must
     # reach the sections that the relation's exponents push far out

@@ -135,18 +135,41 @@ def test_gf_rejects_non_prime():
         GF(2)
 
 
-def test_row_reducer_quotient(gf):
+def _gathered(red, v):
+    """v reduced through the gather: each row of v combines the normal
+    forms of the labels it holds, read off RowReducer.reduce_rows."""
+    owner, coords, vals = red.reduce_rows(np.arange(red.ncols))
+    forms = red.field.zeros(red.ncols, red.corank)
+    forms[owner, coords] = vals
+    return red.field.matmul(v, forms)
+
+
+def _dense_reduced(field, rows, v):
+    """The dense reference: v - v[:, piv] R restricted to the free columns,
+    R the reduced echelon form of the relation rows."""
+    n = v.shape[1]
+    a = field.zeros(len(rows), n)
+    for i, row in enumerate(rows):
+        a[i, list(row)] = list(row.values())
+    r, piv = rref(field, a)
+    free = [j for j in range(n) if j not in piv]
+    if piv and v.shape[0]:
+        v = field.reduce(v - field.matmul(v[:, piv], r))
+    return v[:, free]
+
+
+def test_row_reducer_quotient():
     # k^3 modulo the span of (1, 1, 0): quotient has dimension 2
-    red = RowReducer(gf, [{0: 1, 1: 1}], 3)
-    assert red.corank == 2
-    v = gf.array([[0, 1, 0]])
-    coords = red.reduce_rows(v)
-    assert coords.shape == (1, 2)
-    # e1 itself is a quotient basis vector (the pivot label is e0)
-    assert list(coords[0]) == [1, 0]
-    # e0 reduces to -e1 in the quotient
-    w = gf.array([[1, 0, 0]])
-    assert list(red.reduce_rows(w)[0]) == [gf.p - 1, 0]
+    for field in FIELDS:
+        red = RowReducer(field, [{0: field.one, 1: field.one}], 3)
+        assert red.corank == 2 and red.pivots == [0] and red.free == [1, 2]
+        # e1 and e2 are quotient basis vectors; e0 reduces to -e1
+        owner, coords, vals = red.reduce_rows(np.array([1, 0, 2, 0]))
+        assert owner.tolist() == [0, 1, 2, 3] and coords.tolist() == [0, 0, 1, 0]
+        assert vals.tolist() == [field.one, field.neg(field.one), field.one, field.neg(field.one)]
+        v = field.array([[0, 1, 0], [1, 0, 0], [2, 3, 5]])
+        want = _dense_reduced(field, [{0: 1, 1: 1}], v)
+        assert _gathered(red, v).tolist() == want.tolist() == field.array([[1, 0], [-1, 0], [1, 5]]).tolist()
 
 
 def test_rref_pivots(qq):
@@ -379,10 +402,17 @@ def test_reduce_rows_matches_unrestricted_product(field, rng):
             v[rng.randrange(k), red.pivots] = field.zero  # this row touches no pivot column
         if rng.random() < 0.2:
             v[:, red.pivots] = field.zero  # no row does
-        want = v
-        if red.pivots and k:
-            want = field.reduce(v - field.matmul(v[:, red.pivots], red.r))
-        assert red.reduce_rows(v).tolist() == want[:, red.free].tolist()
+        assert _gathered(red, v).tolist() == _dense_reduced(field, _sparse(a), v).tolist()
+        # a gather of any labels, repeats included, is the gather of each
+        labels = np.array([rng.randrange(n) for _ in range(k)], dtype=np.int64)
+        owner, coords, vals = red.reduce_rows(labels)
+        assert all(vals != field.zero) and len(owner) == len(set(zip(owner.tolist(), coords.tolist())))
+        for j, lab in enumerate(labels.tolist()):
+            mine = {c: x for o, c, x in zip(owner.tolist(), coords.tolist(), vals.tolist()) if o == j}
+            unit = field.zeros(1, n)
+            unit[0, lab] = field.one
+            want = _dense_reduced(field, _sparse(a), unit)[0]
+            assert mine == {c: x for c, x in enumerate(want.tolist()) if x != field.zero}
 
 
 def test_sparse_rank_rational_denominators(qq):
@@ -539,7 +569,8 @@ def _signed_graphs(draw):
     distinct rows, as (cols, rows, signs, ncols) and as sparse columns:
     random edges, whose signs close unbalanced cycles, triangles with an odd
     number of negative edges, columns repeated or negated, edges on two rows
-    nothing else touches, and rows no column touches."""
+    nothing else touches, and rows no column touches; in half the draws
+    every edge is made positive (one entry 1, the other -1)."""
     field = draw(st.sampled_from(FIELDS))
     nrows = draw(st.integers(2, 14))
     rnd = draw(st.randoms(use_true_random=False))
@@ -562,6 +593,8 @@ def _signed_graphs(draw):
             u, v = rnd.sample(range(nrows), 2)
             cols.append(((u, sign()), (v, sign())))
     nrows += draw(st.integers(0, 3))  # untouched rows
+    if draw(st.booleans()):  # no negative edge, as in y e - x e'
+        cols = [((u, s), (v, -s)) for (u, s), (v, _) in cols]
     rnd.shuffle(cols)
     entries = [(j, u, s) for j, col in enumerate(cols) for u, s in col]
     rnd.shuffle(entries)
