@@ -93,8 +93,9 @@ class LocalizedModule(GradedPieces):
         self._cache = {}
 
     def piece(self, a):
-        """(labels, reducer): labels are (gen, exponent vector); reducer is
-        None when the labels are already a basis."""
+        """Presentation.piece at degree a: (labels, reducer, index), labels
+        (gen, exponent vector); reducer is None when the labels are already
+        a basis."""
         a = tuple(a)
         if a not in self._cache:
             inner = deg_add(a, self.shift)

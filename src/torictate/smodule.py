@@ -124,17 +124,18 @@ class Presentation:
         return rows
 
     def piece(self, field, exponents):
-        """(labels, reducer) of a graded piece whose monomials of degree d
-        are exponents(d), called with d = piece degree minus a generator or
-        relation degree: labels are (generator, exponent) pairs, and the
-        reducer (None when no relation lands) works modulo the relations."""
+        """(labels, reducer, index) of a graded piece whose monomials of
+        degree d are exponents(d), called with d = piece degree minus a
+        generator or relation degree: labels are (generator, exponent) pairs,
+        index maps each label to its position, and the reducer (None when no
+        relation lands) works modulo the relations."""
         labels = [(g, e) for g, gd in enumerate(self.gen_degrees) for e in exponents(gd)]
         if not labels:
-            return labels, None
+            return labels, None, {}
         index = {lab: k for k, lab in enumerate(labels)}
         rows = [row for j, rd in enumerate(self.rel_degrees)
                 for row in self.relation_rows(field, j, index, exponents(rd))]
-        return labels, (RowReducer(field, rows, len(labels)) if rows else None)
+        return labels, (RowReducer(field, rows, len(labels)) if rows else None), index
 
     def is_monomial(self, field):
         """True when there is one generator and every relation has at most
@@ -149,16 +150,17 @@ class Presentation:
 
 
 class GradedPieces:
-    """Basis reading for modules whose piece(a) returns (labels, reducer):
-    the basis is the labels, or the reducer's free columns of them. Every
-    map into a piece goes through image_entries."""
+    """Basis reading for modules whose piece(a) returns (labels, reducer,
+    index) as Presentation.piece does: the basis is the labels, or the
+    reducer's free columns of them. Every map into a piece goes through
+    image_entries."""
 
     def dim(self, a):
-        labels, red = self.piece(a)
+        labels, red, _ = self.piece(a)
         return len(labels) if red is None else red.corank
 
     def basis_labels(self, a):
-        labels, red = self.piece(a)
+        labels, red, _ = self.piece(a)
         return list(labels) if red is None else [labels[j] for j in red.free]
 
     def image_entries(self, a, labels):
@@ -167,8 +169,7 @@ class GradedPieces:
         normal form looked up in the piece's reducer. ArithmeticError for a
         label outside the piece, where the exponent box is too small to hold
         it."""
-        pieces, red = self.piece(a)
-        index = {lab: k for k, lab in enumerate(pieces)}
+        _, red, index = self.piece(a)
         ks = np.array([index.get(lab, -1) for lab in labels], dtype=np.int64)
         if (ks < 0).any():
             raise ArithmeticError("label %r lies outside the piece at %r" % (labels[int(np.argmin(ks))], a))
@@ -227,13 +228,14 @@ class DegreewiseModule(GradedPieces):
         return self._kept(tuple(a))
 
     def piece(self, a):
-        """(labels, reducer) at degree a; labels are (gen, exponent) pairs."""
+        """Presentation.piece at degree a, or an empty piece where the
+        truncation drops it; labels are (gen, exponent) pairs."""
         a = tuple(a)
         if a not in self._pieces:
             inner = deg_add(a, self.shift)
             self._pieces[a] = self.pres.piece(
                 self.field, lambda d: monomial_basis(self.stack, deg_sub(inner, d))) \
-                if self._kept(a) else ([], None)
+                if self._kept(a) else ([], None, {})
         return self._pieces[a]
 
     def in_window(self, a):

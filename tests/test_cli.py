@@ -414,11 +414,12 @@ def test_out_of_memory_exits_4(capsys, monkeypatch):
     assert err == "error: out of memory (try a smaller --window)\n"
 
 
-def test_dense_cohomology_of_the_22_curve_in_bounded_memory():
-    # the (2,2) curve takes the dense Cech path at Cl rank 2; with its
-    # reducers kept as sparse normal forms and its strands ranked on sparse
-    # rows it peaks far below the 808 MB its dense echelon forms took, and
-    # prints the recorded table
+def run_measured(args):
+    """Run the CLI on args in a grandchild interpreter, which writes its
+    ru_maxrss as the last line of stderr. A small interpreter in between
+    starts it: Linux carries the peak of the memory image that exec
+    replaces into ru_maxrss, so a child started straight from the test
+    process would report at least that process's own peak."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.join(os.path.dirname(__file__), "..", "src")] +
@@ -428,13 +429,32 @@ def test_dense_cohomology_of_the_22_curve_in_bounded_memory():
               "code = main(sys.argv[1:])\n"
               "sys.stderr.write('%d\\n' % resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
               "sys.exit(code)\n")
-    proc = subprocess.run(
-        [sys.executable, "-c", script, "cohomology", fixture("p1p1-curves.tate"),
-         "--module", "C2", "--window", "-2:2,-2:2"],
-        capture_output=True, text=True, env=env)
+    relay = "import subprocess, sys; sys.exit(subprocess.run(sys.argv[1:]).returncode)"
+    return subprocess.run([sys.executable, "-c", relay, sys.executable, "-c", script] + args,
+                          capture_output=True, text=True, env=env)
+
+
+def test_dense_cohomology_of_the_22_curve_in_bounded_memory():
+    # the (2,2) curve takes the dense Cech path at Cl rank 2; with its
+    # reducers kept as sparse normal forms and its strands ranked on sparse
+    # rows it peaks far below the 808 MB its dense echelon forms took, and
+    # prints the recorded table
+    proc = run_measured(["cohomology", fixture("p1p1-curves.tate"),
+                         "--module", "C2", "--window", "-2:2,-2:2"])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == pinned("cohomology_p1p1curves_C2.out")
     assert int(proc.stderr.split()[-1]) < 250 * 1024  # ru_maxrss is in KiB on Linux
+
+
+def test_hirz1_diagonal_in_bounded_memory():
+    # the Hirzebruch-1 diagonal ranks its 625 bidegrees in runs of a fixed
+    # number of entries; one union of all of them peaked at 155 MB
+    with open(os.path.join(os.path.dirname(__file__), "..", "bench", "reference.json")) as fh:
+        want = json.load(fh)["diagonal_hirz1"]
+    proc = run_measured(["diagonal", fixture("hirz1.tate"), "--verify"])
+    assert (proc.returncode, proc.stdout) == (want["exit"], want["stdout"]), proc.stderr
+    assert int(proc.stderr.split()[-1]) < 64 * 1024  # ru_maxrss is in KiB on Linux
+
 
 def test_monomial_oracle_counts_every_exponent(capsys, tmp_path):
     # S/(x0^4 x1^5) on P(1,2) has h^0 = 7 in every degree; the oracle must

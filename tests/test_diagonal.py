@@ -1,12 +1,13 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from torictate import diagonal
+from torictate import diagonal, toric
 from torictate.diagonal import (DiagComplex, ExplicitBigradedComplex, build_F,
                                 build_F_prime_weighted, check_acyclicity,
                                 check_H0_diagonal, hirzebruch1_diagonal,
                                 hirzebruch1_report)
 from torictate.errors import PreconditionError
-from torictate.linalg import GF, QQ, peel, sparse_rank
+from torictate.linalg import GF, QQ, peel, signed_graph_rank, sparse_rank
 from torictate.smodule import monomial_basis
 from torictate.toric import deg_add
 
@@ -67,6 +68,11 @@ def reference_columns(cx, i, bid):
             sign = -sign
         cols.append({k: v for k, v in col.items() if v != field.zero})
     return cols
+
+
+def union_rank(cx, i, bids):
+    """The rank of d_i on the block-diagonal union of bids, as one run."""
+    return diagonal._Map(cx, i, bids).rank(range(len(bids)))
 
 
 def composes_to_zero(field, inner, outer):
@@ -258,7 +264,7 @@ def test_hirzebruch1_block_columns_match_label_lookup(field):
         for i in (1, 2, 3):
             ref = reference_columns(cx, i, bid)
             assert cx.sparse_columns(i, bid) == ref
-            assert cx._rank(i, bid) == sparse_rank(field, ref)
+            assert union_rank(cx, i, [bid]) == sparse_rank(field, ref)
 
 
 @pytest.mark.parametrize("build", [build_F, build_F_prime_weighted])
@@ -269,7 +275,7 @@ def test_koszul_block_columns_match_label_lookup(p12, build):
             for i in range(1, p12.nvars + 2):
                 ref = reference_columns(cx, i, bid)
                 assert cx.sparse_columns(i, bid) == ref
-                assert cx._rank(i, bid) == sparse_rank(field, ref)
+                assert union_rank(cx, i, [bid]) == sparse_rank(field, ref)
 
 
 def _counting_sparse_rank(monkeypatch):
@@ -308,7 +314,7 @@ def test_rank_route(p1, field, change, monkeypatch):
     cols = cx.sparse_columns(1, bid)
     assert (cols == reference_columns(cx, 1, bid)) == (change == "none")
     calls = _counting_sparse_rank(monkeypatch)
-    assert cx._rank(1, bid) == sparse_rank(field, cols)
+    assert union_rank(cx, 1, [bid]) == sparse_rank(field, cols)
     assert len(calls) == (change != "none")
 
 
@@ -319,7 +325,7 @@ def test_hirzebruch1_second_map_is_eliminated(gf, monkeypatch):
     cx = hirzebruch1_diagonal(gf)
     calls = _counting_sparse_rank(monkeypatch)
     bid = ((2, 2), (2, 2))
-    cols, rows, _, _ = cx._entries(2, bid)
+    cols, rows, _ = diagonal._Map(cx, 2, [bid]).entries([0])
     peeled, core = peel(rows, cols, cx.dim(1, bid), cx.dim(2, bid))
     assert peeled == cx.dim(2, bid) > 0 and not core.any()
     assert cx.homology(1, bid) == 0
@@ -358,3 +364,137 @@ def test_hirzebruch1_square_zero_rejects_sign_flip(gf):
     (c, tx, ty), = cx.matrices[2][(1, 0)]
     cx.matrices[2][(1, 0)] = [(-c, tx, ty)]
     assert not cx.check_square_zero()
+
+
+# -- ranks over a list of bidegrees ----------------------------------------------
+
+FIELDS = [GF(), GF(2147483647), QQ()]
+# +-1, other values, and values that are +-1 mod one prime only
+COEFFICIENTS = [1, -1, 2, -3, 32002, 32004, 2147483646]
+
+
+def _degree(stack, e):
+    return tuple(sum(k * d[j] for k, d in zip(e, stack.var_degrees)) for j in range(stack.r))
+
+
+@st.composite
+def explicit_complexes(draw):
+    """Twists of F_0, F_1, F_2 on P1 x P1 or Hirzebruch-1 and maps d_1, d_2
+    with 1-4 image terms per column (no complex: d_1 d_2 need not vanish).
+    A column's first term, 1 or a variable in x and in y, fixes its twist;
+    column 0 and half the others start as a signed-graph edge: +-1 on two
+    monomials of the same bidegree into one row. Further terms are
+    homogeneous where a monomial of the right bidegree exists, else they
+    never land. Some terms repeat an earlier one with a coefficient that
+    cancels it in every field or mod 32003 only."""
+    stack = draw(st.sampled_from([toric.p1xp1(), toric.hirzebruch(1)]))
+    n = stack.nvars
+    variables = [tuple(int(k == j) for k in range(n)) for j in range(n)]
+    linear = st.sampled_from([(0,) * n] + variables)
+    coefficient = st.sampled_from(COEFFICIENTS)
+    twists = {0: [(_degree(stack, draw(linear)), _degree(stack, draw(linear)))
+                  for _ in range(draw(st.integers(1, 3)))]}
+    matrices = {}
+    for i in (1, 2):
+        rows, cols, entries = twists[i - 1], [], {}
+        for col in range(draw(st.integers(1, 3))):
+            # column 0 is an edge on row 0 (x0 and x2 have one degree on
+            # both stacks), so that a bidegree where the other columns are
+            # empty is a signed graph
+            first = 0 if col == 0 else draw(st.integers(0, len(rows) - 1))
+            tx = draw(st.sampled_from(variables[::2]) if col == 0 else linear)
+            ty = draw(linear)
+            vx, vy = deg_add(rows[first][0], _degree(stack, tx)), deg_add(rows[first][1], _degree(stack, ty))
+            cols.append((vx, vy))
+            twins = [(a, b) for a in monomial_basis(stack, _degree(stack, tx))
+                     for b in monomial_basis(stack, _degree(stack, ty)) if (a, b) != (tx, ty)]
+            if col == 0 or twins and draw(st.booleans()):
+                # +-1 on two monomials of the same bidegree
+                unit = st.sampled_from([1, -1])
+                terms = [(first, draw(unit), tx, ty), (first, draw(unit)) + draw(st.sampled_from(twins))]
+            else:
+                terms = [(first, draw(coefficient), tx, ty)]
+            for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+                r = draw(st.integers(0, len(rows) - 1))
+                xs = monomial_basis(stack, tuple(a - b for a, b in zip(vx, rows[r][0])))
+                ys = monomial_basis(stack, tuple(a - b for a, b in zip(vy, rows[r][1])))
+                tx = draw(st.sampled_from(xs)) if xs else draw(linear)
+                ty = draw(st.sampled_from(ys)) if ys else draw(linear)
+                terms.append((r, draw(coefficient), tx, ty))
+            if draw(st.integers(0, 3)) == 0:
+                r, c, tx, ty = draw(st.sampled_from(terms))
+                terms.append((r, draw(st.sampled_from([-c, 32003 - c])), tx, ty))
+            for r, c, tx, ty in terms:
+                entries.setdefault((r, col), []).append((c, tx, ty))
+        twists[i], matrices[i] = cols, entries
+    return stack, twists, matrices
+
+
+def _bidegree_lists(r, lo, hi):
+    deg = st.tuples(*[st.integers(lo, hi)] * r)
+    return st.lists(st.tuples(deg, deg), min_size=1, max_size=8)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=explicit_complexes(), bids=_bidegree_lists(2, 0, 3))
+def test_explicit_ranks_over_a_bidegree_list(field, data, bids):
+    stack, twists, matrices = data
+    cx = ExplicitBigradedComplex(stack, field, twists, matrices)
+    for i in (1, 2, 3):
+        want = sum(sparse_rank(field, reference_columns(cx, i, b)) for b in bids)
+        assert union_rank(cx, i, bids) == want
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(stack=st.sampled_from([toric.projective_space(1), toric.weighted_projective(1, 2)]),
+       build=st.sampled_from([build_F, build_F_prime_weighted]), bids=_bidegree_lists(1, -1, 5))
+def test_koszul_ranks_over_a_bidegree_list(field, stack, build, bids):
+    cx = build(stack, field)
+    for i in range(1, stack.nvars + 2):
+        want = sum(sparse_rank(field, reference_columns(cx, i, b)) for b in bids)
+        assert union_rank(cx, i, bids) == want
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_a_run_mixes_graph_and_other_bidegrees(field, monkeypatch):
+    # a coefficient 2 in column u0 g1 of the Hirzebruch-1 d_1: the bidegrees
+    # where that column's block is empty are still ranked by components,
+    # together, and the others by elimination, together
+    cx = hirzebruch1_diagonal(field)
+    cx.matrices[1][(1, 6)] = [(2, (0,) * 4, (0, 1, 0, 0))]
+    bids = [((0, 0), (0, 0)), ((2, 2), (2, 2)), ((1, 1), (2, 0)), ((3, 2), (2, 3))]
+    dmap = diagonal._Map(cx, 1, bids)
+    assert dmap.graph.tolist() == [True, False, True, False]
+    graphs = []
+    monkeypatch.setattr(diagonal, "signed_graph_rank",
+                        lambda *args: graphs.append(args[3]) or signed_graph_rank(*args))
+    calls = _counting_sparse_rank(monkeypatch)
+    want = sum(sparse_rank(field, reference_columns(cx, 1, b)) for b in bids)
+    calls.clear()
+    assert dmap.rank(range(len(bids))) == want
+    assert graphs == [cx.dim(1, bids[0]) + cx.dim(1, bids[2])] and len(calls) == 1
+
+
+def test_acyclicity_locates_a_defect_past_the_first_run(p12, gf, monkeypatch):
+    # a term of d_1 dropped for a = 3 only: the first failing (i, bid) of a
+    # scan bidegree by bidegree lies inside a run past the first, not at its
+    # start, and check_acyclicity finds the same one
+    monkeypatch.setattr(diagonal, "_RUN_ENTRIES", 200)
+
+    class DropsLate(DiagComplex):
+        def _terms(self, key):
+            out = super()._terms(key)
+            return out[:1] if bin(key[0]).count("1") == 1 and key[1] == (3,) else out
+
+    cx = DropsLate(p12, gf)
+    box = [((c,), (d,)) for d in range(7) for c in range(7)]
+    degrees = range(1, p12.nvars + 1)
+    scan = next((i, bid) for bid in box for i in degrees if cx.homology(i, bid))
+    runs = [run for run, _ in cx._homologies(box, degrees)]
+    k = next(k for k, run in enumerate(runs) if scan[1] in run)
+    assert k > 0 and runs[k][0] != scan[1]
+    assert check_acyclicity(cx, box, report=True) == (False, scan)
+    assert check_acyclicity(cx, box) is False
+    assert check_acyclicity(build_F(p12, gf), box, report=True) == (True, None)
