@@ -31,12 +31,9 @@ def _r_safe_set(module):
     every degree the resolution and Tate machinery scan."""
     stack = module.stack
     sums = set(stack.subset_sums())
-    r = stack.r
-    smin = [min(s[k] for s in sums) for k in range(r)]
-    smax = [max(s[k] for s in sums) for k in range(r)]
-    box = module.window.expand(
-        tuple(2 * (smin[k] - smax[k]) for k in range(r)),
-        tuple(2 * (smax[k] - smin[k]) for k in range(r)))
+    smin, smax = stack.subset_sum_hull()
+    width = deg_sub(smax, smin)
+    box = module.window.expand(tuple(-2 * x for x in width), tuple(2 * x for x in width))
     out = set()
     for b in box.points():
         if all(module.piece_known(deg_sub(b, s)) for s in sums):

@@ -187,15 +187,8 @@ def default_window(stack, pres):
     reach = w
     for d in pres.gen_degrees + pres.rel_degrees:
         reach = max(reach, abs(stack.theta(d)))
-    sums = stack.subset_sums()
-    lo = []
-    hi = []
-    for k in range(stack.r):
-        smax = max(s[k] for s in sums)
-        smin = min(s[k] for s in sums)
-        lo.append(smin - reach - 2)
-        hi.append(smax + reach + 2)
-    return Window(tuple(lo), tuple(hi))
+    smin, smax = stack.subset_sum_hull()
+    return Window(tuple(s - reach - 2 for s in smin), tuple(s + reach + 2 for s in smax))
 
 
 def _deg(a):

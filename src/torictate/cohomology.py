@@ -54,7 +54,8 @@ class CechOracle:
     pass per degree. The dense path handles the rest, doubling its exponent
     bound t until the dimensions stabilize; each inverted exponent may also
     reach down to the reach floor (laurent.reach_floors) of grading, theta
-    by default."""
+    by default. A strand reads only its own degree's pieces, so each
+    (degree, t) gets a Cech complex of its own, dropped once it is ranked."""
 
     def __init__(self, module, cover=None, force_dense=False, grading=None):
         self.module = module
@@ -62,24 +63,17 @@ class CechOracle:
         self.field = module.field
         self.cover = [frozenset(c) for c in (cover if cover is not None else self.stack.cover)]
         self.grading = grading if grading is not None else self.stack.theta
-        self._complexes = {}
         self._strands = None
         if module.pres.is_monomial(self.field) and not force_dense:
             self._strands = MonomialStrands(self.stack, self.field, module.pres,
                                             self.cover, shift=module.shift)
 
-    def _complex(self, t):
-        if t not in self._complexes:
-            self._complexes[t] = CechComplex(
-                self.stack, self.field, self.module.pres, self.cover, t,
-                shift=self.module.shift, module_piece=self.module,
-                grading=self.grading)
-        return self._complexes[t]
-
     def _dims(self, a, extended):
         if self._strands is not None:
             return self._strands.strand_homology(a, extended, keep=self.module.kept)
-        return _stabilize(lambda tt: self._complex(tt).strand_homology(a, extended=extended))
+        return _stabilize(lambda tt: CechComplex(
+            self.stack, self.field, self.module.pres, self.cover, tt, shift=self.module.shift,
+            module_piece=self.module, grading=self.grading).strand_homology(a, extended=extended))
 
     def local_dims(self, a):
         """All H^i_B(M)_a at once (i = 0 .. #cover)."""

@@ -111,7 +111,6 @@ class FreeDiffModule:
         self._mask = None if self.varmask == full else self.varmask
         self.d = d
         self.safe = frozenset(tuple(a) for a in safe)
-        self._slices = {}
         if validate:
             _check_degrees(stack, self.runs, self.runs, self.d, -1)
 
@@ -121,10 +120,7 @@ class FreeDiffModule:
 
     def column_slices(self, a):
         """The column split by auxiliary degree: dict aux -> Slice."""
-        a = tuple(a)
-        if a not in self._slices:
-            self._slices[a] = column_slices(self.stack, self.runs, a, self._mask)
-        return self._slices[a]
+        return column_slices(self.stack, self.runs, tuple(a), self._mask)
 
     def column_block(self, a, slice_src, slice_tgt):
         """Differential matrix from the span of slice_src to slice_tgt

@@ -216,7 +216,6 @@ class DegreewiseModule(GradedPieces):
         gen_thetas = [stack.theta(deg_sub(d, self.shift)) for d in pres.gen_degrees]
         self.floor_theta = min(gen_thetas) if gen_thetas else 0
         self._pieces = {}
-        self._mult = {}
 
     # M(shift)_a = M_(a + shift); truncation drops pieces where keep is False.
 
@@ -248,12 +247,9 @@ class DegreewiseModule(GradedPieces):
 
     def mult_matrix(self, i, a):
         """Multiplication by x_i from piece(a) to piece(a + deg x_i)."""
-        key = (i, tuple(a))
-        if key not in self._mult:
-            self._mult[key] = Mat(self.field, self.times(
-                key[1], deg_add(key[1], self.stack.var_degrees[i]),
-                tuple(int(k == i) for k in range(self.stack.nvars))))
-        return self._mult[key]
+        a = tuple(a)
+        return Mat(self.field, self.times(a, deg_add(a, self.stack.var_degrees[i]),
+                                          tuple(int(k == i) for k in range(self.stack.nvars))))
 
 
 def realize(pres, stack, window, field):

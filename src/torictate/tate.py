@@ -43,11 +43,8 @@ class TateResult:
     counted pattern by pattern and the generators are built only here; on
     that path making T runs the transfer walk and validates the result."""
 
-    def __init__(self, table, provenance, safe_window, build, truncation=None):
+    def __init__(self, table, build):
         self.table = table
-        self.provenance = provenance
-        self.safe_window = safe_window
-        self.truncation = truncation
         self._build = build
         self._make_T = None
 
@@ -85,8 +82,7 @@ def tate_weighted(pres, stack, window, field, d=None):
         got = table.get((0, (a,)), 0)
         if got != v:
             raise AssertionError("section row mismatch at %d: %d vs %d" % (a, got, v))
-    return TateResult(table, "weighted", window, lambda: (minimal.gens, lambda gens: minimal),
-                      truncation=d)
+    return TateResult(table, lambda: (minimal.gens, lambda gens: minimal))
 
 
 def _walk(field, gens, nvars, sources, step):
@@ -120,53 +116,62 @@ def _walk(field, gens, nvars, sources, step):
 
 # -- dense Cech strands -------------------------------------------------------
 
-def _transfer(cx, window):
-    """Homotopy transfer on the dense Cech strands of cx: returns the
-    cohomology table of the generators, read off the strand homology at
-    each window degree, and build(), which returns the generators and
-    walk(); walk() returns the differential of the minimal module as an
-    EMatrix over the runs of the generators. Walk keys are degrees; a
-    strand's retract is built the first time the walk reaches its degree, a
-    horizontal block once per (degree, variable)."""
-    stack = cx.stack
-    field = cx.field
+def _transfer(pres, stack, window, field, t):
+    """Homotopy transfer on the dense Cech strands of pres at exponent bound
+    t: returns the cohomology table of the generators, read off the strand
+    homology at each window degree, and build(), which returns the
+    generators and walk(); walk() returns the differential of the minimal
+    module as an EMatrix over the runs of the generators. A strand reads
+    only its own degree's pieces, so each window degree is ranked on a Cech
+    complex of its own; build() makes the one complex the walk steps
+    through. Walk keys are degrees; a strand's retract is built the first
+    time the walk reaches its degree, a horizontal block once per (degree,
+    variable)."""
+    def cech():
+        return CechComplex(stack, field, pres, stack.cover, t)
+
     gens = []
     gen_offset = {}
     sources = []
     for a in window.points():
         gen_offset[a] = len(gens)
-        for level, n in enumerate(cx.strand_homology(a, extended=False)):
+        for level, n in enumerate(cech().strand_homology(a, extended=False)):
             gens.extend([OmegaTwist(deg_neg(a), level)] * n)
         if len(gens) > gen_offset[a]:
             sources.append(a)
-    retracts = {}
-    blocks = {}
 
-    def retract(b):
-        ret = retracts.get(b)
-        if ret is None:
-            ret = retracts[b] = _build_retract(field, *cx.strand(b, extended=False))
-        return ret
+    def build():
+        cx = cech()
+        retracts = {}
+        blocks = {}
 
-    def step(c, i, mat):
-        b = deg_add(c, stack.var_degrees[i])
-        block = blocks.get((c, i))
-        if block is None:
-            block = blocks[c, i] = cx.horizontal_block(c, i)
-        moved = field.matmul(block, mat)
-        if not np.any(moved):
-            return None
-        ret = retract(b)
-        tgt_off = gen_offset.get(b)
-        cont = field.reduce(-field.matmul(ret.h, moved))
-        return (b, tgt_off, None if tgt_off is None else field.matmul(ret.p, moved),
-                cont if np.any(cont) else None)
+        def retract(b):
+            ret = retracts.get(b)
+            if ret is None:
+                ret = retracts[b] = _build_retract(field, *cx.strand(b, extended=False))
+            return ret
 
-    def walk():
-        return _walk(field, gens, stack.nvars,
-                     ((a, gen_offset[a], retract(a).i) for a in sources), step)
+        def step(c, i, mat):
+            b = deg_add(c, stack.var_degrees[i])
+            block = blocks.get((c, i))
+            if block is None:
+                block = blocks[c, i] = cx.horizontal_block(c, i)
+            moved = field.matmul(block, mat)
+            if not np.any(moved):
+                return None
+            ret = retract(b)
+            tgt_off = gen_offset.get(b)
+            cont = field.reduce(-field.matmul(ret.h, moved))
+            return (b, tgt_off, None if tgt_off is None else field.matmul(ret.p, moved),
+                    cont if np.any(cont) else None)
 
-    return socle_readoff(stack, gens), lambda: (gens, walk)
+        def walk():
+            return _walk(field, gens, stack.nvars,
+                         ((a, gen_offset[a], retract(a).i) for a in sources), step)
+
+        return gens, walk
+
+    return socle_readoff(stack, gens), build
 
 
 # -- monomial strand pipeline -------------------------------------------------
@@ -289,18 +294,17 @@ def fm_transform(pres, stack, window, field):
     dense Cech complex at exponent bound t, doubled adaptively from the
     largest theta reach floor (laurent.reach_floors) over the window until
     the table stabilizes (StabilizationError if it has not by t = T_CAP); a
-    pass only ranks strands. The monomial generators are built when the
-    result's gens or T is first read; the transferred horizontal
-    differential and the safe degrees are computed, and the module
-    validated, only when T is."""
+    pass only ranks strands and keeps no piece. The monomial generators are
+    built when the result's gens or T is first read; the transferred
+    horizontal differential and the safe degrees are computed, and the
+    module validated, only when T is."""
     if pres.is_monomial(field):
         table, transfer = _monomial_transfer(pres, stack, window, field)
     else:
         latest = []
 
         def table_at(tt):
-            # only the latest build stays alive
-            latest[:] = [_transfer(CechComplex(stack, field, pres, stack.cover, tt), window)]
+            latest[:] = [_transfer(pres, stack, window, field, tt)]
             return latest[0][0]
 
         table = _stabilize(table_at, start=max([T_START] + [max(reach_floors(stack, stack.theta, a))
@@ -312,7 +316,7 @@ def fm_transform(pres, stack, window, field):
         return gens, lambda gens: FreeDiffModule(stack, field, gens, walk(),
                                                  safe=safe_degrees(stack, window), validate=True)
 
-    return TateResult(table, "fm", window, build)
+    return TateResult(table, build)
 
 
 def safe_degrees(stack, window):
@@ -320,8 +324,9 @@ def safe_degrees(stack, window):
     columns below them, so a - s must stay inside the window for every
     subset sum s. Per coordinate, that shrinks the window by the largest
     and the smallest subset sum; listed in window.points() order."""
-    lo = [l + sum(max(d[k], 0) for d in stack.var_degrees) for k, l in enumerate(window.lo)]
-    hi = [h + sum(min(d[k], 0) for d in stack.var_degrees) for k, h in enumerate(window.hi)]
+    smin, smax = stack.subset_sum_hull()
+    lo = deg_add(window.lo, smax)
+    hi = deg_add(window.hi, smin)
     return Window(lo, hi).points() if all(l <= h for l, h in zip(lo, hi)) else []
 
 

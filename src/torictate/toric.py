@@ -162,6 +162,13 @@ class ToricStack:
             self._ensure_subsets()
         return self._subset_sums
 
+    def subset_sum_hull(self):
+        """(smin, smax): per coordinate, the least and the largest degree sum
+        over the subsets of the variables, the sums of the negative and of
+        the positive coordinates of the variable degrees."""
+        return (tuple(sum(min(d[k], 0) for d in self.var_degrees) for k in range(self.r)),
+                tuple(sum(max(d[k], 0) for d in self.var_degrees) for k in range(self.r)))
+
     def subsets_by_sum(self):
         """Map degree -> sorted list of variable-subset bitmasks with that sum."""
         if self._subsets_by_sum is None:

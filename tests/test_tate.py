@@ -1,8 +1,10 @@
+import gc
 import itertools
 import json
 import os
 import re
 import sys
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -10,7 +12,7 @@ import pytest
 
 from torictate import laurent, linalg, tate
 from torictate.cli import main, parse_input
-from torictate.cohomology import cohomology_table_fast, oracle_table
+from torictate.cohomology import CechOracle, cohomology_table_fast, oracle_table
 from torictate.diffmod import (EMatrix, FreeDiffModule, _add_block, check_minimal,
                                check_square_zero, homology_column, minimize)
 from torictate.errors import PreconditionError, StabilizationError
@@ -160,8 +162,7 @@ def test_fm_dense_path_matches_strand_path(p112, hirz3):
                                    (hirz3_H(hirz3), hirz3, Window((-2, -1), (3, 1)), 2)):
         for field in (GF(), QQ()):
             strand = fm_transform(pres, stack, window, field).T
-            _, build = tate._transfer(
-                laurent.CechComplex(stack, field, pres, stack.cover, t), window)
+            _, build = tate._transfer(pres, stack, window, field, t)
             gens, walk = build()
             dense = FreeDiffModule(stack, field, gens, walk(), safe=tate.safe_degrees(stack, window),
                                    validate=True)
@@ -418,11 +419,38 @@ def test_dense_walk_builds_each_horizontal_block_once(p112, gf, monkeypatch):
         return block(self, a, i)
 
     monkeypatch.setattr(laurent.CechComplex, "horizontal_block", counted_block)
-    _, build = tate._transfer(laurent.CechComplex(p112, gf, genus_one(p112), p112.cover, 8),
-                              Window((-3,), (3,)))
+    _, build = tate._transfer(genus_one(p112), p112, Window((-3,), (3,)), gf, 8)
     _, walk = build()
     assert walk()
     assert calls and len(calls) == len(set(calls))
+
+
+def test_dense_pieces_live_as_long_as_their_strand(monkeypatch):
+    # a dense strand reads only its own degree's localized pieces: once the
+    # oracle has answered a window, or the Fourier-Mukai table is read, no
+    # LocalizedModule is left alive, though the oracle and the result are
+    with open(os.path.join(os.path.dirname(__file__), "..", "fixtures", "p1p1-curves.tate")) as fh:
+        stack, field, modules = parse_input(json.load(fh))
+    alive = weakref.WeakSet()
+    made = []
+    init = laurent.LocalizedModule.__init__
+
+    def registered(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        alive.add(self)
+        made.append(None)
+
+    monkeypatch.setattr(laurent.LocalizedModule, "__init__", registered)
+    window = Window((-1, -1), (1, 1))
+    oracle = CechOracle(realize(modules["C1"], stack, window, field))
+    assert any(any(oracle.sheaf_dims(a)) for a in window.points())
+    gc.collect()
+    assert made and not alive
+    before = len(made)
+    result = fm_transform(modules["C2"], stack, window, field)
+    assert result.table
+    gc.collect()
+    assert len(made) > before and not alive
 
 
 def test_strand_cellset_clamp_and_thresholds(hirz3, gf):
@@ -516,8 +544,7 @@ def test_fm_dense_path_matches_strand_path_with_relation(hirz3, gf):
     pres = hirz3_H(hirz3)
     window = Window((-1, -1), (1, 1))
     strand_table, strand_build = tate._monomial_transfer(pres, hirz3, window, gf)
-    dense_table, dense_build = tate._transfer(
-        laurent.CechComplex(hirz3, gf, pres, hirz3.cover, 2), window)
+    dense_table, dense_build = tate._transfer(pres, hirz3, window, gf, 2)
     strand_gens, dense_gens = strand_build()[0], dense_build()[0]
     assert strand_gens
     assert Counter(strand_gens) == Counter(dense_gens)

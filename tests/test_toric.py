@@ -396,3 +396,11 @@ def test_cone_contains_and_degrees_within_match_brute_force(name, request):
                       key=lambda d: (theta(d), d))
         assert degrees_within(gens, theta, cap) == want
         assert degrees_within(gens, theta, -1) == []
+
+
+@pytest.mark.parametrize("name", ["p1", "p2", "p12", "p112", "p156", "hirz1", "hirz3", "p1p1"])
+def test_subset_sum_hull_is_the_least_and_largest_subset_sum(name, request):
+    stack = request.getfixturevalue(name)
+    sums = stack.subset_sums()
+    assert stack.subset_sum_hull() == (tuple(min(s[k] for s in sums) for k in range(stack.r)),
+                                       tuple(max(s[k] for s in sums) for k in range(stack.r)))
