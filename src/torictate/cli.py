@@ -319,7 +319,8 @@ def run(command, args, stack, field, modules):
                     bad.append((i, a))
         if bad:
             raise VerificationError("oracle mismatch at %s" % (bad[:5],))
-        return "verified: exterior path agrees with the Cech oracle at %d safe degrees" % len(safe)
+        path = "exterior" if stack.r == 1 else "Fourier-Mukai"
+        return "verified: %s path agrees with the Cech oracle at %d safe degrees" % (path, len(safe))
     raise SchemaError("unknown command %r" % command)
 
 

@@ -20,3 +20,7 @@ class VerificationError(ValueError):
 class StabilizationError(WindowTooSmall):
     """A dense Cech exponent bound failed to stabilize below the cap, or a
     monomial Cech strand pattern has no finite enumeration (exit 4)."""
+
+
+class RegionTooLarge(WindowTooSmall, ArithmeticError):
+    """A lattice-point region too large to enumerate (exit 4); an ArithmeticError."""

@@ -14,6 +14,7 @@ import math
 
 import numpy as np
 
+from .errors import RegionTooLarge
 from .linalg import QQ, solve_in_span
 
 
@@ -214,7 +215,7 @@ def is_irrelevant_subset(stack, subset):
 def cone_contains(cone, theta, d):
     """Membership of d in the semigroup generated by the cone generators."""
     n = len(cone.generators)
-    return bool(points(cone.generators, theta, tuple(d), [0] * n, [None] * n))
+    return count_points(cone.generators, theta, [tuple(d)], [0] * n, [None] * n) != [0]
 
 
 def degrees_within(gens, theta, cap):
@@ -230,12 +231,15 @@ def degrees_within(gens, theta, cap):
 
 # -- lattice points of a graded piece ------------------------------------------
 
+# points keeps at most _ENUM_CAP points, and no branching coordinate may be
+# wider; one solve walks boxes of at most about _BOX_CAP points in all
 _ENUM_CAP = 2_000_000
+_BOX_CAP = 1 << 26
 # An open side is closed at -_FAR or _FAR, so every bound is an integer. This
 # lies far beyond any coordinate of a region small enough to enumerate, and a
 # branching range that still reaches it is wider than _ENUM_CAP.
 _FAR = 1 << 64
-# count_points works in int64 only where every intermediate is below _SAFE, and
+# the solve works in int64 only where every intermediate is below _SAFE, and
 # on at most _CHUNK (box point, target) pairs at a time
 _SAFE = 1 << 62
 _CHUNK = 1 << 16
@@ -247,19 +251,6 @@ def _det(m):
         return 1
     return sum((-1) ** j * x * _det([row[:j] + row[j + 1:] for row in m[1:]])
                for j, x in enumerate(m[0]) if x)
-
-
-def _cuts(rows, f, cols, lo, hi):
-    """(k, a, t_lo, t_hi) per row k with a = rows[k][f] != 0: with the cols in
-    [lo, hi], -((t_lo - b) // a) <= e_f <= (b - t_hi) // a at right side b."""
-    out = []
-    for k, row in enumerate(rows):
-        a = row[f]
-        if a:
-            tmin = sum(row[j] * (lo[j] if row[j] > 0 else hi[j]) for j in cols)
-            tmax = sum(row[j] * (hi[j] if row[j] > 0 else lo[j]) for j in cols)
-            out.append((k, a) + ((tmax, tmin) if a > 0 else (tmin, tmax)))
-    return out
 
 
 def _project(ineqs, q):
@@ -281,17 +272,17 @@ def _project(ineqs, q):
 
 
 def _region(degrees, theta, targets, lower, upper):
-    """The one bounding rule of points and count_points. It tightens the
-    bounds over the degree rows and the theta row once for all targets,
-    each row's right-hand side taken as its interval over them; picks
-    pivots P with independent degrees, solved through the integer adjugate
-    of their degree submatrix; and, where tightening leaves a branching
-    coordinate (outside P) wider than _ENUM_CAP, bounds each by projecting
-    the solved ones' bounds onto it. None when no target has a point, else
-    (rows, lo, hi, P, the branching coordinates, the degree rows outside
-    the solve, det, starts, cols): starts per target and cols per branching
-    coordinate hold its column of the rows followed by the numerators of P
-    solved for that column."""
+    """The bounding rule of _solve. It tightens the bounds over the degree
+    rows and the theta row once for all targets, each row's right-hand side
+    taken as its interval over them; picks pivots P with independent
+    degrees, solved through the integer adjugate of their degree submatrix;
+    and, where tightening leaves a branching coordinate (outside P) wider
+    than _ENUM_CAP, bounds each by projecting the solved ones' bounds onto
+    it. None when no target has a point, else (rows, lo, hi, P, the
+    branching coordinates, the degree rows outside the solve, det, starts,
+    cols): starts per target and cols per branching coordinate hold its
+    column of the rows followed by the numerators of P solved for that
+    column."""
     n, r = len(degrees), len(targets[0])
     rows = [[d[k] for d in degrees] for k in range(r)] + [[theta(d) for d in degrees]]
     rhss = [list(t) + [theta(t)] for t in targets]
@@ -303,13 +294,19 @@ def _region(degrees, theta, targets, lower, upper):
     for _ in range(2 * n + 2):
         moved = False
         for i in range(n):
-            for k, a, t_lo, t_hi in _cuts(rows, i, [j for j in range(n) if j != i], lo, hi):
-                b_lo, b_hi = rhs[k] if a > 0 else rhs[k][::-1]
-                l, h = max(lo[i], -((t_lo - b_lo) // a)), min(hi[i], (b_hi - t_hi) // a)
-                if l > h:
-                    return None
-                moved = moved or (l, h) != (lo[i], hi[i])
-                lo[i], hi[i] = l, h
+            others = [j for j in range(n) if j != i]
+            for row, (b_lo, b_hi) in zip(rows, rhs):
+                a = row[i]
+                if a:
+                    # a e_i = b - s with s the rest of the row, in [t_lo, t_hi]
+                    t_lo = sum(row[j] * (lo[j] if row[j] > 0 else hi[j]) for j in others)
+                    t_hi = sum(row[j] * (hi[j] if row[j] > 0 else lo[j]) for j in others)
+                    x, y = (b_lo - t_hi, b_hi - t_lo) if a > 0 else (b_hi - t_lo, b_lo - t_hi)
+                    l, h = max(lo[i], -(-x // a)), min(hi[i], y // a)
+                    if l > h:
+                        return None
+                    moved = moved or (l, h) != (lo[i], hi[i])
+                    lo[i], hi[i] = l, h
         if not moved:
             break
 
@@ -349,89 +346,85 @@ def _region(degrees, theta, targets, lower, upper):
     return rows, lo, hi, piv, free, [k for k in range(r) if k not in prows], det, starts, cols
 
 
+def _solve(degrees, theta, targets, lower, upper):
+    """The one lattice-point solve. A box of the branching coordinates of
+    _region over _CHUNK points is halved along its widest coordinate and
+    each half tightened again, so the boxes follow a region that fills
+    little of its first box. Every point of a box is solved for every
+    target at once, _CHUNK (box point, target) pairs at a time, in int64
+    where every intermediate is proven below _SAFE and in Python ints
+    otherwise. Yields (place, grid, e, mask) per chunk: grid holds its box
+    points, e[t, p] the solved coordinates for target t, mask[t, p] whether
+    they make a point, and place the column of each coordinate in grid
+    followed by e. RegionTooLarge where a branching coordinate is unbounded
+    or wider than _ENUM_CAP, or after _BOX_CAP // _CHUNK halvings, so the
+    boxes walked hold at most _BOX_CAP + _CHUNK points."""
+    todo, halvings = [(lower, upper)] if targets else [], 0
+    while todo:
+        region = _region(degrees, theta, targets, *todo.pop())
+        if region is None:
+            continue
+        rows, lo, hi, piv, free, checks, det, starts, cols = region
+        widths = [hi[f] - lo[f] + 1 for f in free]
+        size = math.prod(widths)
+        if any(w > _ENUM_CAP for w in widths) or halvings == _BOX_CAP // _CHUNK:
+            raise RegionTooLarge("lattice-point region is unbounded or too large to enumerate")
+        if size > _CHUNK:
+            halvings += 1
+            f = free[widths.index(max(widths))]
+            mid = (lo[f] + hi[f]) // 2
+            todo += [(lo[:f] + [mid + 1] + lo[f + 1:], hi), (lo, hi[:f] + [mid] + hi[f + 1:])]
+            continue
+        off = len(targets[0]) + 1  # where the numerators start
+        reach = [max(-lo[f], hi[f]) for f in free]
+        # no box coordinate, numerator or solved coordinate is beyond vmax
+        vmax = max([0] + reach + [max(abs(b[p]) for b in starts) + sum(abs(c[p]) * x for c, x in zip(cols, reach))
+                                  for p in range(off, off + len(piv))])
+        dtype = np.int64 if vmax < _SAFE else object
+        # a degree row outside the solve, a rational combination of the pivot
+        # rows, holds at every point of a target or at none: test det times it
+        # at the rational solution with every branching coordinate 0
+        held = np.array([all(sum(rows[k][j] * b[off + p] for p, j in enumerate(piv)) == det * b[k]
+                             for k in checks) for b in starts])[:, None]
+        b = np.array([s[off:] for s in starts], dtype=dtype).reshape(len(targets), 1, len(piv))
+        m = np.array([c[off:] for c in cols], dtype=dtype).reshape(len(free), len(piv))
+        # solved coordinates lie within vmax, so the bounds clamp to vmax + 1
+        plo, phi = (np.array([min(max(x[j], -vmax - 1), vmax + 1) for j in piv], dtype=dtype) for x in (lo, hi))
+        corner = np.array([lo[f] for f in free], dtype=dtype)
+        place = [(free + piv).index(j) for j in range(len(degrees))]
+        step = max(1, _CHUNK // len(targets))
+        for first in range(0, size, step):
+            idx = np.arange(first, min(size, first + step))
+            grid = np.array(np.unravel_index(idx, widths or [1]), dtype=dtype)[:len(free)].T + corner
+            num = b - grid @ m
+            e = num // det
+            yield place, grid, e, held & ((e * det == num) & (plo <= e) & (e <= phi)).all(axis=2)
+
+
 def points(degrees, theta, target, lower, upper):
     """All integer vectors e with sum e_i degrees[i] = target and lower[i] <=
-    e_i <= upper[i] (None: unbounded on that side), in lexicographic order,
-    each branching coordinate of _region walked within the bounds that the
-    choices before it leave, so integrality of the solved coordinates is a
-    divisibility test. Raises ArithmeticError when a branching coordinate
-    is unbounded or the branching passes _ENUM_CAP. count_points counts the
-    same points for many targets at once."""
-    region = _region(degrees, theta, [target], lower, upper)
-    if region is None:
-        return []
-    rows, lo, hi, piv, free, checks, det, (start,), cols = region
-    if any(hi[j] - lo[j] > _ENUM_CAP for j in free):
-        raise ArithmeticError("lattice-point region is unbounded or too wide to enumerate")
-    r = len(target)
-    # A node's state is each row's remaining right-hand side followed by the
-    # numerators of the solved coordinates.
-    plan = [(f, lo[f], hi[f], col, _cuts(rows, f, free[depth + 1:] + piv, lo, hi))
-            for depth, (f, col) in enumerate(zip(free, cols))]
-    out = []
-    e = [0] * len(degrees)
-    nodes = 0
-
-    def rec(depth, rest):
-        nonlocal nodes
-        if depth == len(free):
-            for j, v in zip(piv, rest[r + 1:]):
-                if v % det or not lo[j] <= v // det <= hi[j]:
-                    return
-                e[j] = v // det
-            if not checks or all(sum(rows[k][j] * e[j] for j in piv) == rest[k] for k in checks):
-                out.append(tuple(e))
-            return
-        f, l, h, col, cuts = plan[depth]
-        for k, a, t_lo, t_hi in cuts:
-            l = max(l, -((t_lo - rest[k]) // a))
-            h = min(h, (rest[k] - t_hi) // a)
-        nodes += max(0, h - l + 1)
-        if nodes > _ENUM_CAP:
-            raise ArithmeticError("lattice-point enumeration exceeded the cap")
-        for c in range(l, h + 1):
-            e[f] = c
-            rec(depth + 1, [x - c * y for x, y in zip(rest, col)])
-
-    rec(0, start)
-    out.sort()
-    return out
+    e_i <= upper[i] (None: unbounded on that side), in lexicographic order:
+    the rows of _solve. RegionTooLarge, an ArithmeticError, where _solve
+    refuses the region or it has more than _ENUM_CAP points."""
+    kept = [np.zeros((0, len(degrees)), dtype=np.int64)]
+    for place, grid, e, mask in _solve(degrees, theta, [target], lower, upper):
+        kept.append(np.concatenate([grid, e[0]], axis=1)[mask[0]][:, place])
+        if sum(map(len, kept)) > _ENUM_CAP:
+            raise RegionTooLarge("lattice-point region has more than %d points" % _ENUM_CAP)
+    return sorted(map(tuple, np.concatenate(kept).tolist()))
 
 
 def count_points(degrees, theta, targets, lower, upper):
     """[len(points(degrees, theta, t, lower, upper)) for t in targets],
-    without building a point: one _region for all targets, then every point
-    of its branching box solved for every target at once in int64, _CHUNK
-    (point, target) pairs at a time. Falls back to points per target, and
-    its ArithmeticError, where the box passes _ENUM_CAP, where int64 is not
-    proven exact (every intermediate below _SAFE), and for rank-deficient
-    degrees, which no toric stack has."""
-    region = _region(degrees, theta, targets, lower, upper) if targets else None
-    if region is None:
-        return [0] * len(targets)
-    _, lo, hi, piv, free, checks, det, starts, cols = region
-    off = len(targets[0]) + 1  # where the numerators start
-    reach = [max(-lo[f], hi[f]) for f in free]
-    # every numerator, and so every solved coordinate, is at most vmax
-    vmax = max([0] + reach + [max(abs(b[p]) for b in starts) + sum(abs(c[p]) * x for c, x in zip(cols, reach))
-                              for p in range(off, off + len(piv))])
-    widths = [hi[f] - lo[f] + 1 for f in free]
-    size = math.prod(widths)
-    if size > _ENUM_CAP or vmax >= _SAFE or checks:
-        return [len(points(degrees, theta, t, lower, upper)) for t in targets]
-    b = np.array([x[off:] for x in starts], dtype=np.int64).reshape(len(targets), 1, len(piv))
-    m = np.array([c[off:] for c in cols], dtype=np.int64).reshape(len(free), len(piv))
-    plo = np.array([max(lo[j], -_SAFE) for j in piv], dtype=np.int64)
-    phi = np.array([min(hi[j], _SAFE) for j in piv], dtype=np.int64)
-    counts = np.zeros(len(targets), dtype=np.int64)
-    step = max(1, _CHUNK // len(targets))
-    for start in range(0, size, step):
-        idx = np.arange(start, min(size, start + step))
-        grid = np.stack(np.unravel_index(idx, widths), axis=1) + [lo[f] for f in free] \
-            if free else np.zeros((len(idx), 0), dtype=np.int64)
-        e, rem = np.divmod(b - grid @ m, det)
-        counts += ((rem == 0) & (plo <= e) & (e <= phi)).all(axis=2).sum(axis=1)
-    return counts.tolist()
+    summed from the masks of one _solve for all targets without building a
+    point; one solve per target where the joint solve is refused."""
+    try:
+        return sum((mask.sum(axis=1) for *_, mask in _solve(degrees, theta, targets, lower, upper)),
+                   np.zeros(len(targets), dtype=np.int64)).tolist()
+    except RegionTooLarge:
+        if len(targets) < 2:
+            raise
+        return [count_points(degrees, theta, [t], lower, upper)[0] for t in targets]
 
 
 def weights_zgraded(stack):

@@ -376,6 +376,16 @@ def test_exit_code_window(capsys):
     assert code == 4 and "safe" in err
 
 
+@pytest.mark.parametrize("args", [["betti", fixture("p112.tate")],
+                                  ["oracle", fixture("p112.tate"), "--module", "C"]])
+def test_lattice_point_cap_exits_4(args, capsys):
+    # degree 2900 of P(1,1,2) has more monomials than toric.points keeps:
+    # the refusal is a window too large to certify, one line on stderr
+    code, out, err = run_cli(args + ["--window", "2900:2900"], capsys)
+    assert code == 4 and out == ""
+    assert err.startswith("error: lattice-point region") and err.count("\n") == 1
+
+
 
 def test_matrix_over_the_size_budget_exits_4(capsys, monkeypatch):
     # a dense matrix over linalg.MAX_DENSE_CELLS is refused before it is
@@ -453,7 +463,7 @@ def test_dense_verify_of_the_11_curve_in_bounded_memory():
     proc = run_measured(["verify", fixture("p1p1-curves.tate"),
                          "--module", "C1", "--window", "-3:3,-3:3"])
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "verified: exterior path agrees with the Cech oracle at 25 safe degrees\n"
+    assert proc.stdout == "verified: Fourier-Mukai path agrees with the Cech oracle at 25 safe degrees\n"
     assert int(proc.stderr.split()[-1]) < 100 * 1024  # ru_maxrss is in KiB on Linux
 
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 from collections import Counter
 
 import pytest
@@ -308,26 +309,21 @@ def test_count_points_matches_brute_force_and_points(problem):
         assert got == [sums[tuple(t)] for t in targets]
 
 
-def test_count_points_falls_back_to_points_beyond_int64(monkeypatch):
+def test_points_and_count_points_solve_exactly_beyond_int64():
     # coordinates near 2^40 of degrees near 2^21 make degrees near 2^62, past
-    # what int64 is proven to hold: every target is counted by points
+    # what int64 is proven to hold: the solve runs in Python ints
     big, deg = 1 << 40, 1 << 21
     degrees, theta = [(3 * deg,), (2 * deg,)], PositiveGrading((1,))
     lower, upper = [big, big - 3], [big + 6, big + 3]
     box = list(itertools.product(range(big, big + 7), range(big - 3, big + 4)))
     sums = Counter(3 * a * deg + 2 * b * deg for a, b in box)
     targets = [(t,) for t in sorted(sums)[::3]] + [(5 * big * deg + 1,), (5 * big * deg - 1000 * deg,)]
-    calls = []
-    enumerate_ = toric.points
-
-    def counted_points(*args):
-        calls.append(args[2])
-        return enumerate_(*args)
-
-    monkeypatch.setattr(toric, "points", counted_points)
     assert count_points(degrees, theta, targets, lower, upper) == [sums[t] for t, in targets]
-    assert calls == targets
     assert any(sums[t] > 1 for t, in targets)
+    for t, in targets:
+        got = points(degrees, theta, (t,), lower, upper)
+        assert got == [e for e in box if 3 * e[0] * deg + 2 * e[1] * deg == t]
+        assert all(type(x) is int for e in got for x in e)
 
 
 def test_count_points_counts_in_int64_over_a_window(monkeypatch):
@@ -375,6 +371,42 @@ def test_points_bounds_one_branching_coordinate_by_the_solved_ones():
 def test_points_unbounded_region_raises():
     with pytest.raises(ArithmeticError):
         points([(1,), (1,)], PositiveGrading((1,)), (0,), [0, None], [None, -1])
+
+
+def test_points_of_a_thin_region():
+    # ten points in a region whose branching box is far larger than the
+    # region; checked against a solve of e0 and e1 for each (e2, e3, e4):
+    # e0 = (22 - 8 e2 + 6 e3 - 3 e4) / 5 and e1 = (24 - e2 + 7 e3 + 4 e4) / 5,
+    # and e0 >= -12 with e2 >= 0 and e4 >= -2 gives e3 >= -14
+    degrees = [(2, 1), (-1, -3), (3, 1), (-1, 3), (2, 3)]
+    lower, upper = [-12, 0, 0, None, -2], [None, None, 2, -6, 23]
+    want = []
+    for e2, e3, e4 in itertools.product(range(0, 3), range(-14, -5), range(-2, 24)):
+        n0, n1 = 22 - 8 * e2 + 6 * e3 - 3 * e4, 24 - e2 + 7 * e3 + 4 * e4
+        if n0 % 5 == 0 and n1 % 5 == 0 and n0 // 5 >= -12 and n1 >= 0:
+            want.append((n0 // 5, n1 // 5, e2, e3, e4))
+    got = points(degrees, PositiveGrading((-1, 3)), (4, -10), lower, upper)
+    assert len(got) == 10 and got == sorted(want)
+    assert all(sum(c * d[k] for c, d in zip(e, degrees)) == t for e in got for k, t in enumerate((4, -10)))
+
+
+def test_points_and_count_points_at_the_old_node_cap():
+    # P2 at degree 1500: C(1502, 2) monomials, over half of what points
+    # keeps, in a branching box twice as large
+    degrees, theta = [(1,), (1,), (1,)], PositiveGrading((1,))
+    want = math.comb(1502, 2)
+    assert count_points(degrees, theta, [(1500,)], [0] * 3, [None] * 3) == [want]
+    got = points(degrees, theta, (1500,), [0] * 3, [None] * 3)
+    assert len(got) == want == 1_127_251
+    assert got[0] == (0, 0, 1500) and got[-1] == (1500, 0, 0)
+    assert len(set(got)) == want and got == sorted(got)
+
+
+def test_count_points_of_a_simplex_far_smaller_than_its_box():
+    # P6 at degree 26 has C(32, 6) monomials in a branching box of 27^6,
+    # 427 times as many points: the halved boxes follow the simplex
+    degrees, theta = [(1,)] * 7, PositiveGrading((1,))
+    assert count_points(degrees, theta, [(26,)], [0] * 7, [None] * 7) == [math.comb(32, 6)]
 
 
 def _sums(gens, theta, cap):
