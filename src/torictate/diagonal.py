@@ -31,7 +31,7 @@ import numpy as np
 from .errors import PreconditionError
 from .linalg import entry_rows, peel, signed_graph_rank, sparse_rank
 from .smodule import monomial_basis
-from .toric import cone_contains, deg_add, deg_neg, deg_sub, degrees_within, hirzebruch
+from .toric import cone_members, deg_add, deg_neg, deg_sub, degrees_within, hirzebruch
 
 
 # The entries, summed over the maps ranked together, of one run of
@@ -354,9 +354,11 @@ def check_acyclicity(cx, bidegrees, report=False):
 def check_H0_diagonal(cx, bidegrees):
     """dim H_0 at (d, d') equals dim S_{d+d'}, each bidegree ranked alone
     on maps built once over the list; bidegrees with d' outside the
-    effective cone are excluded by convention."""
+    effective cone are excluded by convention, all d' tested in one count
+    (toric.cone_members)."""
     stack = cx.stack
-    kept = [bid for bid in bidegrees if cone_contains(stack.eff, stack.theta, tuple(bid[1]))]
+    inside = cone_members(stack.eff, stack.theta, [bid[1] for bid in bidegrees])
+    kept = [bid for bid, ok in zip(bidegrees, inside) if ok]
     return all(h[0] == len(monomial_basis(stack, deg_add(tuple(d), tuple(dprime))))
                for ((d, dprime),), h in cx._homologies(kept, [0], each=True))
 

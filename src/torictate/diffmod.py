@@ -9,8 +9,11 @@ The differential is kept as D = sum_u e_u (x) A_u over exterior monomials
 u (an EMatrix): the generators fall into runs of consecutive equal twists
 (exterior.Runs), and each A_u is held as dense blocks between runs. A
 column's basis is a concatenation of (run x monomials) ranges
-(exterior.Slice), and column_matrix places each block, signed, at strided
-positions.
+(exterior.Slice), and column_entries places each block's nonzero entries,
+signed, at strided positions, as entry arrays: a column's blocks are
+linalg.Entries, ranked without a dense matrix. column_matrix fills them in
+only where a dense matrix is multiplied: bgg.L's Kronecker blocks and
+check_square_zero's products.
 
 Homology is only ever reported on the module's safe degree set: outside it
 a column may be missing contributors from generators beyond the window.
@@ -22,17 +25,17 @@ import numpy as np
 
 from .exterior import (OmegaTwist, Runs, Slice, column_basis, column_slices, entry_degree,
                        mul_sign, popcount)
-from .linalg import homology_dims, invert, rref
+from .linalg import Entries, dense, homology_dims, invert, rank, rref
 from .toric import deg_neg
 
 
 class EMatrix:
     """A matrix over E between free modules, sum_u e_u (x) A_u:
     blocks[t][(s, u)] is the block of A_u from source run t to target run s,
-    dense and nonzero. Run indices refer to the Runs of the two modules. A
-    block may be the array it was built from (a multiplication matrix, a
-    block of another module), so blocks are never written in place, except
-    by _add_block on the blocks it made."""
+    dense, reduced and nonzero. Run indices refer to the Runs of the two
+    modules. A block may be the array it was built from (a multiplication
+    matrix, a block of another module), so blocks are never written in
+    place, except by _add_block on the blocks it made."""
 
     def __init__(self, field, blocks=None):
         self.field = field
@@ -123,13 +126,14 @@ class FreeDiffModule:
         return column_slices(self.stack, self.runs, tuple(a), self._mask)
 
     def column_block(self, a, slice_src, slice_tgt):
-        """Differential matrix from the span of slice_src to slice_tgt
-        (both Slices of the degree-a column)."""
-        return column_matrix(self.field, self.d, slice_src, slice_tgt)
+        """The differential from the span of slice_src to slice_tgt (both
+        Slices of the degree-a column), as an Entries."""
+        return Entries(self.field, len(slice_tgt), len(slice_src),
+                       *column_entries(self.field, self.d, slice_src, slice_tgt))
 
     def column_complex(self, a):
         """(slices, blocks): slices maps aux -> Slice, blocks maps
-        aux -> matrix from slice(aux) to slice(aux - 1)."""
+        aux -> Entries from slice(aux) to slice(aux - 1)."""
         slices = self.column_slices(a)
         blocks = {}
         for j, src in slices.items():
@@ -168,41 +172,49 @@ def restrict(runs, emat, keep):
     return out, sub
 
 
-def column_matrix(field, emat, src, tgt, out=None, sign=1):
+_NONE = np.zeros(0, dtype=np.int64)  # no entries, of any field
+
+
+def column_entries(field, emat, src, tgt, sign=1, at=(0, 0)):
     """The matrix, from the span of the Slice src to that of tgt, of the
-    E-matrix emat acting by left multiplication, times sign; written into
-    out when given. The block A_u from run t to run s lands, for each
-    monomial m of t's segment with e_u e_m = +-e_{u|m} in s's segment, at
-    the strided rows of (s, u|m) and columns of (t, m). The target monomial
-    fixes u, so a cell receives at most one block entry."""
-    if out is None:
-        out = field.zeros(len(tgt), len(src))
-    where = {s: (off, len(monos), {m: k for k, m in enumerate(monos)})
+    E-matrix emat acting by left multiplication, times sign, as entry arrays
+    (rows, cols, vals), each row and column shifted by at. The block A_u
+    from run t to run s lands, for each monomial m of t's segment with
+    e_u e_m = +-e_{u|m} in s's segment, at the strided rows of (s, u|m) and
+    columns of (t, m). The target monomial fixes u, so each position is
+    given at most once."""
+    r0, c0 = at
+    where = {s: (r0 + off, len(monos), {m: k for k, m in enumerate(monos)})
              for s, _, _, monos, off in tgt.segs}
-    for t, _, size, monos, coff in src.segs:
+    rows, cols, vals = [], [], []
+    for t, _, _, monos, coff in src.segs:
         row = emat.blocks.get(t)
         if not row:
             continue
         step = len(monos)
-        cend = coff + size * step
         for (s, u), block in row.items():
             hit = where.get(s)
             if hit is None:
                 continue
             roff, rstep, index = hit
-            rend = roff + block.shape[0] * rstep
-            neg = None
-            for mi, m in enumerate(monos):
-                k = None if u & m else index.get(u | m)
-                if k is None:
-                    continue
-                if mul_sign(u, m) == sign:
-                    out[roff + k:rend:rstep, coff + mi:cend:step] = block
-                else:
-                    if neg is None:
-                        neg = field.reduce(-block)
-                    out[roff + k:rend:rstep, coff + mi:cend:step] = neg
-    return out
+            starts = [(roff + index[u | m], c0 + coff + mi, mul_sign(u, m) == sign)
+                      for mi, m in enumerate(monos) if not u & m and u | m in index]
+            if not starts:
+                continue
+            bi, bk = block.nonzero()
+            bv = block[bi, bk]
+            for r, c, same in starts:
+                rows.append(r + rstep * bi)
+                cols.append(c + step * bk)
+                vals.append(bv if same else field.reduce(-bv))
+    if not rows:
+        return _NONE, _NONE, _NONE
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+
+
+def column_matrix(field, emat, src, tgt):
+    """column_entries as a dense matrix."""
+    return dense(field, (len(tgt), len(src)), *column_entries(field, emat, src, tgt))
 
 
 def check_square_zero(module, degrees=None):
@@ -211,12 +223,13 @@ def check_square_zero(module, degrees=None):
     degrees = list(degrees) if degrees is not None else sorted(module.safe)
     field = module.field
     for a in degrees:
-        slices, blocks = module.column_complex(a)
+        slices = module.column_slices(a)
         for j in sorted(slices):
-            m1 = blocks.get(j)
-            m0 = blocks.get(j - 1)
-            if m1 is None or m0 is None or m1.shape[1] == 0 or m0.shape[0] == 0:
+            src, mid, tgt = slices[j], slices.get(j - 1), slices.get(j - 2)
+            if not src or not mid or not tgt:
                 continue
+            m1 = column_matrix(field, module.d, src, mid)
+            m0 = column_matrix(field, module.d, mid, tgt)
             if np.any(field.matmul(m0, m1)):
                 return False
     return True
@@ -240,7 +253,8 @@ def _slice_homology(field, slices, blocks):
     slice j to slice j - 1. Where j - 1 is no slice, blocks[j] has no rows
     and ranks 0, so the slices can be taken in order even across gaps."""
     js = sorted(slices, reverse=True)
-    hs = homology_dims(field, [blocks[j].shape[1] for j in js], [blocks[j] for j in js])
+    hs = homology_dims(field, [blocks[j].cols for j in js], [blocks[j] for j in js],
+                       rank_of=lambda _, m: rank(m))
     return {j: h for j, h in sorted(zip(js, hs)) if h}
 
 

@@ -7,14 +7,20 @@ partial comparison map; the differential of a new generator lands in
 strictly higher levels, so the result is a free flag, and no constant
 entries ever appear, so it is minimal as built.
 
-Every block of a cone column is ranked by forward elimination only
-(linalg._rank_arr). A kernel basis, and the class representatives chosen
-from it, are taken only at a cone degree (a; j) with classes left to kill,
-cols(j) - rank(j) > rank(j + 1), and there F's generators grow by one run.
-F's differential and the comparison map eps are EMatrix blocks from those
+A cone column's blocks are linalg.Entries, never dense: the entry arrays
+of the target's block, of eps and of -d on F, placed by
+diffmod.column_entries. Each is ranked by linalg.rank: a larger block,
+every column two entries of +-1, by counting the components of a signed
+graph; another by peeling and eliminating the core; a small one by
+elimination alone. A kernel basis (the canonical one of the rref) and the
+class representatives chosen from it are taken only at a cone degree
+(a; j) with classes left to kill, cols(j) - rank(j) > rank(j + 1), and
+there F's generators grow by one run. The representatives are the kernel
+columns, in policy order, that forward insertion after d_in's columns
+keeps (linalg.independent_columns): the pivots of rref([d_in | K]). F's
+differential and the comparison map eps are EMatrix blocks from those
 runs, to F's runs and to the target's, written one block per (target run,
-monomial) as a run is added, and act on a column only through
-diffmod.column_matrix.
+monomial) as a run is added.
 
 `_IncrementalRank`, the greedy independence test of
 smodule.presentation_from_span, inserts each vector as a sparse row into
@@ -25,9 +31,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .diffmod import DMMorphism, EMatrix, FreeDiffModule, _slice_homology, column_matrix, cone
+from . import linalg
+from .diffmod import DMMorphism, EMatrix, FreeDiffModule, _slice_homology, column_entries, cone
 from .exterior import OmegaTwist, Runs, Slice, column_slices
-from .linalg import _kernel_arr, _rank_arr, independent_columns
+from .linalg import Entries, dense, independent_columns, rank
 from .toric import deg_sub
 
 
@@ -71,7 +78,8 @@ class ResolutionState:
 
     def cone_column(self, a):
         """Slices and blocks of cone(eps) at degree a: slice j is
-        D_j(a) ++ F_{j-1}(a)."""
+        D_j(a) ++ F_{j-1}(a), and blocks[j], an Entries, maps it to slice
+        j - 1 by [[d_D, eps], [0, -d_F]]."""
         field = self.field
         d_slices = self.target.column_slices(a)
         f_slices = self.f_column_slices(a)
@@ -85,12 +93,12 @@ class ResolutionState:
             dsl, fsl = slices[j]
             dtgt, ftgt = slices.get(j - 1, (empty, empty))
             nd, md = len(dsl), len(dtgt)
-            mat = field.zeros(md + len(ftgt), nd + len(fsl))
+            parts = [column_entries(field, self.eps, fsl, dtgt, at=(0, nd)),
+                     column_entries(field, self.d, fsl, ftgt, sign=-1, at=(md, nd))]
             if nd and md:
-                mat[:md, :nd] = self.target.column_block(a, dsl, dtgt)
-            column_matrix(field, self.eps, fsl, dtgt, out=mat[:md, nd:])
-            column_matrix(field, self.d, fsl, ftgt, out=mat[md:, nd:], sign=-1)
-            blocks[j] = mat
+                block = self.target.column_block(a, dsl, dtgt)
+                parts.append((block.ri, block.ci, block.vals))
+            blocks[j] = Entries(field, md + len(ftgt), nd + len(fsl), *map(np.concatenate, zip(*parts)))
         return slices, blocks
 
     def cone_homology_dims(self, a):
@@ -127,10 +135,17 @@ def _write_columns(emat, sl, z, t):
 
 def _select_representatives(field, ker, d_in, policy):
     """Columns of ker, a kernel basis of the outgoing map, completing the
-    image of d_in to a basis of the homology, greedily in the given order."""
+    image of d_in to a basis of the homology, greedily in the given order,
+    as dense vectors. ker and d_in are dense arrays or Entries."""
+    if not isinstance(ker, Entries):
+        ker = Entries.of(field, ker)
     if policy == "last":
-        ker = ker[:, ::-1]
-    return [ker[:, c] for c in independent_columns(field, d_in, ker)]
+        ker = Entries(field, ker.rows, ker.cols, ker.ri, ker.cols - 1 - ker.ci, ker.vals)
+    picked = independent_columns(field, d_in, ker)
+    keep = np.isin(ker.ci, picked)
+    z = dense(field, (ker.rows, len(picked)), ker.ri[keep], np.searchsorted(picked, ker.ci[keep]),
+              ker.vals[keep])
+    return list(z.T)
 
 
 def min_free_resolution(target, floor, ceiling=None, policy="first", degrees=None):
@@ -140,7 +155,7 @@ def min_free_resolution(target, floor, ceiling=None, policy="first", degrees=Non
     (stack, field, safe, column_slices, column_block) whose column slices
     are exterior.Slice segments over runs of its generators, on whose
     labels E acts by wedge, as eps is applied to them through
-    column_matrix.
+    column_entries, and whose column_block gives a linalg.Entries.
     floor/ceiling: grading-functional bounds on the levels scanned; degrees
     defaults to the target's safe set clipped to [floor, ceiling].
 
@@ -160,18 +175,19 @@ def min_free_resolution(target, floor, ceiling=None, policy="first", degrees=Non
     for round_index, lv in enumerate(sorted(levels, reverse=True)):
         for a in sorted(levels[lv]):
             slices, blocks = state.cone_column(a)
-            ranks = {j: _rank_arr(state.field, d_out) for j, d_out in blocks.items()}
+            ranks = {j: rank(d_out) for j, d_out in blocks.items()}
             new = {}
             for j in sorted(slices):
                 d_out = blocks[j]
-                if d_out.shape[1] - ranks[j] == ranks.get(j + 1, 0):
+                if d_out.cols - ranks[j] == ranks.get(j + 1, 0):
                     continue  # the image of d_in is the whole kernel
                 d_in = blocks.get(j + 1)
                 if d_in is None:
-                    d_in = state.field.zeros(d_out.shape[1], 0)
+                    d_in = Entries.zeros(state.field, d_out.cols, 0)
                 # a class at cone degree (a; j) has its D-part in D_j(a)
-                # and its F-part in F_{j-1}(a)
-                new[j] = _select_representatives(state.field, _kernel_arr(state.field, d_out),
+                # and its F-part in F_{j-1}(a); the kernel is looked up on
+                # linalg at call time, so a wrapper of it sees every call
+                new[j] = _select_representatives(state.field, linalg.kernel_basis(d_out),
                                                  d_in, policy)
             for j, vecs in new.items():
                 state._add_run(a, j, vecs, *slices[j], round_index)

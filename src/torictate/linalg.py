@@ -7,16 +7,23 @@ mod p, rational matrices are object arrays of Fractions.
 
 Elimination runs on sparse rows (dicts column -> nonzero coefficient), as
 the matrices met here are mostly about 1% dense; dense arrays are made only
-for callers that want them (`rref`, `dense`). Each field has one forward
-elimination, `insert`; the caller picks the lead column. `_echelon` leads
-with the smallest and back-substitutes, and returns sparse reduced rows:
-`rref` fills them in, `RowReducer` keeps each label's normal form modulo
-them in CSR arrays and gathers them (`reduce_rows`). `sparse_rank` leads
-with the largest and only counts pivots, on sparse rows or, through
-`_rank_arr`, on a dense array's. `signed_graph_rank` ranks a matrix whose
-every column is two entries of +-1 (the diagonal's binomial maps) by
-counting components of a signed graph; `peel` removes singleton rows and
-columns, one rank each, and leaves a core for `sparse_rank`.
+for callers that want them (`rref`, `dense`). A matrix that is never dense
+is an `Entries`, its entry arrays. Each field has one forward elimination,
+`insert`; the caller picks the lead column. `_echelon` leads with the
+smallest and back-substitutes, and returns sparse reduced rows: `rref`
+fills them in, `kernel_basis` reads the kernel off them (densely for a
+`Mat`, as entries for an `Entries`), `RowReducer` keeps each label's normal
+form modulo them in CSR arrays and gathers them (`reduce_rows`).
+`sparse_rank` leads with the largest and only counts pivots, on sparse rows
+or, through `_rank_arr`, on a dense array's. `independent_columns` inserts
+columns one at a time and keeps those that add a pivot.
+
+`rank` of an Entries takes one of three routes. Where every column is two
+entries of +-1 (the diagonal's binomial maps, the larger Cl = Z cone
+blocks), `signed_graph_rank` counts components of a signed graph.
+Otherwise `peel` removes singleton rows and columns, one rank each, and
+`sparse_rank` eliminates the core left. A matrix of at most
+`SMALL_ENTRIES` entries goes to `sparse_rank` whole.
 """
 
 from __future__ import annotations
@@ -30,6 +37,10 @@ from .errors import SchemaError, WindowTooSmall
 
 DEFAULT_PRIME = 32003
 MAX_DENSE_CELLS = 1 << 26  # 512 MiB as int64 over GF(p), as many pointers over QQ
+# An Entries of at most this many entries is ranked by sparse_rank alone:
+# below it the numpy set-up of counting components or peeling costs more
+# than the elimination (on signed graphs the two meet near 120 entries)
+SMALL_ENTRIES = 128
 
 
 def _dense_cells(rows, cols):
@@ -368,15 +379,46 @@ def entry_rows(keys, cols, vals):
     return list(rows.values())
 
 
+class Entries:
+    """A rows x cols matrix over a field as entry arrays: vals[k] at
+    (ri[k], ci[k]), each position at most once, every value reduced and
+    nonzero."""
+
+    def __init__(self, field, rows, cols, ri, ci, vals):
+        self.field = field
+        self.rows = rows
+        self.cols = cols
+        self.ri = ri
+        self.ci = ci
+        self.vals = vals
+
+    @classmethod
+    def zeros(cls, field, rows, cols):
+        none = np.zeros(0, dtype=np.int64)
+        return cls(field, rows, cols, none, none, field.array([]))
+
+    @classmethod
+    def of(cls, field, a):
+        """The entries of a dense matrix, read off its nonzero entries once:
+        only those are reduced, and any that reduce to zero are dropped."""
+        a = np.asarray(a)
+        ri, ci = np.nonzero(a)
+        vals = field.reduce(a[ri, ci])
+        keep = np.flatnonzero(vals)
+        return cls(field, *a.shape, ri[keep], ci[keep], vals[keep])
+
+    def columns(self):
+        """The columns as sparse dicts row -> value, a zero column empty."""
+        out = [{} for _ in range(self.cols)]
+        for r, c, v in zip(self.ri.tolist(), self.ci.tolist(), self.vals.tolist()):
+            out[c][r] = v
+        return out
+
+
 def _sparse_rows(field, a):
-    """The nonzero rows of a dense matrix as sparse rows, dicts column ->
-    reduced coefficient, read off its nonzero entries once: only those are
-    reduced, and any that reduce to zero are dropped."""
-    a = np.asarray(a)
-    ri, ci = np.nonzero(a)
-    vals = field.reduce(a[ri, ci])
-    keep = np.flatnonzero(vals)
-    return entry_rows(ri[keep], ci[keep], vals[keep])
+    """The nonzero rows of a dense matrix as sparse rows (see Entries.of)."""
+    e = Entries.of(field, a)
+    return entry_rows(e.ri, e.ci, e.vals)
 
 
 def rref(field, a):
@@ -400,8 +442,29 @@ def dense(field, shape, rows, cols, vals):
 
 
 def rank(m):
-    """Rank over the field, by forward elimination only (see _rank_arr)."""
+    """Rank over the field of a Mat, by forward elimination only (see
+    _rank_arr), or of an Entries (see _entry_rank)."""
+    if isinstance(m, Entries):
+        return _entry_rank(m)
     return _rank_arr(m.field, m.a)
+
+
+def _entry_rank(m):
+    """Rank of an Entries. Where every column is two entries of +-1 on
+    distinct rows, the matrix is a signed graph's and signed_graph_rank
+    counts components; otherwise peel removes singleton rows and columns
+    and sparse_rank eliminates the core left, its columns taken as rows.
+    A matrix of at most SMALL_ENTRIES entries goes to sparse_rank whole."""
+    field = m.field
+    core = slice(None)
+    rk = 0
+    if len(m.vals) > SMALL_ENTRIES:
+        signs = np.where(m.vals == field.one, 1, np.where(m.vals == field.neg(field.one), -1, 0))
+        graph = signed_graph_rank(m.ci, m.ri, signs, m.cols)
+        if graph is not None:
+            return graph
+        rk, core = peel(m.ri, m.ci, m.rows, m.cols)
+    return rk + sparse_rank(field, entry_rows(m.ci[core], m.ri[core], m.vals[core]))
 
 
 def _rank_arr(field, a):
@@ -411,9 +474,33 @@ def _rank_arr(field, a):
 
 
 def kernel_basis(m):
-    """Columns of the result form a basis of the right kernel: m @ result = 0."""
+    """Columns of the result form a basis of the right kernel: m @ result = 0.
+    The basis is read off the reduced echelon form, one column per free
+    column; a Mat's as a Mat, an Entries' as an Entries."""
+    if isinstance(m, Entries):
+        return _entry_kernel(m)
     r, pivots = rref(m.field, m.a)
     return Mat(m.field, _rref_kernel(m.field, r, pivots, m.cols))
+
+
+def _entry_kernel(m):
+    """_rref_kernel on the sparse reduced rows of an Entries: the kernel
+    column of free column f is one at f and -R[i, f] at each pivot row i."""
+    field = m.field
+    reduced, pivots = _echelon(field, entry_rows(m.ri, m.ci, m.vals))
+    free = np.ones(m.cols, dtype=bool)
+    free[pivots] = False
+    at = np.cumsum(free) - 1  # a free column's kernel column
+    ri, ci, vals = [], [], []
+    for c, row in zip(pivots, reduced):
+        del row[c]
+        ri += [c] * len(row)
+        ci += row
+        vals += [-v for v in row.values()]
+    own = np.flatnonzero(free)
+    return Entries(field, m.cols, len(own), np.concatenate([np.array(ri, dtype=np.int64), own]),
+                   np.concatenate([at[np.array(ci, dtype=np.int64)], np.arange(len(own))]),
+                   field.array(vals + [field.one] * len(own)))
 
 
 def _kernel_arr(field, a):
@@ -435,14 +522,18 @@ def _rref_kernel(field, r, pivots, ncols):
 
 def independent_columns(field, base, candidates):
     """Indices of the candidate columns that are independent modulo the span
-    of the base columns, chosen greedily from left to right. The pivot
-    columns of rref([base | candidates]) are exactly the columns independent
-    of all columns to their left, so one elimination picks them all."""
-    if candidates.shape[1] == 0:
-        return []
-    nb = base.shape[1]
-    _, pivots = rref(field, np.concatenate([base, candidates], axis=1))
-    return [c - nb for c in pivots if c >= nb]
+    of the base columns and of the candidates to their left: the pivot
+    columns of rref([base | candidates]) past base. Greedy forward
+    insertion (field.insert) finds them: the base columns first, then each
+    candidate in turn, kept where it adds a pivot. Each column leads with
+    its last row, which in a kernel basis read off an rref is its own free
+    column. base and candidates are dense arrays or Entries."""
+    base, candidates = (m if isinstance(m, Entries) else Entries.of(field, m)
+                        for m in (base, candidates))
+    pivots = {}
+    for col in sorted(base.columns(), key=len):
+        field.insert(pivots, col, max)
+    return [c for c, col in enumerate(candidates.columns()) if field.insert(pivots, col, max)]
 
 
 def homology_dim(d_in, d_out):

@@ -214,8 +214,18 @@ def is_irrelevant_subset(stack, subset):
 
 def cone_contains(cone, theta, d):
     """Membership of d in the semigroup generated by the cone generators."""
+    return cone_members(cone, theta, [d]) == [True]
+
+
+def cone_members(cone, theta, degrees):
+    """[cone_contains(cone, theta, d) for d in degrees], from one
+    count_points over the distinct degrees."""
+    distinct = sorted({tuple(d) for d in degrees})
+    if not distinct:
+        return []
     n = len(cone.generators)
-    return count_points(cone.generators, theta, [tuple(d)], [0] * n, [None] * n) != [0]
+    inside = dict(zip(distinct, count_points(cone.generators, theta, distinct, [0] * n, [None] * n)))
+    return [inside[tuple(d)] > 0 for d in degrees]
 
 
 def degrees_within(gens, theta, cap):

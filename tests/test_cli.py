@@ -399,6 +399,20 @@ def test_matrix_over_the_size_budget_exits_4(capsys, monkeypatch):
     assert err.startswith("error: a dense ") and "matrix is over the size budget of 100 cells" in err
 
 
+def test_cone_makes_no_dense_block(capsys, monkeypatch):
+    # the cone of the Cl = Z resolution is built and eliminated on entry
+    # arrays: at a budget of 2^18 cells, which its largest block (705 x 645
+    # on this window) would exceed as a dense matrix, the bench command still
+    # prints its reference answer
+    import torictate.linalg as linalg
+
+    with open(os.path.join(os.path.dirname(__file__), "..", "bench", "reference.json")) as fh:
+        want = json.load(fh)["cohomology_p112_w30"]
+    monkeypatch.setattr(linalg, "MAX_DENSE_CELLS", 1 << 18)
+    code, out, err = run_cli(["cohomology", fixture("p112.tate"), "--window", "-30:30"], capsys)
+    assert (code, out) == (want["exit"], want["stdout"]), err
+
+
 def test_budget_refusal_while_parsing_exits_4(capsys, monkeypatch):
     # at 4 cells a matrix made while the document is parsed (inside
     # ToricStack or a module's validation) is already refused; the refusal

@@ -1,7 +1,7 @@
-"""`diffmod.column_matrix` is the one place an exterior matrix acts on a
+"""`diffmod.column_entries` is the one place an exterior matrix acts on a
 column basis. These tests keep earlier hand-written actions as references:
 the walk over {(target, source): {monomial: coeff}} entries that
-column_matrix was before the differential was stored as blocks over twist
+the column action was before the differential was stored as blocks over twist
 runs, the scan of every generator that column_basis was, the
 element-by-element `L` and the right-multiplied comparison vectors of the
 cycle-killing resolution. They require the same labels, matrices,
@@ -14,7 +14,7 @@ from torictate.diffmod import DMMorphism, _slice_homology, cone, minimize, tenso
 from torictate.dmres import (ResolutionState, _select_representatives, min_free_resolution,
                              tate_cone)
 from torictate.exterior import OmegaTwist, column_basis, ext_mul, mul_sign, popcount
-from torictate.linalg import GF, QQ, Mat, _kernel_arr
+from torictate.linalg import GF, QQ, Mat, _kernel_arr, dense
 from torictate.smodule import GradedComplex, Presentation, monomial_basis, realize, truncate
 from torictate.tate import beilinson_U, tate_weighted
 from torictate.toric import Window, deg_sub, projective_space, weighted_projective
@@ -42,7 +42,7 @@ def _scan_slices(stack, gens, basis):
 
 
 def _walk_matrix(field, entries, src, tgt):
-    """column_matrix as a walk over the entries dict, one entry at a time."""
+    """The column action as a walk over the entries dict, one entry at a time."""
     out = {}
     for s, t in entries:
         out.setdefault(t, []).append(s)
@@ -312,7 +312,9 @@ def test_column_complex_matches_dict_walk(field):
             assert _labels(slices) == want, (name, a)
             for j, src in want.items():
                 ref = _walk_matrix(field, entries, src, want.get(j - 1, []))
-                assert blocks[j].tolist() == ref.tolist(), (name, a, j)
+                b = blocks[j]
+                got = dense(field, (b.rows, b.cols), b.ri, b.ci, b.vals)
+                assert got.tolist() == ref.tolist(), (name, a, j)
 
 
 def test_column_basis_by_runs_matches_scan(gf):

@@ -9,7 +9,7 @@ from torictate.diagonal import (DiagComplex, ExplicitBigradedComplex, build_F,
 from torictate.errors import PreconditionError
 from torictate.linalg import GF, QQ, peel, signed_graph_rank, sparse_rank
 from torictate.smodule import monomial_basis
-from torictate.toric import deg_add
+from torictate.toric import cone_contains, deg_add
 
 
 def bids(lo, hi):
@@ -183,6 +183,28 @@ def test_h0_excludes_noneffective_second_coordinate(p12, gf):
     cx = build_F_prime_weighted(p12, gf)
     # d' = -1 is excluded by convention, so the check passes regardless
     assert check_H0_diagonal(cx, [((2,), (-1,))])
+
+
+def test_h0_diagonal_tests_membership_in_one_count(p12, gf, monkeypatch):
+    # the d' of every bidegree, one outside the effective cone among them,
+    # are tested by one count_points; the kept bidegrees are those with
+    # cone_contains(d'), so the answer is the one of the kept list alone
+    cx = build_F_prime_weighted(p12, gf)
+    mixed = bids(0, 4) + [((2,), (-1,)), ((1,), (-3,))]
+    kept = [bid for bid in mixed if cone_contains(p12.eff, p12.theta, bid[1])]
+    assert len(kept) == len(mixed) - 2
+    calls = []
+    count = toric.count_points
+
+    def counted(*args):
+        calls.append(args[2])
+        return count(*args)
+
+    monkeypatch.setattr(toric, "count_points", counted)
+    assert check_H0_diagonal(cx, mixed)
+    assert len(calls) == 1 and sorted(calls[0]) == sorted({bid[1] for bid in mixed})
+    monkeypatch.undo()
+    assert check_H0_diagonal(cx, kept)
 
 
 def test_f_and_f_prime_agree_in_positive_homology(p12, gf):

@@ -7,7 +7,7 @@ from torictate.diffmod import check_minimal, check_square_zero, homology_column
 from torictate.dmres import (_select_representatives, min_free_resolution,
                              tate_cone, verify_quasi_iso)
 from torictate.exterior import OmegaTwist, Slice
-from torictate.linalg import GF, QQ, Mat, independent_columns, kernel_basis, rank
+from torictate.linalg import GF, QQ, Entries, Mat, independent_columns, kernel_basis, rank
 from torictate.smodule import Presentation, realize, truncate
 from torictate.toric import Window
 
@@ -32,7 +32,7 @@ class PointTarget:
         return {}
 
     def column_block(self, a, src, tgt):
-        return self.field.zeros(len(tgt), len(src))
+        return Entries.zeros(self.field, len(tgt), len(src))
 
 
 def test_resolution_of_exact_module_is_zero(p1, gf):

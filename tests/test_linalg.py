@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from torictate import linalg
-from torictate.dmres import _IncrementalRank
+from torictate.dmres import _IncrementalRank, _select_representatives
 from torictate.errors import WindowTooSmall
 from torictate.linalg import (GF, QQ, Mat, RowReducer, homology_dim, homology_dims,
                               invert, kernel_basis, peel, rank, rref, signed_graph_rank,
@@ -705,3 +705,59 @@ def test_peel_counts_a_shared_row_once_and_keeps_a_dense_core(field, rank_core):
     assert sparse_rank(field, _column_dicts(field, rows, cols, vals, core)) == rank_core
     whole = _column_dicts(field, rows, cols, vals, np.ones(6, dtype=bool))
     assert sparse_rank(field, whole) == 1 + rank_core
+
+
+def _entry_block(field, rng, rows, cols, per_col, signed):
+    """A rows x cols Entries with per_col entries in each column (in half
+    the blocks, a zero column now and then), on distinct rows drawn from a
+    few, so that columns repeat and ranks fall short: +-1 where signed (-1
+    stored as p - 1 over GF(p)), otherwise small nonzero values."""
+    ri, ci, vals = [], [], []
+    pool = list(range(rows))[:max(per_col, rng.randrange(1, rows + 1))] if rows else []
+    zeros = rng.choice([0, 0.1])
+    for c in range(cols):
+        if rng.random() < zeros:
+            continue
+        at = rng.sample(pool, min(per_col, len(pool)))
+        ri += at
+        ci += [c] * len(at)
+        vals += [rng.choice([1, -1]) if signed else rng.choice([1, -1, 2, -3, 5]) for _ in at]
+    return linalg.Entries(field, rows, cols, np.array(ri, dtype=np.int64), np.array(ci, dtype=np.int64),
+                          field.array(vals))
+
+
+def _dense_of(e):
+    return linalg.dense(e.field, (e.rows, e.cols), e.ri, e.ci, e.vals)
+
+
+@pytest.mark.parametrize("field", [GF(), GF(2147483647), QQ()], ids=repr)
+@pytest.mark.parametrize("small", [0, linalg.SMALL_ENTRIES])
+def test_entry_route_matches_dense_route(field, small, rng, monkeypatch):
+    # rank, kernel and representative selection of an Entries against the
+    # dense Mat route: ranks by signed graphs, by peeling plus elimination
+    # and (below SMALL_ENTRIES) by elimination alone; kernels entry for
+    # entry; selections against independent_columns of the dense matrices
+    # and the pivots of rref([d_in | K]), for both policies
+    monkeypatch.setattr(linalg, "SMALL_ENTRIES", small)
+    shapes = [(0, 0), (3, 0), (0, 4)] + [(rng.randrange(1, 90), rng.randrange(1, 90)) for _ in range(30)]
+    for k, (rows, cols) in enumerate(shapes):
+        for per_col in (1, 2, 3):
+            e = _entry_block(field, rng, rows, cols, per_col, signed=k % 3 != 2)
+            a = _dense_of(e)
+            assert rank(e) == rank(Mat(field, a))
+            ker = kernel_basis(e)
+            want = kernel_basis(Mat(field, a)).a
+            assert (ker.rows, ker.cols) == want.shape
+            assert _dense_of(ker).tolist() == want.tolist()
+            # d_in: combinations of kernel columns, some dependent, and a
+            # block of its own
+            d_in = _entry_block(field, rng, ker.cols, rng.randrange(0, 6), 2, signed=True)
+            d_in = Mat(field, want) @ Mat(field, _dense_of(d_in))
+            for policy in ("first", "last"):
+                order = want[:, ::-1] if policy == "last" else want
+                picked = linalg.independent_columns(field, d_in.a, order)
+                nb = d_in.cols
+                assert picked == [c - nb for c in rref(field, np.concatenate([d_in.a, order], axis=1))[1]
+                                  if c >= nb]
+                got = _select_representatives(field, ker, linalg.Entries.of(field, d_in.a), policy)
+                assert [v.tolist() for v in got] == [order[:, c].tolist() for c in picked]

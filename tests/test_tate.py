@@ -360,16 +360,22 @@ def test_strand_retract_identities(hirz3, p1p1, gf, monkeypatch):
 
 def test_strand_retract_eliminates_each_map_once(hirz3, gf, monkeypatch):
     # a retract reads a level's pivots and kernel off one rref of its map;
-    # the only other eliminations are the change of basis and, where the
-    # kernel is nonzero, the choice of homology representatives
-    echelon, build = linalg._echelon, laurent._build_retract
-    built = []  # (dims, maps, _echelon calls while building)
+    # the only other eliminations are the change of basis (an rref) and,
+    # where the kernel is nonzero, the choice of homology representatives
+    # (independent_columns, by forward insertion)
+    echelon, choose, build = linalg._echelon, laurent.independent_columns, laurent._build_retract
+    built = []  # (dims, maps, eliminations while building)
     inside = []
 
     def counting_echelon(*args):
         if inside:
             inside[-1] += 1
         return echelon(*args)
+
+    def counting_choice(field, base, candidates):
+        if inside and candidates.shape[1]:
+            inside[-1] += 1
+        return choose(field, base, candidates)
 
     def recording_build(field, dims, maps):
         inside.append(0)
@@ -379,6 +385,7 @@ def test_strand_retract_eliminates_each_map_once(hirz3, gf, monkeypatch):
             built.append((dims, maps, inside.pop()))
 
     monkeypatch.setattr(linalg, "_echelon", counting_echelon)
+    monkeypatch.setattr(laurent, "independent_columns", counting_choice)
     monkeypatch.setattr(laurent, "_build_retract", recording_build)
     fm_transform(hirz3_H(hirz3), hirz3, Window((-2, -1), (2, 1)), gf).T
     monkeypatch.undo()

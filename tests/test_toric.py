@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from torictate import toric
 from torictate.toric import (PositiveGrading, PrimitiveCollection, ToricStack, Window, cone_contains,
+                             cone_members,
                              count_points, deg_add, degrees_within, hirzebruch,
                              is_irrelevant_subset, points,
                              weights_degI, weights_zgraded)
@@ -413,6 +414,19 @@ def _sums(gens, theta, cap):
     """Every sum c . gens with c_i <= cap // theta(gens[i]), repeats kept."""
     return [tuple(sum(c * g[k] for c, g in zip(cs, gens)) for k in range(len(gens[0])))
             for cs in itertools.product(*[range(cap // theta(g) + 1) for g in gens])]
+
+
+@pytest.mark.parametrize("name", ["p12", "p112", "hirz3"])
+def test_cone_members_match_cone_contains(name, request):
+    # one count over the distinct degrees answers as one solve per degree
+    # does, repeats and degrees outside the effective cone included
+    stack = request.getfixturevalue(name)
+    box = list(itertools.product(*[range(-4, 5)] * stack.r))
+    degrees = box + box[::3]
+    got = cone_members(stack.eff, stack.theta, degrees)
+    assert got == [cone_contains(stack.eff, stack.theta, d) for d in degrees]
+    assert True in got and False in got
+    assert cone_members(stack.eff, stack.theta, []) == []
 
 
 @pytest.mark.parametrize("name", ["p12", "p112", "hirz3"])
