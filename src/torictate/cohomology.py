@@ -144,7 +144,10 @@ def default_truncation(pres, stack):
 def fast_table_state(pres, stack, window, field, d=None):
     """Algorithm state shared by the fast table and the weighted Tate
     construction: the truncated realized module, its R, and the minimal
-    free resolution down to the window floor."""
+    free resolution down to the window floor. A resolution generator of
+    auxiliary twist 1 at a >= d is a class of H^1_B(M_{>=d})_a, so the
+    section rows at a >= d cannot be read off the truncation:
+    PreconditionError."""
     if stack.r != 1:
         raise PreconditionError("the exterior fast path requires r = 1 (Cl = Z)")
     w = stack.total_degree[0]
@@ -165,6 +168,10 @@ def fast_table_state(pres, stack, window, field, d=None):
     state = min_free_resolution(dm, floor=floor)
     if state.top_hit:
         raise WindowTooSmall("homology of the truncation reaches the window ceiling; enlarge the window")
+    above = [-tw.cl[0] for tw in state.gens if tw.aux == 1 and -tw.cl[0] >= d]
+    if above:
+        raise PreconditionError("H^1_B of the truncation at %d does not vanish at %d, so its sections "
+                                "there are not read off the module; raise the truncation" % (d, max(above)))
     return d, trunc, dm, state
 
 
@@ -185,12 +192,9 @@ def cohomology_table_fast(pres, stack, window, field, d=None):
         i = tw.aux - 1
         if i < 0:
             raise AssertionError("resolution generator with auxiliary twist 0")
-        if lo <= a[0] <= hi and not (i == 0 and a[0] >= d):
+        if lo <= a[0] <= hi:
             key = (i, a)
             table[key] = table.get(key, 0) + 1
-        elif i == 0 and a[0] >= d:
-            # internal consistency: the tail never duplicates the module row
-            raise AssertionError("section-row generator above the truncation")
     return table
 
 

@@ -11,15 +11,16 @@ Every map is built and ranked over a whole list of bidegrees at once, as
 the block-diagonal union of its pieces: the image terms are merged once,
 the shift maps of x and y monomials are looked up once per distinct x- and
 y-degree of the list, and the entry arrays of a run of bidegrees come from
-a few numpy operations per run (_Map). The bidegrees on which each source
-block has exactly two image terms, both +-1 and on the whole block (every
-column y_i e_k - x_i e_l, as in d_1), are ranked together by
-counting components of a signed graph (linalg.signed_graph_rank); the
-others by peeling singleton rows and columns (linalg.peel), plus
-sparse_rank on the core left. Runs are cut to a fixed number of entries,
-so memory stays bounded however long the list. Acyclicity sums homology
-over a run: each H_i(b) >= 0, so a sum of 0 means every term is 0, and
-single bidegrees are ranked only to name the first failing one.
+a few numpy operations per run (_Map), as a linalg.Entries. The bidegrees
+on which each source block has exactly two image terms, both +-1 and on
+the whole block (every column y_i e_k - x_i e_l, as in d_1), are ranked
+together, and the others together, each group by linalg.rank, which alone
+chooses the route (signed-graph components, else peeling and elimination
+of the core); so one bidegree that is no signed graph never moves the
+others off the component count. Runs are cut to a fixed number of
+entries, so memory stays bounded however long the list. Acyclicity sums
+homology over a run: each H_i(b) >= 0, so a sum of 0 means every term is
+0, and single bidegrees are ranked only to name the first failing one.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from operator import add
 import numpy as np
 
 from .errors import PreconditionError
-from .linalg import entry_rows, peel, signed_graph_rank, sparse_rank
+from .linalg import Entries, rank
 from .smodule import monomial_basis
 from .toric import cone_members, deg_add, deg_neg, deg_sub, degrees_within, hirzebruch
 
@@ -100,7 +101,7 @@ class _BlockComplex:
     def _columns(self, i, bid):
         """The columns of F_i -> F_{i-1} at bid as sparse dicts over target
         indices."""
-        return _Map(self, i, [bid]).columns([0])
+        return _Map(self, i, [bid]).entries([0]).columns()
 
     def _homologies(self, bids, degrees, each=False):
         """Yield (run, {i: dim H_i summed over the run}) for i in degrees,
@@ -186,20 +187,18 @@ class _Map:
         self.load = count.sum(0)
         self.ncols, self.nrows = size.sum(0), tsize.sum(0)
         self.field = field
-        self.coefs = np.array(coefs, dtype=object)
-        unit = {field.one: 1, field.neg(field.one): -1}
-        self.signs = np.array([unit.get(c, 0) for c in coefs], dtype=np.int64)
+        self.coefs = field.array(coefs)
+        unit = (self.coefs == field.one) | (self.coefs == field.neg(field.one))
         # a bidegree is a signed graph when each of its nonempty source
         # blocks has exactly two terms that land, both +-1 on the whole block
         landed, whole = np.zeros_like(size), np.zeros_like(size)
         np.add.at(landed, self.src[:, 0], count > 0)
-        np.add.at(whole, self.src[:, 0], (count == size[self.src[:, 0]]) & (self.signs != 0)[:, None])
+        np.add.at(whole, self.src[:, 0], (count == size[self.src[:, 0]]) & unit[:, None])
         self.graph = ((size == 0) | (landed == 2) & (whole == 2)).all(0)
 
     def entries(self, sel):
-        """The entries on the bidegrees sel (an index array) as arrays
-        (cols, rows, term): columns and rows are numbered across those
-        bidegrees in order, and term[k] indexes coefs and signs."""
+        """d_i on the bidegrees sel (an index array) as an Entries: columns
+        and rows are numbered across those bidegrees in order."""
         c, d = self.ci[sel], self.di[sel]
         # per (term, bidegree); the blocks' first column and row counted
         # across sel
@@ -214,39 +213,16 @@ class _Map:
         colx = np.repeat(soff, xlen) + self.jx[x] * np.repeat(sny, xlen)
         rowx = np.repeat(toff, xlen) + self.kx[x] * np.repeat(tny, xlen)
         y = np.repeat(np.repeat(ystart, xlen) - np.cumsum(ny) + ny, ny) + np.arange(ny.sum())
-        return np.repeat(colx, ny) + self.jy[y], np.repeat(rowx, ny) + self.ky[y], term
-
-    def columns(self, sel):
-        """The columns on the bidegrees sel as sparse dicts over target
-        indices, numbered as by entries."""
-        cols, rows, term = self.entries(sel)
-        order = np.argsort(cols, kind="stable")
-        targets = rows[order].tolist()
-        values = self.coefs[term[order]].tolist()
-        out = []
-        start = 0
-        for end in np.cumsum(np.bincount(cols, minlength=int(self.ncols[sel].sum()))).tolist():
-            out.append(dict(zip(targets[start:end], values[start:end])))
-            start = end
-        return out
+        return Entries(self.field, int(self.nrows[sel].sum()), int(self.ncols[sel].sum()),
+                       np.repeat(rowx, ny) + self.ky[y], np.repeat(colx, ny) + self.jy[y], self.coefs[term])
 
     def rank(self, sel):
-        """Rank on the bidegrees sel. Those that are signed graphs are
-        ranked together by counting components (linalg.signed_graph_rank);
-        the others by peeling singleton rows and columns (linalg.peel), plus
-        sparse_rank of the core left over."""
+        """Rank on the bidegrees sel: linalg.rank of the signed-graph
+        bidegrees together and of the others together."""
         sel = np.asarray(sel)
         sel = sel[self.load[sel] > 0]  # a bidegree without entries has rank 0
         graph = self.graph[sel]
-        rk = 0
-        if graph.any():
-            cols, rows, term = self.entries(sel[graph])
-            rk += signed_graph_rank(cols, rows, self.signs[term], len(cols) // 2)
-        if not graph.all():
-            cols, rows, term = self.entries(sel[~graph])
-            peeled, core = peel(rows, cols, int(self.nrows[sel[~graph]].sum()), int(self.ncols[sel[~graph]].sum()))
-            rk += peeled + sparse_rank(self.field, entry_rows(cols[core], rows[core], self.coefs[term[core]]))
-        return rk
+        return sum(rank(self.entries(part)) for part in (sel[graph], sel[~graph]) if len(part))
 
 
 class DiagComplex(_BlockComplex):
@@ -305,8 +281,8 @@ class DiagComplex(_BlockComplex):
         for i in range(2, self.stack.nvars + 1):
             first, second = _Map(self, i - 1, bids), _Map(self, i, bids)
             for sel in _runs(first.load + second.load):
-                inner = first.columns(sel)
-                for col in second.columns(sel):
+                inner = first.entries(sel).columns()
+                for col in second.entries(sel).columns():
                     acc = {}
                     for mid, c in col.items():
                         for tgt, v in inner[mid].items():

@@ -25,7 +25,7 @@ import numpy as np
 
 from .exterior import (OmegaTwist, Runs, Slice, column_basis, column_slices, entry_degree,
                        mul_sign, popcount)
-from .linalg import Entries, dense, homology_dims, invert, rank, rref
+from .linalg import Entries, homology_dims, invert, rref
 from .toric import deg_neg
 
 
@@ -214,7 +214,7 @@ def column_entries(field, emat, src, tgt, sign=1, at=(0, 0)):
 
 def column_matrix(field, emat, src, tgt):
     """column_entries as a dense matrix."""
-    return dense(field, (len(tgt), len(src)), *column_entries(field, emat, src, tgt))
+    return Entries(field, len(tgt), len(src), *column_entries(field, emat, src, tgt)).dense()
 
 
 def check_square_zero(module, degrees=None):
@@ -245,16 +245,15 @@ def homology_column(module, a):
 
 
 def _homology_column_unchecked(module, a):
-    return _slice_homology(module.field, *module.column_complex(a))
+    return _slice_homology(*module.column_complex(a))
 
 
-def _slice_homology(field, slices, blocks):
+def _slice_homology(slices, blocks):
     """{aux: homology dim}, zeros omitted, of a column whose blocks[j] maps
     slice j to slice j - 1. Where j - 1 is no slice, blocks[j] has no rows
     and ranks 0, so the slices can be taken in order even across gaps."""
     js = sorted(slices, reverse=True)
-    hs = homology_dims(field, [blocks[j].cols for j in js], [blocks[j] for j in js],
-                       rank_of=lambda _, m: rank(m))
+    hs = homology_dims([blocks[j].cols for j in js], [blocks[j] for j in js])
     return {j: h for j, h in sorted(zip(js, hs)) if h}
 
 

@@ -9,10 +9,10 @@ entries ever appear, so it is minimal as built.
 
 A cone column's blocks are linalg.Entries, never dense: the entry arrays
 of the target's block, of eps and of -d on F, placed by
-diffmod.column_entries. Each is ranked by linalg.rank: a larger block,
-every column two entries of +-1, by counting the components of a signed
-graph; another by peeling and eliminating the core; a small one by
-elimination alone. A kernel basis (the canonical one of the rref) and the
+diffmod.column_entries. Each is ranked by linalg.rank, which alone
+chooses the route (signed-graph components, peeling and elimination of
+the core, or elimination alone for a small block). A kernel basis (the
+canonical one of the rref, linalg.kernel_basis) and the
 class representatives chosen from it are taken only at a cone degree
 (a; j) with classes left to kill, cols(j) - rank(j) > rank(j + 1), and
 there F's generators grow by one run. The representatives are the kernel
@@ -34,7 +34,7 @@ import numpy as np
 from . import linalg
 from .diffmod import DMMorphism, EMatrix, FreeDiffModule, _slice_homology, column_entries, cone
 from .exterior import OmegaTwist, Runs, Slice, column_slices
-from .linalg import Entries, dense, independent_columns, rank
+from .linalg import Entries, independent_columns, rank
 from .toric import deg_sub
 
 
@@ -102,8 +102,7 @@ class ResolutionState:
         return slices, blocks
 
     def cone_homology_dims(self, a):
-        slices, blocks = self.cone_column(a)
-        return _slice_homology(self.field, slices, blocks)
+        return _slice_homology(*self.cone_column(a))
 
     # -- generator insertion --------------------------------------------------
 
@@ -143,8 +142,8 @@ def _select_representatives(field, ker, d_in, policy):
         ker = Entries(field, ker.rows, ker.cols, ker.ri, ker.cols - 1 - ker.ci, ker.vals)
     picked = independent_columns(field, d_in, ker)
     keep = np.isin(ker.ci, picked)
-    z = dense(field, (ker.rows, len(picked)), ker.ri[keep], np.searchsorted(picked, ker.ci[keep]),
-              ker.vals[keep])
+    z = Entries(field, ker.rows, len(picked), ker.ri[keep], np.searchsorted(picked, ker.ci[keep]),
+                ker.vals[keep]).dense()
     return list(z.T)
 
 

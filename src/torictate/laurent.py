@@ -14,9 +14,10 @@ when no grading is given, and relies on the caller's adaptive
 stabilization (double t until the dimensions stop changing; a bound
 unsettled by t = T_CAP raises StabilizationError, exit 4). Its pieces are
 built by Presentation.piece, monomial presentations too (no kill rule is
-shared with MonomialStrands), and its maps as entry arrays of the pieces'
-normal forms: strand homology ranks them sparsely, and only the Tate
-walk's retracts and horizontal blocks are made dense.
+shared with MonomialStrands), and its maps as linalg.Entries of the
+pieces' normal forms: strand homology ranks them by linalg.rank, which
+alone chooses the route, and only the Tate walk's retracts and horizontal
+blocks are made dense (Entries.dense).
 """
 
 from __future__ import annotations
@@ -26,8 +27,7 @@ import itertools
 import numpy as np
 
 from .errors import StabilizationError
-from .linalg import (_rref_kernel, dense, entry_rows, homology_dims, independent_columns,
-                     invert, rref, sparse_rank)
+from .linalg import Entries, Mat, echelon_kernel, homology_dims, independent_columns, invert
 from .smodule import GradedPieces
 from .toric import count_points, deg_add, deg_sub, deg_zero, points
 
@@ -157,15 +157,11 @@ def _build_retract(field, dims, maps):
     # per level: pivot (input) columns of u_l, kernel basis, image basis
     pivots = []
     kernels = []
-    for l in range(levels):
-        u = maps[l] if l < levels - 1 else field.zeros(0, dims[l])
-        if dims[l] == 0:
-            pivots.append([])
-            kernels.append(field.zeros(0, 0))
-            continue
-        r, piv = rref(field, u)
+    for l, n in enumerate(dims):
+        u = Entries.of(field, maps[l]) if l < levels - 1 else Entries.zeros(field, 0, n)
+        piv, ker = echelon_kernel(u) if n else ([], None)  # an empty level is never read
         pivots.append(piv)
-        kernels.append(_rref_kernel(field, r, piv, dims[l]))
+        kernels.append(ker)
     i_cols = []
     hlabels = []
     p_rows = []
@@ -176,7 +172,7 @@ def _build_retract(field, dims, maps):
             continue
         u_prev = maps[l - 1] if l >= 1 else field.zeros(n, 0)
         b_basis = u_prev[:, pivots[l - 1]] if l >= 1 and pivots[l - 1] else field.zeros(n, 0)
-        ker = kernels[l]
+        ker = kernels[l].dense()
         # homology representatives: kernel columns extending the image
         reps = ker[:, independent_columns(field, b_basis, ker)]
         a_cols = pivots[l]
@@ -288,7 +284,7 @@ class MonomialStrands:
         hom = self._homology.get(key)
         if hom is None:
             dims, mats, _ = self._pattern_complex(alive, cellset)
-            hom = self._homology[key] = homology_dims(self.field, dims, mats)
+            hom = self._homology[key] = homology_dims(dims, [Mat(self.field, m) for m in mats])
         return hom
 
     def retract(self, cellset):
@@ -362,12 +358,12 @@ class CechComplex:
         return [(ci, c) for ci, c in enumerate(self.cells) if c[0] == level]
 
     def _block(self, a, b, sources, targets, mono=None):
-        """Every map of the strands is made here: (shape, rows, cols, values)
-        of a map from the pieces at degree a to the target pieces at b, as
-        entry arrays. sources lists (piece, [(target index, sign)]); each
-        source's basis labels, moved by the monomial mono if given, are
-        imaged in each of its targets' bases, signed, at the pieces'
-        offsets. No two (source, target) blocks overlap."""
+        """Every map of the strands is made here, as an Entries: the map from
+        the pieces at degree a to the target pieces at b. sources lists
+        (piece, [(target index, sign)]); each source's basis labels, moved
+        by the monomial mono if given, are imaged in each of its targets'
+        bases, signed, at the pieces' offsets. No two (source, target)
+        blocks overlap."""
         field = self.field
         offsets = list(itertools.accumulate([t.dim(b) for t in targets], initial=0))
         ents = [(np.zeros(0, dtype=np.int64),) * 2 + (np.full(0, field.one),)]
@@ -379,7 +375,7 @@ class CechComplex:
                     rows, cols, vals = targets[k].image_entries(b, labels)
                     ents.append((rows + offsets[k], cols + co, vals if sign > 0 else field.reduce(-vals)))
             co += len(labels)
-        return ((offsets[-1], co),) + tuple(np.concatenate(x) for x in zip(*ents))
+        return Entries(field, offsets[-1], co, *(np.concatenate(x) for x in zip(*ents)))
 
     def _map(self, a, level):
         """The map at degree a from Cech level to level + 1, or from the
@@ -398,18 +394,17 @@ class CechComplex:
         out of the top level (to no cells); position 0 is the module cell
         when extended, else the level-0 cells."""
         maps = [self._map(a, level) for level in range(-1 if extended else 0, len(self.cover))]
-        return [m[0][1] for m in maps], maps
+        return [m.cols for m in maps], maps
 
     def strand(self, a, extended):
         """The full complex at degree a as (dims, dense maps to the next)."""
         dims, maps = self._strand(a, extended)
-        return dims, [dense(self.field, *m) for m in maps[:-1]]
+        return dims, [m.dense() for m in maps[:-1]]
 
     def strand_homology(self, a, extended):
         """Homology dimensions by position (0 = H^0_B resp. kernel end), each
-        map ranked on its sparse columns (sparse_rank), never made dense."""
-        return homology_dims(self.field, *self._strand(a, extended),
-                             rank_of=lambda field, m: sparse_rank(field, entry_rows(m[2], m[1], m[3])))
+        map ranked by linalg.rank, never made dense."""
+        return homology_dims(*self._strand(a, extended))
 
     def horizontal_block(self, a, i):
         """The horizontal map x_i (x) e_i of the bicomplex, from the strand at
@@ -419,5 +414,4 @@ class CechComplex:
         sources = [(piece, [(k, -1 if level % 2 else 1)])
                    for k, (piece, (level, _, _)) in enumerate(zip(pieces, self.cells))]
         mono = tuple(int(k == i) for k in range(self.stack.nvars))
-        return dense(self.field, *self._block(a, deg_add(a, self.stack.var_degrees[i]),
-                                              sources, pieces, mono))
+        return self._block(a, deg_add(a, self.stack.var_degrees[i]), sources, pieces, mono).dense()

@@ -1,25 +1,27 @@
 """Exact linear algebra over GF(p) or Q.
 
 Everything downstream (module pieces, differential-module homology, Cech
-strands) reduces to rank / kernel / reduced-echelon computations done here.
-No floating point anywhere: GF(p) matrices are int64 numpy arrays reduced
-mod p, rational matrices are object arrays of Fractions.
+strands, the diagonal's maps) reduces to rank / kernel / reduced-echelon
+computations done here. No floating point anywhere: GF(p) matrices are
+int64 numpy arrays reduced mod p, rational matrices are object arrays of
+Fractions.
 
 Elimination runs on sparse rows (dicts column -> nonzero coefficient), as
-the matrices met here are mostly about 1% dense; dense arrays are made only
-for callers that want them (`rref`, `dense`). A matrix that is never dense
-is an `Entries`, its entry arrays. Each field has one forward elimination,
-`insert`; the caller picks the lead column. `_echelon` leads with the
-smallest and back-substitutes, and returns sparse reduced rows: `rref`
-fills them in, `kernel_basis` reads the kernel off them (densely for a
-`Mat`, as entries for an `Entries`), `RowReducer` keeps each label's normal
-form modulo them in CSR arrays and gathers them (`reduce_rows`).
-`sparse_rank` leads with the largest and only counts pivots, on sparse rows
-or, through `_rank_arr`, on a dense array's. `independent_columns` inserts
-columns one at a time and keeps those that add a pivot.
+the matrices met here are mostly about 1% dense. A finished sparse map is
+an `Entries`, its entry arrays; `Entries.dense()` fills one in and
+`Entries.columns()` unpacks its columns. Each field has one forward
+elimination, `insert`; the caller picks the lead column. `_echelon` leads
+with the smallest and back-substitutes, and returns sparse reduced rows:
+`rref` fills them in, `echelon_kernel` reads the pivots and the kernel off
+them (under `kernel_basis`, for a `Mat` and an Entries alike),
+`RowReducer` keeps each label's normal form modulo them in CSR arrays and
+gathers them (`reduce_rows`). `sparse_rank` leads with the largest and
+only counts pivots. `independent_columns` inserts columns one at a time
+and keeps those that add a pivot.
 
-`rank` of an Entries takes one of three routes. Where every column is two
-entries of +-1 (the diagonal's binomial maps, the larger Cl = Z cone
+`rank` is the one rank route, for a Mat (through its entries) and an
+Entries alike, and the route is chosen there alone. Where every column is
+two entries of +-1 (the diagonal's binomial maps, the larger Cl = Z cone
 blocks), `signed_graph_rank` counts components of a signed graph.
 Otherwise `peel` removes singleton rows and columns, one rank each, and
 `sparse_rank` eliminates the core left. A matrix of at most
@@ -408,53 +410,41 @@ class Entries:
         return cls(field, *a.shape, ri[keep], ci[keep], vals[keep])
 
     def columns(self):
-        """The columns as sparse dicts row -> value, a zero column empty."""
+        """The columns as sparse dicts row -> value, a zero column empty;
+        within a column, rows in entry order."""
         out = [{} for _ in range(self.cols)]
         for r, c, v in zip(self.ri.tolist(), self.ci.tolist(), self.vals.tolist()):
             out[c][r] = v
         return out
 
-
-def _sparse_rows(field, a):
-    """The nonzero rows of a dense matrix as sparse rows (see Entries.of)."""
-    e = Entries.of(field, a)
-    return entry_rows(e.ri, e.ci, e.vals)
+    def dense(self):
+        """The matrix filled in: vals at (ri, ci), zero elsewhere."""
+        out = self.field.zeros(self.rows, self.cols)
+        out[self.ri, self.ci] = self.vals
+        return out
 
 
 def rref(field, a):
     """Reduced row echelon form of a dense matrix. Returns (R, pivot column
     list); R has one row per pivot. It is computed on the sparse rows of a
     (see _echelon) and filled in densely only here."""
-    rows, order = _echelon(field, _sparse_rows(field, a))
-    ri, ci, vals = [], [], []
+    e = Entries.of(field, a)
+    rows, order = _echelon(field, entry_rows(e.ri, e.ci, e.vals))
+    out = field.zeros(len(order), e.cols)
     for i, row in enumerate(rows):
-        ri += [i] * len(row)
-        ci += row
-        vals += row.values()
-    return dense(field, (len(order), np.shape(a)[1]), ri, ci, vals), order
-
-
-def dense(field, shape, rows, cols, vals):
-    """The matrix of the given shape with vals at (rows, cols), zero elsewhere."""
-    out = field.zeros(*shape)
-    out[rows, cols] = vals
-    return out
+        out[i, list(row)] = list(row.values())
+    return out, order
 
 
 def rank(m):
-    """Rank over the field of a Mat, by forward elimination only (see
-    _rank_arr), or of an Entries (see _entry_rank)."""
-    if isinstance(m, Entries):
-        return _entry_rank(m)
-    return _rank_arr(m.field, m.a)
-
-
-def _entry_rank(m):
-    """Rank of an Entries. Where every column is two entries of +-1 on
-    distinct rows, the matrix is a signed graph's and signed_graph_rank
-    counts components; otherwise peel removes singleton rows and columns
-    and sparse_rank eliminates the core left, its columns taken as rows.
-    A matrix of at most SMALL_ENTRIES entries goes to sparse_rank whole."""
+    """Rank over the field of a Mat (through its entries, Entries.of) or an
+    Entries. Where every column is two entries of +-1 on distinct rows, the
+    matrix is a signed graph's and signed_graph_rank counts components;
+    otherwise peel removes singleton rows and columns and sparse_rank
+    eliminates the core left, its columns taken as rows. A matrix of at
+    most SMALL_ENTRIES entries goes to sparse_rank whole."""
+    if not isinstance(m, Entries):
+        m = Entries.of(m.field, m.a)
     field = m.field
     core = slice(None)
     rk = 0
@@ -467,25 +457,19 @@ def _entry_rank(m):
     return rk + sparse_rank(field, entry_rows(m.ci[core], m.ri[core], m.vals[core]))
 
 
-def _rank_arr(field, a):
-    """Rank of a dense matrix: sparse_rank of its sparse rows, so no
-    back-substitution and no dense R."""
-    return sparse_rank(field, _sparse_rows(field, a))
-
-
 def kernel_basis(m):
     """Columns of the result form a basis of the right kernel: m @ result = 0.
     The basis is read off the reduced echelon form, one column per free
-    column; a Mat's as a Mat, an Entries' as an Entries."""
+    column (echelon_kernel); a Mat's as a Mat, an Entries' as an Entries."""
     if isinstance(m, Entries):
-        return _entry_kernel(m)
-    r, pivots = rref(m.field, m.a)
-    return Mat(m.field, _rref_kernel(m.field, r, pivots, m.cols))
+        return echelon_kernel(m)[1]
+    return Mat(m.field, echelon_kernel(Entries.of(m.field, m.a))[1].dense())
 
 
-def _entry_kernel(m):
-    """_rref_kernel on the sparse reduced rows of an Entries: the kernel
-    column of free column f is one at f and -R[i, f] at each pivot row i."""
+def echelon_kernel(m):
+    """(pivot columns, kernel basis as an Entries) of an Entries, both read
+    off one _echelon of its rows: the kernel column of free column f is one
+    at f and -R[i, f] at each pivot row i of the reduced echelon form R."""
     field = m.field
     reduced, pivots = _echelon(field, entry_rows(m.ri, m.ci, m.vals))
     free = np.ones(m.cols, dtype=bool)
@@ -498,26 +482,14 @@ def _entry_kernel(m):
         ci += row
         vals += [-v for v in row.values()]
     own = np.flatnonzero(free)
-    return Entries(field, m.cols, len(own), np.concatenate([np.array(ri, dtype=np.int64), own]),
-                   np.concatenate([at[np.array(ci, dtype=np.int64)], np.arange(len(own))]),
-                   field.array(vals + [field.one] * len(own)))
+    return pivots, Entries(field, m.cols, len(own),
+                           np.concatenate([np.array(ri, dtype=np.int64), own]),
+                           np.concatenate([at[np.array(ci, dtype=np.int64)], np.arange(len(own))]),
+                           field.array(vals + [field.one] * len(own)))
 
 
 def _kernel_arr(field, a):
     return kernel_basis(Mat(field, a)).a
-
-
-def _rref_kernel(field, r, pivots, ncols):
-    """The kernel basis of a matrix with ncols columns, read off its rref
-    (R, pivots): one column per free column."""
-    piv = set(pivots)
-    free = [j for j in range(ncols) if j not in piv]
-    cols = range(len(free))
-    k = field.zeros(ncols, len(free))
-    k[free, cols] = field.one
-    if pivots:
-        k[np.ix_(pivots, cols)] = field.reduce(-r[:, free])
-    return k
 
 
 def independent_columns(field, base, candidates):
@@ -548,12 +520,12 @@ def homology_dim(d_in, d_out):
     return d_out.cols - rank(d_out) - rank(d_in)
 
 
-def homology_dims(field, dims, maps, rank_of=_rank_arr):
+def homology_dims(dims, maps):
     """Homology dimensions of a complex of vector spaces with the given
-    dimensions, maps[k] going from position k to position k + 1 (a last map
-    out of the final position may be given or left out). Each map is ranked
-    once, by rank_of(field, map), by default as a dense array."""
-    ranks = [rank_of(field, m) for m in maps] + [0]
+    dimensions, maps[k] (a Mat or an Entries) going from position k to
+    position k + 1 (a last map out of the final position may be given or
+    left out). Each map is ranked once, by rank."""
+    ranks = [rank(m) for m in maps] + [0]
     return [n - ranks[k] - (ranks[k - 1] if k else 0) for k, n in enumerate(dims)]
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import Mat, RowReducer, _kernel_arr, dense, rref, solve_in_span
+from .linalg import Entries, Mat, RowReducer, _kernel_arr, rref, solve_in_span
 from .toric import Window, cone_contains, deg_add, deg_sub, deg_zero, points
 
 
@@ -183,7 +183,7 @@ class GradedPieces:
         copied out: returning the zero-filled matrix itself raised the peak
         RSS of `cohomology p112 --window -30:30` by 3 MB."""
         rows, cols, vals = self.image_entries(a, labels)
-        return dense(self.field, (len(labels), self.dim(a)), cols, rows, vals).T.copy()
+        return Entries(self.field, len(labels), self.dim(a), cols, rows, vals).dense().T.copy()
 
     def moved(self, a, mono):
         """The basis labels at a times the monomial with exponent vector mono."""

@@ -4,7 +4,7 @@ from torictate.bgg import (L, ModuleComplex, R, R_complex, R_I, betti_table,
                            roundtrip_check)
 from torictate.diffmod import EMatrix, FreeDiffModule, check_square_zero, homology_column
 from torictate.exterior import OmegaTwist
-from torictate.linalg import Mat, _rank_arr
+from torictate.linalg import Mat, rank
 from torictate.smodule import (Poly, Presentation, koszul_complex,
                                monomial_basis, realize, truncate, twist)
 from torictate.toric import Window, deg_sub
@@ -25,7 +25,7 @@ def minimal_generator_dims(module, a):
     if not cols:
         return module.dim(a)
     stacked = np.concatenate(cols, axis=1)
-    return module.dim(a) - _rank_arr(field, stacked)
+    return module.dim(a) - rank(Mat(field, stacked))
 
 
 def free_s(stack, gf, lo, hi):

@@ -370,6 +370,19 @@ def test_exit_code_precondition_not_hirzebruch1(capsys, tmp_path, irrelevant):
     assert code == 3 and "Hirzebruch" not in out
 
 
+@pytest.mark.parametrize("args", [["cohomology", "--window", "-9:-7"], ["verify", "--window", "-9:-7"],
+                                  ["tate", "--window", "-9:0"]])
+def test_truncation_below_a_section_class_exits_3(args, capsys):
+    # module P has H^1_B at a = -2, above the truncation at -3: a resolution
+    # generator of auxiliary twist 1 there means the section rows cannot be
+    # read off M_{>= -3}, a precondition failure with one error line
+    code, out, err = run_cli([args[0], fixture("p112.tate"), "--module", "P"] + args[1:]
+                             + ["--truncate", "-3"], capsys)
+    assert code == 3 and out == ""
+    assert err.startswith("error: H^1_B of the truncation at -3") and err.count("\n") == 1
+    assert "raise the truncation" in err
+
+
 def test_exit_code_window(capsys):
     # a window shorter than the subset-sum reach has no safe degrees
     code, _, err = run_cli(["verify", fixture("p112.tate"), "--window", "0:2"], capsys)

@@ -14,7 +14,7 @@ from torictate.diffmod import DMMorphism, _slice_homology, cone, minimize, tenso
 from torictate.dmres import (ResolutionState, _select_representatives, min_free_resolution,
                              tate_cone)
 from torictate.exterior import OmegaTwist, column_basis, ext_mul, mul_sign, popcount
-from torictate.linalg import GF, QQ, Mat, _kernel_arr, dense
+from torictate.linalg import GF, QQ, Mat, _kernel_arr
 from torictate.smodule import GradedComplex, Presentation, monomial_basis, realize, truncate
 from torictate.tate import beilinson_U, tate_weighted
 from torictate.toric import Window, deg_sub, projective_space, weighted_projective
@@ -269,7 +269,7 @@ def test_resolution_and_tate_cone_match_reference(field, policy, module):
     want = cone(dict_morphism(ref_free, dm, ref.morphism_entries()))
     assert entries_of(tate_cone(state, safe)) == entries_of(want)
     for a in safe:
-        assert _slice_homology(field, *state.cone_column(a)) == {}
+        assert _slice_homology(*state.cone_column(a)) == {}
 
 
 def _r_complex(field):
@@ -313,7 +313,7 @@ def test_column_complex_matches_dict_walk(field):
             for j, src in want.items():
                 ref = _walk_matrix(field, entries, src, want.get(j - 1, []))
                 b = blocks[j]
-                got = dense(field, (b.rows, b.cols), b.ri, b.ci, b.vals)
+                got = b.dense()
                 assert got.tolist() == ref.tolist(), (name, a, j)
 
 

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from torictate import diagonal, toric
+from torictate import diagonal, linalg, toric
 from torictate.diagonal import (DiagComplex, ExplicitBigradedComplex, build_F,
                                 build_F_prime_weighted, check_acyclicity,
                                 check_H0_diagonal, hirzebruch1_diagonal,
@@ -307,7 +307,7 @@ def _counting_sparse_rank(monkeypatch):
         calls.append(len(rows))
         return sparse_rank(field, rows)
 
-    monkeypatch.setattr(diagonal, "sparse_rank", counted)
+    monkeypatch.setattr(linalg, "sparse_rank", counted)
     return calls
 
 
@@ -316,7 +316,11 @@ def _counting_sparse_rank(monkeypatch):
 def test_rank_route(p1, field, change, monkeypatch):
     # d_1 of F on P1 is a signed graph and is ranked by components; a
     # coefficient 2, a column with one entry or one with three sends it to
-    # sparse_rank. Either way the rank is sparse_rank's on the same columns
+    # sparse_rank. Either way the rank is sparse_rank's on the same columns.
+    # Its 40 entries are under linalg.SMALL_ENTRIES, so the threshold is
+    # lowered for the graph route to be taken
+    monkeypatch.setattr(linalg, "SMALL_ENTRIES", 0)
+
     class Changed(DiagComplex):
         def _terms(self, key):
             out = super()._terms(key)
@@ -347,11 +351,27 @@ def test_hirzebruch1_second_map_is_eliminated(gf, monkeypatch):
     cx = hirzebruch1_diagonal(gf)
     calls = _counting_sparse_rank(monkeypatch)
     bid = ((2, 2), (2, 2))
-    cols, rows, _ = diagonal._Map(cx, 2, [bid]).entries([0])
-    peeled, core = peel(rows, cols, cx.dim(1, bid), cx.dim(2, bid))
+    e = diagonal._Map(cx, 2, [bid]).entries([0])
+    peeled, core = peel(e.ri, e.ci, cx.dim(1, bid), cx.dim(2, bid))
     assert peeled == cx.dim(2, bid) > 0 and not core.any()
     assert cx.homology(1, bid) == 0
     assert calls == [0]
+
+
+def test_a_small_diagonal_run_is_eliminated_whole(p1, gf, monkeypatch):
+    # d_1 of F on P1 at (2, 2) is a signed graph of 40 entries, at most
+    # linalg.SMALL_ENTRIES: linalg.rank hands all its columns to sparse_rank
+    # and counts no components
+    cx, bid = DiagComplex(p1, gf), ((2,), (2,))
+    dmap = diagonal._Map(cx, 1, [bid])
+    assert dmap.graph.tolist() == [True]
+    assert len(dmap.entries([0]).vals) == 40 <= linalg.SMALL_ENTRIES
+    graphs = []
+    monkeypatch.setattr(linalg, "signed_graph_rank", lambda *args: graphs.append(args) or None)
+    calls = _counting_sparse_rank(monkeypatch)
+    cols = reference_columns(cx, 1, bid)
+    assert dmap.rank([0]) == sparse_rank(gf, cols)
+    assert calls == [len(cols)] and graphs == []
 
 
 def test_hirzebruch1_square_zero_per_bidegree(gf):
@@ -483,15 +503,25 @@ def test_koszul_ranks_over_a_bidegree_list(field, stack, build, bids):
 def test_a_run_mixes_graph_and_other_bidegrees(field, monkeypatch):
     # a coefficient 2 in column u0 g1 of the Hirzebruch-1 d_1: the bidegrees
     # where that column's block is empty are still ranked by components,
-    # together, and the others by elimination, together
+    # together, and the others by elimination, together. The graph
+    # bidegrees hold 40 entries, under linalg.SMALL_ENTRIES, so the threshold
+    # is lowered for the graph route to be taken; graphs records the calls
+    # that the component count answers
+    monkeypatch.setattr(linalg, "SMALL_ENTRIES", 0)
     cx = hirzebruch1_diagonal(field)
     cx.matrices[1][(1, 6)] = [(2, (0,) * 4, (0, 1, 0, 0))]
     bids = [((0, 0), (0, 0)), ((2, 2), (2, 2)), ((1, 1), (2, 0)), ((3, 2), (2, 3))]
     dmap = diagonal._Map(cx, 1, bids)
     assert dmap.graph.tolist() == [True, False, True, False]
     graphs = []
-    monkeypatch.setattr(diagonal, "signed_graph_rank",
-                        lambda *args: graphs.append(args[3]) or signed_graph_rank(*args))
+
+    def counted(*args):
+        rk = signed_graph_rank(*args)
+        if rk is not None:
+            graphs.append(args[3])
+        return rk
+
+    monkeypatch.setattr(linalg, "signed_graph_rank", counted)
     calls = _counting_sparse_rank(monkeypatch)
     want = sum(sparse_rank(field, reference_columns(cx, 1, b)) for b in bids)
     calls.clear()
