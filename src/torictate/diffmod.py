@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .exterior import (OmegaTwist, Runs, Slice, column_basis, column_slices, entry_degree,
+from .exterior import (OmegaTwist, Runs, Slice, column_slices, entry_degree,
                        mul_sign, popcount)
 from .linalg import Entries, homology_dims, invert, rref
 from .toric import deg_neg
@@ -116,10 +116,6 @@ class FreeDiffModule:
         self.safe = frozenset(tuple(a) for a in safe)
         if validate:
             _check_degrees(stack, self.runs, self.runs, self.d, -1)
-
-    def column_basis(self, a):
-        """Ordered basis [(gen, monomial)] of the degree-a slice."""
-        return column_basis(self.stack, self.runs, tuple(a), self._mask)
 
     def column_slices(self, a):
         """The column split by auxiliary degree: dict aux -> Slice."""

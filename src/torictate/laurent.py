@@ -12,12 +12,15 @@ dimensional, so it bounds each inverted exponent below by -max(t, floor),
 where the floor is the one reach rule (reach_floors) of a grading, or by -t
 when no grading is given, and relies on the caller's adaptive
 stabilization (double t until the dimensions stop changing; a bound
-unsettled by t = T_CAP raises StabilizationError, exit 4). Its pieces are
-built by Presentation.piece, monomial presentations too (no kill rule is
-shared with MonomialStrands), and its maps as linalg.Entries of the
-pieces' normal forms: strand homology ranks them by linalg.rank, which
-alone chooses the route, and only the Tate walk's retracts and horizontal
-blocks are made dense (Entries.dense).
+unsettled by t = T_CAP raises StabilizationError, exit 4). Every cell of
+one complex uses the same bound, so its ExponentBoxes enumerate each
+degree once, for the cell inverting the union of the cover, and mask that
+for the others. Its pieces are built by Presentation.piece, monomial
+presentations too (no kill rule is shared with MonomialStrands), and its
+maps as linalg.Entries of the normal forms of the labels they read, made
+on request (RowReducer.reduce_rows): strand homology ranks them by
+linalg.rank, which alone chooses the route, and only the Tate walk's
+retracts and horizontal blocks are made dense (Entries.dense).
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import numpy as np
 from .errors import StabilizationError
 from .linalg import Entries, Mat, echelon_kernel, homology_dims, independent_columns, invert
 from .smodule import GradedPieces
-from .toric import count_points, deg_add, deg_sub, deg_zero, points
+from .toric import count_points, deg_add, deg_sub, deg_zero, point_array, points
 
 
 def _pattern_call(fn, stack, d, pattern):
@@ -68,27 +71,54 @@ def reach_floors(stack, grading, inner):
 
 def _laurent_exponents(stack, d, inverted, t, floors=None):
     """Exponent vectors of degree d with e_i >= -max(t, floors[i]) on
-    inverted variables and e_i >= 0 elsewhere, in lexicographic order."""
+    inverted variables and e_i >= 0 elsewhere, as the rows of an int64
+    array in lexicographic order."""
     floors = [t] * stack.nvars if floors is None else floors
     lower = [-max(t, f) if i in inverted else 0 for i, f in enumerate(floors)]
-    return points(stack.var_degrees, stack.theta, d, lower, [None] * stack.nvars)
+    return point_array(stack.var_degrees, stack.theta, d, lower, [None] * stack.nvars)
+
+
+class ExponentBoxes:
+    """The Laurent exponents of the cells of one Cech complex. Every cell
+    bounds each variable it inverts below by the same -max(t, floor_i)
+    (reach_floors of the piece degree under grading; -t without one), so a
+    cell's exponents are those of the cell inverting the union of the cover
+    with e_i >= 0 on the variables it does not invert. Each (piece degree,
+    degree) is enumerated once, for the union, and masked per cell, which
+    keeps the lexicographic order."""
+
+    def __init__(self, stack, union, t, grading=None):
+        self.stack = stack
+        self.union = frozenset(union)
+        self.t = t
+        self.grading = grading
+        self._boxes = {}
+
+    def exponents(self, inverted, inner, d):
+        """The exponents of degree d of the cell inverting inverted, for the
+        piece of degree inner."""
+        box = self._boxes.get((inner, d))
+        if box is None:
+            floors = None if self.grading is None else reach_floors(self.stack, self.grading, inner)
+            box = self._boxes[inner, d] = _laurent_exponents(self.stack, d, self.union, self.t, floors)
+        fixed = sorted(self.union - inverted)
+        return box[(box[:, fixed] >= 0).all(axis=1)] if fixed else box
 
 
 class LocalizedModule(GradedPieces):
-    """M[x_C^{-1}] realized degreewise with inverted exponents >= -t, or
-    >= -max(t, floor_i) with the reach floors of a grading when one is given.
+    """M[x_C^{-1}] realized degreewise on the exponents of boxes, an
+    ExponentBoxes, which bounds the inverted ones below.
 
     M is given by its presentation (with an optional twist shift); the
     truncation predicate of a DegreewiseModule is irrelevant after inverting
     any variable and is ignored here."""
 
-    def __init__(self, stack, field, pres, inverted, t, shift=None, grading=None):
+    def __init__(self, stack, field, pres, inverted, boxes, shift=None):
         self.stack = stack
         self.field = field
         self.pres = pres
         self.inverted = frozenset(inverted)
-        self.t = t
-        self.grading = grading
+        self.boxes = boxes
         self.shift = tuple(shift) if shift is not None else deg_zero(stack.r)
         self._cache = {}
 
@@ -99,10 +129,8 @@ class LocalizedModule(GradedPieces):
         a = tuple(a)
         if a not in self._cache:
             inner = deg_add(a, self.shift)
-            floors = None if self.grading is None else reach_floors(self.stack, self.grading, inner)
             self._cache[a] = self.pres.piece(
-                self.field, lambda d: _laurent_exponents(self.stack, deg_sub(inner, d),
-                                                         self.inverted, self.t, floors=floors))
+                self.field, lambda d: self.boxes.exponents(self.inverted, inner, deg_sub(inner, d)))
         return self._cache[a]
 
 
@@ -346,11 +374,11 @@ class CechComplex:
         self.cover = [frozenset(c) for c in cover]
         self.module_piece = module_piece
         self.cells, self.cofaces = cech_cells(self.cover)
+        boxes = ExponentBoxes(stack, self.cells[-1][2], t, grading=grading)
         self.localized = {}
         for _, _, inv in self.cells:
             if inv not in self.localized:
-                self.localized[inv] = LocalizedModule(stack, field, pres, inv, t,
-                                                      shift=shift, grading=grading)
+                self.localized[inv] = LocalizedModule(stack, field, pres, inv, boxes, shift=shift)
 
     def cells_at(self, level):
         """(index, cell) of the cells at Cech level l (l+1 opens

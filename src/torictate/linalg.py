@@ -10,12 +10,14 @@ Elimination runs on sparse rows (dicts column -> nonzero coefficient), as
 the matrices met here are mostly about 1% dense. A finished sparse map is
 an `Entries`, its entry arrays; `Entries.dense()` fills one in and
 `Entries.columns()` unpacks its columns. Each field has one forward
-elimination, `insert`; the caller picks the lead column. `_echelon` leads
-with the smallest and back-substitutes, and returns sparse reduced rows:
-`rref` fills them in, `echelon_kernel` reads the pivots and the kernel off
-them (under `kernel_basis`, for a `Mat` and an Entries alike),
-`RowReducer` keeps each label's normal form modulo them in CSR arrays and
-gathers them (`reduce_rows`). `sparse_rank` leads with the largest and
+elimination, `insert`; the caller picks the lead column. `_forward` leads
+with the smallest, and `_back_substitute` reduces the pivot rows asked
+for and those they reach. `_echelon` is both, for every pivot, and
+returns sparse reduced rows: `rref` fills them in, `echelon_kernel` reads
+the pivots and the kernel off them (under `kernel_basis`, for a `Mat` and
+an Entries alike). `RowReducer` runs only `_forward` when it is built, and
+back-substitutes a pivot label's normal form the first time
+`reduce_rows` is asked for it. `sparse_rank` leads with the largest and
 only counts pivots. `independent_columns` inserts columns one at a time
 and keeps those that add a pivot.
 
@@ -348,27 +350,48 @@ class Mat:
         return not np.any(self.a)
 
 
-def _echelon(field, rows):
-    """Reduced row echelon form of sparse rows, dicts column -> coefficient
-    none zero in the field: (reduced rows, one per pivot, as dicts; pivot
-    column list). Each reduced row holds one at its pivot column, no other
-    pivot column, and its nonzero entries at free columns.
-
-    Forward elimination (field.insert) takes the rows sparsest first and
-    leads with the smallest column. The pivot rows are then scaled to lead
-    with one, and back-substitution takes them in decreasing order and
-    clears a row only at the pivot columns it holds, by rows already
-    reduced, which hold no other."""
+def _forward(field, rows):
+    """Forward elimination (field.insert) of sparse rows, dicts column ->
+    coefficient none zero in the field, sparsest first and leading with the
+    smallest column: {pivot column: unscaled pivot row}, each pivot row
+    holding its other entries at larger columns."""
     pivots = {}
     for row in sorted(rows, key=len):
         field.insert(pivots, row, min)
+    return pivots
+
+
+def _back_substitute(field, pivots, reduced, wanted):
+    """The reduced echelon rows of the pivot columns wanted and of every
+    pivot column their rows reach, memoized in reduced: each holds one at
+    its pivot column, no other pivot column, and its nonzero entries at free
+    columns. A pivot row's other entries lie at larger columns, so the rows
+    are scaled (field.monic) and then cleared in decreasing column order,
+    each only at the pivot columns it holds, by rows already reduced."""
+    held = {}
+    todo = set(wanted).difference(reduced)
+    while todo:
+        reach = set()
+        for c in todo:
+            row = reduced[c] = field.monic(pivots[c], c)
+            held[c] = [k for k in row if k != c and k in pivots]
+            reach.update(held[c])
+        todo = reach.difference(reduced)
+    for c in sorted(held, reverse=True):
+        row = reduced[c]
+        for k in held[c]:
+            field.sub_scaled(row, row[k], reduced[k])
+
+
+def _echelon(field, rows):
+    """Reduced row echelon form of sparse rows: (reduced rows, one per
+    pivot, as dicts; pivot column list), the forward elimination (_forward)
+    followed by the back-substitution of every pivot (_back_substitute)."""
+    pivots = _forward(field, rows)
     order = sorted(pivots)
-    pivots = {c: field.monic(pivots[c], c) for c in order}
-    for c in reversed(order):
-        row = pivots[c]
-        for k in [k for k in row if k != c and k in pivots]:
-            field.sub_scaled(row, row[k], pivots[k])
-    return [pivots[c] for c in order], order
+    reduced = {}
+    _back_substitute(field, pivots, reduced, order)
+    return [reduced[c] for c in order], order
 
 
 def entry_rows(keys, cols, vals):
@@ -658,35 +681,31 @@ def peel(rows, cols, nrows, ncols):
 
 
 class RowReducer:
-    """Echelonized row space with normal forms by lookup.
+    """Forward-echelonized row space with normal forms on request.
 
     Used to present cokernels: rows (sparse, over ncols columns) span the
     relation space, labels outside the pivot set index the quotient basis.
-    The normal form of every label is kept in CSR arrays over that basis: a
-    free label is its own basis vector, and a pivot label c is -R[c, free]
-    for the reduced echelon form R, read off the sparse reduced rows."""
+    Only the forward elimination runs when it is built. A free label is its
+    own basis vector; the normal form of a pivot label c, -R[c, free] for
+    the reduced echelon form R, is back-substituted the first time
+    reduce_rows is asked for c and appended to _cols and _vals, where each
+    label's form starts at _start (-1 while not yet made) and runs for
+    _size entries."""
 
     def __init__(self, field, rows, ncols):
         self.field = field
         self.ncols = ncols
-        reduced, self.pivots = _echelon(field, rows)
+        self._forward = _forward(field, rows)
+        self._reduced = {}
+        self.pivots = sorted(self._forward)
         free = np.ones(ncols, dtype=bool)
         free[self.pivots] = False
         self.free = np.flatnonzero(free).tolist()
-        sizes = free.astype(np.int64)
-        sizes[self.pivots] = [len(row) - 1 for row in reduced]
-        self._indptr = np.concatenate([[0], np.cumsum(sizes)])
-        ks, vs = [], []
-        for c, row in zip(self.pivots, reduced):
-            del row[c]
-            ks += row
-            vs += row.values()
-        own = np.repeat(free, sizes)  # the one entry of each free label
-        self._cols = np.cumsum(own) - 1  # there, the label's basis index
-        self._cols[~own] = self._cols[self._indptr[ks]]
-        self._vals = field.zeros(1, len(own))[0]
-        self._vals[own] = field.one
-        self._vals[~own] = field.reduce(-field.array(vs))
+        self._basis = np.cumsum(free) - 1  # a free column's basis index
+        self._start = np.where(free, self._basis, -1)
+        self._size = free.astype(np.int64)
+        self._cols = np.arange(len(self.free))
+        self._vals = field.array([field.one] * len(self.free))
 
     @property
     def corank(self):
@@ -694,11 +713,24 @@ class RowReducer:
 
     def reduce_rows(self, labels):
         """The normal forms of the labels (an int array of columns) modulo the
-        row space, gathered from the CSR rows as entries (owner, coordinate,
-        value): the label at position owner has value at that quotient
-        basis vector. Every value is nonzero."""
-        start = self._indptr[labels]
-        sizes = self._indptr[labels + 1] - start
+        row space as entries (owner, coordinate, value): the label at
+        position owner has value at that quotient basis vector. Every value
+        is nonzero."""
+        new = sorted(set(labels[self._start[labels] < 0].tolist()))
+        if new:
+            _back_substitute(self.field, self._forward, self._reduced, new)
+            ks, vs, sizes = [], [], []
+            for c in new:
+                row = self._reduced[c]
+                ks += [k for k in row if k != c]
+                vs += [v for k, v in row.items() if k != c]
+                sizes.append(len(row) - 1)
+            self._start[new] = len(self._cols) + np.cumsum(sizes) - sizes
+            self._size[new] = sizes
+            self._cols = np.concatenate([self._cols, self._basis[np.array(ks, dtype=np.int64)]])
+            self._vals = np.concatenate([self._vals, self.field.reduce(-self.field.array(vs))])
+        start = self._start[labels]
+        sizes = self._size[labels]
         owner = np.repeat(np.arange(len(labels)), sizes)
         at = np.arange(len(owner)) + np.repeat(start - np.cumsum(sizes) + sizes, sizes)
         return owner, self._cols[at], self._vals[at]

@@ -12,19 +12,57 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import Entries, Mat, RowReducer, _kernel_arr, rref, solve_in_span
-from .toric import Window, cone_contains, deg_add, deg_sub, deg_zero, points
+from .toric import Window, cone_contains, deg_add, deg_sub, deg_zero, point_array
+
+
+def monomial_array(stack, d):
+    """All exponent vectors e with sum e_i deg(x_i) = d, as the rows of an
+    int64 array in lexicographic order (cached on the stack; treat the
+    result as immutable). Finiteness comes from positivity of the
+    grading."""
+    cache = stack.__dict__.setdefault("_monomial_arrays", {})
+    key = tuple(d)
+    if key not in cache:
+        cache[key] = point_array(stack.var_degrees, stack.theta, key,
+                                 [0] * stack.nvars, [None] * stack.nvars)
+    return cache[key]
 
 
 def monomial_basis(stack, d):
-    """All exponent vectors e with sum e_i deg(x_i) = d, in lexicographic
-    order (cached on the stack; treat the result as immutable). Finiteness
-    comes from positivity of the grading."""
+    """The rows of monomial_array as tuples, in the same order (cached on
+    the stack; treat the result as immutable)."""
     cache = stack.__dict__.setdefault("_monomial_cache", {})
     key = tuple(d)
     if key not in cache:
-        cache[key] = points(stack.var_degrees, stack.theta, key,
-                            [0] * stack.nvars, [None] * stack.nvars)
+        cache[key] = list(map(tuple, monomial_array(stack, key).tolist()))
     return cache[key]
+
+
+def _locate(table, queries):
+    """The position of each row of queries among the rows of table (distinct
+    int64 rows, at least one), or -1 where it is none of them. A row is
+    read as one exact integer key, its entries the digits of a mixed radix
+    over the bounding box of table, and a query with an entry outside the
+    box is none of them. Where a key would reach 2^62, the digits read so
+    far are first renumbered by their ranks among table's, a query prefix
+    that is none of table's taking the rank past the last."""
+    lo, hi = table.min(axis=0), table.max(axis=0)
+    inside = ((queries >= lo) & (queries <= hi)).all(axis=1)
+    t, q = table - lo, np.clip(queries, lo, hi) - lo
+    tk, qk = np.zeros(len(t), dtype=np.int64), np.zeros(len(q), dtype=np.int64)
+    radix = 1
+    for i, span in enumerate((hi - lo + 1).tolist()):
+        if radix * span >= 1 << 62:
+            ranks = np.unique(tk)
+            at = np.searchsorted(ranks, qk)
+            qk = np.where(ranks[np.minimum(at, len(ranks) - 1)] == qk, at, len(ranks))
+            tk = np.searchsorted(ranks, tk)
+            radix = len(ranks) + 1
+        tk, qk, radix = tk * span + t[:, i], qk * span + q[:, i], radix * span
+    order = np.argsort(tk, kind="stable")  # O(n) on the sorted keys of a piece's labels
+    tk = tk[order]
+    at = np.minimum(np.searchsorted(tk, qk), len(tk) - 1)
+    return np.where(inside & (tk[at] == qk), order[at], -1)
 
 
 class Poly:
@@ -104,37 +142,36 @@ class Presentation:
                  for c, e in self.entries.get((i, j), Poly([])).terms]
         return [t for t in terms if t[1]]
 
-    def relation_rows(self, field, j, index, multipliers):
-        """Relation j times each multiplier monomial, as sparse rows over the
-        labels (generator, exponent) numbered by index. A product with a
-        label outside index is dropped, and so is one that is zero."""
+    def relation_rows(self, field, j, table, multipliers):
+        """Relation j times each multiplier monomial (the rows of an int64
+        array), as sparse rows over the labels (generator, exponent...) that
+        are the rows of table, numbered by position (_locate). A product with
+        a label outside table is dropped, and so is one that is zero."""
         terms = self.relation_terms(field, j)
-        rows = []
-        for m in multipliers:
-            # the labels of one product are distinct: a Poly repeats no exponent
-            row = {}
-            for i, c, e in terms:
-                k = index.get((i, tuple(x + y for x, y in zip(e, m))))
-                if k is None:
-                    row = None
-                    break
-                row[k] = c
-            if row:
-                rows.append(row)
-        return rows
+        if not terms or not len(multipliers):
+            return []
+        # the labels of one product are distinct: a Poly repeats no exponent
+        found = _locate(table, np.concatenate([
+            np.column_stack([np.full(len(multipliers), i), multipliers + np.array(e, dtype=np.int64)])
+            for i, _, e in terms])).reshape(len(terms), -1).T
+        coeffs = [c for _, c, _ in terms]
+        return [dict(zip(row, coeffs)) for row in found[(found >= 0).all(axis=1)].tolist()]
 
     def piece(self, field, exponents):
         """(labels, reducer, index) of a graded piece whose monomials of
-        degree d are exponents(d), called with d = piece degree minus a
-        generator or relation degree: labels are (generator, exponent) pairs,
-        index maps each label to its position, and the reducer (None when no
+        degree d are the rows of exponents(d), an int64 array in
+        lexicographic order, called with d = piece degree minus a generator
+        or relation degree: labels are (generator, exponent) pairs, index
+        maps each label to its position, and the reducer (None when no
         relation lands) works modulo the relations."""
-        labels = [(g, e) for g, gd in enumerate(self.gen_degrees) for e in exponents(gd)]
+        exps = [exponents(gd) for gd in self.gen_degrees]
+        labels = [(g, e) for g, ex in enumerate(exps) for e in map(tuple, ex.tolist())]
         if not labels:
             return labels, None, {}
+        table = np.concatenate([np.column_stack([np.full(len(ex), g), ex]) for g, ex in enumerate(exps)])
         index = {lab: k for k, lab in enumerate(labels)}
         rows = [row for j, rd in enumerate(self.rel_degrees)
-                for row in self.relation_rows(field, j, index, exponents(rd))]
+                for row in self.relation_rows(field, j, table, exponents(rd))]
         return labels, (RowReducer(field, rows, len(labels)) if rows else None), index
 
     def is_monomial(self, field):
@@ -233,7 +270,7 @@ class DegreewiseModule(GradedPieces):
         if a not in self._pieces:
             inner = deg_add(a, self.shift)
             self._pieces[a] = self.pres.piece(
-                self.field, lambda d: monomial_basis(self.stack, deg_sub(inner, d))) \
+                self.field, lambda d: monomial_array(self.stack, deg_sub(inner, d))) \
                 if self._kept(a) else ([], None, {})
         return self._pieces[a]
 
@@ -363,11 +400,11 @@ def presentation_from_span(span, rel_degrees):
                                                  axis=1)))
         if ker.shape[1] == 0:
             continue
-        index = {lab: k for k, lab in enumerate(labels)}
+        table = np.array([(k,) + mu for k, mu in labels], dtype=np.int64)
         acc = _IncrementalRank(field)
         for j, cdeg in enumerate(pres.rel_degrees):
             if stack.theta(deg_sub(b, cdeg)) >= 0:
-                for row in pres.relation_rows(field, j, index, monomial_basis(stack, deg_sub(b, cdeg))):
+                for row in pres.relation_rows(field, j, table, monomial_array(stack, deg_sub(b, cdeg))):
                     vec = field.zeros(1, len(labels))[0]
                     vec[list(row)] = list(row.values())
                     acc.add(vec)

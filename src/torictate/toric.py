@@ -411,17 +411,24 @@ def _solve(degrees, theta, targets, lower, upper):
             yield place, grid, e, held & ((e * det == num) & (plo <= e) & (e <= phi)).all(axis=2)
 
 
-def points(degrees, theta, target, lower, upper):
+def point_array(degrees, theta, target, lower, upper):
     """All integer vectors e with sum e_i degrees[i] = target and lower[i] <=
-    e_i <= upper[i] (None: unbounded on that side), in lexicographic order:
-    the rows of _solve. RegionTooLarge, an ArithmeticError, where _solve
-    refuses the region or it has more than _ENUM_CAP points."""
+    e_i <= upper[i] (None: unbounded on that side), as the rows of an int64
+    array in lexicographic order: the rows of _solve. RegionTooLarge, an
+    ArithmeticError, where _solve refuses the region or it has more than
+    _ENUM_CAP points."""
     kept = [np.zeros((0, len(degrees)), dtype=np.int64)]
     for place, grid, e, mask in _solve(degrees, theta, [target], lower, upper):
         kept.append(np.concatenate([grid, e[0]], axis=1)[mask[0]][:, place])
         if sum(map(len, kept)) > _ENUM_CAP:
             raise RegionTooLarge("lattice-point region has more than %d points" % _ENUM_CAP)
-    return sorted(map(tuple, np.concatenate(kept).tolist()))
+    out = np.concatenate(kept)
+    return out[np.lexsort(out.T[::-1])]
+
+
+def points(degrees, theta, target, lower, upper):
+    """The rows of point_array as tuples, in the same order."""
+    return list(map(tuple, point_array(degrees, theta, target, lower, upper).tolist()))
 
 
 def count_points(degrees, theta, targets, lower, upper):

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from torictate import cohomology
+from torictate import cohomology, laurent
 from torictate.cohomology import (CechOracle, check_betti_bounds_multigraded,
                                   check_betti_bounds_weighted,
                                   cohomology_table_fast, is_0_regular,
@@ -386,3 +386,73 @@ def test_reach_floors_match_the_three_rules_they_replace(p112, p156, p1p1, hirz1
             for pc in stack.primitive_collections:
                 assert reach_floors(stack, pc.deg, a) == deg_I_floors(stack, pc, a)
     assert hirz1.primitive_collections and hirz3.primitive_collections
+
+
+def _enumeration_cases(p112, hirz3, p1p1):
+    """(stack, presentation, cover, grading, degrees) of dense Cech complexes:
+    P(1,1,2) with generators in degrees 0 and 1 and a relation in degree 1
+    beside the genus-one relation, so that two of its four enumeration
+    degrees coincide; Hirzebruch-3 module H; the (1,1) curve on P1xP1
+    without a grading, as the Fourier-Mukai table builds it; and the
+    Hirzebruch-3 primitive collection {x0, x2}, whose cover leaves x1 and x3
+    uninverted in every cell."""
+    x = lambda *e: Poly([(1, e)])
+    two_gens = Presentation([(0,), (1,)], [(4,), (1,)], {
+        (0, 0): Poly([(1, (4, 0, 0)), (1, (0, 4, 0)), (1, (0, 0, 2))]),
+        (0, 1): x(1, 0, 0), (1, 1): Poly([(-1, (0, 0, 0))])})
+    pc = hirz3.collection({0, 2})
+    box = lambda r: list(itertools.product(range(-1, 2), repeat=r))
+    return [(p112, two_gens, p112.cover, p112.theta, box(1)),
+            (hirz3, Presentation.quotient(hirz3, [(1, 1, 0, 0)]), hirz3.cover, hirz3.theta, box(2)),
+            (p1p1, Presentation.quotient(p1p1, [Poly([(1, (1, 1, 0, 0)), (1, (0, 0, 1, 1))])]),
+             p1p1.cover, None, box(2)),
+            (hirz3, Presentation.quotient(hirz3, [(1, 1, 0, 0)]), [{0}, {2}], pc.deg, box(2))]
+
+
+def _enumeration_degrees(pres, a):
+    return {deg_sub(a, d) for d in pres.gen_degrees + pres.rel_degrees}
+
+
+def test_masked_cell_exponents_match_their_own_enumeration(p112, hirz3, p1p1, gf):
+    # every cell's exponents, masked from the union cell's enumeration, are
+    # the rows its own _laurent_exponents call returns, in the same order
+    masked = 0
+    for stack, pres, cover, grading, degrees in _enumeration_cases(p112, hirz3, p1p1):
+        for t in (2, 4):
+            cx = CechComplex(stack, gf, pres, cover, t, grading=grading)
+            for a in degrees:
+                floors = None if grading is None else reach_floors(stack, grading, a)
+                for inverted, loc in cx.localized.items():
+                    for d in _enumeration_degrees(pres, a):
+                        got = loc.boxes.exponents(inverted, a, d)
+                        want = laurent._laurent_exponents(stack, d, inverted, t, floors)
+                        assert got.tolist() == want.tolist()
+                        union = laurent._laurent_exponents(stack, d, cx.cells[-1][2], t, floors)
+                        masked += len(union) > len(want)
+    assert masked
+
+
+def test_a_strand_enumerates_once_per_distinct_degree(p112, hirz3, p1p1, gf, monkeypatch):
+    # one strand reads the pieces of every cell at its degree, and
+    # enumerates each degree its presentation asks for at most once, for
+    # the union of the cover: every generator degree, and the relation
+    # degrees where a generator has exponents
+    calls = []
+    enumerate_ = laurent._laurent_exponents
+
+    def counted(stack, d, inverted, t, floors=None):
+        calls.append((d, frozenset(inverted)))
+        return enumerate_(stack, d, inverted, t, floors)
+
+    monkeypatch.setattr(laurent, "_laurent_exponents", counted)
+    full = 0
+    for stack, pres, cover, grading, degrees in _enumeration_cases(p112, hirz3, p1p1):
+        union = frozenset().union(*cover)
+        for a in degrees:
+            del calls[:]
+            CechComplex(stack, gf, pres, cover, 2, grading=grading).strand_homology(a, extended=False)
+            want = _enumeration_degrees(pres, a)
+            assert len(calls) == len(set(calls)) and {inv for _, inv in calls} == {union}
+            assert {deg_sub(a, g) for g in pres.gen_degrees} <= {d for d, _ in calls} <= want
+            full += {d for d, _ in calls} == want
+    assert full and len(_enumeration_degrees(_enumeration_cases(p112, hirz3, p1p1)[0][1], (0,))) == 3

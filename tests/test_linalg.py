@@ -396,6 +396,19 @@ def test_reduce_rows_matches_unrestricted_product(field, rng):
         a = field.array([[rng.choice([0, 0, 1, -1, rng.randrange(-20, 21)]) for _ in range(n)]
                          for _ in range(m)]).reshape(m, n)
         red = RowReducer(field, _sparse(a), n)
+        # gathers of any labels, repeats included, over several calls, each
+        # asking for some forms made by an earlier call and some not: each
+        # is the gather of each label
+        for _ in range(rng.randrange(1, 5)):
+            labels = np.array([rng.randrange(n) for _ in range(k)], dtype=np.int64)
+            owner, coords, vals = red.reduce_rows(labels)
+            assert all(vals != field.zero) and len(owner) == len(set(zip(owner.tolist(), coords.tolist())))
+            for j, lab in enumerate(labels.tolist()):
+                mine = {c: x for o, c, x in zip(owner.tolist(), coords.tolist(), vals.tolist()) if o == j}
+                unit = field.zeros(1, n)
+                unit[0, lab] = field.one
+                want = _dense_reduced(field, _sparse(a), unit)[0]
+                assert mine == {c: x for c, x in enumerate(want.tolist()) if x != field.zero}
         v = field.array([[rng.choice([0, 1, rng.randrange(-20, 21)]) for _ in range(n)]
                          for _ in range(k)]).reshape(k, n)
         if k and rng.random() < 0.5:
@@ -403,16 +416,6 @@ def test_reduce_rows_matches_unrestricted_product(field, rng):
         if rng.random() < 0.2:
             v[:, red.pivots] = field.zero  # no row does
         assert _gathered(red, v).tolist() == _dense_reduced(field, _sparse(a), v).tolist()
-        # a gather of any labels, repeats included, is the gather of each
-        labels = np.array([rng.randrange(n) for _ in range(k)], dtype=np.int64)
-        owner, coords, vals = red.reduce_rows(labels)
-        assert all(vals != field.zero) and len(owner) == len(set(zip(owner.tolist(), coords.tolist())))
-        for j, lab in enumerate(labels.tolist()):
-            mine = {c: x for o, c, x in zip(owner.tolist(), coords.tolist(), vals.tolist()) if o == j}
-            unit = field.zeros(1, n)
-            unit[0, lab] = field.one
-            want = _dense_reduced(field, _sparse(a), unit)[0]
-            assert mine == {c: x for c, x in enumerate(want.tolist()) if x != field.zero}
 
 
 def test_sparse_rank_rational_denominators(qq):

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from torictate import smodule
 from torictate.dmres import _IncrementalRank
-from torictate.laurent import LocalizedModule
+from torictate.laurent import ExponentBoxes, LocalizedModule
 from torictate.linalg import GF, QQ, _kernel_arr, rref, solve_in_span
 from torictate.smodule import (DegreewiseModule, Poly, Presentation,
                                generated_truncation, koszul_complex,
@@ -188,7 +189,7 @@ def test_localized_piece_without_inversion_matches_degreewise(p112, hirz3, gf):
                                 (Presentation.quotient(hirz3, [(1, 1, 0, 0)]), hirz3,
                                  Window((-1, -1), (4, 3)))):
         deg = realize(pres, stack, window, gf)
-        loc = LocalizedModule(stack, gf, pres, (), 2)
+        loc = LocalizedModule(stack, gf, pres, (), ExponentBoxes(stack, (), 2))
         for a in window.points():
             basis = deg.basis_labels(a)
             assert loc.basis_labels(a) == basis and loc.dim(a) == deg.dim(a) == len(basis)
@@ -200,7 +201,7 @@ def test_localized_piece_without_inversion_matches_degreewise(p112, hirz3, gf):
 
 def test_image_rejects_a_label_outside_the_piece(p112, gf):
     # a label below the exponent box of a localized piece has no coordinates
-    loc = LocalizedModule(p112, gf, Presentation.free([(0,)]), {0}, 2)
+    loc = LocalizedModule(p112, gf, Presentation.free([(0,)]), {0}, ExponentBoxes(p112, {0}, 2))
     assert loc.image((0,), [(0, (-2, 2, 0))]).shape == (loc.dim((0,)), 1)
     with pytest.raises(ArithmeticError):
         loc.image((0,), [(0, (-3, 3, 0))])
@@ -307,3 +308,19 @@ def test_span_and_its_presentation_match_path_products(field, hirz3):
     assert got.gen_degrees == want.gen_degrees
     assert {k: p.terms for k, p in got.entries.items()} == \
         {k: p.terms for k, p in want.entries.items()}
+
+
+@pytest.mark.parametrize("scale", [1, 1 << 40], ids=["small", "past-2^62"])
+def test_locate_matches_a_dict_lookup(rng, scale):
+    # rows are found by their exact keys; with entries spread over 2^40, the
+    # mixed radix passes 2^62 from the second column on, and the keys are
+    # renumbered by rank before each further digit
+    for _ in range(40):
+        n, cols = rng.randrange(1, 30), rng.randrange(1, 6)
+        draw = lambda: tuple(rng.randrange(-3, 4) * scale + rng.randrange(-1, 2) for _ in range(cols))
+        table = list({draw() for _ in range(n)})
+        queries = [rng.choice(table) if rng.random() < 0.5 else draw() for _ in range(rng.randrange(0, 40))]
+        index = {row: k for k, row in enumerate(table)}
+        got = smodule._locate(np.array(table, dtype=np.int64),
+                              np.array(queries, dtype=np.int64).reshape(-1, cols))
+        assert got.tolist() == [index.get(q, -1) for q in queries]
