@@ -3,8 +3,10 @@ E-modules, with the Betti-number readout through exterior homology.
 
 R sends a realized module M to the free differential module with dim M_a
 generators omega_E(-a; 0) per window degree a, one run per degree, and
-differential sum_i e_i (x) x_i: the multiplication matrix of x_i from
-degree a is stored as the e_i block between the runs of a and a + deg x_i.
+differential sum_i e_i (x) x_i: the multiplication by x_i from degree a,
+the entries of the moved basis labels that the module's image_entries
+reads off (mult_entries), is stored as the e_i block between the runs of
+a and a + deg x_i, with no dense matrix.
 Its column homology at (a; j) computes Tor_j(M, k)_a. L goes back, sending
 a windowed differential module to a complex of degreewise modules, whose
 blocks are Kronecker products of multiplication by x_i with the column
@@ -18,7 +20,7 @@ import numpy as np
 
 from .diffmod import EMatrix, FreeDiffModule, _homology_column_unchecked, column_matrix
 from .exterior import OmegaTwist, Runs
-from .linalg import Mat
+from .linalg import Entries, Mat
 from .smodule import GradedComplex, monomial_basis
 from .toric import deg_add, deg_neg, deg_sub, degrees_within
 
@@ -87,11 +89,12 @@ def R_complex(cx, mask=None):
             for i in use:
                 s = index.get((j, deg_add(a, stack.var_degrees[i])))
                 if s is not None:
-                    m = mod.mult_matrix(i, a).a
-                    d.put(s, t, 1 << i, field.reduce(-m) if j % 2 else m)
+                    m = mod.mult_entries(i, a)
+                    d.put(s, t, 1 << i, -m if j % 2 else m)
             m = cx.maps.get(j, {}).get(a)
             if m is not None and (j - 1, a) in index:
-                d.put(index[(j - 1, a)], t, 0, m.a if isinstance(m, Mat) else field.array(m))
+                m = m.a if isinstance(m, Mat) else field.array(m)
+                d.put(index[(j - 1, a)], t, 0, Entries.of(field, m))
     safe = None
     for j, mod in cx.terms.items():
         s = _r_safe_set(mod)
@@ -120,7 +123,7 @@ def L(dm, module_degrees, col_degrees=None, mask=None):
     slices = {a: dm.column_slices(a) for a in col_degrees}
     js = sorted({j for a in col_degrees for j in slices[a]})
     # e_i as an EMatrix: identity blocks on the runs the columns meet
-    eye = {r: field.array(np.eye(dm.runs.size[r], dtype=np.int64))
+    eye = {r: Entries.of(field, field.array(np.eye(dm.runs.size[r], dtype=np.int64)))
            for a in col_degrees for sl in slices[a].values() for r, *_ in sl.segs}
     wedge = [EMatrix(field, {r: {(r, 1 << i): e} for r, e in eye.items()}) for i in range(stack.nvars)]
     module_degrees = [tuple(c) for c in module_degrees]

@@ -7,13 +7,14 @@ auxiliary degree.
 
 The differential is kept as D = sum_u e_u (x) A_u over exterior monomials
 u (an EMatrix): the generators fall into runs of consecutive equal twists
-(exterior.Runs), and each A_u is held as dense blocks between runs. A
-column's basis is a concatenation of (run x monomials) ranges
-(exterior.Slice), and column_entries places each block's nonzero entries,
-signed, at strided positions, as entry arrays: a column's blocks are
-linalg.Entries, ranked without a dense matrix. column_matrix fills them in
-only where a dense matrix is multiplied: bgg.L's Kronecker blocks and
-check_square_zero's products.
+(exterior.Runs), and each A_u is held as blocks between runs, each a
+linalg.Entries made once by whoever writes it. A column's basis is a
+concatenation of (run x monomials) ranges (exterior.Slice), and
+column_entries places each block's entries, signed, at strided positions,
+as entry arrays: a column's blocks are linalg.Entries, ranked without a
+dense matrix. Dense matrices are made only where they are multiplied:
+column_matrix for bgg.L's Kronecker blocks and check_square_zero's
+products, minimize's working blocks, and the sums of _add_block.
 
 Homology is only ever reported on the module's safe degree set: outside it
 a column may be missing contributors from generators beyond the window.
@@ -32,10 +33,9 @@ from .toric import deg_neg
 class EMatrix:
     """A matrix over E between free modules, sum_u e_u (x) A_u:
     blocks[t][(s, u)] is the block of A_u from source run t to target run s,
-    dense, reduced and nonzero. Run indices refer to the Runs of the two
-    modules. A block may be the array it was built from (a multiplication
-    matrix, a block of another module), so blocks are never written in
-    place, except by _add_block on the blocks it made."""
+    a linalg.Entries with at least one entry. Run indices refer to the Runs
+    of the two modules. Modules share blocks, which are never written in
+    place."""
 
     def __init__(self, field, blocks=None):
         self.field = field
@@ -50,8 +50,8 @@ class EMatrix:
                 yield s, t, u, block
 
     def put(self, s, t, u, block):
-        """Store the e_u block from run t to run s, unless it is zero."""
-        if np.any(block):
+        """Store the e_u block, an Entries, from run t to run s unless it is empty."""
+        if len(block.vals):
             self.blocks.setdefault(t, {})[(s, u)] = block
 
 
@@ -60,44 +60,44 @@ def _from_entries(field, rows, cols, entries):
     the runs rows and cols."""
     rloc = [(r, k) for r, n in enumerate(rows.size) for k in range(n)]
     cloc = rloc if cols is rows else [(r, k) for r, n in enumerate(cols.size) for k in range(n)]
-    blocks = {}
+    parts = {}
     for (s, t), elem in entries.items():
         (rs, i), (rt, k) = rloc[s], cloc[t]
         for u, c in elem.items():
-            block = blocks.get((rs, rt, u))
-            if block is None:
-                block = blocks[(rs, rt, u)] = field.zeros(rows.size[rs], cols.size[rt])
-            block[i, k] = c
+            parts.setdefault((rs, rt, u), []).append((i, k, c))
     out = EMatrix(field)
-    for (rs, rt, u), block in blocks.items():
-        out.put(rs, rt, u, field.reduce(block))
+    for (rs, rt, u), part in parts.items():
+        ri, ci, vals = zip(*part)
+        vals = field.array(vals)
+        keep = np.flatnonzero(vals)
+        out.put(rs, rt, u, Entries(field, rows.size[rs], cols.size[rt], np.array(ri, dtype=np.int64)[keep],
+                                   np.array(ci, dtype=np.int64)[keep], vals[keep]))
     return out
 
 
-def _add_block(emat, runs, toff, soff, mat, mono, sign):
-    """Add sign * mat to the e_mono blocks at generator rows toff..,
-    columns soff.., split along the runs. Blocks are summed in place, so
-    emat must hold only blocks that _add_block made; a block that cancels
-    is dropped."""
-    field = emat.field
+def _add_block(sums, runs, toff, soff, mat, mono, sign):
+    """Add sign * mat, at generator rows toff.. and columns soff.., to the
+    dense e_mono sums, keyed (target run, source run, mono) and split along
+    the runs; _summed stores each sum once as a block."""
     if sign < 0:
-        mat = field.reduce(-mat)
+        mat = -mat
     for s, i0, i1, a in runs.cover(toff, toff + mat.shape[0]):
         for t, k0, k1, b in runs.cover(soff, soff + mat.shape[1]):
             piece = mat[a:a + i1 - i0, b:b + k1 - k0]
-            if not np.any(piece):
-                continue
-            row = emat.blocks.setdefault(t, {})
-            block = row.get((s, mono))
-            if block is None:
-                block = row[(s, mono)] = field.zeros(runs.size[s], runs.size[t])
-            view = block[i0:i1, k0:k1]
-            view += piece
-            view[...] = field.reduce(view)
-            if not np.any(view) and not np.any(block):
-                del row[(s, mono)]
-                if not row:
-                    del emat.blocks[t]
+            if np.any(piece):
+                block = sums.get((s, t, mono))
+                if block is None:
+                    block = sums[s, t, mono] = np.zeros_like(mat, shape=(runs.size[s], runs.size[t]))
+                block[i0:i1, k0:k1] += piece
+
+
+def _summed(field, sums):
+    """The EMatrix of the sums of _add_block, each read off once (a sum
+    that cancels is no block)."""
+    out = EMatrix(field)
+    for (s, t, u), block in sums.items():
+        out.put(s, t, u, Entries.of(field, block))
+    return out
 
 
 class FreeDiffModule:
@@ -151,7 +151,7 @@ def _check_degrees(stack, rows, cols, emat, shift_aux):
             cl, aux = entry_degree(stack, *pair, shift_aux=shift_aux)
             ok = allowed[pair] = {m for m in table.get(deg_neg(cl), ()) if -popcount(m) == aux}
         if u not in ok:
-            i, k = np.argwhere(block)[0]
+            i, k = block.ri[0], block.ci[0]
             raise ValueError("entry (%d, %d) is not homogeneous of degree (0; %d)"
                              % (rows.start[s] + i, cols.start[t] + k, shift_aux))
 
@@ -197,11 +197,10 @@ def column_entries(field, emat, src, tgt, sign=1, at=(0, 0)):
                       for mi, m in enumerate(monos) if not u & m and u | m in index]
             if not starts:
                 continue
-            bi, bk = block.nonzero()
-            bv = block[bi, bk]
+            bi, bk, bv = rstep * block.ri, step * block.ci, block.vals
             for r, c, same in starts:
-                rows.append(r + rstep * bi)
-                cols.append(c + step * bk)
+                rows.append(r + bi)
+                cols.append(c + bk)
                 vals.append(bv if same else field.reduce(-bv))
     if not rows:
         return _NONE, _NONE, _NONE
@@ -297,8 +296,7 @@ def cone(morphism):
     for t, row in morphism.m.blocks.items():
         blocks[off + t] = dict(row)
     for t, row in src.d.blocks.items():
-        blocks.setdefault(off + t, {}).update(
-            ((off + s, u), field.reduce(-block)) for (s, u), block in row.items())
+        blocks.setdefault(off + t, {}).update(((off + s, u), -block) for (s, u), block in row.items())
     return FreeDiffModule(src.stack, field, runs, EMatrix(field, blocks), safe=src.safe & tgt.safe,
                           varmask=src.varmask & tgt.varmask, validate=False)
 
@@ -317,12 +315,13 @@ def minimize(module, report=False):
     block C_u out of t and B_v into s adds -sign(u, v) C_u[:, K] A[I, K]^-1
     B_v[I, :] to the e_{u|v} block between their runs (the reductions of
     Kaczynski, Mrozek and Slusarek). A module with no constant block is
-    returned as it is."""
+    returned as it is. The blocks are densified to be worked on and read
+    back as Entries at the end."""
     if check_minimal(module):
         return (module, 0) if report else module
     field = module.field
     size = list(module.runs.size)
-    blocks = {(s, t, u): block for s, t, u, block in module.d.items()}
+    blocks = {(s, t, u): block.dense() for s, t, u, block in module.d.items()}
     cancelled = 0
     while True:
         piv = min(((s, t) for s, t, u in blocks if u == 0), default=None)
@@ -359,7 +358,7 @@ def minimize(module, report=False):
     remap = {r: runs.append(tw, n) for r, (tw, n) in enumerate(zip(module.runs.twist, size)) if n}
     d = EMatrix(field)
     for (s, t, u), block in blocks.items():
-        d.blocks.setdefault(remap[t], {})[(remap[s], u)] = block
+        d.put(remap[s], remap[t], u, Entries.of(field, block))
     out = FreeDiffModule(module.stack, field, runs, d, safe=module.safe,
                          varmask=module.varmask, validate=False)
     return (out, cancelled) if report else out
@@ -426,8 +425,7 @@ def unfold(module):
         (js, ks), (jt, kt) = pos[s], pos[t]
         if js != jt - 1:
             raise ValueError("differential entry does not drop the folded homological degree by 1")
-        vals = block.tolist()
         d = diffs.setdefault(jt, {})
-        for i, k in zip(*np.nonzero(block)):
-            d.setdefault((ks + int(i), kt + int(k)), {})[u] = vals[i][k]
+        for i, k, v in zip(block.ri.tolist(), block.ci.tolist(), block.vals.tolist()):
+            d.setdefault((ks + i, kt + k), {})[u] = v
     return EComplex(terms, diffs)

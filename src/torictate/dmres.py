@@ -17,10 +17,11 @@ class representatives chosen from it are taken only at a cone degree
 (a; j) with classes left to kill, cols(j) - rank(j) > rank(j + 1), and
 there F's generators grow by one run. The representatives are the kernel
 columns, in policy order, that forward insertion after d_in's columns
-keeps (linalg.independent_columns): the pivots of rref([d_in | K]). F's
-differential and the comparison map eps are EMatrix blocks from those
-runs, to F's runs and to the target's, written one block per (target run,
-monomial) as a run is added.
+keeps (linalg.independent_columns): the pivots of rref([d_in | K]),
+kept as an Entries. F's differential and the comparison map eps are
+EMatrix blocks from those runs, to F's runs and to the target's: as a run
+is added, the representatives' entries are split into one Entries per
+(target run, monomial), with no dense column.
 
 `_IncrementalRank`, the greedy independence test of
 smodule.presentation_from_span, inserts each vector as a sparse row into
@@ -106,45 +107,48 @@ class ResolutionState:
 
     # -- generator insertion --------------------------------------------------
 
-    def _add_run(self, a, j, vecs, dsl, fsl, round_index):
-        """Add the run of generators killing the classes vecs at cone degree
-        (a; j): the eps of each is its class's D-part, its differential
-        minus its F-part."""
+    def _add_run(self, a, j, z, dsl, fsl, round_index):
+        """Add the run of generators killing the classes that are the
+        columns of the Entries z at cone degree (a; j): the eps of each is
+        its class's D-part, its differential minus its F-part."""
         t = self.runs.append(OmegaTwist(deg_sub(self.stack.total_degree, a), self.stack.nvars - j),
-                             len(vecs))
-        self.rounds += [round_index] * len(vecs)
-        z = np.column_stack(vecs)
-        _write_columns(self.eps, dsl, z[:len(dsl)], t)
-        _write_columns(self.d, fsl, self.field.reduce(-z[len(dsl):]), t)
+                             z.cols)
+        self.rounds += [round_index] * z.cols
+        _write_columns(self.eps, dsl, z, t, 0)
+        _write_columns(self.d, fsl, -z, t, len(dsl))
 
     def free_module(self, safe):
         return FreeDiffModule(self.stack, self.field, self.runs, self.d,
                               safe=safe, validate=True)
 
 
-def _write_columns(emat, sl, z, t):
-    """Store the columns z, over the labels of the Slice sl, as the blocks
-    of emat from run t: the rows of a segment's monomial m are its e_m
-    block to the segment's run."""
+def _write_columns(emat, sl, z, t, lo):
+    """Store the columns of the Entries z, whose rows lo.. are the labels of
+    the Slice sl, as the blocks of emat from run t: the rows of a segment's
+    monomial m are its e_m block to the segment's run."""
+    at = z.ri - lo
     for s, _, size, monos, off in sl.segs:
-        part = z[off:off + size * len(monos)].reshape(size, len(monos), z.shape[1])
-        for k, m in enumerate(monos):
-            emat.put(s, t, m, part[:, k, :].copy())
+        mine = np.flatnonzero((at >= off) & (at < off + size * len(monos)))
+        gen, k = np.divmod(at[mine] - off, len(monos))
+        ci, vals = z.ci[mine], z.vals[mine]
+        for mi, m in enumerate(monos):
+            sel = k == mi
+            emat.put(s, t, m, Entries(emat.field, size, z.cols, gen[sel], ci[sel], vals[sel]))
 
 
 def _select_representatives(field, ker, d_in, policy):
     """Columns of ker, a kernel basis of the outgoing map, completing the
     image of d_in to a basis of the homology, greedily in the given order,
-    as dense vectors. ker and d_in are dense arrays or Entries."""
+    as the columns of an Entries. ker and d_in are dense arrays or
+    Entries."""
     if not isinstance(ker, Entries):
         ker = Entries.of(field, ker)
     if policy == "last":
         ker = Entries(field, ker.rows, ker.cols, ker.ri, ker.cols - 1 - ker.ci, ker.vals)
     picked = independent_columns(field, d_in, ker)
     keep = np.isin(ker.ci, picked)
-    z = Entries(field, ker.rows, len(picked), ker.ri[keep], np.searchsorted(picked, ker.ci[keep]),
-                ker.vals[keep]).dense()
-    return list(z.T)
+    return Entries(field, ker.rows, len(picked), ker.ri[keep], np.searchsorted(picked, ker.ci[keep]),
+                   ker.vals[keep])
 
 
 def min_free_resolution(target, floor, ceiling=None, policy="first", degrees=None):
@@ -188,8 +192,8 @@ def min_free_resolution(target, floor, ceiling=None, policy="first", degrees=Non
                 # linalg at call time, so a wrapper of it sees every call
                 new[j] = _select_representatives(state.field, linalg.kernel_basis(d_out),
                                                  d_in, policy)
-            for j, vecs in new.items():
-                state._add_run(a, j, vecs, *slices[j], round_index)
+            for j, z in new.items():
+                state._add_run(a, j, z, *slices[j], round_index)
                 if lv == ceiling:
                     state.top_hit = True
     return state

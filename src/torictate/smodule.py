@@ -142,20 +142,31 @@ class Presentation:
                  for c, e in self.entries.get((i, j), Poly([])).terms]
         return [t for t in terms if t[1]]
 
-    def relation_rows(self, field, j, table, multipliers):
-        """Relation j times each multiplier monomial (the rows of an int64
-        array), as sparse rows over the labels (generator, exponent...) that
-        are the rows of table, numbered by position (_locate). A product with
-        a label outside table is dropped, and so is one that is zero."""
-        terms = self.relation_terms(field, j)
-        if not terms or not len(multipliers):
+    def relation_rows(self, field, table, multipliers):
+        """Each relation j times each multiplier monomial (the rows of the
+        int64 array multipliers[j]), as sparse rows over the labels
+        (generator, exponent...) that are the rows of table, numbered by
+        position, relation by relation; the products of every relation are
+        located in one _locate call. A product with a label outside table is
+        dropped, and so is one that is zero."""
+        todo = []
+        for j, m in enumerate(multipliers):
+            terms = self.relation_terms(field, j)
+            if terms and len(m):
+                todo.append((terms, m))
+        if not todo:
             return []
-        # the labels of one product are distinct: a Poly repeats no exponent
         found = _locate(table, np.concatenate([
-            np.column_stack([np.full(len(multipliers), i), multipliers + np.array(e, dtype=np.int64)])
-            for i, _, e in terms])).reshape(len(terms), -1).T
-        coeffs = [c for _, c, _ in terms]
-        return [dict(zip(row, coeffs)) for row in found[(found >= 0).all(axis=1)].tolist()]
+            np.column_stack([np.full(len(m), i), m + np.array(e, dtype=np.int64)])
+            for terms, m in todo for i, _, e in terms]))
+        rows, at = [], 0
+        for terms, m in todo:
+            # the labels of one product are distinct: a Poly repeats no exponent
+            part = found[at:at + len(terms) * len(m)].reshape(len(terms), -1).T
+            at += part.size
+            coeffs = [c for _, c, _ in terms]
+            rows += [dict(zip(row, coeffs)) for row in part[(part >= 0).all(axis=1)].tolist()]
+        return rows
 
     def piece(self, field, exponents):
         """(labels, reducer, index) of a graded piece whose monomials of
@@ -170,8 +181,7 @@ class Presentation:
             return labels, None, {}
         table = np.concatenate([np.column_stack([np.full(len(ex), g), ex]) for g, ex in enumerate(exps)])
         index = {lab: k for k, lab in enumerate(labels)}
-        rows = [row for j, rd in enumerate(self.rel_degrees)
-                for row in self.relation_rows(field, j, table, exponents(rd))]
+        rows = self.relation_rows(field, table, [exponents(rd) for rd in self.rel_degrees])
         return labels, (RowReducer(field, rows, len(labels)) if rows else None), index
 
     def is_monomial(self, field):
@@ -215,24 +225,18 @@ class GradedPieces:
         owner, coords, vals = red.reduce_rows(ks)
         return coords, owner, vals
 
-    def image(self, a, labels):
-        """image_entries as a dense matrix. It is filled transposed and
-        copied out: returning the zero-filled matrix itself raised the peak
-        RSS of `cohomology p112 --window -30:30` by 3 MB."""
-        rows, cols, vals = self.image_entries(a, labels)
-        return Entries(self.field, len(labels), self.dim(a), cols, rows, vals).dense().T.copy()
-
     def moved(self, a, mono):
         """The basis labels at a times the monomial with exponent vector mono."""
         return [(g, tuple(x + y for x, y in zip(e, mono))) for g, e in self.basis_labels(a)]
 
     def times(self, a, b, mono):
         """Multiplication by the monomial with exponent vector mono from the
-        piece at a to the piece at b = a + deg mono, in their bases."""
+        piece at a to the piece at b = a + deg mono, in their bases, as an
+        Entries read off image_entries."""
         src = self.moved(a, mono)
         if not src or not self.dim(b):
-            return self.field.zeros(self.dim(b), len(src))
-        return self.image(b, src)
+            return Entries.zeros(self.field, self.dim(b), len(src))
+        return Entries(self.field, self.dim(b), len(src), *self.image_entries(b, src))
 
 
 class DegreewiseModule(GradedPieces):
@@ -282,11 +286,16 @@ class DegreewiseModule(GradedPieces):
         below the generator floor where it must vanish, or truncated away)."""
         return self.in_window(a) or self.stack.theta(a) < self.floor_theta or not self._kept(a)
 
-    def mult_matrix(self, i, a):
-        """Multiplication by x_i from piece(a) to piece(a + deg x_i)."""
+    def mult_entries(self, i, a):
+        """Multiplication by x_i from piece(a) to piece(a + deg x_i), as an
+        Entries."""
         a = tuple(a)
-        return Mat(self.field, self.times(a, deg_add(a, self.stack.var_degrees[i]),
-                                          tuple(int(k == i) for k in range(self.stack.nvars))))
+        return self.times(a, deg_add(a, self.stack.var_degrees[i]),
+                          tuple(int(k == i) for k in range(self.stack.nvars)))
+
+    def mult_matrix(self, i, a):
+        """mult_entries as a Mat."""
+        return Mat(self.field, self.mult_entries(i, a).dense())
 
 
 def realize(pres, stack, window, field):
@@ -339,7 +348,7 @@ class SpanSubmodule:
     def _span(self, b):
         b = tuple(b)
         if b not in self._basis:
-            cols = [self.inner.times(d, b, mono) for d in self.gen_degrees
+            cols = [self.inner.times(d, b, mono).dense() for d in self.gen_degrees
                     if self.stack.theta(deg_sub(b, d)) >= 0 and self.inner.dim(d)
                     for mono in monomial_basis(self.stack, deg_sub(b, d))]
             val = np.concatenate(cols, axis=1) if cols else self.field.zeros(self.inner.dim(b), 0)
@@ -364,6 +373,9 @@ class SpanSubmodule:
         if x is None:
             raise ValueError("span is not multiplication-closed at %r" % (a,))
         return Mat(self.field, x)
+
+    def mult_entries(self, i, a):
+        return Entries.of(self.field, self.mult_matrix(i, a).a)
 
 
 def generated_truncation(module, d, window):
@@ -395,19 +407,17 @@ def presentation_from_span(span, rel_degrees):
         labels = [(k, mu) for mu in monos for k in range(ngens)]
         if not labels:
             continue
-        ker = _kernel_arr(field, solve_in_span(
-            field, span._span(b), np.concatenate([span.inner.times(zero, b, mu) for mu in monos],
-                                                 axis=1)))
+        images = [span.inner.times(zero, b, mu).dense() for mu in monos]
+        ker = _kernel_arr(field, solve_in_span(field, span._span(b), np.concatenate(images, axis=1)))
         if ker.shape[1] == 0:
             continue
         table = np.array([(k,) + mu for k, mu in labels], dtype=np.int64)
         acc = _IncrementalRank(field)
-        for j, cdeg in enumerate(pres.rel_degrees):
-            if stack.theta(deg_sub(b, cdeg)) >= 0:
-                for row in pres.relation_rows(field, j, table, monomial_array(stack, deg_sub(b, cdeg))):
-                    vec = field.zeros(1, len(labels))[0]
-                    vec[list(row)] = list(row.values())
-                    acc.add(vec)
+        mults = [monomial_array(stack, deg_sub(b, c)) for c in pres.rel_degrees]
+        for row in pres.relation_rows(field, table, mults):
+            vec = field.zeros(1, len(labels))[0]
+            vec[list(row)] = list(row.values())
+            acc.add(vec)
         for c in range(ker.shape[1]):
             if acc.add(ker[:, c]):
                 relj = len(pres.rel_degrees)

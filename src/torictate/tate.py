@@ -23,7 +23,7 @@ import numpy as np
 
 from .bgg import R
 from .cohomology import CechOracle, T_START, _stabilize, fast_table_state, h0b_vanishes
-from .diffmod import (EMatrix, FreeDiffModule, _add_block, _homology_column_unchecked, minimize,
+from .diffmod import (FreeDiffModule, _add_block, _homology_column_unchecked, _summed, minimize,
                       restrict, tensor_EI)
 from .dmres import tate_cone
 from .errors import PreconditionError
@@ -96,7 +96,7 @@ def _walk(field, gens, nvars, sources, step):
     moves = [[(i,) + ext_mul(1 << i, mono) for i in range(nvars) if not mono >> i & 1]
              for mono in range(1 << nvars)]
     runs = Runs(gens)
-    d = EMatrix(field)
+    sums = {}
 
     def rec(src_off, key, mat, mono, sign):
         for i, msign, mmono in moves[mono]:
@@ -105,13 +105,13 @@ def _walk(field, gens, nvars, sources, step):
                 continue
             key2, tgt_off, block, cont = out
             if tgt_off is not None:
-                _add_block(d, runs, tgt_off, src_off, block, mmono, sign * msign)
+                _add_block(sums, runs, tgt_off, src_off, block, mmono, sign * msign)
             if cont is not None:
                 rec(src_off, key2, cont, mmono, sign * msign)
 
     for key, src_off, mat in sources:
         rec(src_off, key, mat, 0, 1)
-    return d
+    return _summed(field, sums)
 
 
 # -- dense Cech strands -------------------------------------------------------

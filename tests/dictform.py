@@ -3,8 +3,6 @@
 for building small cases by hand and for comparing against references
 that walk entries one at a time."""
 
-import numpy as np
-
 from torictate.diffmod import DMMorphism, FreeDiffModule, _from_entries
 from torictate.exterior import Runs
 
@@ -30,7 +28,6 @@ def entries_of(x):
         emat = x.d
     out = {}
     for s, t, u, block in emat.items():
-        vals = block.tolist()
-        for i, k in zip(*np.nonzero(block)):
-            out.setdefault((rows.start[s] + int(i), cols.start[t] + int(k)), {})[u] = vals[i][k]
+        for i, k, v in zip(block.ri.tolist(), block.ci.tolist(), block.vals.tolist()):
+            out.setdefault((rows.start[s] + i, cols.start[t] + k), {})[u] = v
     return out

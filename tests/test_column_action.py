@@ -241,7 +241,7 @@ def _reference_resolution(target, floor, policy):
             for j in sorted(slices):
                 d_in = blocks.get(j + 1, state.field.zeros(blocks[j].shape[1], 0))
                 nd = len(slices[j][0])
-                for vec in _select_representatives(state.field, kers[j], d_in, policy):
+                for vec in _select_representatives(state.field, kers[j], d_in, policy).dense().T:
                     new.append((j, vec[:nd], vec[nd:]) + slices[j])
             for j, z_d, z_f, dsl, fsl in new:
                 state.add_generator(a, j, z_d, z_f, dsl, fsl, round_index)

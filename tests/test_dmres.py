@@ -1,9 +1,15 @@
+import hashlib
+import json
+import os
+
 import numpy as np
 import pytest
 
 from torictate import linalg
 from torictate.bgg import R
-from torictate.diffmod import check_minimal, check_square_zero, homology_column
+from torictate.cli import parse_input
+from torictate.cohomology import fast_table_state
+from torictate.diffmod import DMMorphism, check_minimal, check_square_zero, homology_column
 from torictate.dmres import (_select_representatives, min_free_resolution,
                              tate_cone, verify_quasi_iso)
 from torictate.exterior import OmegaTwist, Slice
@@ -239,7 +245,47 @@ def test_select_representatives_matches_greedy_loop(field, policy, rng):
         # d_in: combinations of kernel vectors, with dependent columns
         coeffs = _random_matrix(field, rng, ker.shape[1], rng.randrange(0, 6), ker.shape[1])
         d_in = field.matmul(ker, coeffs) if ker.shape[1] else field.zeros(n, coeffs.shape[1])
-        got = _select_representatives(field, ker, d_in, policy)
+        got = _select_representatives(field, ker, d_in, policy).dense().T
         want = _greedy_select(field, d_out, d_in, policy)
         assert [v.tolist() for v in got] == [v.tolist() for v in want]
         assert len(got) == ker.shape[1] - rank(Mat(field, d_in))
+
+
+def _dict_hash(entries):
+    return hashlib.sha256(repr(sorted((k, sorted(v.items())) for k, v in entries.items()))
+                          .encode()).hexdigest()
+
+
+# sha256 of the dict forms, recorded when the blocks were dense arrays
+DENSE_READINGS = {
+    ("R", "GF(32003)"): "a647bcb862007b8f9bdfa196716139c1bb41c4da12ca2adc571b041e3fc4b26c",
+    ("d", "GF(32003)"): "acaeb923d32de6c180d920be52c795c59aa6e4e6afc3350f43bca8f7cbb94b24",
+    ("eps", "GF(32003)"): "d18d1a8f9b15800e42bd2d433f2bcf482336e7336ab684e0c21239356c16e13e",
+    ("R", "QQ()"): "8d87f49b33bba594df2cba9132f80c442128688d0c4dff91f42b9a8915eb2962",
+    ("d", "QQ()"): "912d85c7d9729bfd92233a61e96216e70afda3db9cd0b2bedbcf1a1e8d057702",
+    ("eps", "QQ()"): "52f4ab5f06c10a17028fb2a4b633dc0cdb7c4949744e6f91c532847c702e74bc",
+    ("R -30:30", "GF(32003)"): "a057f037ea689b1a13f59a2988612c05cfb79bcf13da9e8ed7d12e85f9d4599f",
+}
+
+
+def _all_entries(emat):
+    return all(isinstance(block, Entries) and len(block.vals) for _, _, _, block in emat.items())
+
+
+@pytest.mark.parametrize("field", [GF(), QQ()], ids=repr)
+def test_emat_blocks_are_entries_with_the_dense_reading(field):
+    # every block of R(M) and of the resolution's d and eps is an Entries
+    # made by its writer, and the dict forms are those the dense blocks had,
+    # for the P(1,1,2) module C (fixtures/p112.tate)
+    path = os.path.join(os.path.dirname(__file__), "..", "fixtures", "p112.tate")
+    with open(path) as fh:
+        stack, _, modules = parse_input(json.load(fh))
+    if field == GF():
+        dm = R(realize(modules["C"], stack, Window((-30,), (30,)), field))
+        assert _all_entries(dm.d) and _dict_hash(entries_of(dm)) == DENSE_READINGS["R -30:30", repr(field)]
+    _, _, dm, state = fast_table_state(modules["C"], stack, Window((-8,), (8,)), field)
+    free = state.free_module(safe=())
+    eps = DMMorphism(free, dm, state.eps, validate=False)
+    for name, x, emat in (("R", dm, dm.d), ("d", free, free.d), ("eps", eps, state.eps)):
+        assert _all_entries(emat), name
+        assert _dict_hash(entries_of(x)) == DENSE_READINGS[name, repr(field)], name

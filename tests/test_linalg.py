@@ -763,4 +763,18 @@ def test_entry_route_matches_dense_route(field, small, rng, monkeypatch):
                 assert picked == [c - nb for c in rref(field, np.concatenate([d_in.a, order], axis=1))[1]
                                   if c >= nb]
                 got = _select_representatives(field, ker, linalg.Entries.of(field, d_in.a), policy)
-                assert [v.tolist() for v in got] == [order[:, c].tolist() for c in picked]
+                assert [v.tolist() for v in got.dense().T] == [order[:, c].tolist() for c in picked]
+
+
+def _trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def test_is_prime_agrees_with_trial_division(rng):
+    # every n below 10^5, random n below 2^31, and strong pseudoprimes to
+    # the bases 2; 2, 3; and 2, 3, 5
+    assert [n for n in range(10 ** 5) if linalg._is_prime(n)] == \
+        [n for n in range(10 ** 5) if _trial_division(n)]
+    for n in [rng.randrange(1 << 31) for _ in range(300)] + [(1 << 31) - 1, (1 << 31) - 3]:
+        assert linalg._is_prime(n) == _trial_division(n), n
+    assert not any(linalg._is_prime(n) for n in (2047, 1373653, 25326001))

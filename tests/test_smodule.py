@@ -4,7 +4,7 @@ import pytest
 from torictate import smodule
 from torictate.dmres import _IncrementalRank
 from torictate.laurent import ExponentBoxes, LocalizedModule
-from torictate.linalg import GF, QQ, _kernel_arr, rref, solve_in_span
+from torictate.linalg import GF, QQ, Entries, _kernel_arr, rref, solve_in_span
 from torictate.smodule import (DegreewiseModule, Poly, Presentation,
                                generated_truncation, koszul_complex,
                                monomial_basis, presentation_from_span, realize,
@@ -195,16 +195,17 @@ def test_localized_piece_without_inversion_matches_degreewise(p112, hirz3, gf):
             assert loc.basis_labels(a) == basis and loc.dim(a) == deg.dim(a) == len(basis)
             assert loc.piece(a)[0] == deg.piece(a)[0]
             for m in (loc, deg):
-                coords = m.image(a, basis)
+                coords = Entries(gf, m.dim(a), len(basis), *m.image_entries(a, basis)).dense()
                 assert (coords == np.eye(len(basis), dtype=coords.dtype)).all()
 
 
 def test_image_rejects_a_label_outside_the_piece(p112, gf):
     # a label below the exponent box of a localized piece has no coordinates
     loc = LocalizedModule(p112, gf, Presentation.free([(0,)]), {0}, ExponentBoxes(p112, {0}, 2))
-    assert loc.image((0,), [(0, (-2, 2, 0))]).shape == (loc.dim((0,)), 1)
+    inside = Entries(gf, loc.dim((0,)), 1, *loc.image_entries((0,), [(0, (-2, 2, 0))]))
+    assert inside.dense().shape == (loc.dim((0,)), 1)
     with pytest.raises(ArithmeticError):
-        loc.image((0,), [(0, (-3, 3, 0))])
+        loc.image_entries((0,), [(0, (-3, 3, 0))])
 
 
 def path_span(span, b):

@@ -13,7 +13,7 @@ import pytest
 from torictate import laurent, linalg, tate
 from torictate.cli import main, parse_input
 from torictate.cohomology import CechOracle, cohomology_table_fast, oracle_table
-from torictate.diffmod import (EMatrix, FreeDiffModule, _add_block, check_minimal,
+from torictate.diffmod import (EMatrix, FreeDiffModule, _add_block, _summed, check_minimal,
                                check_square_zero, homology_column, minimize)
 from torictate.errors import PreconditionError, StabilizationError
 from torictate.exterior import OmegaTwist, Runs, socle_readoff
@@ -34,7 +34,7 @@ def cech_totalization_dm(pres, stack, window, field, t):
     vertical, and the horizontal blocks carry x_i (x) e_i."""
     cx = CechComplex(stack, field, pres, stack.cover, t)
     runs = Runs()
-    d = EMatrix(field)
+    sums = {}
     offsets = {}  # per degree: the offset of each level of its strand
     for a in window.points():
         dims, mats = cx.strand(a, extended=False)
@@ -44,14 +44,15 @@ def cech_totalization_dm(pres, stack, window, field, t):
                 runs.append(OmegaTwist(deg_neg(a), level), n)
             offsets[a].append(len(runs.gens))
         for level, m in enumerate(mats):
-            _add_block(d, runs, offsets[a][level + 1], offsets[a][level], field.array(m), 0, 1)
+            _add_block(sums, runs, offsets[a][level + 1], offsets[a][level], field.array(m), 0, 1)
     for a in window.points():
         for i in range(stack.nvars):
             b = deg_add(a, stack.var_degrees[i])
             if b in window:
-                _add_block(d, runs, offsets[b][0], offsets[a][0],
+                _add_block(sums, runs, offsets[b][0], offsets[a][0],
                            cx.horizontal_block(a, i), 1 << i, 1)
-    return FreeDiffModule(stack, field, runs, d, safe=safe_degrees(stack, window), validate=True)
+    return FreeDiffModule(stack, field, runs, _summed(field, sums), safe=safe_degrees(stack, window),
+                          validate=True)
 
 
 def counted(gens):
