@@ -4,14 +4,16 @@ E-modules, with the Betti-number readout through exterior homology.
 R sends a realized module M to the free differential module with dim M_a
 generators omega_E(-a; 0) per window degree a, one run per degree, and
 differential sum_i e_i (x) x_i: the multiplication by x_i from degree a,
-the entries of the moved basis labels that the module's image_entries
-reads off (mult_entries), is stored as the e_i block between the runs of
-a and a + deg x_i, with no dense matrix.
+the entries of the moved basis labels (rows of an int64 table) that the
+module's image_entries reads off (mult_entries), is stored as the e_i
+block between the runs of a and a + deg x_i, with no dense matrix.
 Its column homology at (a; j) computes Tor_j(M, k)_a. L goes back, sending
 a windowed differential module to a complex of degreewise modules, whose
 blocks are Kronecker products of multiplication by x_i with the column
-matrices (diffmod.column_matrix) of e_i and of the differential. R_I and
-the variable mask on L restrict the differential to a subset of variables.
+matrices (diffmod.column_matrix) of e_i and of the differential; the x_i
+factor locates each product in the target's exponent table with
+smodule._locate (_times_x). R_I and the variable mask on L restrict the
+differential to a subset of variables.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 from .diffmod import EMatrix, FreeDiffModule, _homology_column_unchecked, column_matrix
 from .exterior import OmegaTwist, Runs
 from .linalg import Entries, Mat
-from .smodule import GradedComplex, monomial_basis
+from .smodule import GradedComplex, _locate, monomial_array
 from .toric import deg_add, deg_neg, deg_sub, degrees_within
 
 
@@ -136,7 +138,7 @@ def L(dm, module_degrees, col_degrees=None, mask=None):
             for a in col_degrees:
                 sl = slices[a].get(j)
                 if sl and stack.theta(deg_sub(c, a)) >= 0:
-                    monos = monomial_basis(stack, deg_sub(c, a))
+                    monos = monomial_array(stack, deg_sub(c, a))
                     blocks[(j, c)][a] = (off, monos, sl)
                     off += len(monos) * len(sl)
             cx.set_dim(j, c, off)
@@ -165,11 +167,9 @@ def L(dm, module_degrees, col_degrees=None, mask=None):
 
 def _times_x(src, tgt, i):
     """The 0/1 matrix of multiplication by x_i from the exponents src to
-    the exponents tgt."""
-    idx = {e: k for k, e in enumerate(tgt)}
+    the exponents tgt (rows of int64 tables), each product located in tgt."""
     x = np.zeros((len(tgt), len(src)), dtype=np.int64)
-    for col, e in enumerate(src):
-        x[idx[e[:i] + (e[i] + 1,) + e[i + 1:]], col] = 1
+    x[_locate(tgt, src + np.eye(1, src.shape[1], i, dtype=np.int64)), np.arange(len(src))] = 1
     return x
 
 

@@ -49,10 +49,10 @@ def _objects(value, where):
 
 
 def _int(value, where):
-    try:
-        return int(value)
-    except (TypeError, ValueError):
+    """A JSON integer: an int that is no bool (no float, string or flag)."""
+    if not isinstance(value, int) or isinstance(value, bool):
         raise SchemaError("%s must be an integer, got %r" % (where, value))
+    return value
 
 
 def _ints(value, where, length=None):
@@ -83,7 +83,7 @@ def parse_input(document):
         field = QQ()
     else:
         raise SchemaError("field must give a prime or rationals")
-    r = need("cl_rank", int)
+    r = _int(need("cl_rank", int), "cl_rank")
     degrees = []
     for k, v in enumerate(_objects(need("variables", list), "variables")):
         if "degree" not in v:

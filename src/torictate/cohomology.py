@@ -11,8 +11,9 @@ localized pieces, restriction maps and ranks, monomial presentations too
 engine; the fast path works from minimal free resolutions of differential
 modules. Neither shares anything else with the engine past basic linear
 algebra, so their agreement with it is meaningful evidence of correctness.
-The dense path and the realized module do share Presentation.piece and
-GradedPieces.image_entries, which the engine never calls.
+The dense path and the realized module do share Presentation.piece, whose
+labels are int64 tables, and GradedPieces.image_entries, which finds them
+by smodule._locate; the engine calls neither.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .bgg import R, betti_table
 from .dmres import min_free_resolution
 from .errors import PreconditionError, StabilizationError, WindowTooSmall
 from .laurent import CechComplex, MonomialStrands
-from .smodule import monomial_basis, realize, truncate
+from .smodule import monomial_array, realize, truncate
 from .toric import Window, deg_neg, deg_sub, weights_degI, weights_zgraded
 
 T_START = 2
@@ -115,8 +116,8 @@ def weighted_closed_forms(stack, a):
     if stack.r != 1:
         raise PreconditionError("closed forms require r = 1")
     w = stack.total_degree
-    h0 = len(monomial_basis(stack, tuple(a)))
-    hn = len(monomial_basis(stack, deg_sub(deg_neg(a), w)))
+    h0 = len(monomial_array(stack, tuple(a)))
+    hn = len(monomial_array(stack, deg_sub(deg_neg(a), w)))
     return h0, hn
 
 

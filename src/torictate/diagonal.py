@@ -25,13 +25,11 @@ homology over a run: each H_i(b) >= 0, so a sum of 0 means every term is
 
 from __future__ import annotations
 
-from operator import add
-
 import numpy as np
 
 from .errors import PreconditionError
 from .linalg import Entries, rank
-from .smodule import monomial_basis
+from .smodule import _locate, monomial_array
 from .toric import cone_members, deg_add, deg_neg, deg_sub, degrees_within, hirzebruch
 
 
@@ -58,7 +56,7 @@ class _BlockComplex:
     """A complex of free S'-modules realized degreewise. Term i is a list of
     summands (key, vx, vy) that a subclass's _summands lists for a list of
     bidegrees: at (c, d) the summand is a block holding key * x^ex y^ey for
-    ex in xs = monomial_basis(c - vx) and ey in ys = monomial_basis(d - vy),
+    ex in xs = monomial_array(c - vx) and ey in ys = monomial_array(d - vy),
     the pair (xs[j], ys[k]) at the block's offset + j * len(ys) + k, and it
     is empty where either list is. _images(i)(key) lists the images of a
     source block's generator as (target key, coefficient, tx, ty): x^ex y^ey
@@ -74,25 +72,26 @@ class _BlockComplex:
 
     def _blocks(self, i, bid):
         c, d = tuple(bid[0]), tuple(bid[1])
-        return [(key, monomial_basis(self.stack, deg_sub(c, vx)), monomial_basis(self.stack, deg_sub(d, vy)))
+        return [(key, monomial_array(self.stack, deg_sub(c, vx)), monomial_array(self.stack, deg_sub(d, vy)))
                 for key, vx, vy in self._summands(i, [bid])]
 
     def basis(self, i, bid):
-        return [k + (ex, ey) for k, xs, ys in self._blocks(i, bid) for ex in xs for ey in ys]
+        """The basis at bid as tuples key + (ex, ey), for reading by hand."""
+        return [k + (tuple(ex), tuple(ey)) for k, xs, ys in self._blocks(i, bid)
+                for ex in xs.tolist() for ey in ys.tolist()]
 
     def dim(self, i, bid):
         return sum(len(xs) * len(ys) for _, xs, ys in self._blocks(i, bid))
 
     def _shift(self, d, t, td):
         """The shift map of x^t from degree d to td: the positions j of
-        monomial_basis(d) whose product with x^t lies in monomial_basis(td),
-        and the positions of those products there."""
+        monomial_array(d) whose product with x^t lies in monomial_array(td),
+        and the positions of those products there (_locate)."""
         key = (d, t, td)
         if key not in self._shifts:
-            where = {e: j for j, e in enumerate(monomial_basis(self.stack, td))}
-            shifted = (tuple(map(add, e, t)) for e in monomial_basis(self.stack, d))
-            pairs = [(j, where[e]) for j, e in enumerate(shifted) if e in where]
-            self._shifts[key] = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+            k = _locate(monomial_array(self.stack, td), monomial_array(self.stack, d) + np.array(t))
+            j = np.flatnonzero(k >= 0)
+            self._shifts[key] = np.stack([j, k[j]])
         return self._shifts[key]
 
     # sparse_columns and homology are defined on each subclass itself, where
@@ -145,7 +144,7 @@ class _Map:
             # the y-size of each summand's block per distinct d, and per
             # (summand, bidegree) its size and first index within the bidegree
             def sizes(axis, degs):
-                return np.array([[len(monomial_basis(stack, deg_sub(e, s[axis]))) for e in degs]
+                return np.array([[len(monomial_array(stack, deg_sub(e, s[axis]))) for e in degs]
                                  for s in summands], dtype=np.int64).reshape(len(summands), len(degs))
             ny = sizes(2, ds)
             size = sizes(1, cs)[:, ci] * ny[:, di]
@@ -335,7 +334,7 @@ def check_H0_diagonal(cx, bidegrees):
     stack = cx.stack
     inside = cone_members(stack.eff, stack.theta, [bid[1] for bid in bidegrees])
     kept = [bid for bid, ok in zip(bidegrees, inside) if ok]
-    return all(h[0] == len(monomial_basis(stack, deg_add(tuple(d), tuple(dprime))))
+    return all(h[0] == len(monomial_array(stack, deg_add(tuple(d), tuple(dprime))))
                for ((d, dprime),), h in cx._homologies(kept, [0], each=True))
 
 

@@ -16,8 +16,10 @@ unsettled by t = T_CAP raises StabilizationError, exit 4). Every cell of
 one complex uses the same bound, so its ExponentBoxes enumerate each
 degree once, for the cell inverting the union of the cover, and mask that
 for the others. Its pieces are built by Presentation.piece, monomial
-presentations too (no kill rule is shared with MonomialStrands), and its
-maps as linalg.Entries of the normal forms of the labels they read, made
+presentations too (no kill rule is shared with MonomialStrands), their
+labels an int64 table of rows (generator, exponent...) in which
+smodule._locate, the one lookup, finds a moved label, and its maps as
+linalg.Entries of the normal forms of the labels they read, made
 on request (RowReducer.reduce_rows): strand homology ranks them by
 linalg.rank, which alone chooses the route, and only the Tate walk's
 retracts and horizontal blocks are made dense (Entries.dense).
@@ -123,9 +125,9 @@ class LocalizedModule(GradedPieces):
         self._cache = {}
 
     def piece(self, a):
-        """Presentation.piece at degree a: (labels, reducer, index), labels
-        (gen, exponent vector); reducer is None when the labels are already
-        a basis."""
+        """Presentation.piece at degree a: (labels, reducer), labels the
+        int64 table of rows (generator, exponent...); reducer is None when
+        the labels are already a basis."""
         a = tuple(a)
         if a not in self._cache:
             inner = deg_add(a, self.shift)
@@ -399,7 +401,7 @@ class CechComplex:
         for src, signs in sources:
             labels = src.basis_labels(a) if mono is None else src.moved(a, mono)
             for k, sign in signs:
-                if labels and targets[k].dim(b):
+                if len(labels) and targets[k].dim(b):
                     rows, cols, vals = targets[k].image_entries(b, labels)
                     ents.append((rows + offsets[k], cols + co, vals if sign > 0 else field.reduce(-vals)))
             co += len(labels)

@@ -40,29 +40,28 @@ def monomial_basis(stack, d):
 
 def _locate(table, queries):
     """The position of each row of queries among the rows of table (distinct
-    int64 rows, at least one), or -1 where it is none of them. A row is
+    int64 rows), or -1 where it is none of them; every query is none of an
+    empty table's. This is the one lookup of a monomial label: a row is
     read as one exact integer key, its entries the digits of a mixed radix
-    over the bounding box of table, and a query with an entry outside the
-    box is none of them. Where a key would reach 2^62, the digits read so
-    far are first renumbered by their ranks among table's, a query prefix
-    that is none of table's taking the rank past the last."""
-    lo, hi = table.min(axis=0), table.max(axis=0)
-    inside = ((queries >= lo) & (queries <= hi)).all(axis=1)
-    t, q = table - lo, np.clip(queries, lo, hi) - lo
-    tk, qk = np.zeros(len(t), dtype=np.int64), np.zeros(len(q), dtype=np.int64)
-    radix = 1
-    for i, span in enumerate((hi - lo + 1).tolist()):
+    over the bounding box of table and queries together. Where a key would
+    reach 2^62, the digits read so far are first renumbered by their ranks
+    among table's, a prefix that is none of table's taking the rank past
+    the last."""
+    if not len(table):
+        return np.full(len(queries), -1, dtype=np.int64)
+    rows = np.concatenate([table, queries])
+    rows = rows - rows.min(axis=0)
+    key, radix, n = np.zeros(len(rows), dtype=np.int64), 1, len(table)
+    for i, span in enumerate((rows.max(axis=0) + 1).tolist()):
         if radix * span >= 1 << 62:
-            ranks = np.unique(tk)
-            at = np.searchsorted(ranks, qk)
-            qk = np.where(ranks[np.minimum(at, len(ranks) - 1)] == qk, at, len(ranks))
-            tk = np.searchsorted(ranks, tk)
-            radix = len(ranks) + 1
-        tk, qk, radix = tk * span + t[:, i], qk * span + q[:, i], radix * span
-    order = np.argsort(tk, kind="stable")  # O(n) on the sorted keys of a piece's labels
-    tk = tk[order]
-    at = np.minimum(np.searchsorted(tk, qk), len(tk) - 1)
-    return np.where(inside & (tk[at] == qk), order[at], -1)
+            ranks = np.unique(key[:n])
+            at = np.minimum(np.searchsorted(ranks, key), len(ranks) - 1)
+            key, radix = np.where(ranks[at] == key, at, len(ranks)), len(ranks) + 1
+        key, radix = key * span + rows[:, i], radix * span
+    order = np.argsort(key[:n], kind="stable")  # O(n) on the sorted keys of a piece's labels
+    tk = key[order]
+    at = np.minimum(np.searchsorted(tk, key[n:]), n - 1)
+    return np.where(tk[at] == key[n:], order[at], -1)
 
 
 class Poly:
@@ -169,20 +168,16 @@ class Presentation:
         return rows
 
     def piece(self, field, exponents):
-        """(labels, reducer, index) of a graded piece whose monomials of
-        degree d are the rows of exponents(d), an int64 array in
-        lexicographic order, called with d = piece degree minus a generator
-        or relation degree: labels are (generator, exponent) pairs, index
-        maps each label to its position, and the reducer (None when no
-        relation lands) works modulo the relations."""
-        exps = [exponents(gd) for gd in self.gen_degrees]
-        labels = [(g, e) for g, ex in enumerate(exps) for e in map(tuple, ex.tolist())]
-        if not labels:
-            return labels, None, {}
-        table = np.concatenate([np.column_stack([np.full(len(ex), g), ex]) for g, ex in enumerate(exps)])
-        index = {lab: k for k, lab in enumerate(labels)}
-        rows = self.relation_rows(field, table, [exponents(rd) for rd in self.rel_degrees])
-        return labels, (RowReducer(field, rows, len(labels)) if rows else None), index
+        """(labels, reducer) of a graded piece whose monomials of degree d
+        are the rows of exponents(d), an int64 array in lexicographic order,
+        called with d = piece degree minus a generator or relation degree:
+        labels is the int64 table of rows (generator, exponent...), and the
+        reducer (None when no relation lands) works modulo the relations."""
+        labels = np.concatenate([np.column_stack([np.full(len(ex), g), ex])
+                                 for g, ex in enumerate(map(exponents, self.gen_degrees))]
+                                or [np.zeros((0, 1), dtype=np.int64)])
+        rows = self.relation_rows(field, labels, [exponents(rd) for rd in self.rel_degrees]) if len(labels) else []
+        return labels, (RowReducer(field, rows, len(labels)) if rows else None)
 
     def is_monomial(self, field):
         """True when there is one generator and every relation has at most
@@ -197,29 +192,30 @@ class Presentation:
 
 
 class GradedPieces:
-    """Basis reading for modules whose piece(a) returns (labels, reducer,
-    index) as Presentation.piece does: the basis is the labels, or the
-    reducer's free columns of them. Every map into a piece goes through
+    """Basis reading for modules whose piece(a) returns (labels, reducer) as
+    Presentation.piece does: the basis is the rows of the label table, or
+    the reducer's free columns of them. Every map into a piece goes through
     image_entries."""
 
     def dim(self, a):
-        labels, red, _ = self.piece(a)
+        labels, red = self.piece(a)
         return len(labels) if red is None else red.corank
 
     def basis_labels(self, a):
-        labels, red, _ = self.piece(a)
-        return list(labels) if red is None else [labels[j] for j in red.free]
+        """The basis at a as rows (generator, exponent...) of an int64 table."""
+        labels, red = self.piece(a)
+        return labels if red is None else labels[red.free]
 
     def image_entries(self, a, labels):
-        """The coordinate columns of the labels in the basis at degree a, as
-        entry arrays (rows, cols, values), every value nonzero: a label's
-        normal form looked up in the piece's reducer. ArithmeticError for a
-        label outside the piece, where the exponent box is too small to hold
-        it."""
-        _, red, index = self.piece(a)
-        ks = np.array([index.get(lab, -1) for lab in labels], dtype=np.int64)
+        """The coordinate columns of the labels (rows of an int64 table) in
+        the basis at degree a, as entry arrays (rows, cols, values), every
+        value nonzero: a label's normal form looked up in the piece's
+        reducer. ArithmeticError for a label outside the piece, where the
+        exponent box is too small to hold it."""
+        table, red = self.piece(a)
+        ks = _locate(table, labels)
         if (ks < 0).any():
-            raise ArithmeticError("label %r lies outside the piece at %r" % (labels[int(np.argmin(ks))], a))
+            raise ArithmeticError("label %r lies outside the piece at %r" % (labels[np.argmin(ks)].tolist(), a))
         if red is None:
             return ks, np.arange(len(labels)), np.full(len(labels), self.field.one)
         owner, coords, vals = red.reduce_rows(ks)
@@ -227,14 +223,14 @@ class GradedPieces:
 
     def moved(self, a, mono):
         """The basis labels at a times the monomial with exponent vector mono."""
-        return [(g, tuple(x + y for x, y in zip(e, mono))) for g, e in self.basis_labels(a)]
+        return self.basis_labels(a) + np.r_[0, mono]
 
     def times(self, a, b, mono):
         """Multiplication by the monomial with exponent vector mono from the
         piece at a to the piece at b = a + deg mono, in their bases, as an
         Entries read off image_entries."""
         src = self.moved(a, mono)
-        if not src or not self.dim(b):
+        if not len(src) or not self.dim(b):
             return Entries.zeros(self.field, self.dim(b), len(src))
         return Entries(self.field, self.dim(b), len(src), *self.image_entries(b, src))
 
@@ -269,13 +265,13 @@ class DegreewiseModule(GradedPieces):
 
     def piece(self, a):
         """Presentation.piece at degree a, or an empty piece where the
-        truncation drops it; labels are (gen, exponent) pairs."""
+        truncation drops it."""
         a = tuple(a)
         if a not in self._pieces:
             inner = deg_add(a, self.shift)
             self._pieces[a] = self.pres.piece(
                 self.field, lambda d: monomial_array(self.stack, deg_sub(inner, d))) \
-                if self._kept(a) else ([], None, {})
+                if self._kept(a) else (np.zeros((0, 1 + self.stack.nvars), dtype=np.int64), None)
         return self._pieces[a]
 
     def in_window(self, a):
@@ -350,7 +346,7 @@ class SpanSubmodule:
         if b not in self._basis:
             cols = [self.inner.times(d, b, mono).dense() for d in self.gen_degrees
                     if self.stack.theta(deg_sub(b, d)) >= 0 and self.inner.dim(d)
-                    for mono in monomial_basis(self.stack, deg_sub(b, d))]
+                    for mono in monomial_array(self.stack, deg_sub(b, d))]
             val = np.concatenate(cols, axis=1) if cols else self.field.zeros(self.inner.dim(b), 0)
             self._basis[b] = rref(self.field, val.T)[0].T
         return self._basis[b]
@@ -402,29 +398,27 @@ def presentation_from_span(span, rel_degrees):
     pres = Presentation([zero] * ngens)  # the relations chosen so far
 
     for b in sorted((tuple(x) for x in rel_degrees), key=lambda d: (stack.theta(d), d)):
-        # the evaluation at b: one column per (generator, monomial) label
-        monos = monomial_basis(stack, b)
-        labels = [(k, mu) for mu in monos for k in range(ngens)]
-        if not labels:
+        # the evaluation at b: one column per label (generator, monomial),
+        # monomial by monomial
+        monos = monomial_array(stack, b)
+        if not len(monos) or not ngens:
             continue
         images = [span.inner.times(zero, b, mu).dense() for mu in monos]
         ker = _kernel_arr(field, solve_in_span(field, span._span(b), np.concatenate(images, axis=1)))
         if ker.shape[1] == 0:
             continue
-        table = np.array([(k,) + mu for k, mu in labels], dtype=np.int64)
+        labels = np.column_stack([np.tile(np.arange(ngens), len(monos)), np.repeat(monos, ngens, axis=0)])
         acc = _IncrementalRank(field)
         mults = [monomial_array(stack, deg_sub(b, c)) for c in pres.rel_degrees]
-        for row in pres.relation_rows(field, table, mults):
-            vec = field.zeros(1, len(labels))[0]
-            vec[list(row)] = list(row.values())
-            acc.add(vec)
+        for row in pres.relation_rows(field, labels, mults):
+            field.insert(acc.pivots, row, min)
         for c in range(ker.shape[1]):
             if acc.add(ker[:, c]):
                 relj = len(pres.rel_degrees)
                 pres.rel_degrees.append(b)
-                for (k, mu), v in zip(labels, ker[:, c].tolist()):
+                for (k, *mu), v in zip(labels.tolist(), ker[:, c].tolist()):
                     if v != field.zero:
-                        pres.entries.setdefault((k, relj), Poly([])).terms.append((v, mu))
+                        pres.entries.setdefault((k, relj), Poly([])).terms.append((v, tuple(mu)))
     return pres
 
 
@@ -470,36 +464,28 @@ def koszul_complex(stack, window, field):
     the differential is contraction against sum x_i e_i."""
     cx = GradedComplex(field)
     n1 = stack.nvars
-    degs = stack.var_degrees
+    unit = np.eye(n1, dtype=np.int64)
     masks_by_size = {}
     for mask in range(1 << n1):
         masks_by_size.setdefault(bin(mask).count("1"), []).append(mask)
     for a in window.points():
-        bases = {}
+        blocks = {}  # mask -> (offset within its term, exponents)
         for j in range(n1 + 2):
-            basis = []
+            off = 0
             for mask in masks_by_size.get(j, []):
-                d = stack.mask_degree(mask)
-                for e in monomial_basis(stack, deg_sub(a, d)):
-                    basis.append((mask, e))
-            bases[j] = basis
-            cx.set_dim(j, a, len(basis))
+                blocks[mask] = off, monomial_array(stack, deg_sub(a, stack.mask_degree(mask)))
+                off += len(blocks[mask][1])
+            cx.set_dim(j, a, off)
         for j in range(1, n1 + 1):
-            src = bases[j]
-            tgt = bases.get(j - 1, [])
-            if not src or not tgt:
+            if not cx.dim(j, a) or not cx.dim(j - 1, a):
                 continue
-            index = {lab: k for k, lab in enumerate(tgt)}
-            m = field.zeros(len(tgt), len(src))
-            for col, (mask, e) in enumerate(src):
-                sign = 1
-                for i in range(n1):
-                    if mask & (1 << i):
-                        newe = tuple(x + (1 if k == i else 0) for k, x in enumerate(e))
-                        lab = (mask & ~(1 << i), newe)
-                        if lab in index:
-                            c = field.of(sign)
-                            m[index[lab], col] = field.add(m[index[lab], col], c)
-                        sign = -sign
+            m = field.zeros(cx.dim(j - 1, a), cx.dim(j, a))
+            for mask in masks_by_size[j]:
+                off, ex = blocks[mask]
+                for k, i in enumerate(i for i in range(n1) if mask & (1 << i)):
+                    toff, tex = blocks[mask & ~(1 << i)]
+                    rows = _locate(tex, ex + unit[i])
+                    cols = np.flatnonzero(rows >= 0)
+                    m[toff + rows[cols], off + cols] = field.of(-1 if k % 2 else 1)
             cx.set_map(j, a, Mat(field, m))
     return cx

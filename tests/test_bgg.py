@@ -252,9 +252,9 @@ def test_r_complex_two_term(p112, gf):
         src = s1.dim((a,))
         tgt = s.dim((a,))
         m = gf.zeros(tgt, src)
-        tgt_labels = {lab: i for i, lab in enumerate(s.basis_labels((a,)))}
-        for c, (g, e) in enumerate(s1.basis_labels((a,))):
-            lab = (0, (e[0] + 1, e[1], e[2]))
+        tgt_labels = {tuple(lab): i for i, lab in enumerate(s.basis_labels((a,)).tolist())}
+        for c, (g, *e) in enumerate(s1.basis_labels((a,)).tolist()):
+            lab = (0, e[0] + 1, e[1], e[2])
             m[tgt_labels[lab], c] = 1
         maps[(a,)] = Mat(gf, m)
     cx = ModuleComplex({0: s, 1: s1}, {1: maps})

@@ -328,9 +328,42 @@ def _set_negative_exponent(doc):
     doc["modules"]["C"]["relations"] = [{"degree": [1], "entries": [[[1, [-1, 2, 0]]]]}]
 
 
+def _set_fractional_coefficient(doc):
+    doc["modules"]["C"]["relations"][0]["entries"][0][0][0] = 0.5
+
+
+def _set_fractional_exponent(doc):
+    doc["modules"]["C"]["relations"][0]["entries"][0][0][1] = [4.2, 0, 0]
+
+
+def _set_fractional_degree(doc):
+    doc["variables"][2]["degree"] = [2.5]
+
+
+def _set_fractional_theta(doc):
+    doc["theta"] = [1.5]
+
+
+def _set_fractional_prime(doc):
+    doc["field"]["prime"] = 32003.9
+
+
+def _set_fractional_irrelevant(doc):
+    doc["irrelevant"][0] = [0.7]
+
+
+def _set_boolean_cl_rank(doc):
+    doc["cl_rank"] = True
+
+
+# a value int() would truncate or accept (0.5 read as 0, True as 1) is no
+# JSON integer
 @pytest.mark.parametrize("mutate", [_set_prime, _set_degree, _set_generators, _set_irrelevant,
                                     _set_relations, _set_cover, _set_exponents,
-                                    _set_negative_exponent])
+                                    _set_negative_exponent, _set_fractional_coefficient,
+                                    _set_fractional_exponent, _set_fractional_degree,
+                                    _set_fractional_theta, _set_fractional_prime,
+                                    _set_fractional_irrelevant, _set_boolean_cl_rank])
 def test_exit_code_schema_malformed_document(capsys, tmp_path, mutate):
     # one bad value in an otherwise valid document: exit 2, no traceback
     with open(fixture("p112.tate")) as fh:

@@ -281,10 +281,10 @@ def _r_complex(field):
     s1 = realize(Presentation.free([(1,)]), p112, window, field)
     maps = {}
     for a in window.points():
-        rows = {lab: k for k, lab in enumerate(s0.basis_labels(a))}
+        rows = {tuple(lab): k for k, lab in enumerate(s0.basis_labels(a).tolist())}
         m = field.zeros(s0.dim(a), s1.dim(a))
-        for c, (_, e) in enumerate(s1.basis_labels(a)):
-            m[rows[(0, (e[0] + 1,) + e[1:])], c] = field.one
+        for c, (_, *e) in enumerate(s1.basis_labels(a).tolist()):
+            m[rows[(0, e[0] + 1, *e[1:])], c] = field.one
         maps[a] = Mat(field, m)
     return R_complex(ModuleComplex({0: s0, 1: s1}, {1: maps}))
 

@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from torictate import smodule
+from torictate.bgg import _times_x
+from torictate.diagonal import _BlockComplex
 from torictate.dmres import _IncrementalRank
 from torictate.laurent import ExponentBoxes, LocalizedModule
 from torictate.linalg import GF, QQ, Entries, _kernel_arr, rref, solve_in_span
 from torictate.smodule import (DegreewiseModule, Poly, Presentation,
                                generated_truncation, koszul_complex,
-                               monomial_basis, presentation_from_span, realize,
+                               monomial_array, monomial_basis, presentation_from_span, realize,
                                truncate, twist)
 from torictate.toric import Window, deg_add, deg_sub, deg_zero
 
@@ -192,8 +194,8 @@ def test_localized_piece_without_inversion_matches_degreewise(p112, hirz3, gf):
         loc = LocalizedModule(stack, gf, pres, (), ExponentBoxes(stack, (), 2))
         for a in window.points():
             basis = deg.basis_labels(a)
-            assert loc.basis_labels(a) == basis and loc.dim(a) == deg.dim(a) == len(basis)
-            assert loc.piece(a)[0] == deg.piece(a)[0]
+            assert np.array_equal(loc.basis_labels(a), basis) and loc.dim(a) == deg.dim(a) == len(basis)
+            assert np.array_equal(loc.piece(a)[0], deg.piece(a)[0])
             for m in (loc, deg):
                 coords = Entries(gf, m.dim(a), len(basis), *m.image_entries(a, basis)).dense()
                 assert (coords == np.eye(len(basis), dtype=coords.dtype)).all()
@@ -202,10 +204,10 @@ def test_localized_piece_without_inversion_matches_degreewise(p112, hirz3, gf):
 def test_image_rejects_a_label_outside_the_piece(p112, gf):
     # a label below the exponent box of a localized piece has no coordinates
     loc = LocalizedModule(p112, gf, Presentation.free([(0,)]), {0}, ExponentBoxes(p112, {0}, 2))
-    inside = Entries(gf, loc.dim((0,)), 1, *loc.image_entries((0,), [(0, (-2, 2, 0))]))
+    inside = Entries(gf, loc.dim((0,)), 1, *loc.image_entries((0,), np.array([[0, -2, 2, 0]])))
     assert inside.dense().shape == (loc.dim((0,)), 1)
     with pytest.raises(ArithmeticError):
-        loc.image_entries((0,), [(0, (-3, 3, 0))])
+        loc.image_entries((0,), np.array([[0, -3, 3, 0]]))
 
 
 def path_span(span, b):
@@ -325,3 +327,48 @@ def test_locate_matches_a_dict_lookup(rng, scale):
         got = smodule._locate(np.array(table, dtype=np.int64),
                               np.array(queries, dtype=np.int64).reshape(-1, cols))
         assert got.tolist() == [index.get(q, -1) for q in queries]
+    # and an empty table, which holds none of the last table's rows
+    rows = np.array(table, dtype=np.int64)
+    assert smodule._locate(rows[:0], rows).tolist() == [-1] * len(rows)
+
+
+@pytest.mark.parametrize("name, window", [("p112", Window((-1,), (6,))),
+                                          ("p1p1", Window((-1, -1), (2, 3)))])
+def test_monomial_maps_match_a_tuple_and_dict_construction(request, gf, name, window):
+    # koszul_complex's maps, bgg._times_x and _BlockComplex._shift, entry for
+    # entry, against maps built from monomial_basis tuples and index dicts
+    stack = request.getfixturevalue(name)
+    n = stack.nvars
+    kx = koszul_complex(stack, window, gf)
+    for a in window.points():
+        basis = [[(mask, e) for mask in range(1 << n) if bin(mask).count("1") == j
+                  for e in monomial_basis(stack, deg_sub(a, stack.mask_degree(mask)))] for j in range(n + 1)]
+        for j in range(1, n + 1):
+            index = {lab: k for k, lab in enumerate(basis[j - 1])}
+            want = gf.zeros(len(basis[j - 1]), len(basis[j]))
+            for col, (mask, e) in enumerate(basis[j]):
+                for k, i in enumerate(i for i in range(n) if mask >> i & 1):
+                    want[index[(mask & ~(1 << i), e[:i] + (e[i] + 1,) + e[i + 1:])], col] = gf.of((-1) ** k)
+            assert kx.map(j, a).a.shape == want.shape and (kx.map(j, a).a == want).all()
+    cx = _BlockComplex(stack, gf)
+    for d in window.points():
+        for i in range(n):
+            src, tgt = monomial_basis(stack, d), monomial_basis(stack, deg_add(d, stack.var_degrees[i]))
+            want = np.zeros((len(tgt), len(src)), dtype=np.int64)
+            index = {e: k for k, e in enumerate(tgt)}
+            for col, e in enumerate(src):
+                want[index[e[:i] + (e[i] + 1,) + e[i + 1:]], col] = 1
+            got = _times_x(monomial_array(stack, d), monomial_array(stack, deg_add(d, stack.var_degrees[i])), i)
+            assert got.shape == want.shape and (got == want).all()
+    # the shift maps of the monomials of theta-degree at most 2, between
+    # any two window degrees: empty unless td is the degree of the products
+    shifts = [t for c in window.points() if 0 <= stack.theta(c) <= 2 for t in monomial_basis(stack, c)]
+    for t in shifts:
+        for d in window.points():
+            for td in window.points():
+                where = {e: k for k, e in enumerate(monomial_basis(stack, td))}
+                moved = (tuple(x + y for x, y in zip(e, t)) for e in monomial_basis(stack, d))
+                want = np.array([(j, where[e]) for j, e in enumerate(moved) if e in where],
+                                dtype=np.int64).reshape(-1, 2).T
+                got = cx._shift(d, t, td)
+                assert got.shape == want.shape and (got == want).all()
